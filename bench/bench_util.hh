@@ -31,21 +31,6 @@ namespace fafnir::bench
 {
 
 /**
- * Effective parallelism for @p flag once process-global telemetry is
- * in play: the TraceSink, the fault plan's RNG streams, and the
- * windowed TimeSeries rings are not thread-safe, so any of them forces
- * the run serial — with a warning naming the clamped flag, so a slow
- * traced run is never a silent surprise. Covers both the sweep
- * harnesses ("--jobs") and the host prepare pool ("--prepare-workers").
- */
-/**
- * Every process-global telemetry facility currently forcing runs
- * serial, comma-joined ("--trace, --faults"); empty when none is
- * installed. Listing *all* active reasons matters: a user who drops
- * the first flag named in the warning used to get a second clamp
- * warning naming the next one, one flag per run.
- */
-/**
  * Set while an accuracy-report run is active (--payload-accuracy): the
  * error-feedback two-bit stream carries residual state across batches
  * (embedding::TwoBitState), so sweep order matters and parallel sweeps
@@ -59,6 +44,13 @@ payloadAccuracyActive()
     return active;
 }
 
+/**
+ * Every process-global telemetry facility currently forcing runs
+ * serial, comma-joined ("--trace, --faults"); empty when none is
+ * installed. Listing *all* active reasons matters: a user who drops
+ * the first flag named in the warning used to get a second clamp
+ * warning naming the next one, one flag per run.
+ */
 inline std::string
 clampReasons()
 {
@@ -81,6 +73,13 @@ clampReasons()
     return why;
 }
 
+/**
+ * Effective parallelism for @p flag once process-global telemetry is
+ * in play: the TraceSink, the fault plan's RNG streams, and the
+ * windowed TimeSeries rings are not thread-safe, so any of them forces
+ * the run serial — with a warning naming the clamped flag, so a slow
+ * traced run is never a silent surprise.
+ */
 inline unsigned
 clampParallelism(unsigned requested, const char *flag)
 {

@@ -11,21 +11,19 @@
  *    cannot masquerade as a regression. `prepare_hash_speedup` is the
  *    gated ratio (floor: 1.3x).
  *
- *  - Wall-clock PreparePool throughput at 1/2/4/8 workers
- *    (`prepare_pool_wN_refs_per_sec`, ungated — real thread scaling
- *    depends on host core count) next to the modeled per-batch prepare
- *    rates (`prepare_modeled_wN_refs_per_sec`), which are pure
- *    functions of the ServingConfig cost model and therefore gated;
+ *  - Modeled per-batch prepare rates at 1/2/4/8 workers
+ *    (`prepare_modeled_wN_refs_per_sec`), pure functions of
+ *    ServingConfig::prepareCost and therefore gated;
  *    `prepare_modeled_scaling_4w` is the modeled 4-worker speedup
  *    (floor: 2.5x).
  *
  *  - Simulated offered-load capacity (batches/sec of simulated time)
  *    of the pipelined front-end at 1, 2, 4, and 8 engine replicas.
  *    `replica_scaling_speedup` = capacity(4) / capacity(1) is the
- *    gated ratio (floor: 2x); the 8-replica point runs twice — with an
- *    8-worker prepare pool and with serial prepare — so
+ *    gated ratio (floor: 2x); the 8-replica point runs twice — with 8
+ *    modelled prepare workers and with 1 — so
  *    `prepare_pool_capacity_gain_8` pins how much of the 8-replica
- *    capacity the prepare pool unlocks.
+ *    capacity the modelled prepare width unlocks.
  *
  *  - A modulated-load run (--arrivals=steady|burst|ramp) through two
  *    replicas with windowed telemetry and an SLO monitor installed:
@@ -48,7 +46,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -148,60 +145,23 @@ benchPrepare(const embedding::VectorLayout &layout,
 }
 
 /**
- * Wall-clock PreparePool throughput (references/sec) at @p workers.
- * Headers only, dedup on, one SlotArenas reused across iterations so
- * the steady-state recycle path is in the loop. Real scaling depends on
- * the host's core count, so these land in the report ungated.
- */
-double
-benchPreparePool(const embedding::VectorLayout &layout,
-                 const std::vector<embedding::Batch> &batches,
-                 std::uint64_t iterations, unsigned workers)
-{
-    std::size_t references = 0;
-    for (const auto &b : batches)
-        references += b.totalIndices();
-
-    PreparePool pool(workers);
-    PreparePool::SlotArenas arenas = pool.makeSlotArenas();
-    std::size_t reads = 0;
-    const auto begin = Clock::now();
-    for (std::uint64_t it = 0; it < iterations; ++it) {
-        for (const auto &b : batches) {
-            PreparedBatch p =
-                pool.prepare(layout, nullptr, b, true, &arenas);
-            for (const auto &rank : p.rankReads)
-                reads += rank.size();
-            pool.recycleAsync(std::move(p), arenas);
-        }
-    }
-    pool.waitRecycle(arenas);
-    const auto end = Clock::now();
-    FAFNIR_ASSERT(reads > 0, "prepare pool produced no reads");
-    return static_cast<double>(references) *
-           static_cast<double>(iterations) / seconds(begin, end);
-}
-
-/**
  * Modeled prepare rate (references per modeled second) at @p workers:
  * the exact integer-tick cost the serving pipeline charges per batch
- * (prepareFixed + perReference*refs/W + shardOverhead*(W-1)), summed
- * over the working set. A pure function of the ServingConfig defaults
- * and the batch shapes — deterministic, so bench_diff gates it tight.
+ * (ServingConfig::prepareCost), summed over the working set. A pure
+ * function of the ServingConfig defaults and the batch shapes —
+ * deterministic, so bench_diff gates it tight.
  */
 double
 modeledPrepareRate(const std::vector<embedding::Batch> &batches,
                    unsigned workers)
 {
-    const ServingConfig sc;
-    const auto pw = static_cast<Tick>(workers);
+    ServingConfig sc;
+    sc.prepareWorkers = workers;
     double references = 0.0;
     Tick cost = 0;
     for (const auto &b : batches) {
-        const auto refs = static_cast<Tick>(b.totalIndices());
-        references += static_cast<double>(refs);
-        cost += sc.prepareFixed + sc.preparePerReference * refs / pw +
-                sc.prepareShardOverhead * (pw - 1);
+        references += static_cast<double>(b.totalIndices());
+        cost += sc.prepareCost(b.totalIndices());
     }
     return references /
            (static_cast<double>(cost) /
@@ -209,7 +169,7 @@ modeledPrepareRate(const std::vector<embedding::Batch> &batches,
 }
 
 /** Simulated capacity (batches per simulated second) at @p engines
- *  with a @p prepare_workers-wide host prepare pool. */
+ *  with @p prepare_workers modelled prepare workers. */
 double
 benchCapacity(const std::vector<embedding::Batch> &batches,
               unsigned engines, unsigned prepare_workers)
@@ -334,7 +294,6 @@ main(int argc, char **argv)
     unsigned batch_size = 32;
     unsigned query_size = 24;
     std::uint64_t prepare_iters = 200;
-    std::uint64_t pool_iters = 40;
     unsigned capacity_batches = 48;
     unsigned reps = 10;
     std::string arrivals_pattern = "burst";
@@ -348,9 +307,6 @@ main(int argc, char **argv)
     flags.addUnsigned("query-size", query_size, "indices per query");
     flags.addUint64("prepare-iters", prepare_iters,
                     "passes over the working set per prepare sample");
-    flags.addUint64("pool-iters", pool_iters,
-                    "passes over the working set per prepare-pool "
-                    "sample (threaded, so kept shorter)");
     flags.addUnsigned("capacity-batches", capacity_batches,
                       "batches per simulated capacity run");
     flags.addUnsigned("reps", reps,
@@ -361,19 +317,10 @@ main(int argc, char **argv)
     flags.addUnsigned("load-batches", load_batches,
                       "batches in the modulated-load run");
     telemetry::TelemetrySession session("micro_serving");
-    // The session's --prepare-workers flag here bounds the widest point
-    // of the wall-clock pool curve; default to the full 8-wide sweep.
-    session.mutableServing().prepareWorkers = 8;
     session.registerFlags(flags);
     flags.parse(argc, argv);
     session.defaultReportPath("BENCH_serving.json");
     session.start();
-    // Real prepare-pool threads are unsafe next to process-global
-    // telemetry; the clamp only narrows the wall-clock curve — the
-    // modeled rates and simulated capacities are thread-independent.
-    const unsigned prepare_workers = std::max(
-        1u, bench::clampParallelism(session.serving().prepareWorkers,
-                                    "--prepare-workers"));
 
     session.report().setConfig("batches", std::uint64_t(batches));
     session.report().setConfig("batch", std::uint64_t(batch_size));
@@ -397,17 +344,11 @@ main(int argc, char **argv)
         return benchPrepare(layout, prepare_set, prepare_iters, false);
     });
 
-    // Prepare-pool scaling curve: wall-clock (ungated, host-dependent)
-    // next to the modeled rate (gated, deterministic) at each width.
-    const unsigned kPoolWidths[] = {1, 2, 4, 8};
-    double pool_rate[4], modeled_rate[4];
-    for (std::size_t i = 0; i < 4; ++i) {
-        const unsigned w = std::min(kPoolWidths[i], prepare_workers);
-        pool_rate[i] = bestOf(std::min(reps, 3u), [&] {
-            return benchPreparePool(layout, prepare_set, pool_iters, w);
-        });
-        modeled_rate[i] = modeledPrepareRate(prepare_set, kPoolWidths[i]);
-    }
+    // Modeled prepare rate (gated, deterministic) at each width.
+    const unsigned kPrepareWidths[] = {1, 2, 4, 8};
+    double modeled_rate[4];
+    for (std::size_t i = 0; i < 4; ++i)
+        modeled_rate[i] = modeledPrepareRate(prepare_set, kPrepareWidths[i]);
 
     const auto capacity_set = makeBatches(capacity_batches, 16, 24, 11);
     double cap1, cap2, cap4, cap8, cap8_serial;
@@ -559,10 +500,6 @@ main(int argc, char **argv)
         {"prepare_hash_refs_per_sec", hash_rate},
         {"prepare_map_refs_per_sec", map_rate},
         {"prepare_hash_speedup", hash_rate / map_rate},
-        {"prepare_pool_w1_refs_per_sec", pool_rate[0]},
-        {"prepare_pool_w2_refs_per_sec", pool_rate[1]},
-        {"prepare_pool_w4_refs_per_sec", pool_rate[2]},
-        {"prepare_pool_w8_refs_per_sec", pool_rate[3]},
         {"prepare_modeled_w1_refs_per_sec", modeled_rate[0]},
         {"prepare_modeled_w2_refs_per_sec", modeled_rate[1]},
         {"prepare_modeled_w4_refs_per_sec", modeled_rate[2]},

@@ -1,7 +1,6 @@
 /**
  * @file
- * parallelFor (atomic work claiming over std::thread) and the
- * persistent WorkerPool + ScratchArena behind the host prepare pool.
+ * parallelFor: atomic work claiming over std::thread.
  */
 
 #include "parallel.hh"
@@ -9,9 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <limits>
-
-#include "common/logging.hh"
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace fafnir
 {
@@ -67,207 +66,6 @@ parallelFor(std::size_t n, unsigned jobs,
     work(); // the calling thread is worker 0
     for (std::thread &t : pool)
         t.join();
-
-    if (error)
-        std::rethrow_exception(error);
-}
-
-// ---- ScratchArena -----------------------------------------------------
-
-void *
-ScratchArena::allocBytes(std::size_t bytes, std::size_t align)
-{
-    if (bytes == 0)
-        bytes = 1;
-    if (!blocks_.empty()) {
-        Block &cur = blocks_.back();
-        const std::size_t aligned = (cursor_ + align - 1) & ~(align - 1);
-        if (aligned + bytes <= cur.size) {
-            cursor_ = aligned + bytes;
-            return cur.data.get() + aligned;
-        }
-    }
-    // Grow geometrically; the outgrown block stays alive until reset()
-    // so pointers handed out earlier in this cycle never dangle.
-    const std::size_t last = blocks_.empty() ? 0 : blocks_.back().size;
-    const std::size_t want =
-        std::max<std::size_t>({bytes + align, last * 2, 4096});
-    Block block;
-    block.data = std::make_unique<unsigned char[]>(want);
-    block.size = want;
-    blocks_.push_back(std::move(block));
-    const auto base = reinterpret_cast<std::uintptr_t>(
-        blocks_.back().data.get());
-    const std::size_t skew = (align - base % align) % align;
-    cursor_ = skew + bytes;
-    return blocks_.back().data.get() + skew;
-}
-
-void
-ScratchArena::reset()
-{
-    if (blocks_.size() > 1) {
-        // Consolidate the high-water mark into one block so the next
-        // cycle bump-allocates without chaining.
-        std::size_t total = 0;
-        for (const Block &b : blocks_)
-            total += b.size;
-        blocks_.clear();
-        Block block;
-        block.data = std::make_unique<unsigned char[]>(total);
-        block.size = total;
-        blocks_.push_back(std::move(block));
-    }
-    cursor_ = 0;
-}
-
-std::size_t
-ScratchArena::capacityBytes() const
-{
-    std::size_t total = 0;
-    for (const Block &b : blocks_)
-        total += b.size;
-    return total;
-}
-
-// ---- WorkerPool -------------------------------------------------------
-
-struct WorkerPool::TaskHandle::State
-{
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    bool done = false;
-    std::exception_ptr error;
-};
-
-struct WorkerPool::QueueItem
-{
-    Task fn;
-    std::shared_ptr<TaskHandle::State> state;
-};
-
-WorkerPool::WorkerPool(unsigned threads)
-{
-    FAFNIR_ASSERT(threads >= 1, "WorkerPool needs >= 1 thread");
-    scratch_.resize(threads + 1); // slot 0 belongs to the caller
-    threads_.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        threads_.emplace_back([this, t] { workerMain(t + 1); });
-}
-
-WorkerPool::~WorkerPool()
-{
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-void
-WorkerPool::workerMain(unsigned slot)
-{
-    (void)slot;
-    for (;;) {
-        QueueItem item;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock,
-                       [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty())
-                return; // stopping_ and drained
-            item = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        try {
-            item.fn();
-        } catch (...) {
-            const std::lock_guard<std::mutex> lock(item.state->mutex);
-            item.state->error = std::current_exception();
-        }
-        {
-            const std::lock_guard<std::mutex> lock(item.state->mutex);
-            item.state->done = true;
-        }
-        item.state->done_cv.notify_all();
-    }
-}
-
-WorkerPool::TaskHandle
-WorkerPool::submit(Task task)
-{
-    TaskHandle handle;
-    handle.state_ = std::make_shared<TaskHandle::State>();
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        FAFNIR_ASSERT(!stopping_,
-                      "submit() on a WorkerPool being destroyed");
-        queue_.push_back({std::move(task), handle.state_});
-    }
-    wake_.notify_one();
-    return handle;
-}
-
-void
-WorkerPool::wait(TaskHandle &handle)
-{
-    if (!handle.state_)
-        return;
-    std::shared_ptr<TaskHandle::State> state = std::move(handle.state_);
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->done_cv.wait(lock, [&] { return state->done; });
-    if (state->error)
-        std::rethrow_exception(state->error);
-}
-
-void
-WorkerPool::runIndexed(
-    std::size_t n, const std::function<void(std::size_t, unsigned)> &body)
-{
-    if (n == 0)
-        return;
-    if (n == 1 || threads() == 0) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i, 0);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    // First failure by claim order wins, like parallelFor.
-    std::atomic<std::size_t> error_index{
-        std::numeric_limits<std::size_t>::max()};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-
-    const auto drain = [&](unsigned slot) {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            try {
-                body(i, slot);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(error_mutex);
-                if (i < error_index.load(std::memory_order_relaxed)) {
-                    error_index.store(i, std::memory_order_relaxed);
-                    error = std::current_exception();
-                }
-            }
-        }
-    };
-
-    const unsigned helpers = static_cast<unsigned>(
-        std::min<std::size_t>(threads(), n - 1));
-    std::vector<TaskHandle> handles;
-    handles.reserve(helpers);
-    for (unsigned t = 0; t < helpers; ++t)
-        handles.push_back(submit([&drain, slot = t + 1] { drain(slot); }));
-    drain(0); // the calling thread is slot 0
-    for (TaskHandle &h : handles)
-        wait(h);
 
     if (error)
         std::rethrow_exception(error);

@@ -1,46 +1,27 @@
 /**
  * @file
- * Data-parallel loops and a persistent worker pool.
+ * A data-parallel loop for independent sweep points.
  *
- * Two layers of parallelism live here:
- *
- *  - parallelFor: a one-shot loop for independent sweep points. The
- *    ablation harnesses and run_all.sh evaluate many self-contained
- *    simulations (own EventQueue, own memory system, own engine) whose
- *    only interaction is the order their rows are printed. Workers
- *    claim indices from an atomic counter, every index writes into its
- *    own pre-sized result slot, and the caller emits rows in index
- *    order afterwards — so the output is bit-identical to a serial run
- *    at any job count.
- *
- *  - WorkerPool: a persistent pool of threads for per-request work
- *    (the host prepare pool). One-shot spawning costs a thread create
- *    and join per call, which swamps a sub-millisecond prepare;
- *    WorkerPool keeps its threads parked on a condition variable, hands
- *    out TaskHandles for individual submissions, and owns one
- *    ScratchArena per worker slot so per-task temporaries (dedup hash
- *    slots, user lists) reuse capacity across requests instead of
- *    reallocating.
+ * The ablation harnesses and run_all.sh evaluate many self-contained
+ * simulations (own EventQueue, own memory system, own engine) whose
+ * only interaction is the order their rows are printed. parallelFor
+ * runs them across threads: workers claim indices from an atomic
+ * counter, every index writes into its own pre-sized result slot, and
+ * the caller emits rows in index order afterwards — so the output is
+ * bit-identical to a serial run at any job count. It is the only code
+ * under src/ that starts a thread.
  *
  * Not for code that touches shared mutable state: the telemetry
  * TraceSink and the fault plan's RNG streams in particular are not
- * thread-safe, so harnesses force jobs/workers to 1 when either is
- * installed (bench::clampParallelism).
+ * thread-safe, so sweep harnesses force --jobs=1 when either is
+ * installed (bench::sweepJobs).
  */
 
 #ifndef FAFNIR_COMMON_PARALLEL_HH
 #define FAFNIR_COMMON_PARALLEL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <type_traits>
-#include <vector>
 
 namespace fafnir
 {
@@ -56,135 +37,6 @@ unsigned defaultJobs();
  */
 void parallelFor(std::size_t n, unsigned jobs,
                  const std::function<void(std::size_t)> &body);
-
-/**
- * A bump allocator for per-task temporaries. alloc() hands out
- * trivially-destructible storage from one growing block; reset()
- * rewinds the cursor without freeing, so a steady-state request stream
- * stops allocating once the high-water mark is reached. Pointers from
- * one alloc cycle stay valid until the next reset().
- */
-class ScratchArena
-{
-  public:
-    /** @p count default-constructible, trivially-destructible Ts with
-     *  unspecified contents — callers overwrite what they read. */
-    template <typename T>
-    T *
-    alloc(std::size_t count)
-    {
-        static_assert(std::is_trivially_destructible_v<T>,
-                      "ScratchArena never runs destructors");
-        return static_cast<T *>(
-            allocBytes(count * sizeof(T), alignof(T)));
-    }
-
-    /** Rewind, keeping capacity. Invalidates outstanding pointers. */
-    void reset();
-
-    /** Total bytes owned (the high-water mark after a reset cycle). */
-    std::size_t capacityBytes() const;
-
-  private:
-    void *allocBytes(std::size_t bytes, std::size_t align);
-
-    struct Block
-    {
-        std::unique_ptr<unsigned char[]> data;
-        std::size_t size = 0;
-    };
-
-    /** Earlier, outgrown blocks stay alive until reset() so pointers
-     *  handed out before a growth never dangle mid-cycle. */
-    std::vector<Block> blocks_;
-    std::size_t cursor_ = 0;
-};
-
-/**
- * A persistent pool of parked worker threads.
- *
- * submit() enqueues a task and returns a TaskHandle; wait() blocks on
- * it and rethrows the task's exception in the waiter. runIndexed() is
- * the barrier convenience for data-parallel phases: body(i, slot) runs
- * for every i in [0, n) with the calling thread participating as slot
- * 0 and pool threads as slots 1..threads(); the first exception (by
- * claim order) is rethrown after every index is settled. `slot`
- * identifies which scratch arena the invocation may use — arenas are
- * per slot, so concurrent bodies never share one.
- *
- * The destructor drains every queued task (completing, not
- * abandoning), then joins. Tasks must not submit to the pool being
- * destroyed.
- */
-class WorkerPool
-{
-  public:
-    using Task = std::function<void()>;
-
-    /** Completion ticket for one submitted task. */
-    class TaskHandle
-    {
-      public:
-        TaskHandle() = default;
-        /** True until wait() consumes it. */
-        bool pending() const { return state_ != nullptr; }
-
-      private:
-        friend class WorkerPool;
-        struct State;
-        std::shared_ptr<State> state_;
-    };
-
-    /** @p threads parked OS threads (>= 1). */
-    explicit WorkerPool(unsigned threads);
-    ~WorkerPool();
-
-    WorkerPool(const WorkerPool &) = delete;
-    WorkerPool &operator=(const WorkerPool &) = delete;
-
-    /** Pool threads (excluding the caller slot). */
-    unsigned threads() const
-    {
-        return static_cast<unsigned>(threads_.size());
-    }
-
-    /** Worker slots usable by runIndexed bodies: threads() + 1. */
-    unsigned slots() const { return threads() + 1; }
-
-    /** Enqueue @p task; a parked worker picks it up. */
-    TaskHandle submit(Task task);
-
-    /**
-     * Block until @p handle's task completes; rethrows the task's
-     * exception here. No-op on a default-constructed or already-waited
-     * handle.
-     */
-    void wait(TaskHandle &handle);
-
-    /** Barrier loop: body(i, slot) for every i in [0, n); returns when
-     *  all indices ran. First exception by claim order is rethrown. */
-    void runIndexed(std::size_t n,
-                    const std::function<void(std::size_t, unsigned)> &body);
-
-    /** The arena owned by @p slot (0 = caller, 1.. = pool threads). */
-    ScratchArena &
-    scratch(unsigned slot)
-    {
-        return scratch_[slot];
-    }
-
-  private:
-    struct QueueItem;
-
-    void workerMain(unsigned slot);
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::deque<QueueItem> queue_;
-    bool stopping_ = false;
-    std::vector<std::thread> threads_;
-    std::vector<ScratchArena> scratch_;
-};
 
 } // namespace fafnir
 

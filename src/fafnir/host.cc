@@ -38,36 +38,6 @@ PreparedBatch::loadImbalance() const
 namespace
 {
 
-/** Build one scheduled read (rank assignment is the caller's job). */
-RankRead
-makeRankRead(const embedding::VectorLayout &layout,
-             const embedding::EmbeddingStore *store, VectorPool *pool,
-             IndexId index, SmallVec<QueryResidual, 2> queries,
-             embedding::PayloadFormat payload)
-{
-    RankRead read;
-    read.index = index;
-    read.address = layout.addressOf(index);
-    read.item.indices = IndexSet::single(index);
-    read.item.queries = std::move(queries);
-    if (store) {
-        if (pool) {
-            const unsigned dim = store->config().dim();
-            read.item.value = pool->acquire(dim);
-            for (unsigned e = 0; e < dim; ++e)
-                read.item.value[e] = store->element(index, e);
-        } else {
-            read.item.value = store->vector(index);
-        }
-        // Quantize once at the leaf: the value entering the tree is the
-        // dequantized payload, so partials upward stay exact fp32 over
-        // the round-tripped leaves (a pure function of store + format).
-        embedding::payloadRoundTrip(payload, read.item.value.data(),
-                                    read.item.value.size());
-    }
-    return read;
-}
-
 /** Shared skeleton: everything but the dedup scan itself. */
 struct PrepareContext
 {
@@ -108,8 +78,28 @@ struct PrepareContext
     void
     makeRead(IndexId index, SmallVec<QueryResidual, 2> queries)
     {
-        RankRead read = makeRankRead(layout, store, pool, index,
-                                     std::move(queries), prepared.payload);
+        RankRead read;
+        read.index = index;
+        read.address = layout.addressOf(index);
+        read.item.indices = IndexSet::single(index);
+        read.item.queries = std::move(queries);
+        if (store) {
+            if (pool) {
+                const unsigned dim = store->config().dim();
+                read.item.value = pool->acquire(dim);
+                for (unsigned e = 0; e < dim; ++e)
+                    read.item.value[e] = store->element(index, e);
+            } else {
+                read.item.value = store->vector(index);
+            }
+            // Quantize once at the leaf: the value entering the tree is
+            // the dequantized payload, so partials upward stay exact fp32
+            // over the round-tripped leaves (a pure function of store +
+            // format).
+            embedding::payloadRoundTrip(prepared.payload,
+                                        read.item.value.data(),
+                                        read.item.value.size());
+        }
         const unsigned rank = layout.rankOf(index);
         prepared.rankReads[rank].push_back(std::move(read));
         ++prepared.accessCount;
@@ -160,9 +150,8 @@ hashCapacityFor(std::size_t references)
     return cap;
 }
 
-/** Flat open-addressing dedup table pieces, shared by the serial scan
- *  and the sharded workers. Per-index query lists are chained through
- *  DedupLink so insertion never allocates. */
+/** Flat open-addressing dedup table pieces. Per-index query lists are
+ *  chained through DedupLink so insertion never allocates. */
 struct DedupEntry
 {
     IndexId index;
@@ -177,22 +166,14 @@ struct DedupLink
     std::uint32_t next;
 };
 
-/** The 32-bit Fibonacci hash of an index: the table slot comes from the
- *  low bits (& mask) and the worker shard from the high bits
- *  (fastrange), so the two carve-ups are independent. */
+/** The 32-bit Fibonacci hash of an index; the table slot is its low
+ *  bits (& mask). */
 inline std::uint32_t
 indexHash32(IndexId index)
 {
     return static_cast<std::uint32_t>(
         static_cast<std::uint64_t>(index) *
         UINT64_C(0x9E3779B97F4A7C15) >> 32);
-}
-
-inline std::uint32_t
-shardOf(std::uint32_t h32, unsigned workers)
-{
-    return static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(h32) * workers) >> 32);
 }
 
 } // namespace
@@ -315,309 +296,6 @@ releasePrepared(PreparedBatch &prepared, VectorPool &pool)
         for (auto &read : reads)
             pool.release(std::move(read.item.value));
     prepared.rankReads.clear();
-}
-
-// ---- PreparePool ------------------------------------------------------
-
-PreparePool::PreparePool(unsigned workers)
-    : workers_(std::max(1u, workers)), workerStats_(workers_)
-{
-    if (workers_ > 1)
-        pool_ = std::make_unique<WorkerPool>(workers_ - 1);
-}
-
-PreparePool::~PreparePool() = default;
-
-PreparePool::SlotArenas
-PreparePool::makeSlotArenas() const
-{
-    SlotArenas arenas;
-    arenas.pools.resize(workers_);
-    return arenas;
-}
-
-PreparedBatch
-PreparePool::prepare(const embedding::VectorLayout &layout,
-                     const embedding::EmbeddingStore *store,
-                     const embedding::Batch &batch, bool dedup,
-                     SlotArenas *arenas, embedding::PayloadFormat payload)
-{
-    ++batches_;
-    if (arenas)
-        waitRecycle(*arenas);
-    // Serial clamp: no pool at 1 worker, and an installed fault plan
-    // forces the single-threaded path (the plan's RNG streams and the
-    // pool_exhaust hook are not thread-safe). Output is bit-identical
-    // either way.
-    if (!pool_ || fault::plan() != nullptr) {
-        if (pool_)
-            ++serialFallbacks_;
-        PreparedBatch prepared = prepareBatch(
-            layout, store, batch, dedup,
-            arenas ? &arenas->pools[0] : nullptr, payload);
-        workerStats_[0].claimed += prepared.uniqueCount;
-        workerStats_[0].reads += prepared.accessCount;
-        return prepared;
-    }
-    return prepareSharded(layout, store, batch, dedup, arenas, payload);
-}
-
-PreparedBatch
-PreparePool::prepareSharded(const embedding::VectorLayout &layout,
-                            const embedding::EmbeddingStore *store,
-                            const embedding::Batch &batch, bool dedup,
-                            SlotArenas *arenas,
-                            embedding::PayloadFormat payload)
-{
-    const unsigned W = workers_;
-    for (unsigned w = 0; w < pool_->slots(); ++w)
-        pool_->scratch(w).reset();
-
-    PrepareContext ctx(layout, store, batch, nullptr, /*ref=*/false,
-                       payload);
-    const std::size_t refs = ctx.prepared.totalReferences;
-    const std::size_t ranks = ctx.prepared.rankReads.size();
-
-    // Chunk-local read lists, concatenated per rank in chunk order at
-    // the end. Chunks are contiguous ranges of the deterministic emit
-    // order, so the concatenation reproduces the serial order exactly.
-    std::vector<std::vector<std::vector<RankRead>>> chunkReads(W);
-
-    const auto emitChunk = [&](std::size_t c, std::size_t lo,
-                               std::size_t hi,
-                               const auto &emitOne) {
-        auto &local = chunkReads[c];
-        local.assign(ranks, {});
-        VectorPool *pool = arenas ? &arenas->pools[c] : nullptr;
-        std::uint64_t emitted = 0;
-        for (std::size_t i = lo; i < hi; ++i)
-            emitted += emitOne(i, local, pool);
-        workerStats_[c].reads += emitted;
-    };
-
-    if (dedup) {
-        // Phase 1: every shard scans the whole batch, claiming only the
-        // references whose index hashes into it. Shard-local tables and
-        // chains live in the worker slot's scratch arena.
-        struct ShardScan
-        {
-            DedupEntry *entries = nullptr;
-            DedupLink *links = nullptr;
-            std::uint32_t entryCount = 0;
-            std::uint32_t linkCount = 0;
-        };
-        std::vector<ShardScan> scans(W);
-        const std::size_t capacity = hashCapacityFor(refs);
-        const std::size_t mask = capacity - 1;
-
-        pool_->runIndexed(W, [&](std::size_t s, unsigned slot) {
-            ScratchArena &arena = pool_->scratch(slot);
-            auto *table = arena.alloc<std::uint32_t>(capacity);
-            std::fill_n(table, capacity, kEmpty);
-            auto *entries = arena.alloc<DedupEntry>(refs);
-            auto *links = arena.alloc<DedupLink>(refs);
-            ShardScan scan{entries, links, 0, 0};
-            for (const auto &q : batch.queries) {
-                for (IndexId index : q.indices) {
-                    const std::uint32_t h32 = indexHash32(index);
-                    if (shardOf(h32, W) != s)
-                        continue;
-                    std::size_t slot_i = h32 & mask;
-                    std::uint32_t entry_id;
-                    while (true) {
-                        const std::uint32_t occupant = table[slot_i];
-                        if (occupant == kEmpty) {
-                            entry_id = scan.entryCount;
-                            table[slot_i] = entry_id;
-                            entries[scan.entryCount++] =
-                                {index, kEmpty, kEmpty, 0};
-                            break;
-                        }
-                        if (entries[occupant].index == index) {
-                            entry_id = occupant;
-                            break;
-                        }
-                        slot_i = (slot_i + 1) & mask;
-                    }
-                    DedupEntry &entry = entries[entry_id];
-                    const std::uint32_t link_id = scan.linkCount;
-                    links[scan.linkCount++] = {q.id, kEmpty};
-                    if (entry.tail == kEmpty)
-                        entry.head = link_id;
-                    else
-                        links[entry.tail].next = link_id;
-                    entry.tail = link_id;
-                    ++entry.count;
-                }
-            }
-            scans[s] = scan;
-            workerStats_[s].claimed += scan.entryCount;
-        });
-
-        // Phase 2 (serial): merge the shards' disjoint entries and sort
-        // by index — every index lives in exactly one shard, so the
-        // order is strict and matches the serial scan's sorted table.
-        struct MergedEntry
-        {
-            IndexId index;
-            std::uint32_t shard;
-            std::uint32_t head;
-            std::uint32_t count;
-        };
-        std::vector<MergedEntry> merged;
-        std::size_t unique = 0;
-        for (const ShardScan &scan : scans)
-            unique += scan.entryCount;
-        merged.reserve(unique);
-        for (std::uint32_t s = 0; s < W; ++s)
-            for (std::uint32_t e = 0; e < scans[s].entryCount; ++e) {
-                const DedupEntry &entry = scans[s].entries[e];
-                merged.push_back(
-                    {entry.index, s, entry.head, entry.count});
-            }
-        std::sort(merged.begin(), merged.end(),
-                  [](const MergedEntry &a, const MergedEntry &b) {
-                      return a.index < b.index;
-                  });
-        ctx.prepared.uniqueCount = merged.size();
-
-        // Phase 3: emit contiguous chunks of the sorted entries.
-        const std::size_t n = merged.size();
-        pool_->runIndexed(W, [&](std::size_t c, unsigned) {
-            emitChunk(c, c * n / W, (c + 1) * n / W,
-                      [&](std::size_t i, auto &local, VectorPool *pool) {
-                          const MergedEntry &m = merged[i];
-                          const ShardScan &scan = scans[m.shard];
-                          SmallVec<QueryResidual, 2> residuals;
-                          residuals.reserve(m.count);
-                          for (std::uint32_t link = m.head;
-                               link != kEmpty;
-                               link = scan.links[link].next) {
-                              const QueryId q = scan.links[link].query;
-                              residuals.push_back(
-                                  {q, ctx.residualOf(q, m.index)});
-                          }
-                          RankRead read = makeRankRead(
-                              layout, store, pool, m.index,
-                              std::move(residuals), payload);
-                          local[layout.rankOf(m.index)].push_back(
-                              std::move(read));
-                          return 1;
-                      });
-        });
-    } else {
-        // No-dedup: uniqueCount is still the Figure 13/15 denominator.
-        std::vector<IndexId> distinct;
-        distinct.reserve(refs);
-        for (const auto &q : batch.queries)
-            distinct.insert(distinct.end(), q.indices.begin(),
-                            q.indices.end());
-        std::sort(distinct.begin(), distinct.end());
-        distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                       distinct.end());
-        ctx.prepared.uniqueCount = distinct.size();
-
-        // Emit contiguous query ranges; concatenation in chunk order
-        // reproduces the serial query-scan read order.
-        const std::size_t nq = batch.queries.size();
-        pool_->runIndexed(W, [&](std::size_t c, unsigned) {
-            emitChunk(c, c * nq / W, (c + 1) * nq / W,
-                      [&](std::size_t qi, auto &local, VectorPool *pool) {
-                          const auto &q = batch.queries[qi];
-                          for (IndexId index : q.indices) {
-                              RankRead read = makeRankRead(
-                                  layout, store, pool, index,
-                                  {{q.id, ctx.residualOf(q.id, index)}},
-                                  payload);
-                              local[layout.rankOf(index)].push_back(
-                                  std::move(read));
-                          }
-                          return q.indices.size();
-                      });
-        });
-    }
-
-    // Phase 4 (serial): per-rank concatenation in chunk order.
-    std::size_t total = 0;
-    for (std::size_t r = 0; r < ranks; ++r) {
-        std::size_t size = 0;
-        for (unsigned c = 0; c < W; ++c)
-            size += chunkReads[c][r].size();
-        auto &out = ctx.prepared.rankReads[r];
-        out.reserve(size);
-        for (unsigned c = 0; c < W; ++c) {
-            auto &part = chunkReads[c][r];
-            out.insert(out.end(),
-                       std::make_move_iterator(part.begin()),
-                       std::make_move_iterator(part.end()));
-        }
-        total += size;
-    }
-    ctx.prepared.accessCount = total;
-
-    FAFNIR_DPRINTF(Host, "compiled batch of ", batch.size(),
-                   " queries: ", ctx.prepared.accessCount, " reads for ",
-                   ctx.prepared.totalReferences, " references (dedup=",
-                   dedup ? "true" : "false", ", workers=", W,
-                   ", imbalance=", ctx.prepared.loadImbalance(), ")");
-    return std::move(ctx.prepared);
-}
-
-void
-PreparePool::recycleInto(PreparedBatch &prepared,
-                         std::vector<VectorPool> &pools)
-{
-    // Round-robin over the chunk pools so supply roughly matches the
-    // per-chunk demand of the next prepare; deterministic because the
-    // walk order is the prepared batch's rank/read order.
-    std::size_t r = 0;
-    for (auto &reads : prepared.rankReads)
-        for (auto &read : reads)
-            pools[r++ % pools.size()].release(std::move(read.item.value));
-    prepared.rankReads.clear();
-}
-
-void
-PreparePool::recycleAsync(PreparedBatch &&prepared, SlotArenas &arenas)
-{
-    if (!pool_ || fault::plan() != nullptr) {
-        PreparedBatch dead = std::move(prepared);
-        recycleInto(dead, arenas.pools);
-        return;
-    }
-    waitRecycle(arenas);
-    ++asyncRecycles_;
-    auto dead = std::make_shared<PreparedBatch>(std::move(prepared));
-    SlotArenas *slot = &arenas;
-    arenas.pendingRecycle = pool_->submit(
-        [dead, slot] { recycleInto(*dead, slot->pools); });
-}
-
-void
-PreparePool::waitRecycle(SlotArenas &arenas)
-{
-    if (pool_)
-        pool_->wait(arenas.pendingRecycle);
-}
-
-void
-PreparePool::registerStats(StatGroup &group)
-{
-    group.addCounter("prepare.batches", batches_,
-                     "batches through the prepare pool");
-    group.addCounter("prepare.serialFallbacks", serialFallbacks_,
-                     "multi-worker prepares forced serial by a fault plan");
-    group.addCounter("prepare.asyncRecycles", asyncRecycles_,
-                     "slot recycles overlapped with later work");
-    for (unsigned w = 0; w < workers_; ++w) {
-        const std::string prefix =
-            "prepare.worker" + std::to_string(w);
-        group.addCounter(prefix + ".claimed", workerStats_[w].claimed,
-                         "unique indices claimed by shard " +
-                             std::to_string(w));
-        group.addCounter(prefix + ".reads", workerStats_[w].reads,
-                         "reads emitted by chunk " + std::to_string(w));
-    }
 }
 
 PreparedBatch

@@ -15,11 +15,8 @@
 #define FAFNIR_FAFNIR_HOST_HH
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "common/parallel.hh"
-#include "common/stats.hh"
 #include "embedding/layout.hh"
 #include "embedding/query.hh"
 #include "embedding/quantize.hh"
@@ -127,104 +124,53 @@ PreparedBatch prepareBatchReference(
 void releasePrepared(PreparedBatch &prepared, VectorPool &pool);
 
 /**
- * Multi-worker host prepare pool.
+ * Serial slot prepare for the serving pipeline.
  *
- * Shards the dedup scan by index: worker s scans the whole batch but
- * claims only the references whose index hashes into its shard, so the
- * shards partition the unique-index set and never contend. A serial
- * merge sorts the claimed entries by index, then the emit phase splits
- * the sorted entries into contiguous chunks — per-rank concatenation in
- * chunk order therefore reproduces the index-ascending read order of
- * prepareBatch/prepareBatchReference exactly, making the output
- * bit-identical at any worker count.
+ * Each pipeline slot owns a SlotArenas: one VectorPool that its
+ * batches draw value buffers from. prepare() compiles a batch with
+ * prepareBatch into that pool, and recycleAsync() returns a retired
+ * batch's buffers to it inline, so a steady-state stream of batches
+ * stops allocating value buffers once every slot has warmed up.
  *
- * Determinism notes:
- *  - The shard of an index depends only on its hash and the worker
- *    count, never on thread schedule.
- *  - Value buffers come from per-chunk VectorPools (SlotArenas.pools),
- *    so buffer ownership is chunk-deterministic even though chunks run
- *    on arbitrary pool threads.
- *  - When a fault plan is installed the pool clamps to the serial
- *    prepareBatch path (the plan's RNG and the pool_exhaust hook are
- *    not thread-safe); outputs stay identical because the sharded path
- *    is bit-identical to the serial one.
- *
- * recycleAsync() returns the previous slot occupant's buffers on a pool
- * thread so slot turnaround overlaps the next batch's prepare; the next
- * prepare() on the same SlotArenas waits for that recycle first.
+ * Prepare always runs on the calling thread. How many host workers
+ * prepare a batch is a model input (ServingConfig::prepareWorkers):
+ * it divides the modelled prepare cost and changes nothing here.
  */
 class PreparePool
 {
   public:
-    /** Per-pipeline-slot recycling state: one VectorPool per emit chunk
-     *  plus the in-flight async recycle of the slot's previous batch. */
+    /** One pipeline slot's value-buffer arena. */
     struct SlotArenas
     {
-        std::vector<VectorPool> pools;
-        WorkerPool::TaskHandle pendingRecycle;
+        VectorPool pool;
     };
 
-    /** @p workers total prepare workers (>= 1; 1 = serial, no pool). */
-    explicit PreparePool(unsigned workers);
-    ~PreparePool();
+    /** @p workers is the modelled prepare width; only the modelled
+     *  cost reads it (ServingConfig::prepareCost). */
+    explicit PreparePool(unsigned workers = 1) { (void)workers; }
 
-    PreparePool(const PreparePool &) = delete;
-    PreparePool &operator=(const PreparePool &) = delete;
+    /** A fresh, empty arena for one pipeline slot. */
+    SlotArenas makeSlotArenas() const { return {}; }
 
-    unsigned workers() const { return workers_; }
-
-    /** Arenas for one pipeline slot (pools sized to workers()). */
-    SlotArenas makeSlotArenas() const;
-
-    /**
-     * Compile @p batch; bit-identical to prepareBatch at any worker
-     * count. With @p arenas, waits for the slot's pending recycle and
-     * draws value buffers from its per-chunk pools.
-     */
+    /** prepareBatch, drawing value buffers from @p arenas when given. */
     PreparedBatch
     prepare(const embedding::VectorLayout &layout,
             const embedding::EmbeddingStore *store,
             const embedding::Batch &batch, bool dedup,
             SlotArenas *arenas = nullptr,
             embedding::PayloadFormat payload =
-                embedding::PayloadFormat::Fp32);
-
-    /** Recycle @p prepared's buffers into @p arenas off-thread (inline
-     *  when serial or when a fault plan is installed). */
-    void recycleAsync(PreparedBatch &&prepared, SlotArenas &arenas);
-
-    /** Block until @p arenas' pending recycle (if any) completes. Call
-     *  before destroying the arenas or reading their pool stats. */
-    void waitRecycle(SlotArenas &arenas);
-
-    /** Per-worker shard/emit counters plus pool-level totals. */
-    void registerStats(StatGroup &group);
-
-  private:
-    struct WorkerStats
+                embedding::PayloadFormat::Fp32) const
     {
-        /** Unique indices this worker's shard claimed (dedup scans). */
-        Counter claimed;
-        /** Reads emitted by this worker's chunk of the emit phase. */
-        Counter reads;
-    };
+        return prepareBatch(layout, store, batch, dedup,
+                            arenas ? &arenas->pool : nullptr, payload);
+    }
 
-    PreparedBatch prepareSharded(const embedding::VectorLayout &layout,
-                                 const embedding::EmbeddingStore *store,
-                                 const embedding::Batch &batch, bool dedup,
-                                 SlotArenas *arenas,
-                                 embedding::PayloadFormat payload);
-
-    static void recycleInto(PreparedBatch &prepared,
-                            std::vector<VectorPool> &pools);
-
-    unsigned workers_ = 1;
-    std::vector<WorkerStats> workerStats_;
-    Counter batches_;
-    Counter serialFallbacks_;
-    Counter asyncRecycles_;
-    /** Null when workers_ == 1 (pure serial, no thread machinery). */
-    std::unique_ptr<WorkerPool> pool_;
+    /** Return @p prepared's value buffers to @p arenas (inline). */
+    void
+    recycleAsync(PreparedBatch &&prepared, SlotArenas &arenas) const
+    {
+        releasePrepared(prepared, arenas.pool);
+    }
 };
 
 /** Compiles batches for the tree. */

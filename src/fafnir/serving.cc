@@ -34,6 +34,15 @@ constexpr int kEngineTidBase = 10;
 
 } // namespace
 
+Tick
+ServingConfig::prepareCost(std::size_t references) const
+{
+    const auto pw = static_cast<Tick>(std::max(1u, prepareWorkers));
+    return prepareFixed +
+           preparePerReference * static_cast<Tick>(references) / pw +
+           prepareShardOverhead * (pw - 1);
+}
+
 std::vector<EngineReplica>
 makeEventReplicas(unsigned count, const ReplicaMemoryConfig &mem,
                   const embedding::TableConfig &tables,
@@ -70,10 +79,9 @@ ServingPipeline::ServingPipeline(const ServingConfig &config,
     if (config_.pipelineDepth == 0)
         config_.pipelineDepth = 1;
     config_.prepareWorkers = std::max(1u, config_.prepareWorkers);
-    preparePool_ = std::make_unique<PreparePool>(config_.prepareWorkers);
     slotArenas_.reserve(config_.pipelineDepth);
     for (unsigned s = 0; s < config_.pipelineDepth; ++s)
-        slotArenas_.push_back(preparePool_->makeSlotArenas());
+        slotArenas_.push_back(preparePool_.makeSlotArenas());
     perEngineBatches_.reserve(config_.engines);
     perEngineBusyTicks_.reserve(config_.engines);
     for (unsigned e = 0; e < config_.engines; ++e) {
@@ -140,16 +148,15 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
     report.busyTicksPerEngine.assign(engines, 0);
 
     // Stage availability, all in simulated ticks: the host prepare
-    // pool handles one batch at a time (its workers divide the batch),
-    // each engine replica serves one batch at a time, results drain
-    // through one writeback port, and at most `depth` prepared batches
-    // exist at once. Slot s frees at its occupant's engine completion:
-    // arena recycling rides a pool thread, off the writeback path.
+    // stage handles one batch at a time (its modelled workers divide
+    // the batch), each engine replica serves one batch at a time,
+    // results drain through one writeback port, and at most `depth`
+    // prepared batches exist at once. Slot s frees at its occupant's
+    // engine completion, off the writeback path.
     std::vector<Tick> engineFree(engines, start);
     Tick prepareFree = start;
     Tick writebackFree = start;
     std::vector<Tick> slotRetire(depth, 0);
-    std::vector<PreparedBatch> slots(depth);
 
     telemetry::TraceSink *ts = telemetry::sink();
     if (ts) {
@@ -214,14 +221,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                 occupied += retire > prepare_start;
             winOccupancy->record(prepare_start, occupied);
         }
-        // Modeled cost always uses the configured worker count, even
-        // when a fault plan forces the real PreparePool serial — the
-        // simulated timeline must not depend on host-thread decisions.
-        const auto pw = static_cast<Tick>(config_.prepareWorkers);
-        const Tick prepare_cost =
-            config_.prepareFixed +
-            config_.preparePerReference * batch.totalIndices() / pw +
-            config_.prepareShardOverhead * (pw - 1);
+        const Tick prepare_cost = config_.prepareCost(batch.totalIndices());
         const Tick prepare_done = prepare_start + prepare_cost;
         prepareFree = prepare_done;
         prepareTicks_ += prepare_cost;
@@ -232,9 +232,9 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                         static_cast<std::uint32_t>(k),
                         batch.totalIndices(), prepare_cost);
 
-        slots[s] = preparePool_->prepare(layout, store_, batch,
-                                         config_.dedup, &slotArenas_[s],
-                                         config_.payload);
+        PreparedBatch prepared =
+            preparePool_.prepare(layout, store_, batch, config_.dedup,
+                                 &slotArenas_[s], config_.payload);
 
         // --- Dispatch + execute on the chosen replica. ------------------
         const unsigned primary = pickEngine(k, engineFree);
@@ -242,7 +242,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                                              engineFree[primary]);
         telemetry::Attribution *attr = telemetry::attribution();
         EventLookupTiming timing =
-            replicas_[primary].engine->lookupPrepared(slots[s],
+            replicas_[primary].engine->lookupPrepared(prepared,
                                                       dispatch_ready);
         const std::uint64_t ordinal = attr ? attr->currentBatch() : 0;
         engineFree[primary] = timing.complete;
@@ -278,7 +278,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                     telemetry::ScopedAttributionInstall off(nullptr);
                     backup_timing =
                         replicas_[backup].engine->lookupPrepared(
-                            slots[s], backup_start);
+                            prepared, backup_start);
                 }
                 engineFree[backup] = backup_timing.complete;
                 const Tick backup_service =
@@ -304,9 +304,8 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
         const Tick wb_done =
             wb_start + config_.writebackPerQuery * batch.size();
         writebackFree = wb_done;
-        // Slot turnaround is off the writeback path: the slot's arena
-        // recycle is handed to a pool thread at engine completion, so
-        // the slot frees at `complete`, not at writeback drain.
+        // Slot turnaround is off the writeback path: the slot frees at
+        // `complete`, not at writeback drain.
         slotRetire[s] = complete;
         lastDone = std::max(lastDone, wb_done);
 
@@ -450,15 +449,10 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
         trace.timing = std::move(win_timing);
         report.batches.push_back(std::move(trace));
 
-        // Batch k's values are computed; recycle its buffers on a pool
-        // thread while the next iteration prepares. prepare() on the
-        // same slot waits for this recycle before reusing the arenas.
-        preparePool_->recycleAsync(std::move(slots[s]), slotArenas_[s]);
-        slots[s] = PreparedBatch{};
+        // Batch k's values are computed; its buffers go back to the
+        // slot's arena for the batch that next occupies the slot.
+        preparePool_.recycleAsync(std::move(prepared), slotArenas_[s]);
     }
-
-    for (auto &arenas : slotArenas_)
-        preparePool_->waitRecycle(arenas);
 
     report.makespan = lastDone > start ? lastDone - start : 0;
     if (series)
@@ -483,10 +477,9 @@ ServingPipeline::registerStats(StatGroup &group)
     group.addCounter("hedgesWon", hedgesWon_,
                      "hedged batches whose backup finished first");
     group.addCounter("prepareTicks", prepareTicks_,
-                     "modeled host prepare time (sharded dedup + headers)");
+                     "modeled host prepare time (dedup + headers)");
     group.addCounter("dispatchWaitTicks", dispatchWaitTicks_,
                      "prepared batches waiting for a free engine");
-    preparePool_->registerStats(group);
     for (unsigned e = 0; e < config_.engines; ++e) {
         group.addCounter("engine" + std::to_string(e) + ".batches",
                          *perEngineBatches_[e],

@@ -15,22 +15,17 @@
  * Stages are connected by bounded slots so the host prepare of batch
  * k+1 overlaps the tree execution of batch k (double-buffered
  * PreparedBatches; each pipeline slot recycles its value buffers
- * through per-slot VectorPool arenas), and a work-conserving
+ * through a per-slot VectorPool arena), and a work-conserving
  * dispatcher shards independent batches across N identical engine
  * replicas (least-loaded or round-robin, pluggable).
  *
- * Host prepare itself runs on a PreparePool of prepareWorkers threads
- * (sharded dedup + chunked emit, bit-identical to the serial path at
- * any worker count), and a slot's arena recycling is handed to a pool
- * thread when its batch completes — slot turnaround is off the
- * writeback path, so a slot frees at engine completion rather than
- * writeback drain.
- *
- * The *simulated* stage timing stays single-threaded tick arithmetic:
- * the modeled prepare cost divides the per-reference term by the
- * worker count (plus a per-shard merge overhead), which keeps served
- * values and all simulated metrics bit-identical at any replica count,
- * pipeline depth, and worker count (the conformance suite pins this,
+ * Everything runs on the calling thread; the stage overlap is
+ * simulated tick arithmetic. Host prepare is modelled as
+ * ServingConfig::prepareCost, whose worker count divides the
+ * per-reference term (plus a per-worker merge overhead), and a slot
+ * frees at its batch's engine completion rather than writeback drain.
+ * Served values are therefore bit-identical at any replica count,
+ * pipeline depth, and prepareWorkers (the conformance suite pins this,
  * including under an installed fault plan).
  *
  * Hedged requests (ROADMAP): with hedgePct > 0, a batch whose primary
@@ -92,34 +87,36 @@ struct ServingConfig
     std::size_t hedgeWarmup = 8;
     /** Read each unique index once (Section IV-C). */
     bool dedup = true;
-    /** Host prepare workers (>= 1). The real PreparePool shards the
-     *  dedup scan across this many threads; the modeled cost divides
-     *  the per-reference term by the same count. */
+    /** Modelled host prepare workers (model input; 0 counts as 1).
+     *  Divides the per-reference term of prepareCost; prepare itself
+     *  always runs serially on the calling thread. */
     unsigned prepareWorkers = 1;
     /** Transport payload encoding for prepared batches (leaf values
      *  round-tripped; engines charge this format's byte widths). */
     embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
     /**
-     * Modeled host prepare cost:
-     *
-     *   prepareFixed + preparePerReference * refs / prepareWorkers
-     *                + prepareShardOverhead * (prepareWorkers - 1)
-     *
-     * The flat open-addressing dedup is one probe + one link append
-     * per reference and the sharded scan divides that work across
-     * workers; the shard overhead term charges the serial merge + sort
-     * of each extra shard's claimed entries (micro_serving measures
-     * the wall-clock analogue of both). The constants are calibrated
-     * so a 1-worker prepare of a 384-reference batch costs ~292 ns —
-     * the same as the pre-pool model — and scaling to 4 workers is
-     * ~3x, matching the sharded scan's measured behavior.
+     * Model inputs for the host prepare cost (see prepareCost), not
+     * measurements. The flat open-addressing dedup is one probe + one
+     * link append per reference, modelled as perfectly divisible
+     * across W workers; the shard overhead term charges a merge + sort
+     * per extra worker. A 1-worker prepare of a 384-reference batch
+     * costs ~292 ns, and 4 workers model ~3x.
      */
     Tick prepareFixed = 40 * kTicksPerNs;
     Tick preparePerReference = 655;
     Tick prepareShardOverhead = 4 * kTicksPerNs;
-    /** Modeled writeback cost per served query vector (post-recycle
-     *  overlap, writeback only drains result rows host-side). */
+    /** Modeled writeback cost per served query vector (writeback only
+     *  drains result rows host-side; the slot has already retired). */
     Tick writebackPerQuery = 10 * kTicksPerNs;
+
+    /**
+     * Modelled host prepare ticks for a batch of @p references index
+     * references, with W = max(1, prepareWorkers):
+     *
+     *   prepareFixed + preparePerReference * references / W
+     *                + prepareShardOverhead * (W - 1)
+     */
+    Tick prepareCost(std::size_t references) const;
 };
 
 /** One batch's trip through the pipeline. */
@@ -249,24 +246,14 @@ class ServingPipeline
 
     const ServingConfig &config() const { return config_; }
 
-    /** Per-slot arena counters, aggregated across the slot's per-chunk
-     *  pools (asserting buffer reuse in tests). Call after serve() —
-     *  the run's pending recycles are drained by then. */
+    /** Per-slot arena counters (asserting buffer reuse in tests). */
     std::vector<VectorPool::Stats>
     slotPoolStats() const
     {
         std::vector<VectorPool::Stats> stats;
         stats.reserve(slotArenas_.size());
-        for (const auto &arenas : slotArenas_) {
-            VectorPool::Stats sum;
-            for (const auto &pool : arenas.pools) {
-                sum.acquires += pool.stats().acquires;
-                sum.reuses += pool.stats().reuses;
-                sum.releases += pool.stats().releases;
-                sum.exhaustions += pool.stats().exhaustions;
-            }
-            stats.push_back(sum);
-        }
+        for (const auto &arenas : slotArenas_)
+            stats.push_back(arenas.pool.stats());
         return stats;
     }
 
@@ -279,12 +266,9 @@ class ServingPipeline
     ServingConfig config_;
     std::vector<EngineReplica> &replicas_;
     const embedding::EmbeddingStore *store_;
-    /** Per-slot value-buffer arenas (index = batch % pipelineDepth).
-     *  Declared before preparePool_: the pool's destructor drains any
-     *  async recycle still referencing an arena. */
+    PreparePool preparePool_;
+    /** Per-slot value-buffer arenas (index = batch % pipelineDepth). */
     std::vector<PreparePool::SlotArenas> slotArenas_;
-    /** The multi-worker host prepare pool (workers from config). */
-    std::unique_ptr<PreparePool> preparePool_;
     /** Completed service times (started -> complete), for hedging. */
     std::vector<Tick> serviceHistory_;
 

@@ -15,7 +15,7 @@
  * A ShardRouter places tables onto S shards (hash or range placement)
  * and splits every batch into per-shard sub-batches with dense local
  * query ids. Each shard runs its own ServingPipeline over its own
- * replica group (engines, prepare pool, dispatch, hedging — everything
+ * replica group (engines, prepare, dispatch, hedging — everything
  * the single-store tier already has). The tier then scatter-gathers:
  * a query's per-shard partials are combined in fixed shard order
  * 0..S-1 at a serial combine port, and Mean is finalized exactly once

@@ -83,8 +83,8 @@ TelemetrySession::registerFlags(FlagParser &flags)
     flags.addUnsigned("pipeline-depth", serving_.pipelineDepth,
                       "prepared batches in flight (1 = serial rhythm)");
     flags.addUnsigned("prepare-workers", serving_.prepareWorkers,
-                      "host prepare-pool workers (sharded dedup + "
-                      "chunked emit; forced to 1 under --trace/--faults)");
+                      "modelled host prepare workers (divide the "
+                      "modelled prepare cost; prepare runs serially)");
     flags.addString("dispatch", serving_.dispatch,
                     "replica dispatch policy: least-loaded or "
                     "round-robin");

@@ -81,8 +81,9 @@ struct ServingOptions
     unsigned engines = 0;
     /** Prepared batches in flight (1 = serial rhythm). */
     unsigned pipelineDepth = 2;
-    /** Host prepare-pool workers (clamped to 1 under --trace/--faults
-     *  by the harness: bench::clampParallelism). */
+    /** Modelled host prepare workers: a model input that divides the
+     *  modelled prepare cost (ServingConfig::prepareCost). Prepare
+     *  itself runs serially at any value. */
     unsigned prepareWorkers = 1;
     /** "least-loaded" or "round-robin". */
     std::string dispatch = "least-loaded";

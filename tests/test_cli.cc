@@ -185,7 +185,7 @@ TEST(ClampParallelism, ClampsToOneUnderEachFacility)
             fault::FaultPlan::parse("dram_latency:0.1", 1);
         fault::ScopedPlanInstall install(&plan);
         EXPECT_EQ(bench::clampReasons(), "--faults");
-        EXPECT_EQ(bench::clampParallelism(4, "--prepare-workers"), 1u);
+        EXPECT_EQ(bench::clampParallelism(4, "--jobs"), 1u);
     }
     {
         telemetry::TimeSeries series(telemetry::TimeSeriesConfig{});
@@ -198,7 +198,7 @@ TEST(ClampParallelism, ClampsToOneUnderEachFacility)
         telemetry::FlightRecorder rec;
         telemetry::ScopedFlightRecorderInstall install(&rec);
         EXPECT_EQ(bench::clampReasons(), "--debug-bundle-dir");
-        EXPECT_EQ(bench::clampParallelism(2, "--prepare-workers"), 1u);
+        EXPECT_EQ(bench::clampParallelism(2, "--jobs"), 1u);
     }
 #endif
     // A request of 1 is already serial: no clamp, whatever's installed.
@@ -220,7 +220,7 @@ TEST(ClampParallelism, ReportsAllActiveReasonsAtOnce)
     telemetry::ScopedTimeSeriesInstall series_install(&series);
 
     EXPECT_EQ(bench::clampReasons(), "--trace, --faults, --timeline/--slo");
-    EXPECT_EQ(bench::clampParallelism(8, "--prepare-workers"), 1u);
+    EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 1u);
 }
 
 TEST(ClampParallelism, PayloadAccuracySerializesSweeps)

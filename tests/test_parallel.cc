@@ -1,13 +1,10 @@
 /**
  * @file
- * parallelFor and WorkerPool contract tests: every index runs exactly
- * once, results written to per-index slots are identical to a serial
- * run at any job count, exceptions propagate to the caller (from both
- * wait() and runIndexed()), the pool destructor drains queued tasks
- * instead of abandoning them, scratch arenas stop growing once the
- * high-water mark is reached, and the degenerate job counts take the
- * inline path. The whole file is data-race-free by construction, which
- * makes it the TSan target for the sweep runner and the prepare pool.
+ * parallelFor contract tests: every index runs exactly once, results
+ * written to per-index slots are identical to a serial run at any job
+ * count, exceptions propagate to the caller, and the degenerate job
+ * counts take the inline path. The whole file is data-race-free by
+ * construction, which makes it the TSan target for the sweep runner.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +12,6 @@
 #include <atomic>
 #include <cstddef>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -117,138 +113,4 @@ TEST(Parallel, MoreJobsThanWork)
     parallelFor(3, 64, [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(WorkerPool, SubmitAndWaitCompletesTasks)
-{
-    WorkerPool pool(2);
-    EXPECT_EQ(pool.threads(), 2u);
-    EXPECT_EQ(pool.slots(), 3u);
-    std::atomic<int> ran{0};
-    std::vector<WorkerPool::TaskHandle> handles;
-    for (int i = 0; i < 16; ++i)
-        handles.push_back(pool.submit([&] { ++ran; }));
-    for (auto &h : handles) {
-        pool.wait(h);
-        EXPECT_FALSE(h.pending());
-    }
-    EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(WorkerPool, WaitRethrowsTaskException)
-{
-    WorkerPool pool(1);
-    auto handle =
-        pool.submit([] { throw std::runtime_error("task boom"); });
-    EXPECT_THROW(pool.wait(handle), std::runtime_error);
-    // The pool survives the exception; later tasks still run.
-    std::atomic<bool> ran{false};
-    auto next = pool.submit([&] { ran = true; });
-    pool.wait(next);
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(WorkerPool, RunIndexedCoversEveryIndexOnce)
-{
-    WorkerPool pool(3);
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                std::size_t{2}, std::size_t{97}}) {
-        std::vector<std::atomic<int>> hits(n);
-        std::vector<std::atomic<int>> slot_used(pool.slots());
-        pool.runIndexed(n, [&](std::size_t i, unsigned slot) {
-            ASSERT_LT(slot, pool.slots());
-            ++slot_used[slot];
-            ++hits[i];
-        });
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
-    }
-}
-
-TEST(WorkerPool, RunIndexedRethrowsFirstExceptionByClaimOrder)
-{
-    WorkerPool pool(3);
-    std::atomic<std::size_t> executed{0};
-    try {
-        pool.runIndexed(1000, [&](std::size_t i, unsigned) {
-            if (i == 3)
-                throw std::runtime_error("indexed boom");
-            ++executed;
-        });
-        FAIL() << "expected exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "indexed boom");
-    }
-    EXPECT_LT(executed.load(), 1000u);
-    // The pool is reusable after a failed barrier.
-    std::atomic<int> after{0};
-    pool.runIndexed(10, [&](std::size_t, unsigned) { ++after; });
-    EXPECT_EQ(after.load(), 10);
-}
-
-TEST(WorkerPool, DestructorDrainsQueuedTasks)
-{
-    // Churn: construct pools, queue more tasks than threads, destroy
-    // without waiting. The destructor must complete every queued task,
-    // so the shared counter accounts for all of them. Under TSan this
-    // also exercises handoff of the task queue during shutdown.
-    std::atomic<int> ran{0};
-    constexpr int kPools = 8;
-    constexpr int kTasks = 32;
-    for (int p = 0; p < kPools; ++p) {
-        WorkerPool pool(2);
-        for (int t = 0; t < kTasks; ++t)
-            pool.submit([&] { ++ran; });
-    }
-    EXPECT_EQ(ran.load(), kPools * kTasks);
-}
-
-TEST(WorkerPool, ScratchArenasArePerSlot)
-{
-    WorkerPool pool(3);
-    // Each slot writes a distinct pattern into its own arena; patterns
-    // must never interleave because slots are never shared.
-    pool.runIndexed(64, [&](std::size_t i, unsigned slot) {
-        ScratchArena &arena = pool.scratch(slot);
-        arena.reset();
-        std::uint32_t *p = arena.alloc<std::uint32_t>(128);
-        for (int k = 0; k < 128; ++k)
-            p[k] = static_cast<std::uint32_t>(i);
-        for (int k = 0; k < 128; ++k)
-            ASSERT_EQ(p[k], static_cast<std::uint32_t>(i))
-                << "slot " << slot;
-    });
-}
-
-TEST(ScratchArena, CapacityStabilizesAcrossResetCycles)
-{
-    ScratchArena arena;
-    auto cycle = [&] {
-        arena.reset();
-        // Multiple allocations of mixed alignment, same total each time.
-        arena.alloc<std::uint8_t>(1000);
-        arena.alloc<std::uint64_t>(500);
-        arena.alloc<std::uint32_t>(2000);
-    };
-    cycle();
-    cycle(); // second cycle consolidates any growth blocks
-    const std::size_t highwater = arena.capacityBytes();
-    EXPECT_GT(highwater, 0u);
-    for (int i = 0; i < 10; ++i)
-        cycle();
-    EXPECT_EQ(arena.capacityBytes(), highwater)
-        << "steady-state cycles must not grow the arena";
-}
-
-TEST(ScratchArena, PointersStayValidUntilReset)
-{
-    ScratchArena arena;
-    // Force growth mid-cycle: the first block's pointers must survive
-    // the allocation that outgrows it.
-    std::uint64_t *first = arena.alloc<std::uint64_t>(8);
-    for (int k = 0; k < 8; ++k)
-        first[k] = 0xABCDULL + static_cast<std::uint64_t>(k);
-    arena.alloc<std::uint64_t>(1 << 16); // triggers a growth block
-    for (int k = 0; k < 8; ++k)
-        EXPECT_EQ(first[k], 0xABCDULL + static_cast<std::uint64_t>(k));
 }

@@ -289,9 +289,8 @@ TEST(Payload, ServingPipelineDeterministicAcrossWorkerCounts)
                                                std::move(results));
     };
 
-    // The prepare-time *model* scales with the worker count (that is
-    // the point of the pool); the served values and the byte accounting
-    // must not.
+    // The modelled prepare time scales with the worker count; the
+    // served values and the byte accounting must not.
     const auto serial = serve(1, PayloadFormat::Int8);
     const auto pooled = serve(4, PayloadFormat::Int8);
     ASSERT_GT(std::get<1>(serial), 0u);

@@ -35,7 +35,6 @@
 #include <sstream>
 
 #include "baselines/cpu.hh"
-#include "bench/bench_util.hh"
 #include "baselines/recnmp.hh"
 #include "baselines/tensordimm.hh"
 #include "baselines/two_step.hh"
@@ -331,9 +330,7 @@ runPipelinedLookup(const Options &opt,
     sc.hedgePct = so.hedgePct;
     sc.dedup = opt.dedup;
     sc.payload = opt.payload;
-    sc.prepareWorkers = std::max(
-        1u, bench::clampParallelism(so.prepareWorkers,
-                                    "--prepare-workers"));
+    sc.prepareWorkers = std::max(1u, so.prepareWorkers);
     if (so.dispatch == "least-loaded")
         sc.dispatch = core::DispatchPolicy::LeastLoaded;
     else if (so.dispatch == "round-robin")
@@ -459,9 +456,7 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
     tc.serving.hedgePct = so.hedgePct;
     tc.serving.dedup = opt.dedup;
     tc.serving.payload = opt.payload;
-    tc.serving.prepareWorkers = std::max(
-        1u, bench::clampParallelism(so.prepareWorkers,
-                                    "--prepare-workers"));
+    tc.serving.prepareWorkers = std::max(1u, so.prepareWorkers);
     if (so.dispatch == "least-loaded")
         tc.serving.dispatch = core::DispatchPolicy::LeastLoaded;
     else if (so.dispatch == "round-robin")
