@@ -196,6 +196,7 @@ main(int argc, char **argv)
     unsigned batch_size = 16;
     unsigned query_size = 24;
     unsigned ef_rounds = 16;
+    std::string acc_path;
     FlagParser flags("ablation: transport payload precision "
                      "(fp32 / int8 / twobit)");
     flags.addUnsigned("jobs", jobs,
@@ -205,6 +206,10 @@ main(int argc, char **argv)
     flags.addUnsigned("query-size", query_size, "indices per query");
     flags.addUnsigned("ef-rounds", ef_rounds,
                       "rounds in the error-feedback two-bit stream");
+    flags.addString("payload-accuracy", acc_path,
+                    "write the accuracy table (per-format bytes, max/mean "
+                    "abs error and relative L2 vs. the exact fp32 path, "
+                    "and the EF stream) to this path; serializes the sweep");
     telemetry::TelemetrySession session("ablation_payload");
     session.registerFlags(flags);
     flags.parse(argc, argv);
@@ -212,7 +217,7 @@ main(int argc, char **argv)
     // The EF stream (and the accuracy report built around it) is
     // order-dependent carried state, so an accuracy-report run must
     // serialize the sweep; clampParallelism names the flag.
-    if (!session.serving().payloadAccuracy.empty())
+    if (!acc_path.empty())
         payloadAccuracyActive() = true;
     jobs = sweepJobs(jobs);
 
@@ -330,7 +335,6 @@ main(int argc, char **argv)
                      static_cast<double>(total_mismatches));
     report.setMetric("ef_twobit_improvement", ef_gain);
 
-    const std::string &acc_path = session.serving().payloadAccuracy;
     if (!acc_path.empty()) {
         std::ofstream os(acc_path);
         if (!os) {

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "common/cli.hh"
+#include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/types.hh"
@@ -168,53 +169,29 @@ modeledPrepareRate(const std::vector<embedding::Batch> &batches,
             static_cast<double>(kTicksPerSec));
 }
 
-/** Simulated capacity (batches per simulated second) at @p engines
- *  with @p prepare_workers modelled prepare workers. */
-double
-benchCapacity(const std::vector<embedding::Batch> &batches,
-              unsigned engines, unsigned prepare_workers)
-{
-    ReplicaMemoryConfig mem;
-    EventEngineConfig ecfg;
-    std::vector<EngineReplica> replicas =
-        makeEventReplicas(engines, mem, tableConfig(), ecfg, nullptr);
-
-    ServingConfig sc;
-    sc.engines = engines;
-    // Depth must scale with the replica count or the in-flight cap
-    // (depth batches) starves engines beyond the second.
-    sc.pipelineDepth = 2 * engines;
-    sc.prepareWorkers = prepare_workers;
-    ServingPipeline pipeline(sc, replicas, nullptr);
-    const PipelineReport report = pipeline.serve(batches, 0);
-    return report.requestsPerSecond();
-}
-
 /**
- * Simulated capacity (batches per simulated second) of the sharded
- * tier at @p shards shards x @p replicas_per_shard replicas (hash
- * placement). Timing-only engines (no store), same depth rule as
- * benchCapacity per shard — the sharded points sit directly next to
- * the single-store replica sweep in the report.
+ * Serve @p batches (all at once) through the serving tier: @p shards
+ * hash-placed shards of @p replicas timing-only replicas (no store) and
+ * @p prepare_workers modelled prepare workers. One shard is the
+ * pipelined front end. Depth scales with the replica count, or the
+ * in-flight cap (depth batches) starves engines beyond the second.
  */
-double
-benchShardCapacity(const std::vector<embedding::Batch> &batches,
-                   unsigned shards, unsigned replicas_per_shard)
+ShardedReport
+serveTier(const std::vector<embedding::Batch> &batches, unsigned shards,
+          unsigned replicas, unsigned prepare_workers = 1,
+          embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32)
 {
-    ReplicaMemoryConfig mem;
-    EventEngineConfig ecfg;
     std::vector<std::vector<EngineReplica>> groups =
-        makeShardReplicas(shards, replicas_per_shard, mem, tableConfig(),
-                          ecfg, nullptr);
-
+        makeShardReplicas(shards, replicas, ReplicaMemoryConfig{},
+                          tableConfig(), EventEngineConfig{}, nullptr);
     ShardTierConfig tc;
     tc.shards = shards;
-    tc.placement = PlacementPolicy::Hash;
-    tc.serving.engines = replicas_per_shard;
-    tc.serving.pipelineDepth = 2 * replicas_per_shard;
+    tc.serving.engines = replicas;
+    tc.serving.pipelineDepth = 2 * replicas;
+    tc.serving.prepareWorkers = prepare_workers;
+    tc.serving.payload = payload;
     ShardedServingTier tier(tc, groups, nullptr);
-    const ShardedReport report = tier.serve(batches, 0);
-    return report.requestsPerSecond();
+    return tier.serve(batches, 0);
 }
 
 /**
@@ -233,18 +210,9 @@ PayloadBytes
 benchPayloadBytes(const std::vector<embedding::Batch> &batches,
                   embedding::PayloadFormat payload)
 {
-    ReplicaMemoryConfig mem;
-    EventEngineConfig ecfg;
-    std::vector<EngineReplica> replicas =
-        makeEventReplicas(2, mem, tableConfig(), ecfg, nullptr);
-    ServingConfig sc;
-    sc.engines = 2;
-    sc.pipelineDepth = 4;
-    sc.payload = payload;
-    ServingPipeline pipeline(sc, replicas, nullptr);
-    const PipelineReport report = pipeline.serve(batches, 0);
+    const ShardedReport report = serveTier(batches, 1, 2, 1, payload);
     PayloadBytes bytes;
-    for (const auto &trace : report.batches) {
+    for (const auto &trace : report.perShard[0].batches) {
         bytes.dram += static_cast<double>(trace.timing.dramPayloadBytes);
         bytes.link += static_cast<double>(trace.timing.linkPayloadBytes);
     }
@@ -354,15 +322,17 @@ main(int argc, char **argv)
     double cap1, cap2, cap4, cap8, cap8_serial;
     {
         // Keep the steady capacity sweeps out of any installed windowed
-        // series / SLO monitor: only the modulated run below should
-        // land in the timeline.
+        // series / SLO monitor and fault plan: only the modulated run
+        // below should land in the timeline or draw faults, and every
+        // capacity point stays the fault-free, comparable number.
         telemetry::ScopedTimeSeriesInstall series_off(nullptr);
         telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
-        cap1 = benchCapacity(capacity_set, 1, 1);
-        cap2 = benchCapacity(capacity_set, 2, 1);
-        cap4 = benchCapacity(capacity_set, 4, 1);
-        cap8 = benchCapacity(capacity_set, 8, 8);
-        cap8_serial = benchCapacity(capacity_set, 8, 1);
+        fault::SuspendFaults faults_off;
+        cap1 = serveTier(capacity_set, 1, 1).requestsPerSecond();
+        cap2 = serveTier(capacity_set, 1, 2).requestsPerSecond();
+        cap4 = serveTier(capacity_set, 1, 4).requestsPerSecond();
+        cap8 = serveTier(capacity_set, 1, 8, 8).requestsPerSecond();
+        cap8_serial = serveTier(capacity_set, 1, 8).requestsPerSecond();
     }
 
     // The same two-engine capacity point with a flight recorder
@@ -374,9 +344,10 @@ main(int argc, char **argv)
     {
         telemetry::ScopedTimeSeriesInstall series_off(nullptr);
         telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
+        fault::SuspendFaults faults_off;
         telemetry::FlightRecorder recorder;
         telemetry::ScopedFlightRecorderInstall rec_install(&recorder);
-        cap2_rec = benchCapacity(capacity_set, 2, 1);
+        cap2_rec = serveTier(capacity_set, 1, 2).requestsPerSecond();
 #ifndef FAFNIR_FLIGHTREC_COMPILED_OUT
         FAFNIR_ASSERT(recorder.totalRecorded() > 0,
                       "recorder saw no serving records");
@@ -393,9 +364,10 @@ main(int argc, char **argv)
     {
         telemetry::ScopedTimeSeriesInstall series_off(nullptr);
         telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
-        shard_cap_2x1 = benchShardCapacity(capacity_set, 2, 1);
-        shard_cap_2x2 = benchShardCapacity(capacity_set, 2, 2);
-        shard_cap_4x2 = benchShardCapacity(capacity_set, 4, 2);
+        fault::SuspendFaults faults_off;
+        shard_cap_2x1 = serveTier(capacity_set, 2, 1).requestsPerSecond();
+        shard_cap_2x2 = serveTier(capacity_set, 2, 2).requestsPerSecond();
+        shard_cap_4x2 = serveTier(capacity_set, 4, 2).requestsPerSecond();
     }
 
     // Quantized-transport byte model through the same two-replica
@@ -405,6 +377,7 @@ main(int argc, char **argv)
     {
         telemetry::ScopedTimeSeriesInstall series_off(nullptr);
         telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
+        fault::SuspendFaults faults_off;
         payload_fp32 = benchPayloadBytes(capacity_set,
                                          embedding::PayloadFormat::Fp32);
         payload_int8 = benchPayloadBytes(capacity_set,

@@ -450,8 +450,10 @@ ShardedServingTier::serve(const std::vector<embedding::Batch> &batches,
 
         // Extend each participating sub-batch's attribution forward to
         // the tier's combine point: complete += delta, shardCombine +=
-        // delta keeps the telescoping component sum exact.
-        if (attr) {
+        // delta keeps the telescoping component sum exact. A batch that
+        // touched one shard bypasses the combine, so its queries keep
+        // the pipeline's split (a one-shard tier is the pipeline).
+        if (attr && participants > 1) {
             for (unsigned s = 0; s < shards; ++s)
                 if (part[s] != nullptr)
                     attr->annotateShardCombine(

@@ -301,6 +301,9 @@ class ShardedServingTier
      */
     std::vector<ShardMove> rebalance();
 
+    /** Shard @p shard's pipeline (its counters and health board). */
+    ServingPipeline &pipeline(unsigned shard) { return *pipelines_[shard]; }
+
     /** Register tier + per-shard counters into @p group. */
     void registerStats(StatGroup &group);
 

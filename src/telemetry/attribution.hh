@@ -82,7 +82,8 @@ struct QueryAttribution
     /** Cross-shard gather: from this shard's engine delivery to the
      *  sharded tier's fixed-order combine (writeback drain, waiting on
      *  straggler shards, and the combine itself). Back-annotated by
-     *  the tier (annotateShardCombine); unsharded runs leave it 0. */
+     *  the tier (annotateShardCombine) on batches that touched more
+     *  than one shard; every other query leaves it 0. */
     Tick shardCombine = 0;
     /** Rank whose read starts the critical path. */
     unsigned criticalRank = 0;

@@ -77,34 +77,6 @@ TelemetrySession::registerFlags(FlagParser &flags)
     flags.addDouble("flightrec-gap-us", flightrecGapUs_,
                     "minimum simulated gap between accepted triggers "
                     "of one kind, in microseconds");
-    flags.addUnsigned("serve-engines", serving_.engines,
-                      "engine replicas for the pipelined serving path "
-                      "(0 = serial single-engine)");
-    flags.addUnsigned("pipeline-depth", serving_.pipelineDepth,
-                      "prepared batches in flight (1 = serial rhythm)");
-    flags.addUnsigned("prepare-workers", serving_.prepareWorkers,
-                      "modelled host prepare workers (divide the "
-                      "modelled prepare cost; prepare runs serially)");
-    flags.addString("dispatch", serving_.dispatch,
-                    "replica dispatch policy: least-loaded or "
-                    "round-robin");
-    flags.addDouble("hedge-pct", serving_.hedgePct,
-                    "hedge a straggling batch onto a second engine past "
-                    "this running service-time percentile (0 = off)");
-    flags.addUnsigned("shards", serving_.shards,
-                      "shard tables across this many stores behind the "
-                      "sharded serving tier (0 = single store)");
-    flags.addString("placement", serving_.placement,
-                    "table -> shard placement policy: hash or range");
-    flags.addUnsigned("shard-replicas", serving_.shardReplicas,
-                      "engine replicas per shard in the sharded tier");
-    flags.addString("payload", serving_.payload,
-                    "transport payload format for tree links and DRAM "
-                    "reads: fp32, int8, or twobit");
-    flags.addString("payload-accuracy", serving_.payloadAccuracy,
-                    "write the quantization accuracy report (max/mean "
-                    "abs error and relative L2 vs. the exact fp32 path) "
-                    "to this path; serializes parallel sweeps");
 }
 
 void

@@ -2,26 +2,22 @@
  * @file
  * One-object telemetry wiring for a CLI harness.
  *
- * A TelemetrySession bundles the telemetry outputs every harness
- * offers — `--stats-json`, `--stats-csv`, `--trace`, `--report` — into
- * one object: it registers the flags, installs the process-global
- * TraceSink when tracing is requested, and writes whichever artifacts
- * were asked for in finish(). It also owns the run's fault plan:
- * `--faults <spec> --fault-seed <n>` (see docs/ROBUSTNESS.md) parses
- * and installs a process-global fault::FaultPlan for the run, registers
- * its counters under the "faults" stat group, and lands injected/checked
- * totals in the report's metrics. `--timeline <path>` turns on the
- * windowed metrics engine (window width `--window-us`) and writes the
- * JSON-lines timeline artifact; `--slo <spec>` additionally installs a
- * burn-rate SLO monitor (see docs/OBSERVABILITY.md). All three compose
- * with --trace: windowed series and SLO burn rates land as counter
- * tracks in the Perfetto trace as well. `--debug-bundle-dir <dir>`
- * installs the always-on flight recorder: per-stage rings record the
- * hot paths continuously, and SLO alerts, guard deadline misses /
- * retry exhaustion, fired fault hooks, sharded value mismatches, and
- * above-p99 queries drain them into deterministic JSON debug bundles
- * under the directory (tuned by --flightrec-ring,
- * --flightrec-max-bundles, --flightrec-gap-us).
+ * A TelemetrySession owns a run's telemetry and faults, and nothing
+ * else: it registers their flags, installs the process-global
+ * collectors they ask for, and writes the artifacts in finish().
+ *  - `--stats-json`, `--stats-csv`, `--trace`, `--report`, `--attrib`:
+ *    the stat registry, the Perfetto trace sink, the run report, and
+ *    per-query latency attribution.
+ *  - `--faults <spec> --fault-seed <n>` (docs/ROBUSTNESS.md): a
+ *    fault::FaultPlan, with counters in the "faults" stat group and
+ *    injected/checked totals in the report.
+ *  - `--timeline`, `--window-us`, `--slo` (docs/OBSERVABILITY.md): the
+ *    windowed metrics engine and a burn-rate SLO monitor; both also
+ *    land as counter tracks in the trace.
+ *  - `--debug-bundle-dir` and `--flightrec-*`: the always-on flight
+ *    recorder, whose triggers write deterministic JSON debug bundles.
+ * Model and serving knobs (e.g. fafnir_sim's --serve-engines or
+ * --payload) belong to the harness's own FlagParser.
  *
  * Harnesses without their own flags construct it from argv directly:
  *
@@ -67,46 +63,6 @@ class FlagParser;
 
 namespace fafnir::telemetry
 {
-
-/**
- * Serving-pipeline knobs every serving-capable harness shares
- * (--serve-engines, --pipeline-depth, --dispatch, --hedge-pct). Kept as
- * plain strings/numbers here — the harness maps them onto
- * fafnir::core::ServingConfig so the telemetry layer stays independent
- * of the engine stack.
- */
-struct ServingOptions
-{
-    /** Engine replicas; 0 keeps the serial single-engine path. */
-    unsigned engines = 0;
-    /** Prepared batches in flight (1 = serial rhythm). */
-    unsigned pipelineDepth = 2;
-    /** Modelled host prepare workers: a model input that divides the
-     *  modelled prepare cost (ServingConfig::prepareCost). Prepare
-     *  itself runs serially at any value. */
-    unsigned prepareWorkers = 1;
-    /** "least-loaded" or "round-robin". */
-    std::string dispatch = "least-loaded";
-    /** Hedge percentile in (0, 100]; 0 disables hedged requests. */
-    double hedgePct = 0.0;
-    /** Shards in the sharded tier; 0 keeps the single-store paths. */
-    unsigned shards = 0;
-    /** Table -> shard placement: "hash" or "range". */
-    std::string placement = "hash";
-    /** Engine replicas per shard in the sharded tier. */
-    unsigned shardReplicas = 1;
-    /** Transport payload format: "fp32", "int8", or "twobit". The
-     *  harness maps it onto embedding::PayloadFormat. */
-    std::string payload = "fp32";
-    /** When non-empty, write the quantization accuracy report
-     *  (quantized vs. exact-fp32 values, plus the order-dependent
-     *  error-feedback two-bit stream) to this path. Serializes
-     *  parallel sweeps: bench::clampParallelism. */
-    std::string payloadAccuracy = "";
-
-    bool enabled() const { return engines > 0; }
-    bool sharded() const { return shards > 0; }
-};
 
 /** Flag parsing + sink installation + artifact writing for one run. */
 class TelemetrySession
@@ -170,14 +126,6 @@ class TelemetrySession
         return flightrec_ ? &*flightrec_ : nullptr;
     }
 
-    /** Parsed serving-pipeline flags (engines == 0 -> serial path). */
-    const ServingOptions &serving() const { return serving_; }
-
-    /** Mutable serving options — harnesses that want different flag
-     *  defaults (e.g. micro_serving's 8-wide prepare curve) set them
-     *  here *before* registerFlags(). */
-    ServingOptions &mutableServing() { return serving_; }
-
     /**
      * Write every requested artifact, embed the StatRegistry into the
      * report, then clear the registry and uninstall the sink.
@@ -201,7 +149,6 @@ class TelemetrySession
     std::uint64_t flightrecRing_ = 1024;
     std::uint64_t flightrecMaxBundles_ = 8;
     double flightrecGapUs_ = 100.0;
-    ServingOptions serving_;
     std::optional<TraceSink> sink_;
     std::optional<ScopedSinkInstall> install_;
     std::optional<Attribution> attribution_;

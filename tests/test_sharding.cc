@@ -6,13 +6,14 @@
  * hedging on — the placement is always a partition of the table space,
  * the rebalance plan is a pure function of the observed load, and the
  * 8-component attribution split stays exact through the cross-shard
- * combine stage.
+ * combine stage, and a one-shard tier is the serving pipeline.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <numeric>
+#include <tuple>
 
 #include "common/faultinject.hh"
 #include "embedding/generator.hh"
@@ -343,6 +344,73 @@ TEST(ShardedTier, AttributionStaysExactThroughShardCombine)
     }
     EXPECT_GT(with_combine, 0u) << "no query saw the combine stage";
     EXPECT_DOUBLE_EQ(attr.componentCoverage(), 1.0);
+}
+
+TEST(ShardedTier, OneShardTierIsThePipeline)
+{
+    // fafnir_sim serves --serve-engines=N as a one-shard tier, so one
+    // shard must reproduce the pipeline on the same batches: the same
+    // per-batch schedule, makespan, hedges, and per-query attribution
+    // (a batch that touched one shard books no shardCombine).
+    EmbeddingStore store(smallTables());
+    auto batches = makeBatches(16, 8, 12, 55);
+    const auto big = makeBatches(4, 32, 48, 56);
+    batches.insert(batches.end(), big.begin(), big.end());
+    ServingConfig sc;
+    sc.engines = 2;
+    sc.hedgePct = 50.0;
+
+    auto replicas = makeEventReplicas(2, {}, smallTables(),
+                                      valueConfig(ReduceOp::Sum), &store);
+    ServingPipeline pipeline(sc, replicas, &store);
+    telemetry::Attribution piped_attr;
+    PipelineReport piped;
+    {
+        telemetry::ScopedAttributionInstall install(&piped_attr);
+        piped = pipeline.serve(batches, kTicksPerUs);
+    }
+
+    auto groups = makeShardReplicas(1, 2, {}, smallTables(),
+                                    valueConfig(ReduceOp::Sum), &store);
+    ShardTierConfig tc;
+    tc.shards = 1;
+    tc.serving = sc;
+    ShardedServingTier tier(tc, groups, &store);
+    telemetry::Attribution tier_attr;
+    ShardedReport tiered;
+    {
+        telemetry::ScopedAttributionInstall install(&tier_attr);
+        tiered = tier.serve(batches, kTicksPerUs);
+    }
+
+    ASSERT_EQ(tiered.perShard.size(), 1u);
+    const PipelineReport &shard = tiered.perShard[0];
+    ASSERT_EQ(shard.batches.size(), piped.batches.size());
+    ASSERT_EQ(tiered.batches.size(), piped.batches.size());
+    for (std::size_t k = 0; k < piped.batches.size(); ++k) {
+        EXPECT_EQ(shard.batches[k].started, piped.batches[k].started);
+        EXPECT_EQ(shard.batches[k].complete, piped.batches[k].complete);
+        EXPECT_EQ(tiered.batches[k].combineDone, piped.batches[k].done)
+            << "batch " << k;
+    }
+    EXPECT_EQ(tiered.makespan, piped.makespan);
+    EXPECT_GT(piped.hedgesIssued, 0u);
+    EXPECT_EQ(shard.hedgesIssued, piped.hedgesIssued);
+    EXPECT_EQ(shard.hedgesWon, piped.hedgesWon);
+
+    const auto fields = [](const telemetry::QueryAttribution &q) {
+        return std::make_tuple(q.batch, q.query, q.issued, q.complete,
+                               q.batchPrepare, q.dispatchQueue,
+                               q.dramService, q.ctrlQueue, q.peCompute,
+                               q.forwardWait, q.serviceQueue,
+                               q.shardCombine, q.criticalRank, q.hops,
+                               q.flow);
+    };
+    ASSERT_EQ(tier_attr.queries().size(), piped_attr.queries().size());
+    for (std::size_t i = 0; i < piped_attr.queries().size(); ++i)
+        EXPECT_EQ(fields(tier_attr.queries()[i]),
+                  fields(piped_attr.queries()[i]))
+            << "attribution record " << i;
 }
 
 TEST(ShardedTier, ReportAccountsLoadAndCrossShardQueries)

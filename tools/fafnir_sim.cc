@@ -2,15 +2,26 @@
  * @file
  * fafnir_sim — the command-line driver for the simulator.
  *
- * Runs a lookup or SpMV experiment with every model knob exposed as a
- * flag and prints timing, work, memory, and energy summaries. This is
- * the entry point for exploring configurations the bench harnesses
- * don't sweep.
+ * Runs a lookup, SpMV, or SpTRSV experiment with every model knob
+ * exposed as a flag and prints timing, work, memory, and energy
+ * summaries. This is the entry point for exploring configurations the
+ * bench harnesses don't sweep.
  *
  *   fafnir_sim --mode=lookup --ranks=32 --batch=32 --batches=64 \
  *              --skew=1.05 --engine=event --dedup=true
+ *   fafnir_sim --mode=lookup --engine=event --serve-engines=4 --shards=2
  *   fafnir_sim --mode=spmv --matrix=road --nodes=65536
  *   fafnir_sim --mode=sptrsv --nodes=16384 --reach=64
+ *
+ * Lookup mode serves one workload on one of two shapes. By default one
+ * --engine (a Fafnir model or a baseline) runs the stream back to back,
+ * behind the hardened ServiceGuard when --faults installs a plan
+ * (--deadline-us, --max-attempts, --retry-backoff-ns, --slo-shed).
+ * --serve-engines=N or --shards=S serves it through the sharded tier
+ * instead: max(1, S) shards of max(1, N) event-engine replicas, so
+ * --serve-engines=N alone is the one-shard tier, the pipelined front
+ * end. Event-engine runs that serve replicas, a quantized --payload, or
+ * --payload-accuracy check every served value in-process.
  *
  * Telemetry flags (see docs/OBSERVABILITY.md):
  *   --stats-json=out.json   every registered stat as one JSON object
@@ -21,8 +32,6 @@
  * Fault injection (see docs/ROBUSTNESS.md):
  *   --faults=dram_latency:0.1,event_delay:0.05   install a fault plan
  *   --fault-seed=7          deterministic fault-schedule seed
- * With a plan installed, lookup mode serves through the hardened
- * ServiceGuard (--deadline-us, --max-attempts, --retry-backoff-ns).
  */
 
 #include <algorithm>
@@ -31,8 +40,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
+#include <optional>
+#include <type_traits>
 
 #include "baselines/cpu.hh"
 #include "baselines/recnmp.hh"
@@ -50,7 +59,6 @@
 #include "embedding/service.hh"
 #include "fafnir/engine.hh"
 #include "fafnir/event_engine.hh"
-#include "fafnir/serving.hh"
 #include "fafnir/sharding.hh"
 #include "hwmodel/energy.hh"
 #include "hwmodel/energy_report.hh"
@@ -80,18 +88,37 @@ struct Options
     bool interactive = false;
     bool hbm = false;
     std::uint64_t seed = 1;
-    // Guarded-serving knobs (active when --faults installs a plan).
+    // Serving shape: either count > 0 serves the sharded tier.
+    unsigned serveEngines = 0;
+    unsigned shards = 0;
+    std::string placement = "hash";
+    unsigned pipelineDepth = 2;
+    unsigned prepareWorkers = 1;
+    std::string dispatch = "least-loaded";
+    double hedgePct = 0.0;
+    // Guarded-serving knobs (single-engine runs under --faults).
     double deadlineUs = 0.0;
     unsigned maxAttempts = 3;
     std::uint64_t retryBackoffNs = 200;
     bool sloShed = false;
+    // Transport payload; `payload` is parsed from payloadName in main.
+    std::string payloadName = "fp32";
+    embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
+    std::string payloadAccuracy;
     // SpMV / SpTRSV knobs.
     std::string matrix = "web"; // web | road | banded | uniform
     unsigned nodes = 1u << 14;
     unsigned reach = 64;
     double nnzPerRow = 8.0;
-    // Parsed from --payload after flag parsing (see main).
-    embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
+
+    bool replicated() const { return serveEngines > 0 || shards > 0; }
+    /** Checked runs report quantization accuracy. */
+    bool
+    payloadReport() const
+    {
+        return payload != embedding::PayloadFormat::Fp32 ||
+               !payloadAccuracy.empty();
+    }
 };
 
 embedding::TableConfig
@@ -100,52 +127,20 @@ tableConfig()
     return {32, 1u << 20, 512, 4};
 }
 
-/**
- * Store-side reference for one query under quantized transport: every
- * vector round-trips the payload codec once (exactly as the leaf rank
- * read does), then reduces in query order. Power-of-two quantizer
- * scales make the fp32 sums exact, so this matches the tree's
- * meeting-order partials bit for bit (see embedding/quantize.hh).
- */
-embedding::Vector
-quantizedReduce(const embedding::EmbeddingStore &store,
-                const std::vector<IndexId> &indices,
-                embedding::ReduceOp op, embedding::PayloadFormat fmt)
+/** The memory system under every lookup engine and replica. */
+core::ReplicaMemoryConfig
+memoryShape(const Options &opt)
 {
-    embedding::Vector acc;
-    for (IndexId idx : indices) {
-        embedding::Vector v = store.vector(idx);
-        embedding::payloadRoundTrip(fmt, v.data(), v.size());
-        if (acc.empty())
-            acc = std::move(v);
-        else
-            embedding::combineSpan(op, acc.data(), v.data(), acc.size());
-    }
-    embedding::finalizeSpan(op, acc.data(), acc.size(), indices.size());
-    return acc;
+    core::ReplicaMemoryConfig mem;
+    mem.geometry = opt.hbm ? dram::Geometry::hbm2()
+                           : dram::Geometry::withTotalRanks(opt.ranks);
+    mem.timing = opt.hbm ? dram::Timing::hbm2() : dram::Timing::ddr4_2400();
+    return mem;
 }
 
-/**
- * Lookup serving under an installed fault plan: the batch stream is
- * corrupted by whatever query hooks are armed, then served through a
- * ServiceGuard so faults surface as retries, timeouts, and tagged
- * partial results instead of wrong numbers (see docs/ROBUSTNESS.md).
- */
-int
-runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
+std::vector<embedding::Batch>
+makeWorkload(const Options &opt, const embedding::TableConfig &tables)
 {
-    telemetry::RunReport &run = session.report();
-    EventQueue eq;
-    const dram::Geometry geometry = opt.hbm
-        ? dram::Geometry::hbm2()
-        : dram::Geometry::withTotalRanks(opt.ranks);
-    const dram::Timing timing =
-        opt.hbm ? dram::Timing::hbm2() : dram::Timing::ddr4_2400();
-    dram::MemorySystem memory(eq, geometry, timing,
-                              dram::Interleave::BlockRank, 512);
-    const embedding::TableConfig tables = tableConfig();
-    const embedding::VectorLayout layout(tables, memory.mapper());
-
     embedding::WorkloadConfig wc;
     wc.tables = tables;
     wc.batchSize = opt.batch;
@@ -158,76 +153,388 @@ runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
     std::vector<embedding::Batch> batches;
     for (unsigned i = 0; i < opt.batches; ++i)
         batches.push_back(gen.next());
+    return batches;
+}
 
+/**
+ * Store-side reference for one query: every vector round-trips the
+ * payload codec once (exactly as the leaf rank read does; a no-op for
+ * fp32), then sums in query order. Power-of-two quantizer scales make
+ * the fp32 sums exact, so this matches the tree's meeting-order
+ * partials bit for bit (see embedding/quantize.hh).
+ */
+embedding::Vector
+quantizedReduce(const embedding::EmbeddingStore &store,
+                const std::vector<IndexId> &indices,
+                embedding::PayloadFormat fmt)
+{
+    embedding::Vector acc;
+    for (IndexId idx : indices) {
+        embedding::Vector v = store.vector(idx);
+        embedding::payloadRoundTrip(fmt, v.data(), v.size());
+        if (acc.empty())
+            acc = std::move(v);
+        else
+            embedding::combineSpan(embedding::ReduceOp::Sum, acc.data(),
+                                   v.data(), acc.size());
+    }
+    return acc;
+}
+
+/** Record @p metrics on @p run, in order. */
+void
+setMetrics(telemetry::RunReport &run,
+           std::initializer_list<std::pair<const char *, double>> metrics)
+{
+    for (const auto &[name, value] : metrics)
+        run.setMetric(name, value);
+}
+
+/** Served values against quantizedReduce, plus the reference's error
+ *  against the exact fp32 reduction. */
+struct ValueCheck
+{
+    std::size_t mismatches = 0;
+    double maxAbs = 0.0;
+    double meanAbs = 0.0;
+    double relL2 = 0.0;
+};
+
+/**
+ * Check every value in @p served (one trace with `results` per batch)
+ * bit for bit. A batch with mismatches triggers the flight recorder at
+ * its @p doneTick.
+ */
+template <typename Trace, typename DoneTick>
+ValueCheck
+checkValues(const Options &opt, const embedding::EmbeddingStore &store,
+            const std::vector<embedding::Batch> &batches,
+            const std::vector<Trace> &served, DoneTick doneTick)
+{
+    ValueCheck check;
+    double sum_abs = 0.0, l2_num = 0.0, l2_den = 0.0;
+    std::size_t elements = 0;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+        std::size_t batch_mismatches = 0;
+        for (std::size_t q = 0; q < batches[b].queries.size(); ++q) {
+            const auto &indices = batches[b].queries[q].indices;
+            const embedding::Vector want =
+                quantizedReduce(store, indices, opt.payload);
+            const embedding::Vector &got = served[b].results[q];
+            if (got.size() != want.size() ||
+                (!got.empty() &&
+                 std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(float)) != 0))
+                ++batch_mismatches;
+            const embedding::Vector exact = store.reduce(indices);
+            for (std::size_t i = 0; i < exact.size(); ++i) {
+                const double err =
+                    std::fabs(static_cast<double>(want[i]) - exact[i]);
+                check.maxAbs = std::max(check.maxAbs, err);
+                sum_abs += err;
+                l2_num += err * err;
+                l2_den += static_cast<double>(exact[i]) * exact[i];
+                ++elements;
+            }
+        }
+        if (batch_mismatches == 0)
+            continue;
+        check.mismatches += batch_mismatches;
+        if (auto *rec = telemetry::flightRecorder()) {
+            char detail[96];
+            std::snprintf(detail, sizeof detail,
+                          "batch %zu: %zu values differ from reference", b,
+                          batch_mismatches);
+            rec->trigger(telemetry::Trigger::ValueMismatch,
+                         doneTick(served[b]), detail);
+        }
+    }
+    check.meanAbs =
+        elements > 0 ? sum_abs / static_cast<double>(elements) : 0.0;
+    check.relL2 = l2_den > 0.0 ? std::sqrt(l2_num / l2_den) : 0.0;
+    return check;
+}
+
+/**
+ * Print and record a checked run's quantization accuracy, and write the
+ * --payload-accuracy artifact when asked. @return false when the
+ * artifact could not be written.
+ */
+bool
+reportPayloadCheck(const Options &opt, const ValueCheck &check,
+                   telemetry::RunReport &run)
+{
+    std::printf("payload check: %zu mismatches vs the quantized "
+                "reference; vs exact fp32: max abs %.4f, mean abs "
+                "%.4f, rel-L2 %.5f\n",
+                check.mismatches, check.maxAbs, check.meanAbs,
+                check.relL2);
+    setMetrics(run, {{"payloadValueMismatches", check.mismatches},
+                     {"payloadMaxAbsError", check.maxAbs},
+                     {"payloadMeanAbsError", check.meanAbs},
+                     {"payloadRelL2", check.relL2}});
+    if (opt.payloadAccuracy.empty())
+        return true;
+    std::ofstream os(opt.payloadAccuracy);
+    if (!os) {
+        std::fprintf(stderr, "error: cannot write %s\n",
+                     opt.payloadAccuracy.c_str());
+        return false;
+    }
+    os << "{\n  \"schemaVersion\": 1,\n  \"tool\": \"fafnir_sim\",\n"
+       << "  \"format\": \"" << embedding::payloadFormatName(opt.payload)
+       << "\",\n  \"backend\": \"" << embedding::quantizeKernelBackend()
+       << "\",\n  \"queries\": "
+       << static_cast<std::uint64_t>(opt.batches) * opt.batch << ",\n"
+       << "  \"payloadValueMismatches\": " << check.mismatches << ",\n"
+       << "  \"maxAbsError\": " << check.maxAbs << ",\n"
+       << "  \"meanAbsError\": " << check.meanAbs << ",\n"
+       << "  \"relativeL2\": " << check.relL2 << "\n"
+       << "}\n";
+    run.noteArtifact("payloadAccuracy", opt.payloadAccuracy);
+    return true;
+}
+
+/** Payload bytes and codec work over a run's Fafnir-engine timings. */
+struct PayloadTally
+{
+    std::uint64_t dram = 0;
+    std::uint64_t link = 0;
+    std::uint64_t codecOps = 0;
+
+    void
+    add(const core::LookupTiming &t)
+    {
+        dram += t.dramPayloadBytes;
+        link += t.linkPayloadBytes;
+        codecOps += t.activity.dequants + t.activity.requants;
+    }
+
+    /** Print the tally and its link energy; record both as metrics. */
+    void
+    report(const Options &opt, const embedding::TableConfig &tables,
+           telemetry::RunReport &run) const
+    {
+        const double link_uj = hwmodel::LinkEnergyModel{}.energyNj(
+                                   link, codecOps, tables.dim()) /
+                               1000.0;
+        std::printf("payload: %s (%zu B/vector vs %u fp32), "
+                    "%.2f MB dram, %.2f MB links, %.2f uJ link energy\n",
+                    embedding::payloadFormatName(opt.payload),
+                    embedding::payloadBytes(opt.payload, tables.dim()),
+                    tables.vectorBytes, static_cast<double>(dram) / 1e6,
+                    static_cast<double>(link) / 1e6, link_uj);
+        setMetrics(run, {{"dramPayloadBytes", dram},
+                         {"linkPayloadBytes", link},
+                         {"payloadCodecOps", codecOps},
+                         {"linkEnergyUj", link_uj}});
+    }
+};
+
+/** Print the attribution summary (when collected) and finish the run. */
+int
+finishLookup(telemetry::TelemetrySession &session)
+{
+    if (auto *attr = session.attribution();
+        attr != nullptr && !attr->queries().empty()) {
+        Tick dram = 0, ctrl = 0, compute = 0, wait = 0, service = 0,
+             total = 0;
+        for (const auto &q : attr->queries()) {
+            dram += q.dramService;
+            ctrl += q.ctrlQueue;
+            compute += q.peCompute;
+            wait += q.forwardWait;
+            service += q.serviceQueue;
+            total += q.total();
+        }
+        const double t = total != 0 ? static_cast<double>(total) : 1.0;
+        const auto pct = [t](Tick part) {
+            return 100.0 * static_cast<double>(part) / t;
+        };
+        std::printf("attribution: %zu queries — dram %.1f%%, "
+                    "ctrl-queue %.1f%%, pe-compute %.1f%%, "
+                    "forward-wait %.1f%%, service %.1f%% "
+                    "(mean meeting height %.2f)\n",
+                    attr->queries().size(), pct(dram), pct(ctrl),
+                    pct(compute), pct(wait), pct(service),
+                    attr->meanMeetingHeight());
+    }
+    return session.finish();
+}
+
+/**
+ * Build the --engine model over @p memory and pass it to @p run: the
+ * one engine factory of plain and guarded single-engine runs. The event
+ * engine computes values when @p store is given. @return run's exit
+ * code, or 2 for an unknown engine.
+ */
+template <typename Run>
+int
+withEngine(const Options &opt, dram::MemorySystem &memory,
+           const embedding::VectorLayout &layout,
+           const embedding::EmbeddingStore *store, Run &&run)
+{
+    core::EngineConfig cfg;
+    cfg.dedup = opt.dedup;
+    cfg.interactive = opt.interactive;
+    cfg.payload = opt.payload;
+    if (opt.engine == "analytic") {
+        core::FafnirEngine engine(memory, layout, cfg);
+        return run(engine);
+    }
+    if (opt.engine == "event") {
+        core::EventEngineConfig ecfg;
+        ecfg.base = cfg;
+        ecfg.computeValues = store != nullptr;
+        core::EventDrivenEngine engine(memory, layout, ecfg, store);
+        return run(engine);
+    }
+    if (opt.engine == "cpu") {
+        baselines::CpuEngine engine(memory, layout);
+        return run(engine);
+    }
+    if (opt.engine == "recnmp") {
+        baselines::RecNmpConfig rcfg;
+        rcfg.cacheEnabled = true;
+        baselines::RecNmpEngine engine(memory, layout, rcfg);
+        return run(engine);
+    }
+    if (opt.engine == "tensordimm") {
+        baselines::TensorDimmEngine engine(memory, layout.tables());
+        return run(engine);
+    }
+    std::fprintf(stderr, "error: unknown --engine '%s'\n"
+                         "run with --help for usage\n",
+                 opt.engine.c_str());
+    return 2;
+}
+
+/** One engine serves the whole stream back to back. */
+template <typename Engine>
+int
+serveStream(const Options &opt, telemetry::TelemetrySession &session,
+            const embedding::TableConfig &tables,
+            const std::vector<embedding::Batch> &batches,
+            dram::MemorySystem &memory, Engine &engine,
+            const embedding::EmbeddingStore *store,
+            const dram::CommandLog &cmdlog)
+{
+    telemetry::RunReport &run = session.report();
+    const auto timings = engine.lookupMany(batches, 0);
+    constexpr bool event_engine =
+        std::is_same_v<Engine, core::EventDrivenEngine>;
+    // Only the Fafnir engines' timings carry payload bytes.
+    constexpr bool fafnir_timing = std::is_base_of_v<
+        core::LookupTiming,
+        typename std::decay_t<decltype(timings)>::value_type>;
+
+    Tick complete = 0;
+    std::size_t reads = 0;
+    std::size_t references = 0;
+    std::vector<Tick> batch_latency;
+    Distribution batch_latency_us;
+    PayloadTally payload;
+    for (const auto &t : timings) {
+        complete = std::max(complete, t.complete);
+        reads += t.memAccesses;
+        batch_latency.push_back(t.totalTime());
+        batch_latency_us.sample(static_cast<double>(t.totalTime()) /
+                                kTicksPerUs);
+        if constexpr (fafnir_timing)
+            payload.add(t);
+    }
+    for (const auto &b : batches)
+        references += b.totalIndices();
+
+    const double us_total = static_cast<double>(complete) / kTicksPerUs;
+    const auto queries = static_cast<double>(opt.batches) * opt.batch;
+    std::printf("engine=%s ranks=%u batches=%u batch=%u q=%u\n",
+                opt.engine.c_str(), opt.ranks, opt.batches, opt.batch,
+                opt.querySize);
+    std::printf("time: %.2f us total, %.1f ns/query, %.2f Mquery/s\n",
+                us_total, us_total * 1000.0 / queries,
+                queries / us_total);
+    if (!batch_latency.empty()) {
+        std::sort(batch_latency.begin(), batch_latency.end());
+        const auto us_at = [&](std::size_t i) {
+            return static_cast<double>(batch_latency[i]) / kTicksPerUs;
+        };
+        std::printf("batch latency: p50 %.2f us, p99 %.2f us\n",
+                    us_at(batch_latency.size() / 2),
+                    us_at(batch_latency.size() * 99 / 100));
+    }
+    std::printf("bandwidth: %.1f GB/s achieved, rank-bus utilization "
+                "%.1f%%\n",
+                memory.achievedBandwidthGBs(complete),
+                memory.rankBusUtilization(complete) * 100.0);
+    std::printf("memory: %zu reads for %zu references (%.1f%% saved), "
+                "%llu row hits / %llu misses\n",
+                reads, references,
+                100.0 * (1.0 - static_cast<double>(reads) /
+                                   static_cast<double>(references)),
+                static_cast<unsigned long long>(memory.rowHitCount()),
+                static_cast<unsigned long long>(memory.rowMissCount()));
+    const hwmodel::EnergyReport energy;
+    const auto e = energy.account(memory, complete);
+    std::printf("energy: %.1f uJ DRAM + %.2f uJ NDP + %.1f uJ host IO = "
+                "%.1f uJ (%.2f nJ/query)\n",
+                e.dramUj, e.ndpUj, e.hostIoUj, e.total(),
+                e.total() * 1000.0 / queries);
+
+    if constexpr (event_engine) {
+        if (store != nullptr &&
+            !reportPayloadCheck(
+                opt,
+                checkValues(opt, *store, batches, timings,
+                            [](const auto &t) { return t.complete; }),
+                run))
+            return 1;
+    }
+
+    StatRegistry &registry = StatRegistry::instance();
+    memory.registerStats(registry.group("memory"));
+    if constexpr (event_engine)
+        engine.registerStats(registry.group("tree"));
+    registry.group("lookup").addDistribution(
+        "batchLatencyUs", batch_latency_us, "per-batch end-to-end latency");
+
+    setMetrics(run,
+               {{"totalUs", us_total},
+                {"nsPerQuery", us_total * 1000.0 / queries},
+                {"mQueriesPerSec", queries / us_total},
+                {"achievedGBs", memory.achievedBandwidthGBs(complete)},
+                {"rankBusUtilization", memory.rankBusUtilization(complete)},
+                {"memReads", reads},
+                {"references", references},
+                {"energyUj", e.total()},
+                {"energyNjPerQuery", e.total() * 1000.0 / queries}});
+    if constexpr (fafnir_timing)
+        payload.report(opt, tables, run);
+
+    if (auto *ts = session.traceSink())
+        dram::writeTrace(cmdlog, *ts);
+    return finishLookup(session);
+}
+
+/**
+ * One engine behind a ServiceGuard under an installed fault plan: armed
+ * query hooks corrupt the stream, and faults surface as retries,
+ * timeouts, and tagged partial results (see docs/ROBUSTNESS.md).
+ */
+template <typename Engine>
+int
+serveGuarded(const Options &opt, telemetry::TelemetrySession &session,
+             const embedding::TableConfig &tables,
+             std::vector<embedding::Batch> batches,
+             dram::MemorySystem &memory, Engine &engine)
+{
+    telemetry::RunReport &run = session.report();
     // Armed query hooks corrupt the stream before admission, modeling
     // buggy or hostile clients.
     std::size_t corrupted = 0;
     for (auto &batch : batches)
         corrupted +=
             embedding::injectQueryFaults(batch, tables.totalVectors());
-
-    std::unique_ptr<core::FafnirEngine> analytic;
-    std::unique_ptr<core::EventDrivenEngine> event_engine;
-    std::unique_ptr<baselines::CpuEngine> cpu;
-    std::unique_ptr<baselines::RecNmpEngine> recnmp;
-    std::unique_ptr<baselines::TensorDimmEngine> tensordimm;
-    embedding::ServiceGuard::ServeFn serve;
-
-    auto sample_of = [](const auto &t) {
-        embedding::ServeSample s;
-        s.complete = t.complete;
-        s.queryComplete = t.queryComplete;
-        return s;
-    };
-
-    if (opt.engine == "analytic" || opt.engine == "event") {
-        core::EngineConfig cfg;
-        cfg.dedup = opt.dedup;
-        cfg.interactive = opt.interactive;
-        cfg.payload = opt.payload;
-        if (opt.engine == "event") {
-            core::EventEngineConfig ecfg;
-            ecfg.base = cfg;
-            event_engine = std::make_unique<core::EventDrivenEngine>(
-                memory, layout, ecfg);
-            serve = [&event_engine,
-                     sample_of](const embedding::Batch &b, Tick at) {
-                return sample_of(event_engine->lookup(b, at));
-            };
-        } else {
-            analytic = std::make_unique<core::FafnirEngine>(memory,
-                                                            layout, cfg);
-            serve = [&analytic,
-                     sample_of](const embedding::Batch &b, Tick at) {
-                return sample_of(analytic->lookup(b, at));
-            };
-        }
-    } else if (opt.engine == "cpu") {
-        cpu = std::make_unique<baselines::CpuEngine>(memory, layout);
-        serve = [&cpu, sample_of](const embedding::Batch &b, Tick at) {
-            return sample_of(cpu->lookup(b, at));
-        };
-    } else if (opt.engine == "recnmp") {
-        baselines::RecNmpConfig cfg;
-        cfg.cacheEnabled = true;
-        recnmp = std::make_unique<baselines::RecNmpEngine>(memory, layout,
-                                                           cfg);
-        serve = [&recnmp, sample_of](const embedding::Batch &b, Tick at) {
-            return sample_of(recnmp->lookup(b, at));
-        };
-    } else if (opt.engine == "tensordimm") {
-        tensordimm =
-            std::make_unique<baselines::TensorDimmEngine>(memory, tables);
-        serve = [&tensordimm,
-                 sample_of](const embedding::Batch &b, Tick at) {
-            return sample_of(tensordimm->lookup(b, at));
-        };
-    } else {
-        std::fprintf(stderr, "error: unknown --engine '%s'\n"
-                             "run with --help for usage\n",
-                     opt.engine.c_str());
-        return 2;
-    }
 
     embedding::GuardConfig gc;
     gc.queryDeadline = static_cast<Tick>(opt.deadlineUs * kTicksPerUs);
@@ -236,11 +543,17 @@ runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
     gc.indexLimit = tables.totalVectors();
     gc.maxQueryWidth = static_cast<std::size_t>(opt.querySize) * 4;
     gc.sloLoadShed = opt.sloShed;
-    embedding::ServiceGuard guard(gc, serve);
+    embedding::ServiceGuard guard(
+        gc, [&engine](const embedding::Batch &b, Tick at) {
+            auto t = engine.lookup(b, at);
+            embedding::ServeSample s;
+            s.complete = t.complete;
+            s.queryComplete = std::move(t.queryComplete);
+            return s;
+        });
 
     run.setConfig("deadlineUs", opt.deadlineUs);
-    run.setConfig("maxAttempts",
-                  static_cast<std::uint64_t>(opt.maxAttempts));
+    run.setConfig("maxAttempts", std::uint64_t{opt.maxAttempts});
     run.setConfig("retryBackoffNs", opt.retryBackoffNs);
 
     const embedding::GuardedReport served =
@@ -282,289 +595,108 @@ runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
 
     StatRegistry &registry = StatRegistry::instance();
     memory.registerStats(registry.group("memory"));
-    if (event_engine)
-        event_engine->registerStats(registry.group("tree"));
+    if constexpr (std::is_same_v<Engine, core::EventDrivenEngine>)
+        engine.registerStats(registry.group("tree"));
     guard.registerStats(registry.group("service.guard"));
 
-    run.setMetric("totalUs", us_total);
-    run.setMetric("corruptedQueries", static_cast<double>(corrupted));
-    run.setMetric("retries", static_cast<double>(guard.retryCount()));
-    run.setMetric("timeouts", static_cast<double>(guard.timeoutCount()));
-    run.setMetric("rejectedQueries",
-                  static_cast<double>(guard.rejectedQueryCount()));
-    run.setMetric("servedQueries",
-                  static_cast<double>(served.servedQueries()));
-    run.setMetric("droppedQueries",
-                  static_cast<double>(served.droppedQueries()));
-    run.setMetric("partialRequests",
-                  static_cast<double>(served.partialRequests()));
-    if (gc.sloLoadShed) {
-        run.setMetric("shedRequests",
-                      static_cast<double>(guard.shedRequestCount()));
-        run.setMetric("shedRetries",
-                      static_cast<double>(guard.shedRetryCount()));
-    }
-    return session.finish();
+    setMetrics(run, {{"totalUs", us_total},
+                     {"corruptedQueries", corrupted},
+                     {"retries", guard.retryCount()},
+                     {"timeouts", guard.timeoutCount()},
+                     {"rejectedQueries", guard.rejectedQueryCount()},
+                     {"servedQueries", served.servedQueries()},
+                     {"droppedQueries", served.droppedQueries()},
+                     {"partialRequests", served.partialRequests()}});
+    if (gc.sloLoadShed)
+        setMetrics(run, {{"shedRequests", guard.shedRequestCount()},
+                         {"shedRetries", guard.shedRetryCount()}});
+    return finishLookup(session);
 }
 
 /**
- * Pipelined multi-engine serving (--serve-engines > 0): batches flow
- * through prepare -> dispatch -> engine replicas -> writeback with
- * prepare/execute overlap (see docs/PERFORMANCE.md, "Pipelined
- * serving"). Event-engine only — the replicas are event-driven trees.
+ * Replicas serve the stream through the sharded tier (see
+ * docs/PERFORMANCE.md, "Sharded serving"); one shard is the pipelined
+ * front end. The engines compute real values, and `valueMismatches`
+ * must be 0 (CI's shard-conformance smoke).
  */
 int
-runPipelinedLookup(const Options &opt,
-                   telemetry::TelemetrySession &session)
+serveTier(const Options &opt, telemetry::TelemetrySession &session,
+          const core::ReplicaMemoryConfig &mem,
+          const embedding::TableConfig &tables,
+          const std::vector<embedding::Batch> &batches)
 {
-    if (opt.engine != "event") {
-        std::fprintf(stderr,
-                     "error: --serve-engines requires --engine=event\n");
-        return 2;
-    }
-    const telemetry::ServingOptions &so = session.serving();
-
-    core::ServingConfig sc;
-    sc.engines = so.engines;
-    sc.pipelineDepth = so.pipelineDepth;
-    sc.hedgePct = so.hedgePct;
-    sc.dedup = opt.dedup;
-    sc.payload = opt.payload;
-    sc.prepareWorkers = std::max(1u, so.prepareWorkers);
-    if (so.dispatch == "least-loaded")
-        sc.dispatch = core::DispatchPolicy::LeastLoaded;
-    else if (so.dispatch == "round-robin")
-        sc.dispatch = core::DispatchPolicy::RoundRobin;
-    else
-        FAFNIR_FATAL("unknown --dispatch '", so.dispatch,
-                     "' (expected least-loaded or round-robin)");
-
-    telemetry::RunReport &run = session.report();
-    run.setConfig("serveEngines",
-                  static_cast<std::uint64_t>(so.engines));
-    run.setConfig("pipelineDepth",
-                  static_cast<std::uint64_t>(so.pipelineDepth));
-    run.setConfig("dispatch", so.dispatch);
-    run.setConfig("hedgePct", so.hedgePct);
-    run.setConfig("prepareWorkers",
-                  static_cast<std::uint64_t>(sc.prepareWorkers));
-
-    core::ReplicaMemoryConfig mem;
-    mem.geometry = opt.hbm ? dram::Geometry::hbm2()
-                           : dram::Geometry::withTotalRanks(opt.ranks);
-    mem.timing = opt.hbm ? dram::Timing::hbm2()
-                         : dram::Timing::ddr4_2400();
-    const embedding::TableConfig tables = tableConfig();
-
-    core::EventEngineConfig ecfg;
-    ecfg.base.dedup = opt.dedup;
-    ecfg.base.interactive = opt.interactive;
-    std::vector<core::EngineReplica> replicas =
-        core::makeEventReplicas(so.engines, mem, tables, ecfg, nullptr);
-
-    embedding::WorkloadConfig wc;
-    wc.tables = tables;
-    wc.batchSize = opt.batch;
-    wc.querySize = opt.querySize;
-    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
-                                 : embedding::Popularity::Uniform;
-    wc.zipfSkew = opt.skew;
-    wc.hotFraction = opt.hotFraction;
-    embedding::BatchGenerator gen(wc, opt.seed);
-    std::vector<embedding::Batch> batches;
-    for (unsigned i = 0; i < opt.batches; ++i)
-        batches.push_back(gen.next());
-
-    core::ServingPipeline pipeline(sc, replicas, nullptr);
-    const core::PipelineReport served = pipeline.serve(batches, 0);
-
-    const double us_total =
-        static_cast<double>(served.makespan) / kTicksPerUs;
-    const auto queries = static_cast<double>(opt.batches) * opt.batch;
-    std::printf("engine=event serving: %u replicas, depth %u, %s "
-                "dispatch, hedge %.0f%%, %u prepare workers\n",
-                so.engines, sc.pipelineDepth, so.dispatch.c_str(),
-                so.hedgePct, sc.prepareWorkers);
-    std::printf("time: %.2f us makespan, %.1f ns/query, "
-                "%.0f batches/s\n",
-                us_total, us_total * 1000.0 / queries,
-                served.requestsPerSecond());
-    std::printf("hedging: %llu issued, %llu won\n",
-                static_cast<unsigned long long>(served.hedgesIssued),
-                static_cast<unsigned long long>(served.hedgesWon));
-    std::ostringstream shards;
-    for (std::size_t e = 0; e < served.batchesPerEngine.size(); ++e)
-        shards << (e == 0 ? "" : " ") << served.batchesPerEngine[e];
-    std::printf("shards: [%s] batches per engine\n",
-                shards.str().c_str());
-    pipeline.printHealthScoreboard(std::cout, served);
-
-    StatRegistry &registry = StatRegistry::instance();
-    pipeline.registerStats(registry.group("serving"));
-    for (std::size_t e = 0; e < replicas.size(); ++e)
-        replicas[e].engine->registerStats(
-            registry.group("tree.engine" + std::to_string(e)));
-
-    std::uint64_t dram_payload = 0, link_payload = 0, codec_ops = 0;
-    for (const auto &trace : served.batches) {
-        dram_payload += trace.timing.dramPayloadBytes;
-        link_payload += trace.timing.linkPayloadBytes;
-        codec_ops +=
-            trace.timing.activity.dequants + trace.timing.activity.requants;
-    }
-    const hwmodel::LinkEnergyModel link_energy;
-    const double link_uj =
-        link_energy.energyNj(link_payload, codec_ops, tables.dim()) /
-        1000.0;
-
-    run.setMetric("totalUs", us_total);
-    run.setMetric("nsPerQuery", us_total * 1000.0 / queries);
-    run.setMetric("batchesPerSec", served.requestsPerSecond());
-    run.setMetric("hedgesIssued",
-                  static_cast<double>(served.hedgesIssued));
-    run.setMetric("hedgesWon", static_cast<double>(served.hedgesWon));
-    run.setMetric("dramPayloadBytes", static_cast<double>(dram_payload));
-    run.setMetric("linkPayloadBytes", static_cast<double>(link_payload));
-    run.setMetric("payloadCodecOps", static_cast<double>(codec_ops));
-    run.setMetric("linkEnergyUj", link_uj);
-    return session.finish();
-}
-
-/**
- * Sharded serving (--shards > 0): tables are placed onto S shards, each
- * shard runs its own replica group, and a fixed-order cross-shard
- * combine reassembles every batch (see docs/PERFORMANCE.md, "Sharded
- * serving"). The engines compute real values and every served vector is
- * checked bit-for-bit against the single-store reference — the
- * `valueMismatches` metric must be 0 (CI's shard-conformance smoke).
- */
-int
-runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
-{
-    if (opt.engine != "event") {
-        std::fprintf(stderr,
-                     "error: --shards requires --engine=event\n");
-        return 2;
-    }
-    const telemetry::ServingOptions &so = session.serving();
-
     core::ShardTierConfig tc;
-    tc.shards = so.shards;
-    tc.placement = core::parsePlacement(so.placement);
-    tc.serving.engines = std::max(1u, so.shardReplicas);
-    tc.serving.pipelineDepth = so.pipelineDepth;
-    tc.serving.hedgePct = so.hedgePct;
+    tc.shards = std::max(1u, opt.shards);
+    tc.placement = core::parsePlacement(opt.placement);
+    tc.serving.engines = std::max(1u, opt.serveEngines);
+    tc.serving.pipelineDepth = opt.pipelineDepth;
+    tc.serving.hedgePct = opt.hedgePct;
     tc.serving.dedup = opt.dedup;
     tc.serving.payload = opt.payload;
-    tc.serving.prepareWorkers = std::max(1u, so.prepareWorkers);
-    if (so.dispatch == "least-loaded")
+    tc.serving.prepareWorkers = std::max(1u, opt.prepareWorkers);
+    if (opt.dispatch == "least-loaded")
         tc.serving.dispatch = core::DispatchPolicy::LeastLoaded;
-    else if (so.dispatch == "round-robin")
+    else if (opt.dispatch == "round-robin")
         tc.serving.dispatch = core::DispatchPolicy::RoundRobin;
     else
-        FAFNIR_FATAL("unknown --dispatch '", so.dispatch,
+        FAFNIR_FATAL("unknown --dispatch '", opt.dispatch,
                      "' (expected least-loaded or round-robin)");
 
     telemetry::RunReport &run = session.report();
-    run.setConfig("shards", static_cast<std::uint64_t>(tc.shards));
-    run.setConfig("placement", so.placement);
-    run.setConfig("shardReplicas",
-                  static_cast<std::uint64_t>(tc.serving.engines));
-    run.setConfig("pipelineDepth",
-                  static_cast<std::uint64_t>(so.pipelineDepth));
-    run.setConfig("dispatch", so.dispatch);
-    run.setConfig("hedgePct", so.hedgePct);
-    run.setConfig("prepareWorkers",
-                  static_cast<std::uint64_t>(tc.serving.prepareWorkers));
-
-    core::ReplicaMemoryConfig mem;
-    mem.geometry = opt.hbm ? dram::Geometry::hbm2()
-                           : dram::Geometry::withTotalRanks(opt.ranks);
-    mem.timing = opt.hbm ? dram::Timing::hbm2()
-                         : dram::Timing::ddr4_2400();
-    const embedding::TableConfig tables = tableConfig();
-    const embedding::EmbeddingStore store(tables);
+    if (opt.shards > 0) {
+        run.setConfig("shards", std::uint64_t{tc.shards});
+        run.setConfig("placement", opt.placement);
+    }
+    run.setConfig("serveEngines", std::uint64_t{tc.serving.engines});
+    run.setConfig("pipelineDepth", std::uint64_t{opt.pipelineDepth});
+    run.setConfig("dispatch", opt.dispatch);
+    run.setConfig("hedgePct", opt.hedgePct);
+    run.setConfig("prepareWorkers", std::uint64_t{tc.serving.prepareWorkers});
 
     core::EventEngineConfig ecfg;
     ecfg.base.dedup = opt.dedup;
     ecfg.base.interactive = opt.interactive;
     ecfg.computeValues = true;
+    const embedding::EmbeddingStore store(tables);
     std::vector<std::vector<core::EngineReplica>> groups =
-        core::makeShardReplicas(tc.shards, tc.serving.engines, mem,
-                                tables, ecfg, &store);
-
-    embedding::WorkloadConfig wc;
-    wc.tables = tables;
-    wc.batchSize = opt.batch;
-    wc.querySize = opt.querySize;
-    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
-                                 : embedding::Popularity::Uniform;
-    wc.zipfSkew = opt.skew;
-    wc.hotFraction = opt.hotFraction;
-    embedding::BatchGenerator gen(wc, opt.seed);
-    std::vector<embedding::Batch> batches;
-    for (unsigned i = 0; i < opt.batches; ++i)
-        batches.push_back(gen.next());
-
+        core::makeShardReplicas(tc.shards, tc.serving.engines, mem, tables,
+                                ecfg, &store);
     core::ShardedServingTier tier(tc, groups, &store);
     const core::ShardedReport served = tier.serve(batches, 0);
 
-    // Differential value check: every served vector must be
-    // bit-identical to the single-store reference reduction (under
-    // quantized transport, the reference round-trips each vector
-    // through the payload codec — exact power-of-two-scale sums keep
-    // the comparison a memcmp).
-    std::size_t mismatches = 0;
-    for (const core::ShardedBatchTrace &trace : served.batches) {
-        std::vector<embedding::Vector> reference;
-        if (opt.payload == embedding::PayloadFormat::Fp32) {
-            reference =
-                store.reduceBatch(batches[trace.batch], tc.reduceOp);
-        } else {
-            for (const auto &query : batches[trace.batch].queries)
-                reference.push_back(quantizedReduce(store, query.indices,
-                                                    tc.reduceOp,
-                                                    opt.payload));
-        }
-        std::size_t batch_mismatches = 0;
-        for (std::size_t q = 0; q < reference.size(); ++q) {
-            const embedding::Vector &got = trace.results[q];
-            if (got.size() != reference[q].size() ||
-                (!got.empty() &&
-                 std::memcmp(got.data(), reference[q].data(),
-                             got.size() * sizeof(float)) != 0))
-                ++batch_mismatches;
-        }
-        if (batch_mismatches > 0) {
-            mismatches += batch_mismatches;
-            if (auto *rec = telemetry::flightRecorder()) {
-                char detail[96];
-                std::snprintf(
-                    detail, sizeof detail,
-                    "batch %zu: %zu values differ from reference",
-                    trace.batch, batch_mismatches);
-                rec->trigger(telemetry::Trigger::ValueMismatch,
-                             trace.combineDone, detail);
-            }
-        }
-    }
+    const ValueCheck check = checkValues(
+        opt, store, batches, served.batches,
+        [](const core::ShardedBatchTrace &t) { return t.combineDone; });
+    if (opt.payloadReport() && !reportPayloadCheck(opt, check, run))
+        return 1;
 
+    PayloadTally payload;
+    std::uint64_t hedges_issued = 0, hedges_won = 0;
+    for (const core::PipelineReport &shard : served.perShard) {
+        hedges_issued += shard.hedgesIssued;
+        hedges_won += shard.hedgesWon;
+        for (const auto &trace : shard.batches)
+            payload.add(trace.timing);
+    }
     const double us_total =
         static_cast<double>(served.makespan) / kTicksPerUs;
-    std::printf("engine=event sharded serving: %u shards (%s "
-                "placement), %u replicas/shard, depth %u, %u prepare "
-                "workers\n",
-                tc.shards, so.placement.c_str(), tc.serving.engines,
-                tc.serving.pipelineDepth, tc.serving.prepareWorkers);
-    std::printf("time: %.2f us makespan, %.0f batches/s\n", us_total,
+    const auto queries = static_cast<double>(opt.batches) * opt.batch;
+    std::printf("engine=event serving: %u shard(s) (%s placement) x %u "
+                "replicas, depth %u, %s dispatch, hedge %.0f%%, %u "
+                "prepare workers\n",
+                tc.shards, opt.placement.c_str(), tc.serving.engines,
+                tc.serving.pipelineDepth, opt.dispatch.c_str(),
+                opt.hedgePct, tc.serving.prepareWorkers);
+    std::printf("time: %.2f us makespan, %.1f ns/query, %.0f batches/s\n",
+                us_total, us_total * 1000.0 / queries,
                 served.requestsPerSecond());
-    std::printf("routing: %llu cross-shard queries, load imbalance "
-                "%.2f\n",
-                static_cast<unsigned long long>(
-                    served.crossShardQueries),
-                served.loadImbalance());
-    std::printf("values: %zu mismatches vs the single-store reference\n",
-                mismatches);
+    std::printf("hedging: %llu issued, %llu won; routing: %llu "
+                "cross-shard queries, load imbalance %.2f; values: %zu "
+                "mismatches vs the single-store reference\n",
+                static_cast<unsigned long long>(hedges_issued),
+                static_cast<unsigned long long>(hedges_won),
+                static_cast<unsigned long long>(served.crossShardQueries),
+                served.loadImbalance(), check.mismatches);
     tier.printShardScoreboard(std::cout, served);
 
     // The deterministic rebalance hook: plan + apply moves over the
@@ -583,336 +715,74 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
 
     StatRegistry &registry = StatRegistry::instance();
     tier.registerStats(registry.group("serving.shard"));
-
-    // Payload byte/energy accounting telescopes over the per-shard
-    // pipeline traces (the tier itself moves only combined partials).
-    std::uint64_t dram_payload = 0, link_payload = 0, codec_ops = 0;
-    for (const core::PipelineReport &shard : served.perShard) {
-        for (const auto &trace : shard.batches) {
-            dram_payload += trace.timing.dramPayloadBytes;
-            link_payload += trace.timing.linkPayloadBytes;
-            codec_ops += trace.timing.activity.dequants +
-                         trace.timing.activity.requants;
-        }
+    for (unsigned s = 0; s < tc.shards; ++s) {
+        const std::string shard = "shard" + std::to_string(s);
+        tier.pipeline(s).registerStats(registry.group("serving." + shard));
+        for (std::size_t e = 0; e < tc.serving.engines; ++e)
+            groups[s][e].engine->registerStats(registry.group(
+                "tree." + shard + ".engine" + std::to_string(e)));
     }
-    const hwmodel::LinkEnergyModel link_energy;
-    const double link_uj =
-        link_energy.energyNj(link_payload, codec_ops, tables.dim()) /
-        1000.0;
 
-    run.setMetric("totalUs", us_total);
-    run.setMetric("batchesPerSec", served.requestsPerSecond());
-    run.setMetric("crossShardQueries",
-                  static_cast<double>(served.crossShardQueries));
-    run.setMetric("shardImbalance", served.loadImbalance());
-    run.setMetric("valueMismatches", static_cast<double>(mismatches));
-    run.setMetric("rebalanceMoves", static_cast<double>(moves.size()));
-    run.setMetric("dramPayloadBytes", static_cast<double>(dram_payload));
-    run.setMetric("linkPayloadBytes", static_cast<double>(link_payload));
-    run.setMetric("payloadCodecOps", static_cast<double>(codec_ops));
-    run.setMetric("linkEnergyUj", link_uj);
-    return session.finish();
+    setMetrics(run, {{"totalUs", us_total},
+                     {"nsPerQuery", us_total * 1000.0 / queries},
+                     {"batchesPerSec", served.requestsPerSecond()},
+                     {"hedgesIssued", hedges_issued},
+                     {"hedgesWon", hedges_won},
+                     {"crossShardQueries", served.crossShardQueries},
+                     {"shardImbalance", served.loadImbalance()},
+                     {"valueMismatches", check.mismatches},
+                     {"rebalanceMoves", moves.size()}});
+    payload.report(opt, tables, run);
+    return finishLookup(session);
 }
 
+/**
+ * The lookup driver: one workload and one memory shape, served by one
+ * engine (guarded under a fault plan) or by the sharded tier.
+ */
 int
 runLookup(const Options &opt, telemetry::TelemetrySession &session)
 {
-    telemetry::RunReport &run = session.report();
-    EventQueue eq;
-    const dram::Geometry geometry = opt.hbm
-        ? dram::Geometry::hbm2()
-        : dram::Geometry::withTotalRanks(opt.ranks);
-    const dram::Timing timing =
-        opt.hbm ? dram::Timing::hbm2() : dram::Timing::ddr4_2400();
-    dram::MemorySystem memory(eq, geometry, timing,
-                              dram::Interleave::BlockRank, 512);
-    dram::CommandLog cmdlog;
-    if (session.traceSink() != nullptr)
-        memory.attachCommandLog(&cmdlog);
-    const embedding::TableConfig tables = tableConfig();
-    const embedding::VectorLayout layout(tables, memory.mapper());
-
-    embedding::WorkloadConfig wc;
-    wc.tables = tables;
-    wc.batchSize = opt.batch;
-    wc.querySize = opt.querySize;
-    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
-                                 : embedding::Popularity::Uniform;
-    wc.zipfSkew = opt.skew;
-    wc.hotFraction = opt.hotFraction;
-    embedding::BatchGenerator gen(wc, opt.seed);
-    std::vector<embedding::Batch> batches;
-    for (unsigned i = 0; i < opt.batches; ++i)
-        batches.push_back(gen.next());
-
-    Tick complete = 0;
-    std::size_t reads = 0;
-    std::size_t references = 0;
-    std::uint64_t dram_payload = 0;
-    std::uint64_t link_payload = 0;
-    std::uint64_t codec_ops = 0;
-    std::vector<Tick> batch_latency;
-    Distribution batch_latency_us;
-
-    auto consume = [&](const auto &timings) {
-        for (const auto &t : timings) {
-            complete = std::max(complete, t.complete);
-            reads += t.memAccesses;
-            batch_latency.push_back(t.totalTime());
-            batch_latency_us.sample(
-                static_cast<double>(t.totalTime()) / kTicksPerUs);
-            if constexpr (requires { t.dramPayloadBytes; }) {
-                dram_payload += t.dramPayloadBytes;
-                link_payload += t.linkPayloadBytes;
-                codec_ops += t.activity.dequants + t.activity.requants;
-            }
-        }
-    };
-
-    if (opt.payload != embedding::PayloadFormat::Fp32 &&
-        opt.engine != "analytic" && opt.engine != "event") {
+    const bool fafnir = opt.engine == "analytic" || opt.engine == "event";
+    if (opt.replicated() && opt.engine != "event") {
+        std::fprintf(stderr, "error: --serve-engines and --shards "
+                             "require --engine=event\n");
+        return 2;
+    }
+    if (opt.payload != embedding::PayloadFormat::Fp32 && !fafnir) {
         std::fprintf(stderr, "error: --payload=%s requires "
                              "--engine=analytic or --engine=event\n",
                      embedding::payloadFormatName(opt.payload));
         return 2;
     }
 
-    // Quantized transport runs re-check served values in-process: the
-    // event engine computes real vectors and every one must match the
-    // store-side quantized reference bit for bit (CI's quant-conformance
-    // smoke asserts payloadValueMismatches == 0).
-    const bool quant_check =
-        opt.engine == "event" &&
-        (opt.payload != embedding::PayloadFormat::Fp32 ||
-         !session.serving().payloadAccuracy.empty());
-    std::unique_ptr<embedding::EmbeddingStore> store;
+    const embedding::TableConfig tables = tableConfig();
+    const core::ReplicaMemoryConfig mem = memoryShape(opt);
+    const std::vector<embedding::Batch> batches = makeWorkload(opt, tables);
+    if (opt.replicated())
+        return serveTier(opt, session, mem, tables, batches);
 
-    // The event engine outlives the run so its per-PE counters can be
-    // exported after the lookups finish.
-    std::unique_ptr<core::EventDrivenEngine> event_engine;
-    std::vector<core::EventLookupTiming> event_timings;
-
-    if (opt.engine == "analytic" || opt.engine == "event") {
-        core::EngineConfig cfg;
-        cfg.dedup = opt.dedup;
-        cfg.interactive = opt.interactive;
-        cfg.payload = opt.payload;
-        if (opt.engine == "event") {
-            core::EventEngineConfig ecfg;
-            ecfg.base = cfg;
-            if (quant_check) {
-                store = std::make_unique<embedding::EmbeddingStore>(
-                    tables);
-                ecfg.computeValues = true;
-            }
-            event_engine = std::make_unique<core::EventDrivenEngine>(
-                memory, layout, ecfg, store.get());
-            event_timings = event_engine->lookupMany(batches, 0);
-            consume(event_timings);
-        } else {
-            core::FafnirEngine engine(memory, layout, cfg);
-            consume(engine.lookupMany(batches, 0));
-        }
-    } else if (opt.engine == "cpu") {
-        baselines::CpuEngine engine(memory, layout);
-        consume(engine.lookupMany(batches, 0));
-    } else if (opt.engine == "recnmp") {
-        baselines::RecNmpConfig cfg;
-        cfg.cacheEnabled = true;
-        baselines::RecNmpEngine engine(memory, layout, cfg);
-        consume(engine.lookupMany(batches, 0));
-    } else if (opt.engine == "tensordimm") {
-        baselines::TensorDimmEngine engine(memory, tables);
-        consume(engine.lookupMany(batches, 0));
-    } else {
-        std::fprintf(stderr, "error: unknown --engine '%s'\n"
-                             "run with --help for usage\n",
-                     opt.engine.c_str());
-        return 2;
-    }
-
-    for (const auto &b : batches)
-        references += b.totalIndices();
-
-    const double us_total = static_cast<double>(complete) / kTicksPerUs;
-    const auto queries = static_cast<double>(opt.batches) * opt.batch;
-    std::printf("engine=%s ranks=%u batches=%u batch=%u q=%u\n",
-                opt.engine.c_str(), opt.ranks, opt.batches, opt.batch,
-                opt.querySize);
-    std::printf("time: %.2f us total, %.1f ns/query, %.2f Mquery/s\n",
-                us_total, us_total * 1000.0 / queries,
-                queries / us_total);
-    if (!batch_latency.empty()) {
-        std::sort(batch_latency.begin(), batch_latency.end());
-        std::printf("batch latency: p50 %.2f us, p99 %.2f us\n",
-                    static_cast<double>(
-                        batch_latency[batch_latency.size() / 2]) /
-                        kTicksPerUs,
-                    static_cast<double>(
-                        batch_latency[batch_latency.size() * 99 / 100]) /
-                        kTicksPerUs);
-    }
-    std::printf("bandwidth: %.1f GB/s achieved, rank-bus utilization "
-                "%.1f%%\n",
-                memory.achievedBandwidthGBs(complete),
-                memory.rankBusUtilization(complete) * 100.0);
-    std::printf("memory: %zu reads for %zu references (%.1f%% saved), "
-                "%llu row hits / %llu misses\n",
-                reads, references,
-                100.0 * (1.0 - static_cast<double>(reads) /
-                                   static_cast<double>(references)),
-                static_cast<unsigned long long>(memory.rowHitCount()),
-                static_cast<unsigned long long>(memory.rowMissCount()));
-
-    const hwmodel::EnergyReport energy;
-    const auto e = energy.account(memory, complete);
-    std::printf("energy: %.1f uJ DRAM + %.2f uJ NDP + %.1f uJ host IO = "
-                "%.1f uJ (%.2f nJ/query)\n",
-                e.dramUj, e.ndpUj, e.hostIoUj, e.total(),
-                e.total() * 1000.0 / queries);
-
-    const hwmodel::LinkEnergyModel link_energy;
-    const double link_uj =
-        link_energy.energyNj(link_payload, codec_ops, tables.dim()) /
-        1000.0;
-    if (opt.engine == "analytic" || opt.engine == "event") {
-        std::printf("payload: %s (%zu B/vector vs %u fp32), "
-                    "%.2f MB dram, %.2f MB links, %.2f uJ link energy\n",
-                    embedding::payloadFormatName(opt.payload),
-                    embedding::payloadBytes(opt.payload, tables.dim()),
-                    tables.vectorBytes,
-                    static_cast<double>(dram_payload) / 1e6,
-                    static_cast<double>(link_payload) / 1e6,
-                    link_uj);
-    }
-
-    // Differential value + accuracy pass over the computed results.
-    std::size_t payload_mismatches = 0;
-    double max_abs = 0.0, sum_abs = 0.0, l2_num = 0.0, l2_den = 0.0;
-    std::size_t elements = 0;
-    if (quant_check) {
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            const auto &results = event_timings[b].results;
-            for (std::size_t q = 0; q < batches[b].queries.size(); ++q) {
-                const auto &indices = batches[b].queries[q].indices;
-                const embedding::Vector qref = quantizedReduce(
-                    *store, indices, embedding::ReduceOp::Sum,
-                    opt.payload);
-                const embedding::Vector &got = results[q];
-                if (got.size() != qref.size() ||
-                    (!got.empty() &&
-                     std::memcmp(got.data(), qref.data(),
-                                 got.size() * sizeof(float)) != 0))
-                    ++payload_mismatches;
-                const embedding::Vector exact = store->reduce(indices);
-                for (std::size_t i = 0; i < exact.size(); ++i) {
-                    const double err = std::fabs(
-                        static_cast<double>(qref[i]) - exact[i]);
-                    max_abs = std::max(max_abs, err);
-                    sum_abs += err;
-                    l2_num += err * err;
-                    l2_den += static_cast<double>(exact[i]) * exact[i];
-                    ++elements;
-                }
-            }
-        }
-        const double mean_abs =
-            elements > 0 ? sum_abs / static_cast<double>(elements) : 0.0;
-        const double rel_l2 =
-            l2_den > 0.0 ? std::sqrt(l2_num / l2_den) : 0.0;
-        std::printf("payload check: %zu mismatches vs the quantized "
-                    "reference; vs exact fp32: max abs %.4f, mean abs "
-                    "%.4f, rel-L2 %.5f\n",
-                    payload_mismatches, max_abs, mean_abs, rel_l2);
-        run.setMetric("payloadValueMismatches",
-                      static_cast<double>(payload_mismatches));
-        run.setMetric("payloadMaxAbsError", max_abs);
-        run.setMetric("payloadMeanAbsError", mean_abs);
-        run.setMetric("payloadRelL2", rel_l2);
-        const std::string &acc_path = session.serving().payloadAccuracy;
-        if (!acc_path.empty()) {
-            std::ofstream os(acc_path);
-            if (!os) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             acc_path.c_str());
-                return 1;
-            }
-            os << "{\n"
-               << "  \"schemaVersion\": 1,\n"
-               << "  \"tool\": \"fafnir_sim\",\n"
-               << "  \"format\": \""
-               << embedding::payloadFormatName(opt.payload) << "\",\n"
-               << "  \"backend\": \""
-               << embedding::quantizeKernelBackend() << "\",\n"
-               << "  \"queries\": "
-               << static_cast<std::uint64_t>(queries) << ",\n"
-               << "  \"payloadValueMismatches\": " << payload_mismatches
-               << ",\n"
-               << "  \"maxAbsError\": " << max_abs << ",\n"
-               << "  \"meanAbsError\": " << mean_abs << ",\n"
-               << "  \"relativeL2\": " << rel_l2 << "\n"
-               << "}\n";
-            run.noteArtifact("payloadAccuracy", acc_path);
-        }
-    }
-
-    if (auto *attr = session.attribution();
-        attr != nullptr && !attr->queries().empty()) {
-        Tick dram = 0, ctrl = 0, compute = 0, wait = 0, service = 0,
-             total = 0;
-        for (const auto &q : attr->queries()) {
-            dram += q.dramService;
-            ctrl += q.ctrlQueue;
-            compute += q.peCompute;
-            wait += q.forwardWait;
-            service += q.serviceQueue;
-            total += q.total();
-        }
-        const double t = total != 0 ? static_cast<double>(total) : 1.0;
-        std::printf("attribution: %zu queries — dram %.1f%%, "
-                    "ctrl-queue %.1f%%, pe-compute %.1f%%, "
-                    "forward-wait %.1f%%, service %.1f%% "
-                    "(mean meeting height %.2f)\n",
-                    attr->queries().size(),
-                    100.0 * static_cast<double>(dram) / t,
-                    100.0 * static_cast<double>(ctrl) / t,
-                    100.0 * static_cast<double>(compute) / t,
-                    100.0 * static_cast<double>(wait) / t,
-                    100.0 * static_cast<double>(service) / t,
-                    attr->meanMeetingHeight());
-    }
-
-    StatRegistry &registry = StatRegistry::instance();
-    memory.registerStats(registry.group("memory"));
-    if (event_engine)
-        event_engine->registerStats(registry.group("tree"));
-    StatGroup &lookup = registry.group("lookup");
-    lookup.addDistribution("batchLatencyUs", batch_latency_us,
-                           "per-batch end-to-end latency");
-
-    run.setMetric("totalUs", us_total);
-    run.setMetric("nsPerQuery", us_total * 1000.0 / queries);
-    run.setMetric("mQueriesPerSec", queries / us_total);
-    run.setMetric("achievedGBs", memory.achievedBandwidthGBs(complete));
-    run.setMetric("rankBusUtilization",
-                  memory.rankBusUtilization(complete));
-    run.setMetric("memReads", static_cast<double>(reads));
-    run.setMetric("references", static_cast<double>(references));
-    run.setMetric("energyUj", e.total());
-    run.setMetric("energyNjPerQuery", e.total() * 1000.0 / queries);
-    if (opt.engine == "analytic" || opt.engine == "event") {
-        run.setMetric("dramPayloadBytes",
-                      static_cast<double>(dram_payload));
-        run.setMetric("linkPayloadBytes",
-                      static_cast<double>(link_payload));
-        run.setMetric("payloadCodecOps",
-                      static_cast<double>(codec_ops));
-        run.setMetric("linkEnergyUj", link_uj);
-    }
-
-    if (auto *ts = session.traceSink())
-        dram::writeTrace(cmdlog, *ts);
-    return session.finish();
+    // Unguarded event-engine runs that report accuracy check their
+    // served values against the store.
+    const bool guarded = session.faultPlan() != nullptr;
+    std::optional<embedding::EmbeddingStore> store;
+    if (opt.engine == "event" && !guarded && opt.payloadReport())
+        store.emplace(tables);
+    const embedding::EmbeddingStore *values = store ? &*store : nullptr;
+    dram::CommandLog cmdlog;
+    EventQueue eq;
+    dram::MemorySystem memory(eq, mem.geometry, mem.timing, mem.interleave,
+                              mem.blockBytes);
+    const embedding::VectorLayout layout(tables, memory.mapper());
+    if (!guarded && session.traceSink() != nullptr)
+        memory.attachCommandLog(&cmdlog);
+    return withEngine(opt, memory, layout, values, [&](auto &engine) {
+        if (guarded)
+            return serveGuarded(opt, session, tables, batches, memory,
+                                engine);
+        return serveStream(opt, session, tables, batches, memory, engine,
+                           values, cmdlog);
+    });
 }
 
 sparse::CsrMatrix
@@ -1060,6 +930,32 @@ main(int argc, char **argv)
     flags.addUnsigned("nodes", opt.nodes, "matrix dimension");
     flags.addUnsigned("reach", opt.reach, "sptrsv dependency reach");
     flags.addDouble("nnz-per-row", opt.nnzPerRow, "matrix density");
+    flags.addUnsigned("serve-engines", opt.serveEngines,
+                      "event-engine replicas per shard of the serving "
+                      "tier (0 with --shards=0 = one engine)");
+    flags.addUnsigned("shards", opt.shards,
+                      "shard tables across this many stores in the "
+                      "serving tier (0 = one store)");
+    flags.addString("placement", opt.placement,
+                    "table -> shard placement policy: hash or range");
+    flags.addUnsigned("pipeline-depth", opt.pipelineDepth,
+                      "prepared batches in flight (1 = serial rhythm)");
+    flags.addUnsigned("prepare-workers", opt.prepareWorkers,
+                      "modelled host prepare workers (divide the "
+                      "modelled prepare cost; prepare runs serially)");
+    flags.addString("dispatch", opt.dispatch,
+                    "replica dispatch policy: least-loaded or "
+                    "round-robin");
+    flags.addDouble("hedge-pct", opt.hedgePct,
+                    "hedge a straggling batch onto a second engine past "
+                    "this running service-time percentile (0 = off)");
+    flags.addString("payload", opt.payloadName,
+                    "transport payload format for tree links and DRAM "
+                    "reads: fp32, int8, or twobit");
+    flags.addString("payload-accuracy", opt.payloadAccuracy,
+                    "write the quantization accuracy report (max/mean "
+                    "abs error and relative L2 vs. the exact fp32 path) "
+                    "to this path");
     flags.addDouble("deadline-us", opt.deadlineUs,
                     "guarded serving: per-query deadline (0 = none)");
     flags.addUnsigned("max-attempts", opt.maxAttempts,
@@ -1074,12 +970,11 @@ main(int argc, char **argv)
     flags.parse(argc, argv);
     session.start();
 
-    if (!embedding::parsePayloadFormat(session.serving().payload,
-                                       opt.payload)) {
+    if (!embedding::parsePayloadFormat(opt.payloadName, opt.payload)) {
         std::fprintf(stderr,
                      "error: unknown --payload '%s' (expected fp32, int8, "
                      "or twobit)\nrun with --help for usage\n",
-                     session.serving().payload.c_str());
+                     opt.payloadName.c_str());
         return 2;
     }
 
@@ -1104,17 +999,8 @@ main(int argc, char **argv)
         report.setConfig("nnzPerRow", opt.nnzPerRow);
     }
 
-    if (opt.mode == "lookup") {
-        // With a fault plan installed, serving runs behind the guard so
-        // injected faults surface as recovery actions, not bad numbers.
-        if (session.faultPlan() != nullptr)
-            return runGuardedLookup(opt, session);
-        if (session.serving().sharded())
-            return runShardedLookup(opt, session);
-        if (session.serving().enabled())
-            return runPipelinedLookup(opt, session);
+    if (opt.mode == "lookup")
         return runLookup(opt, session);
-    }
     if (opt.mode == "spmv")
         return runSpmv(opt, session);
     if (opt.mode == "sptrsv")
