@@ -23,9 +23,7 @@
 #include "embedding/generator.hh"
 #include "embedding/layout.hh"
 #include "sim/eventq.hh"
-#include "telemetry/flightrec.hh"
-#include "telemetry/timeseries.hh"
-#include "telemetry/trace_sink.hh"
+#include "telemetry/context.hh"
 
 namespace fafnir::bench
 {
@@ -45,7 +43,7 @@ payloadAccuracyActive()
 }
 
 /**
- * Every process-global telemetry facility currently forcing runs
+ * The flags of every process-global facility currently forcing runs
  * serial, comma-joined ("--trace, --faults"); empty when none is
  * installed. Listing *all* active reasons matters: a user who drops
  * the first flag named in the warning used to get a second clamp
@@ -54,31 +52,35 @@ payloadAccuracyActive()
 inline std::string
 clampReasons()
 {
+    // Binding every member by name makes a new Context member a compile
+    // error here until it names the flag that installs it.
+    const auto &[sink, attribution, series, slo, recorder] =
+        telemetry::context();
     std::string why;
-    auto add = [&why](const char *reason) {
+    auto add = [&why](bool active, const char *reason) {
+        if (!active)
+            return;
         if (!why.empty())
             why += ", ";
         why += reason;
     };
-    if (telemetry::sink() != nullptr)
-        add("--trace");
-    if (fault::plan() != nullptr)
-        add("--faults");
-    if (telemetry::timeseries() != nullptr)
-        add("--timeline/--slo");
-    if (telemetry::flightRecorder() != nullptr)
-        add("--debug-bundle-dir");
-    if (payloadAccuracyActive())
-        add("--payload-accuracy");
+    add(sink != nullptr, "--trace");
+    add(attribution != nullptr, "--attrib");
+    add(fault::plan() != nullptr, "--faults");
+    add(series != nullptr || slo != nullptr, "--timeline/--slo");
+    add(recorder != nullptr, "--debug-bundle-dir");
+    add(payloadAccuracyActive(), "--payload-accuracy");
     return why;
 }
 
 /**
- * Effective parallelism for @p flag once process-global telemetry is
- * in play: the TraceSink, the fault plan's RNG streams, and the
- * windowed TimeSeries rings are not thread-safe, so any of them forces
- * the run serial — with a warning naming the clamped flag, so a slow
- * traced run is never a silent surprise.
+ * Effective parallelism for @p flag once process-global state is in
+ * play: none of the installed telemetry collectors (trace sink,
+ * attribution, windowed series, SLO monitor, flight recorder), the
+ * fault plan's RNG streams or the error-feedback payload stream is
+ * thread-safe, so any of them forces the run serial — with a warning
+ * naming the flags and the clamped flag, so a slow traced run is
+ * never a silent surprise.
  */
 inline unsigned
 clampParallelism(unsigned requested, const char *flag)

@@ -399,7 +399,7 @@ main(int argc, char **argv)
     double chain_rec = 0.0;
     {
         telemetry::FlightRecorder recorder;
-        telemetry::ScopedFlightRecorderInstall install(&recorder);
+        telemetry::ScopedContext install({.recorder = &recorder});
         burst_rec = bestOf(3, [&] { return benchEventBurst(events, 512); });
         chain_rec = bestOf(3, [&] { return benchEventChain(events / 4); });
     }

@@ -170,6 +170,21 @@ modeledPrepareRate(const std::vector<embedding::Batch> &batches,
 }
 
 /**
+ * The installed telemetry context without its windowed series and SLO
+ * monitor, and with @p recorder as its flight recorder when given.
+ */
+telemetry::Context
+withoutWindows(telemetry::FlightRecorder *recorder = nullptr)
+{
+    telemetry::Context quiet = telemetry::context();
+    quiet.series = nullptr;
+    quiet.slo = nullptr;
+    if (recorder != nullptr)
+        quiet.recorder = recorder;
+    return quiet;
+}
+
+/**
  * Serve @p batches (all at once) through the serving tier: @p shards
  * hash-placed shards of @p replicas timing-only replicas (no store) and
  * @p prepare_workers modelled prepare workers. One shard is the
@@ -325,8 +340,7 @@ main(int argc, char **argv)
         // series / SLO monitor and fault plan: only the modulated run
         // below should land in the timeline or draw faults, and every
         // capacity point stays the fault-free, comparable number.
-        telemetry::ScopedTimeSeriesInstall series_off(nullptr);
-        telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
+        telemetry::ScopedContext windows_off(withoutWindows());
         fault::SuspendFaults faults_off;
         cap1 = serveTier(capacity_set, 1, 1).requestsPerSecond();
         cap2 = serveTier(capacity_set, 1, 2).requestsPerSecond();
@@ -342,11 +356,9 @@ main(int argc, char **argv)
     // aborts if recording ever perturbs the schedule.
     double cap2_rec;
     {
-        telemetry::ScopedTimeSeriesInstall series_off(nullptr);
-        telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
         fault::SuspendFaults faults_off;
         telemetry::FlightRecorder recorder;
-        telemetry::ScopedFlightRecorderInstall rec_install(&recorder);
+        telemetry::ScopedContext rec_install(withoutWindows(&recorder));
         cap2_rec = serveTier(capacity_set, 1, 2).requestsPerSecond();
 #ifndef FAFNIR_FLIGHTREC_COMPILED_OUT
         FAFNIR_ASSERT(recorder.totalRecorded() > 0,
@@ -362,8 +374,7 @@ main(int argc, char **argv)
     // 8-engine budget as four 2-replica shards.
     double shard_cap_2x1, shard_cap_2x2, shard_cap_4x2;
     {
-        telemetry::ScopedTimeSeriesInstall series_off(nullptr);
-        telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
+        telemetry::ScopedContext windows_off(withoutWindows());
         fault::SuspendFaults faults_off;
         shard_cap_2x1 = serveTier(capacity_set, 2, 1).requestsPerSecond();
         shard_cap_2x2 = serveTier(capacity_set, 2, 2).requestsPerSecond();
@@ -375,8 +386,7 @@ main(int argc, char **argv)
     // reads. Pure byte accounting (no wall clock), gated by bench_diff.
     PayloadBytes payload_fp32, payload_int8;
     {
-        telemetry::ScopedTimeSeriesInstall series_off(nullptr);
-        telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
+        telemetry::ScopedContext windows_off(withoutWindows());
         fault::SuspendFaults faults_off;
         payload_fp32 = benchPayloadBytes(capacity_set,
                                          embedding::PayloadFormat::Fp32);
@@ -400,24 +410,21 @@ main(int argc, char **argv)
     const Tick burst_gap = 100 * kTicksPerNs;
     const double latency_slo_us = 20.0;
     std::optional<telemetry::TimeSeries> local_series;
-    std::optional<telemetry::ScopedTimeSeriesInstall> series_install;
     std::optional<telemetry::SloMonitor> local_monitor;
-    std::optional<telemetry::ScopedSloMonitorInstall> monitor_install;
-    telemetry::TimeSeries *series = telemetry::timeseries();
-    telemetry::SloMonitor *monitor = telemetry::sloMonitor();
-    if (series == nullptr) {
+    telemetry::Context load_context = telemetry::context();
+    if (load_context.series == nullptr) {
         local_series.emplace(telemetry::TimeSeriesConfig{});
-        series_install.emplace(&*local_series);
-        series = &*local_series;
+        load_context.series = &*local_series;
     }
-    if (monitor == nullptr) {
+    if (load_context.slo == nullptr) {
         local_monitor.emplace(
             telemetry::SloMonitor::parseSpec(
                 "p99_latency_us<20;availability>=0.99"),
             telemetry::BurnConfig{});
-        monitor_install.emplace(&*local_monitor);
-        monitor = &*local_monitor;
+        load_context.slo = &*local_monitor;
     }
+    telemetry::TimeSeries *series = load_context.series;
+    telemetry::SloMonitor *monitor = load_context.slo;
 
     const auto load_set = makeBatches(load_batches, 16, 24, 13);
     const auto arrivals =
@@ -432,8 +439,14 @@ main(int argc, char **argv)
     load_sc.engines = 2;
     load_sc.pipelineDepth = 4;
     ServingPipeline load_pipeline(load_sc, load_replicas, nullptr);
-    const PipelineReport load_report =
-        load_pipeline.serve(load_set, arrivals);
+    PipelineReport load_report;
+    {
+        // Scoped so the session's finish() below restores the context
+        // it found.
+        telemetry::ScopedContext load_install(load_context);
+        load_report = load_pipeline.serve(load_set, arrivals);
+        load_pipeline.printHealthScoreboard(std::cout, load_report);
+    }
 
     double good_queries = 0.0, total_queries = 0.0;
     for (const auto &trace : load_report.batches) {
@@ -457,8 +470,6 @@ main(int argc, char **argv)
     const double burst_p99 = load_latency != nullptr
         ? load_latency->peakWindowPercentile(99.0)
         : 0.0;
-
-    load_pipeline.printHealthScoreboard(std::cout, load_report);
 
     session.report().setConfig("arrivals", arrivals_pattern);
     session.report().setConfig("loadBatches",

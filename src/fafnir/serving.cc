@@ -275,7 +275,9 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                 {
                     // The backup replays the same prepared batch; keep
                     // attribution single-sourced on the primary run.
-                    telemetry::ScopedAttributionInstall off(nullptr);
+                    telemetry::Context muted = telemetry::context();
+                    muted.attribution = nullptr;
+                    telemetry::ScopedContext off(muted);
                     backup_timing =
                         replicas_[backup].engine->lookupPrepared(
                             prepared, backup_start);

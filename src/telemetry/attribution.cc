@@ -15,8 +15,6 @@ namespace fafnir::telemetry
 namespace
 {
 
-Attribution *globalAttribution = nullptr;
-
 double
 ticksToNs(Tick ticks)
 {
@@ -24,18 +22,6 @@ ticksToNs(Tick ticks)
 }
 
 } // namespace
-
-Attribution *
-attribution()
-{
-    return globalAttribution;
-}
-
-void
-setAttribution(Attribution *a)
-{
-    globalAttribution = a;
-}
 
 void
 Attribution::recordQuery(const QueryAttribution &q)

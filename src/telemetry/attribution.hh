@@ -56,6 +56,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "telemetry/context.hh"
 
 namespace fafnir::telemetry
 {
@@ -210,31 +211,6 @@ class Attribution
     Counter batchQueueTicks_;
     Distribution queryLatencyNs_;
     Distribution criticalHops_;
-};
-
-/** The installed process-global collector, or nullptr when off. */
-Attribution *attribution();
-
-/** Install @p a as the global collector (nullptr disables). Not owned. */
-void setAttribution(Attribution *a);
-
-/** RAII installer mirroring ScopedSinkInstall. */
-class ScopedAttributionInstall
-{
-  public:
-    explicit ScopedAttributionInstall(Attribution *a)
-        : previous_(attribution())
-    {
-        setAttribution(a);
-    }
-    ~ScopedAttributionInstall() { setAttribution(previous_); }
-
-    ScopedAttributionInstall(const ScopedAttributionInstall &) = delete;
-    ScopedAttributionInstall &
-    operator=(const ScopedAttributionInstall &) = delete;
-
-  private:
-    Attribution *previous_;
 };
 
 } // namespace fafnir::telemetry

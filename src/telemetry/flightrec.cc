@@ -421,15 +421,4 @@ FlightRecorder::registerStats(StatGroup &group) const
         "debug bundles written");
 }
 
-namespace detail
-{
-FlightRecorder *g_flightrec = nullptr;
-} // namespace detail
-
-void
-setFlightRecorder(FlightRecorder *r)
-{
-    detail::g_flightrec = r;
-}
-
 } // namespace fafnir::telemetry

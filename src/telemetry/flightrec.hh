@@ -23,8 +23,8 @@
  * simulated ticks and capped per run, so a pathological run cannot
  * flood the disk.
  *
- * Instrumentation sites follow the fault::plan() pattern: the accessor
- * inlines to a single pointer load, so the record points cost one load
+ * Instrumentation sites read the ambient context (context.hh): the
+ * accessor inlines to a single load, so the record points cost one load
  * + branch when no recorder is installed. Compiling with
  * FAFNIR_FLIGHTREC_COMPILED_OUT makes the accessor a constant nullptr
  * — the configuration CI uses to pin the disabled-recorder overhead of
@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "telemetry/context.hh"
 
 namespace fafnir
 {
@@ -221,50 +222,6 @@ class FlightRecorder
     std::uint64_t sequence_ = 0;
     std::vector<std::string> bundlePaths_;
     Tick lastSeenTick_ = 0;
-};
-
-namespace detail
-{
-/** Storage behind flightRecorder(); exposed only so it can inline. */
-extern FlightRecorder *g_flightrec;
-} // namespace detail
-
-/**
- * The installed process-global recorder, or nullptr when off. Inlines
- * to one load so record points pay one branch when disabled; compiles
- * to a constant nullptr under FAFNIR_FLIGHTREC_COMPILED_OUT.
- */
-inline FlightRecorder *
-flightRecorder()
-{
-#ifdef FAFNIR_FLIGHTREC_COMPILED_OUT
-    return nullptr;
-#else
-    return detail::g_flightrec;
-#endif
-}
-
-/** Install @p r as the global recorder (nullptr disables). Not owned. */
-void setFlightRecorder(FlightRecorder *r);
-
-/** RAII installer mirroring ScopedSinkInstall. */
-class ScopedFlightRecorderInstall
-{
-  public:
-    explicit ScopedFlightRecorderInstall(FlightRecorder *r)
-        : previous_(detail::g_flightrec)
-    {
-        setFlightRecorder(r);
-    }
-    ~ScopedFlightRecorderInstall() { setFlightRecorder(previous_); }
-
-    ScopedFlightRecorderInstall(const ScopedFlightRecorderInstall &) =
-        delete;
-    ScopedFlightRecorderInstall &
-    operator=(const ScopedFlightRecorderInstall &) = delete;
-
-  private:
-    FlightRecorder *previous_;
 };
 
 } // namespace fafnir::telemetry

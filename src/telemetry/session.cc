@@ -82,13 +82,10 @@ TelemetrySession::registerFlags(FlagParser &flags)
 void
 TelemetrySession::start()
 {
-    if (!tracePath_.empty()) {
+    if (!tracePath_.empty())
         sink_.emplace();
-        install_.emplace(&*sink_);
-    }
     if (!attribPath_.empty()) {
         attribution_.emplace();
-        attributionInstall_.emplace(&*attribution_);
         attribution_->registerStats(
             StatRegistry::instance().group("attrib"));
     }
@@ -106,7 +103,6 @@ TelemetrySession::start()
         config.windowTicks = static_cast<Tick>(
             windowUs_ * static_cast<double>(kTicksPerUs));
         series_.emplace(config);
-        seriesInstall_.emplace(&*series_);
         series_->registerStats(StatRegistry::instance().group("windows"));
         report_.setConfig("windowUs", windowUs_);
     }
@@ -118,7 +114,6 @@ TelemetrySession::start()
         } catch (const std::exception &e) {
             FAFNIR_FATAL("bad --slo spec: ", e.what());
         }
-        monitorInstall_.emplace(&*monitor_);
         monitor_->registerStats(StatRegistry::instance().group("slo"));
         report_.setConfig("slo", sloSpec_);
     }
@@ -135,7 +130,6 @@ TelemetrySession::start()
             flightrecGapUs_ * static_cast<double>(kTicksPerUs));
         fc.bundleDir = bundleDir_;
         flightrec_.emplace(fc);
-        flightrecInstall_.emplace(&*flightrec_);
         flightrec_->registerStats(
             StatRegistry::instance().group("flightrec"));
         flightrec_->setContext("tool", tool_);
@@ -158,6 +152,12 @@ TelemetrySession::start()
             });
         }
     }
+    auto ptr = [](auto &member) { return member ? &*member : nullptr; };
+    install_.emplace(Context{.sink = ptr(sink_),
+                             .attribution = ptr(attribution_),
+                             .series = ptr(series_),
+                             .slo = ptr(monitor_),
+                             .recorder = ptr(flightrec_)});
 }
 
 int
@@ -279,19 +279,18 @@ TelemetrySession::finish()
         ok = false;
     }
 
-    // Groups reference harness-scoped objects; drop them now.
+    // Groups reference harness-scoped objects; drop them now. The
+    // context comes off before any collector it points at goes away
+    // (not earlier: the SLO flush above can fire a bundle that reads
+    // it).
     registry.clear();
-    flightrecInstall_.reset();
+    install_.reset();
     flightrec_.reset();
-    monitorInstall_.reset();
     monitor_.reset();
-    seriesInstall_.reset();
     series_.reset();
     planInstall_.reset();
     plan_.reset();
-    attributionInstall_.reset();
     attribution_.reset();
-    install_.reset();
     sink_.reset();
     return ok ? 0 : 1;
 }

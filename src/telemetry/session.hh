@@ -3,8 +3,13 @@
  * One-object telemetry wiring for a CLI harness.
  *
  * A TelemetrySession owns a run's telemetry and faults, and nothing
- * else: it registers their flags, installs the process-global
- * collectors they ask for, and writes the artifacts in finish().
+ * else: it registers their flags, builds what they ask for, and writes
+ * the artifacts in finish(). The collectors are installed once, as one
+ * telemetry::Context (context.hh), at the end of start(); finish()
+ * removes that context before it destroys them. The fault plan keeps
+ * its own install. Instrumentation and harnesses reach all of them
+ * through the ambient accessors (telemetry::sink(), ...,
+ * telemetry::flightRecorder(), fault::plan()).
  *  - `--stats-json`, `--stats-csv`, `--trace`, `--report`, `--attrib`:
  *    the stat registry, the Perfetto trace sink, the run report, and
  *    per-query latency attribution.
@@ -50,6 +55,7 @@
 
 #include "common/faultinject.hh"
 #include "telemetry/attribution.hh"
+#include "telemetry/context.hh"
 #include "telemetry/flightrec.hh"
 #include "telemetry/report.hh"
 #include "telemetry/slo.hh"
@@ -64,7 +70,8 @@ class FlagParser;
 namespace fafnir::telemetry
 {
 
-/** Flag parsing + sink installation + artifact writing for one run. */
+/** Flag parsing + collector installation + artifact writing for one
+ *  run. */
 class TelemetrySession
 {
   public:
@@ -81,8 +88,7 @@ class TelemetrySession
     TelemetrySession(const TelemetrySession &) = delete;
     TelemetrySession &operator=(const TelemetrySession &) = delete;
 
-    /** Register --stats-json/--stats-csv/--trace/--report plus the
-     *  fault-injection pair --faults/--fault-seed. */
+    /** Register every flag listed in the file comment. */
     void registerFlags(FlagParser &flags);
 
     /** Report path used when --report was not given (call after parse). */
@@ -93,42 +99,16 @@ class TelemetrySession
             reportPath_ = path;
     }
 
-    /** Install the trace sink if tracing was requested. Call once,
-     *  after flags are parsed. */
+    /** Build the requested collectors and install them (and the fault
+     *  plan). Call once, after flags are parsed. */
     void start();
 
     /** The per-run report artifact (config and metrics accumulate). */
     RunReport &report() { return report_; }
 
-    /** The run's trace sink, or nullptr when tracing is off. */
-    TraceSink *traceSink() { return sink_ ? &*sink_ : nullptr; }
-
-    /** The run's attribution collector, or nullptr when off. */
-    Attribution *attribution()
-    {
-        return attribution_ ? &*attribution_ : nullptr;
-    }
-
-    /** The run's fault plan, or nullptr when --faults was not given. */
-    fault::FaultPlan *faultPlan() { return plan_ ? &*plan_ : nullptr; }
-
-    /** The run's windowed metrics engine, or nullptr when neither
-     *  --timeline nor --slo was given. */
-    TimeSeries *timeSeries() { return series_ ? &*series_ : nullptr; }
-
-    /** The run's SLO monitor, or nullptr when --slo was not given. */
-    SloMonitor *sloMonitor() { return monitor_ ? &*monitor_ : nullptr; }
-
-    /** The run's flight recorder, or nullptr when --debug-bundle-dir
-     *  (or another --flightrec-* flag) was not given. */
-    FlightRecorder *recorder()
-    {
-        return flightrec_ ? &*flightrec_ : nullptr;
-    }
-
     /**
      * Write every requested artifact, embed the StatRegistry into the
-     * report, then clear the registry and uninstall the sink.
+     * report, then clear the registry and uninstall the collectors.
      * Idempotent. @return 0 on success, 1 if any artifact failed.
      */
     int finish();
@@ -150,17 +130,13 @@ class TelemetrySession
     std::uint64_t flightrecMaxBundles_ = 8;
     double flightrecGapUs_ = 100.0;
     std::optional<TraceSink> sink_;
-    std::optional<ScopedSinkInstall> install_;
     std::optional<Attribution> attribution_;
-    std::optional<ScopedAttributionInstall> attributionInstall_;
     std::optional<fault::FaultPlan> plan_;
     std::optional<fault::ScopedPlanInstall> planInstall_;
     std::optional<TimeSeries> series_;
-    std::optional<ScopedTimeSeriesInstall> seriesInstall_;
     std::optional<SloMonitor> monitor_;
-    std::optional<ScopedSloMonitorInstall> monitorInstall_;
     std::optional<FlightRecorder> flightrec_;
-    std::optional<ScopedFlightRecorderInstall> flightrecInstall_;
+    std::optional<ScopedContext> install_;
     RunReport report_;
     bool finished_ = false;
 };

@@ -385,25 +385,6 @@ SloMonitor::registerStats(StatGroup &group) const
         "burn-rate alert clears across objectives");
 }
 
-// --- Global install ---------------------------------------------------
-
-namespace
-{
-SloMonitor *g_monitor = nullptr;
-}
-
-SloMonitor *
-sloMonitor()
-{
-    return g_monitor;
-}
-
-void
-setSloMonitor(SloMonitor *m)
-{
-    g_monitor = m;
-}
-
 // --- Merged timeline artifact -----------------------------------------
 
 void

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "telemetry/context.hh"
 #include "telemetry/timeseries.hh"
 
 namespace fafnir
@@ -211,31 +212,6 @@ class SloMonitor
     std::vector<ObjectiveState> states_;
     std::vector<AlertTransition> transitions_;
     Tick lastTick_ = 0;
-};
-
-/** The installed process-global monitor, or nullptr when disabled. */
-SloMonitor *sloMonitor();
-
-/** Install @p m as the global monitor (nullptr disables). Not owned. */
-void setSloMonitor(SloMonitor *m);
-
-/** RAII installer mirroring ScopedSinkInstall. */
-class ScopedSloMonitorInstall
-{
-  public:
-    explicit ScopedSloMonitorInstall(SloMonitor *m)
-        : previous_(sloMonitor())
-    {
-        setSloMonitor(m);
-    }
-    ~ScopedSloMonitorInstall() { setSloMonitor(previous_); }
-
-    ScopedSloMonitorInstall(const ScopedSloMonitorInstall &) = delete;
-    ScopedSloMonitorInstall &
-    operator=(const ScopedSloMonitorInstall &) = delete;
-
-  private:
-    SloMonitor *previous_;
 };
 
 /**

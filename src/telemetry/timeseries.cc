@@ -603,23 +603,4 @@ TimeSeries::registerStats(StatGroup &group) const
         "samples older than the retained window range (dropped)");
 }
 
-// --- Global install ---------------------------------------------------
-
-namespace
-{
-TimeSeries *g_timeseries = nullptr;
-}
-
-TimeSeries *
-timeseries()
-{
-    return g_timeseries;
-}
-
-void
-setTimeSeries(TimeSeries *ts)
-{
-    g_timeseries = ts;
-}
-
 } // namespace fafnir::telemetry

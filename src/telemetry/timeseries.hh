@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "telemetry/context.hh"
 
 namespace fafnir
 {
@@ -421,31 +422,6 @@ class TimeSeries
     Config config_;
     std::vector<std::unique_ptr<Entry>> entries_;
     Tick lastTick_ = 0;
-};
-
-/** The installed process-global engine, or nullptr when disabled. */
-TimeSeries *timeseries();
-
-/** Install @p ts as the global engine (nullptr disables). Not owned. */
-void setTimeSeries(TimeSeries *ts);
-
-/** RAII installer mirroring ScopedSinkInstall. */
-class ScopedTimeSeriesInstall
-{
-  public:
-    explicit ScopedTimeSeriesInstall(TimeSeries *ts)
-        : previous_(timeseries())
-    {
-        setTimeSeries(ts);
-    }
-    ~ScopedTimeSeriesInstall() { setTimeSeries(previous_); }
-
-    ScopedTimeSeriesInstall(const ScopedTimeSeriesInstall &) = delete;
-    ScopedTimeSeriesInstall &
-    operator=(const ScopedTimeSeriesInstall &) = delete;
-
-  private:
-    TimeSeries *previous_;
 };
 
 } // namespace fafnir::telemetry

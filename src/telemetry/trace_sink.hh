@@ -18,10 +18,10 @@
  *                                   controller queue depth
  *   pid kPidService  "service"    — per-batch queue/serve latency spans
  *
- * Instrumentation sites fetch the process-global sink with
- * telemetry::sink(); when no sink is installed the call returns nullptr
- * and the site reduces to one load + branch, so tracing is near-zero
- * cost when disabled.
+ * Instrumentation sites fetch the installed sink with telemetry::sink()
+ * (telemetry/context.hh); when no sink is installed the call returns
+ * nullptr and the site reduces to one load + branch, so tracing is
+ * near-zero cost when disabled.
  */
 
 #ifndef FAFNIR_TELEMETRY_TRACE_SINK_HH
@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "telemetry/context.hh"
 
 namespace fafnir::telemetry
 {
@@ -129,29 +130,6 @@ class TraceSink
     std::map<int, std::string> processNames_;
     std::map<std::pair<int, int>, std::string> threadNames_;
     std::uint64_t lastFlowId_ = 0;
-};
-
-/** The installed process-global sink, or nullptr when tracing is off. */
-TraceSink *sink();
-
-/** Install @p s as the global sink (nullptr disables). Not owned. */
-void setSink(TraceSink *s);
-
-/** RAII installer: installs a sink for a scope, restores on exit. */
-class ScopedSinkInstall
-{
-  public:
-    explicit ScopedSinkInstall(TraceSink *s) : previous_(sink())
-    {
-        setSink(s);
-    }
-    ~ScopedSinkInstall() { setSink(previous_); }
-
-    ScopedSinkInstall(const ScopedSinkInstall &) = delete;
-    ScopedSinkInstall &operator=(const ScopedSinkInstall &) = delete;
-
-  private:
-    TraceSink *previous_;
 };
 
 } // namespace fafnir::telemetry

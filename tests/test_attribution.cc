@@ -68,7 +68,7 @@ TEST(Attribution, ComponentsSumToEndToEndLatency)
     Rig rig;
     core::EventLookupTiming timing;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        telemetry::ScopedContext install({.attribution = &attr});
         timing = rig.lookup(16, 32, 11);
     }
 
@@ -91,7 +91,7 @@ TEST(Attribution, ExactAcrossBatchesAndStartOffsets)
     telemetry::Attribution attr;
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        telemetry::ScopedContext install({.attribution = &attr});
         Tick start = 0;
         for (std::uint64_t seed = 1; seed <= 4; ++seed) {
             const auto timing = rig.lookup(8, 16, seed, start);
@@ -110,7 +110,7 @@ TEST(Attribution, MeetingHistogramCountsEveryReduce)
     telemetry::Attribution attr;
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        telemetry::ScopedContext install({.attribution = &attr});
         rig.lookup(16, 32, 7);
     }
     const auto &histogram = attr.meetingHistogram();
@@ -138,10 +138,10 @@ TEST(Attribution, NotInstalledMeansNothingRecorded)
 TEST(Attribution, ScopedInstallRestoresPrevious)
 {
     telemetry::Attribution outer;
-    telemetry::ScopedAttributionInstall keep(&outer);
+    telemetry::ScopedContext keep({.attribution = &outer});
     {
         telemetry::Attribution inner;
-        telemetry::ScopedAttributionInstall install(&inner);
+        telemetry::ScopedContext install({.attribution = &inner});
         EXPECT_EQ(telemetry::attribution(), &inner);
     }
     EXPECT_EQ(telemetry::attribution(), &outer);
@@ -156,7 +156,7 @@ TEST(Attribution, BatchStageAnnotationKeepsSumExact)
     telemetry::Attribution attr;
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        telemetry::ScopedContext install({.attribution = &attr});
         rig.lookup(8, 16, 21, 0);
         rig.lookup(8, 16, 22, 50 * kTicksPerUs);
     }
@@ -193,7 +193,7 @@ TEST(Attribution, JsonArtifactRoundTrips)
     telemetry::Attribution attr;
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        telemetry::ScopedContext install({.attribution = &attr});
         rig.lookup(8, 16, 5);
     }
     std::ostringstream os;
@@ -236,7 +236,7 @@ TEST(Attribution, StatsGroupExposesCoverageFormula)
     attr.registerStats(registry.group("attrib"));
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        telemetry::ScopedContext install({.attribution = &attr});
         rig.lookup(8, 16, 9);
     }
     std::ostringstream os;

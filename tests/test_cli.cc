@@ -12,6 +12,9 @@
 #include "bench/bench_util.hh"
 #include "common/cli.hh"
 #include "common/faultinject.hh"
+#include "telemetry/attribution.hh"
+#include "telemetry/flightrec.hh"
+#include "telemetry/slo.hh"
 #include "telemetry/timeseries.hh"
 #include "telemetry/trace_sink.hh"
 
@@ -165,6 +168,7 @@ TEST(Cli, RejectsDuplicateRegistrationAcrossTypes)
 TEST(ClampParallelism, PassesThroughWithoutTelemetry)
 {
     ASSERT_EQ(telemetry::sink(), nullptr);
+    ASSERT_EQ(telemetry::attribution(), nullptr);
     ASSERT_EQ(fault::plan(), nullptr);
     ASSERT_EQ(telemetry::timeseries(), nullptr);
     EXPECT_EQ(bench::clampReasons(), "");
@@ -176,9 +180,17 @@ TEST(ClampParallelism, ClampsToOneUnderEachFacility)
 {
     {
         telemetry::TraceSink sink;
-        telemetry::ScopedSinkInstall install(&sink);
+        telemetry::ScopedContext install({.sink = &sink});
         EXPECT_EQ(bench::clampReasons(), "--trace");
         EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 1u);
+    }
+    {
+        // The engines of a parallel sweep would all record into one
+        // unsynchronised collector.
+        telemetry::Attribution attr;
+        telemetry::ScopedContext install({.attribution = &attr});
+        EXPECT_EQ(bench::clampReasons(), "--attrib");
+        EXPECT_EQ(bench::clampParallelism(4, "--jobs"), 1u);
     }
     {
         fault::FaultPlan plan =
@@ -189,21 +201,27 @@ TEST(ClampParallelism, ClampsToOneUnderEachFacility)
     }
     {
         telemetry::TimeSeries series(telemetry::TimeSeriesConfig{});
-        telemetry::ScopedTimeSeriesInstall install(&series);
+        telemetry::ScopedContext install({.series = &series});
         EXPECT_EQ(bench::clampReasons(), "--timeline/--slo");
         EXPECT_EQ(bench::clampParallelism(2, "--jobs"), 1u);
     }
-#ifndef FAFNIR_FLIGHTREC_COMPILED_OUT
+    {
+        telemetry::SloMonitor monitor(
+            telemetry::SloMonitor::parseSpec("availability>=0.99"),
+            telemetry::BurnConfig{});
+        telemetry::ScopedContext install({.slo = &monitor});
+        EXPECT_EQ(bench::clampReasons(), "--timeline/--slo");
+        EXPECT_EQ(bench::clampParallelism(2, "--jobs"), 1u);
+    }
     {
         telemetry::FlightRecorder rec;
-        telemetry::ScopedFlightRecorderInstall install(&rec);
+        telemetry::ScopedContext install({.recorder = &rec});
         EXPECT_EQ(bench::clampReasons(), "--debug-bundle-dir");
         EXPECT_EQ(bench::clampParallelism(2, "--jobs"), 1u);
     }
-#endif
     // A request of 1 is already serial: no clamp, whatever's installed.
     telemetry::TraceSink sink;
-    telemetry::ScopedSinkInstall install(&sink);
+    telemetry::ScopedContext install({.sink = &sink});
     EXPECT_EQ(bench::clampParallelism(1, "--jobs"), 1u);
 }
 
@@ -213,11 +231,10 @@ TEST(ClampParallelism, ReportsAllActiveReasonsAtOnce)
     // so a user who removed the flag it blamed just got a new one-line
     // surprise on the next run. All active reasons must be listed.
     telemetry::TraceSink sink;
-    telemetry::ScopedSinkInstall sink_install(&sink);
+    telemetry::TimeSeries series(telemetry::TimeSeriesConfig{});
+    telemetry::ScopedContext install({.sink = &sink, .series = &series});
     fault::FaultPlan plan = fault::FaultPlan::parse("dram_latency:0.1", 1);
     fault::ScopedPlanInstall plan_install(&plan);
-    telemetry::TimeSeries series(telemetry::TimeSeriesConfig{});
-    telemetry::ScopedTimeSeriesInstall series_install(&series);
 
     EXPECT_EQ(bench::clampReasons(), "--trace, --faults, --timeline/--slo");
     EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 1u);
@@ -237,7 +254,7 @@ TEST(ClampParallelism, PayloadAccuracySerializesSweeps)
     {
         // Composes with the other serializing facilities, listed last.
         telemetry::TraceSink sink;
-        telemetry::ScopedSinkInstall install(&sink);
+        telemetry::ScopedContext install({.sink = &sink});
         EXPECT_EQ(bench::clampReasons(), "--trace, --payload-accuracy");
     }
 

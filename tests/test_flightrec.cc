@@ -114,7 +114,7 @@ TEST(FlightRecorder, AmbientGuardSeesInstalledRecorder)
     ASSERT_EQ(flightRecorder(), nullptr);
     FlightRecorder rec;
     {
-        ScopedFlightRecorderInstall install(&rec);
+        ScopedContext install({.recorder = &rec});
 #ifdef FAFNIR_FLIGHTREC_COMPILED_OUT
         EXPECT_EQ(flightRecorder(), nullptr);
 #else
@@ -207,7 +207,7 @@ TEST(FlightRecorder, SameSeedRunsWriteByteIdenticalBundles)
         config.minGapTicks = 50;
         config.bundleDir = dir.string();
         FlightRecorder rec(config);
-        ScopedFlightRecorderInstall install(&rec);
+        ScopedContext install({.recorder = &rec});
 
         fault::FaultPlan plan =
             fault::FaultPlan::parse("event_delay:0.2", 99);

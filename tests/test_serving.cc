@@ -388,7 +388,7 @@ TEST(ServingPipeline, AttributionStaysExactWithPipelineStages)
 
     telemetry::Attribution attr;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        telemetry::ScopedContext install({.attribution = &attr});
         pipeline.serve(batches, kTicksPerUs);
     }
     ASSERT_FALSE(attr.queries().empty());

@@ -331,7 +331,7 @@ TEST(ShardedTier, AttributionStaysExactThroughShardCombine)
 
     telemetry::Attribution attr;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        telemetry::ScopedContext install({.attribution = &attr});
         tier.serve(batches, kTicksPerUs);
     }
     ASSERT_FALSE(attr.queries().empty());
@@ -366,7 +366,7 @@ TEST(ShardedTier, OneShardTierIsThePipeline)
     telemetry::Attribution piped_attr;
     PipelineReport piped;
     {
-        telemetry::ScopedAttributionInstall install(&piped_attr);
+        telemetry::ScopedContext install({.attribution = &piped_attr});
         piped = pipeline.serve(batches, kTicksPerUs);
     }
 
@@ -379,7 +379,7 @@ TEST(ShardedTier, OneShardTierIsThePipeline)
     telemetry::Attribution tier_attr;
     ShardedReport tiered;
     {
-        telemetry::ScopedAttributionInstall install(&tier_attr);
+        telemetry::ScopedContext install({.attribution = &tier_attr});
         tiered = tier.serve(batches, kTicksPerUs);
     }
 
@@ -406,6 +406,12 @@ TEST(ShardedTier, OneShardTierIsThePipeline)
                                q.shardCombine, q.criticalRank, q.hops,
                                q.flow);
     };
+    // One record per served query: a hedge backup replays its batch
+    // with attribution muted, so it never records a second copy.
+    std::size_t served = 0;
+    for (const auto &b : batches)
+        served += b.queries.size();
+    EXPECT_EQ(piped_attr.queries().size(), served);
     ASSERT_EQ(tier_attr.queries().size(), piped_attr.queries().size());
     for (std::size_t i = 0; i < piped_attr.queries().size(); ++i)
         EXPECT_EQ(fields(tier_attr.queries()[i]),

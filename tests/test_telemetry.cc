@@ -206,7 +206,7 @@ TEST(TraceSink, InstalledSinkCapturesTheLookup)
 {
     telemetry::TraceSink sink;
     {
-        telemetry::ScopedSinkInstall install(&sink);
+        telemetry::ScopedContext install({.sink = &sink});
         ASSERT_EQ(telemetry::sink(), &sink);
         runOneLookup();
     }
@@ -255,7 +255,7 @@ TEST(TraceSink, EndToEndTraceOfALookupParses)
 {
     telemetry::TraceSink sink;
     {
-        telemetry::ScopedSinkInstall install(&sink);
+        telemetry::ScopedContext install({.sink = &sink});
         runOneLookup();
     }
     std::ostringstream os;
@@ -340,7 +340,7 @@ TEST(TraceSink, LookupEmitsWellFormedFlowPairs)
 {
     telemetry::TraceSink sink;
     {
-        telemetry::ScopedSinkInstall install(&sink);
+        telemetry::ScopedContext install({.sink = &sink});
         runOneLookup();
     }
     std::ostringstream os;

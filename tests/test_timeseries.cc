@@ -21,8 +21,10 @@
 #include "common/types.hh"
 #include "embedding/query.hh"
 #include "embedding/service.hh"
+#include "telemetry/attribution.hh"
 #include "telemetry/slo.hh"
 #include "telemetry/timeseries.hh"
+#include "telemetry/trace_sink.hh"
 
 using namespace fafnir;
 using namespace fafnir::telemetry;
@@ -485,16 +487,29 @@ TEST(TimeSeries, ScopedInstallRestoresPrevious)
 {
     EXPECT_EQ(timeseries(), nullptr);
     TimeSeries outer;
+    TraceSink trace;
+    Attribution attr;
     {
-        ScopedTimeSeriesInstall a(&outer);
+        ScopedContext a(
+            {.sink = &trace, .attribution = &attr, .series = &outer});
         EXPECT_EQ(timeseries(), &outer);
         {
-            ScopedTimeSeriesInstall off(nullptr);
+            // A partial override (the hedge backup's shape): install a
+            // copy of the current context with one member muted.
+            Context muted = context();
+            muted.series = nullptr;
+            ScopedContext off(muted);
             EXPECT_EQ(timeseries(), nullptr);
+            EXPECT_EQ(sink(), &trace);
+            EXPECT_EQ(attribution(), &attr);
         }
         EXPECT_EQ(timeseries(), &outer);
+        EXPECT_EQ(sink(), &trace);
+        EXPECT_EQ(attribution(), &attr);
     }
     EXPECT_EQ(timeseries(), nullptr);
+    EXPECT_EQ(sink(), nullptr);
+    EXPECT_EQ(attribution(), nullptr);
 }
 
 // --- SLO spec parsing -------------------------------------------------
@@ -662,7 +677,7 @@ TEST(SloLoadShed, ActiveAlertForcesSingleAttempt)
     feedWindow(monitor, 0, 0, 10);
     monitor.flush(99); // closes window 0 only -> fire, still active
     ASSERT_TRUE(monitor.anyActive());
-    ScopedSloMonitorInstall install(&monitor);
+    ScopedContext install({.slo = &monitor});
 
     embedding::GuardConfig config;
     config.queryDeadline = 10; // unmeetable: every attempt expires

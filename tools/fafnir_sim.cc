@@ -335,7 +335,7 @@ struct PayloadTally
 int
 finishLookup(telemetry::TelemetrySession &session)
 {
-    if (auto *attr = session.attribution();
+    if (auto *attr = telemetry::attribution();
         attr != nullptr && !attr->queries().empty()) {
         Tick dram = 0, ctrl = 0, compute = 0, wait = 0, service = 0,
              total = 0;
@@ -511,7 +511,7 @@ serveStream(const Options &opt, telemetry::TelemetrySession &session,
     if constexpr (fafnir_timing)
         payload.report(opt, tables, run);
 
-    if (auto *ts = session.traceSink())
+    if (auto *ts = telemetry::sink())
         dram::writeTrace(cmdlog, *ts);
     return finishLookup(session);
 }
@@ -564,7 +564,7 @@ serveGuarded(const Options &opt, telemetry::TelemetrySession &session,
         complete = std::max(complete, r.completed);
     const double us_total = static_cast<double>(complete) / kTicksPerUs;
 
-    const fault::FaultPlan &plan = *session.faultPlan();
+    const fault::FaultPlan &plan = *fault::plan();
     std::printf("engine=%s ranks=%u batches=%u batch=%u q=%u "
                 "(guarded, faults=%s seed=%llu)\n",
                 opt.engine.c_str(), opt.ranks, opt.batches, opt.batch,
@@ -764,7 +764,7 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
 
     // Unguarded event-engine runs that report accuracy check their
     // served values against the store.
-    const bool guarded = session.faultPlan() != nullptr;
+    const bool guarded = fault::plan() != nullptr;
     std::optional<embedding::EmbeddingStore> store;
     if (opt.engine == "event" && !guarded && opt.payloadReport())
         store.emplace(tables);
@@ -774,7 +774,7 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
     dram::MemorySystem memory(eq, mem.geometry, mem.timing, mem.interleave,
                               mem.blockBytes);
     const embedding::VectorLayout layout(tables, memory.mapper());
-    if (!guarded && session.traceSink() != nullptr)
+    if (!guarded && telemetry::sink() != nullptr)
         memory.attachCommandLog(&cmdlog);
     return withEngine(opt, memory, layout, values, [&](auto &engine) {
         if (guarded)
