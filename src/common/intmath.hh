@@ -6,6 +6,7 @@
 #ifndef FAFNIR_COMMON_INTMATH_HH
 #define FAFNIR_COMMON_INTMATH_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "logging.hh"
@@ -20,14 +21,11 @@ isPowerOf2(std::uint64_t n)
     return n != 0 && (n & (n - 1)) == 0;
 }
 
-/** Floor of log2(@p n); @p n must be nonzero. */
+/** Floor of log2(@p n), and 0 for @p n = 0. */
 constexpr unsigned
 floorLog2(std::uint64_t n)
 {
-    unsigned result = 0;
-    while (n >>= 1)
-        ++result;
-    return result;
+    return n == 0 ? 0 : static_cast<unsigned>(std::bit_width(n)) - 1;
 }
 
 /** Ceiling of log2(@p n); @p n must be nonzero. */

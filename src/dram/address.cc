@@ -23,6 +23,17 @@ AddressMapper::AddressMapper(const Geometry &geometry, Interleave policy,
     FAFNIR_ASSERT(isPowerOf2(geometry_.dimmsPerChannel) &&
                       isPowerOf2(geometry_.ranksPerDimm),
                   "per-channel geometry must be powers of two");
+    const Geometry &g = geometry_;
+    capacityBytes_ = g.capacityBytes();
+    blockShift_ = floorLog2(blockBytes_);
+    burstShift_ = floorLog2(g.burstBytes);
+    rankBits_ = floorLog2(g.totalRanks());
+    blockInRowBits_ = floorLog2(g.rowBytes / blockBytes_);
+    columnBits_ = floorLog2(g.rowBytes / g.burstBytes);
+    bankBits_ = floorLog2(g.banksPerRank);
+    channelBits_ = floorLog2(g.channels);
+    dimmBits_ = floorLog2(g.dimmsPerChannel);
+    rankInDimmBits_ = floorLog2(g.ranksPerDimm);
 }
 
 unsigned
@@ -30,110 +41,93 @@ AddressMapper::rankShift() const
 {
     FAFNIR_ASSERT(policy_ == Interleave::BlockRank,
                   "rankShift only defined for BlockRank interleave");
-    return floorLog2(blockBytes_);
+    return blockShift_;
 }
+
+namespace
+{
+
+/** The low @p width bits of @p value. */
+constexpr std::uint64_t
+low(std::uint64_t value, unsigned width)
+{
+    return value & ((std::uint64_t(1) << width) - 1);
+}
+
+} // namespace
 
 Coordinates
 AddressMapper::decode(Addr addr) const
 {
-    const Geometry &g = geometry_;
-    FAFNIR_ASSERT(addr < g.capacityBytes(), "address 0x", std::hex, addr,
+    FAFNIR_ASSERT(addr < capacityBytes_, "address 0x", std::hex, addr,
                   " beyond capacity");
 
     Coordinates c;
     if (policy_ == Interleave::BlockRank) {
-        const unsigned offset_bits = floorLog2(blockBytes_);
-        const unsigned rank_bits = floorLog2(g.totalRanks());
-        const unsigned blocks_per_row = g.rowBytes / blockBytes_;
-        const unsigned block_bits = floorLog2(blocks_per_row);
-        const unsigned bank_bits = floorLog2(g.banksPerRank);
+        const std::uint64_t offset = low(addr, blockShift_);
+        const auto grank =
+            static_cast<unsigned>(low(addr >> blockShift_, rankBits_));
+        std::uint64_t rest = addr >> (blockShift_ + rankBits_);
 
-        const std::uint64_t offset = bits(addr, offset_bits - 1, 0);
-        const auto grank = static_cast<unsigned>(
-            rank_bits ? bits(addr, offset_bits + rank_bits - 1, offset_bits)
-                      : 0);
-        std::uint64_t rest = addr >> (offset_bits + rank_bits);
-
-        const std::uint64_t block_in_row =
-            block_bits ? (rest & (blocks_per_row - 1)) : 0;
-        rest >>= block_bits;
-        c.bank = static_cast<unsigned>(rest & (g.banksPerRank - 1));
-        c.row = rest >> bank_bits;
+        const std::uint64_t block_in_row = low(rest, blockInRowBits_);
+        rest >>= blockInRowBits_;
+        c.bank = static_cast<unsigned>(low(rest, bankBits_));
+        c.row = rest >> bankBits_;
 
         // Channel occupies the low rank bits so consecutive blocks spread
         // over channels first, maximizing parallel gather bandwidth.
-        c.channel = grank & (g.channels - 1);
-        const unsigned in_channel = grank >> floorLog2(g.channels);
-        c.dimm = in_channel & (g.dimmsPerChannel - 1);
-        c.rank = in_channel >> floorLog2(g.dimmsPerChannel);
+        c.channel = static_cast<unsigned>(low(grank, channelBits_));
+        const unsigned in_channel = grank >> channelBits_;
+        c.dimm = static_cast<unsigned>(low(in_channel, dimmBits_));
+        c.rank = in_channel >> dimmBits_;
 
-        const std::uint64_t byte_in_row = block_in_row * blockBytes_ + offset;
-        c.column = static_cast<unsigned>(byte_in_row &
-                                         ~std::uint64_t(g.burstBytes - 1));
+        const std::uint64_t byte_in_row =
+            (block_in_row << blockShift_) | offset;
+        c.column =
+            static_cast<unsigned>(byte_in_row >> burstShift_ << burstShift_);
     } else {
         // LineChannel: row | rank | dimm | bank | column | channel | offset
-        const unsigned offset_bits = floorLog2(g.burstBytes);
-        const unsigned chan_bits = floorLog2(g.channels);
-        const unsigned col_slots = g.rowBytes / g.burstBytes;
-        const unsigned col_bits = floorLog2(col_slots);
-        const unsigned bank_bits = floorLog2(g.banksPerRank);
-        const unsigned dimm_bits = floorLog2(g.dimmsPerChannel);
-
-        std::uint64_t rest = addr >> offset_bits;
-        c.channel = static_cast<unsigned>(rest & (g.channels - 1));
-        rest >>= chan_bits;
-        const unsigned col_slot =
-            static_cast<unsigned>(rest & (col_slots - 1));
-        c.column = col_slot * g.burstBytes;
-        rest >>= col_bits;
-        c.bank = static_cast<unsigned>(rest & (g.banksPerRank - 1));
-        rest >>= bank_bits;
-        c.dimm = static_cast<unsigned>(rest & (g.dimmsPerChannel - 1));
-        rest >>= dimm_bits;
-        c.rank = static_cast<unsigned>(rest & (g.ranksPerDimm - 1));
-        rest >>= floorLog2(g.ranksPerDimm);
-        c.row = rest;
+        std::uint64_t rest = addr >> burstShift_;
+        c.channel = static_cast<unsigned>(low(rest, channelBits_));
+        rest >>= channelBits_;
+        c.column = static_cast<unsigned>(low(rest, columnBits_)
+                                         << burstShift_);
+        rest >>= columnBits_;
+        c.bank = static_cast<unsigned>(low(rest, bankBits_));
+        rest >>= bankBits_;
+        c.dimm = static_cast<unsigned>(low(rest, dimmBits_));
+        rest >>= dimmBits_;
+        c.rank = static_cast<unsigned>(low(rest, rankInDimmBits_));
+        c.row = rest >> rankInDimmBits_;
     }
 
-    FAFNIR_ASSERT(c.row < g.rowsPerBank, "row out of range");
+    FAFNIR_ASSERT(c.row < geometry_.rowsPerBank, "row out of range");
     return c;
 }
 
 Addr
 AddressMapper::encode(const Coordinates &c) const
 {
-    const Geometry &g = geometry_;
     if (policy_ == Interleave::BlockRank) {
-        const unsigned offset_bits = floorLog2(blockBytes_);
-        const unsigned rank_bits = floorLog2(g.totalRanks());
-        const unsigned blocks_per_row = g.rowBytes / blockBytes_;
-        const unsigned block_bits = floorLog2(blocks_per_row);
-        const unsigned bank_bits = floorLog2(g.banksPerRank);
-
         const unsigned grank =
-            c.channel |
-            ((c.dimm | (c.rank << floorLog2(g.dimmsPerChannel)))
-             << floorLog2(g.channels));
+            c.channel | ((c.dimm | (c.rank << dimmBits_)) << channelBits_);
 
-        const std::uint64_t block_in_row = c.column / blockBytes_;
-        const std::uint64_t offset = c.column % blockBytes_;
+        const std::uint64_t block_in_row = c.column >> blockShift_;
+        const std::uint64_t offset = low(c.column, blockShift_);
 
-        std::uint64_t rest = (c.row << bank_bits) | c.bank;
-        rest = (rest << block_bits) | block_in_row;
-        return (rest << (offset_bits + rank_bits)) |
-               (static_cast<std::uint64_t>(grank) << offset_bits) | offset;
+        std::uint64_t rest = (c.row << bankBits_) | c.bank;
+        rest = (rest << blockInRowBits_) | block_in_row;
+        return (rest << (blockShift_ + rankBits_)) |
+               (static_cast<std::uint64_t>(grank) << blockShift_) | offset;
     }
 
-    const unsigned offset_bits = floorLog2(g.burstBytes);
-    const unsigned col_slots = g.rowBytes / g.burstBytes;
-
     std::uint64_t rest = c.row;
-    rest = (rest << floorLog2(g.ranksPerDimm)) | c.rank;
-    rest = (rest << floorLog2(g.dimmsPerChannel)) | c.dimm;
-    rest = (rest << floorLog2(g.banksPerRank)) | c.bank;
-    rest = (rest << floorLog2(col_slots)) | (c.column / g.burstBytes);
-    rest = (rest << floorLog2(g.channels)) | c.channel;
-    return rest << offset_bits;
+    rest = (rest << rankInDimmBits_) | c.rank;
+    rest = (rest << dimmBits_) | c.dimm;
+    rest = (rest << bankBits_) | c.bank;
+    rest = (rest << columnBits_) | (c.column >> burstShift_);
+    rest = (rest << channelBits_) | c.channel;
+    return rest << burstShift_;
 }
 
 std::string

@@ -96,6 +96,17 @@ class AddressMapper
     Geometry geometry_;
     Interleave policy_;
     unsigned blockBytes_;
+    /** Field widths in bits, fixed by the geometry and block size. */
+    std::uint64_t capacityBytes_ = 0;
+    unsigned blockShift_ = 0;     ///< byte offset within a block
+    unsigned burstShift_ = 0;     ///< byte offset within a burst
+    unsigned rankBits_ = 0;       ///< global rank (BlockRank)
+    unsigned blockInRowBits_ = 0; ///< block within a row (BlockRank)
+    unsigned columnBits_ = 0;     ///< burst slot within a row (LineChannel)
+    unsigned bankBits_ = 0;
+    unsigned channelBits_ = 0;
+    unsigned dimmBits_ = 0;
+    unsigned rankInDimmBits_ = 0;
 };
 
 /** Human-readable coordinates, for debugging and test failure messages. */

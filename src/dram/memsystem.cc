@@ -270,10 +270,12 @@ MemorySystem::read(Addr addr, unsigned bytes, Tick earliest,
     Tick complete = earliest;
     const Addr first = addr & ~Addr(g.burstBytes - 1);
     const Addr last = (addr + bytes - 1) & ~Addr(g.burstBytes - 1);
-    for (Addr a = first; a <= last; a += g.burstBytes) {
-        const Coordinates coords = mapper_.decode(a);
-        complete = std::max(complete,
-                            accessBurst(coords, earliest, dest, result));
+    // The first burst's coordinates also tag the trace and the recorder.
+    const Coordinates head = mapper_.decode(first);
+    complete = std::max(complete, accessBurst(head, earliest, dest, result));
+    for (Addr a = first + g.burstBytes; a <= last; a += g.burstBytes) {
+        complete = std::max(
+            complete, accessBurst(mapper_.decode(a), earliest, dest, result));
     }
     result.complete = injectReadLatency(earliest, complete);
 
@@ -283,13 +285,11 @@ MemorySystem::read(Addr addr, unsigned bytes, Tick earliest,
         bytesToNdp_ += bytes;
     readLatencyNs_.sample(
         static_cast<double>(result.complete - earliest) / kTicksPerNs);
-    traceRead(mapper_.decode(first), g, bytes, earliest, result,
-              eventq_.currentFlow());
+    traceRead(head, g, bytes, earliest, result, eventq_.currentFlow());
     // code = rank of the first burst; a = bytes, b = service ticks.
     if (auto *rec = telemetry::flightRecorder()) {
         rec->record(telemetry::Stage::DramService, result.complete,
-                    mapper_.decode(first).rank, bytes,
-                    result.complete - earliest);
+                    head.rank, bytes, result.complete - earliest);
     }
     return result;
 }

@@ -18,7 +18,6 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
                     bool keep_trace, embedding::ReduceOp op) const
 {
     const unsigned num_pes = topology_.numPes();
-    const unsigned num_leaves = topology_.numLeafPes();
 
     TreeRun run;
     if (keep_trace)
@@ -57,10 +56,13 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
         run.maxPeOutputs = std::max(run.maxPeOutputs, pe_out.size());
 
         if (keep_trace) {
-            run.trace[pe].inputsA = *a;
-            run.trace[pe].inputsB = *b;
-            run.trace[pe].outputs = pe_out;
-            run.trace[pe].activity = activity;
+            PeTrace &trace = run.trace[pe];
+            trace.inputs = {a->size(), b->size()};
+            trace.outputs.reserve(pe_out.size());
+            for (const PeOutput &out : pe_out)
+                trace.outputs.push_back(
+                    {out.action, out.sources, out.item.queryIds()});
+            trace.activity = activity;
         }
 
         if (pe == TreeTopology::rootPe()) {
@@ -84,7 +86,6 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
         if (pe == 1)
             break; // unsigned loop guard
     }
-    (void)num_leaves;
 
     // Root output stage: per query, sum its (disjoint) partial items.
     const std::size_t num_queries = prepared.querySets.size();

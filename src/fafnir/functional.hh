@@ -19,8 +19,10 @@
 #ifndef FAFNIR_FAFNIR_FUNCTIONAL_HH
 #define FAFNIR_FAFNIR_FUNCTIONAL_HH
 
+#include <array>
 #include <vector>
 
+#include "common/smallvec.hh"
 #include "embedding/table.hh"
 #include "fafnir/host.hh"
 #include "fafnir/pe.hh"
@@ -30,12 +32,26 @@
 namespace fafnir::core
 {
 
-/** Captured inputs/outputs of one PE for one batch. */
+/** What the timing engines read of one PE output. */
+struct TracedOutput
+{
+    PeAction action = PeAction::Forward;
+    /** Input entries the output depends on (PeOutput::sources). */
+    SmallVec<Provenance, 4> sources;
+    /** Ids of the queries the output carries (attribution tags). */
+    SmallVec<QueryId, 2> queries;
+};
+
+/**
+ * The shape of one PE's work on one batch: how many entries arrived on
+ * each input and, per output in issue order, its action, sources and
+ * query ids — what the timing engines replay with latencies attached.
+ */
 struct PeTrace
 {
-    std::vector<Item> inputsA;
-    std::vector<Item> inputsB;
-    std::vector<PeOutput> outputs;
+    /** Input list lengths, indexed by Provenance::side (0 = A). */
+    std::array<std::size_t, 2> inputs{0, 0};
+    std::vector<TracedOutput> outputs;
     PeActivity activity;
 };
 
@@ -72,7 +88,7 @@ class FunctionalTree
      * Evaluate @p prepared.
      * @param values combine vector values (functional checking) or headers
      *        only (timing runs).
-     * @param keep_trace retain per-PE inputs/outputs for the timing engine.
+     * @param keep_trace retain per-PE traces for the timing engines.
      * @param op element-wise reduction operator (Mean is finalized at the
      *        root output stage).
      */

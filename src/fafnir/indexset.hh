@@ -3,9 +3,10 @@
  * Sorted small index sets — the value domain of Fafnir headers.
  *
  * The `indices` and `queries` fields of a flit header (Section IV-B of the
- * paper) are sets of embedding-vector indices. Headers are tiny (a query
- * holds at most 16 indices), so a sorted vector beats any node-based set:
- * subset/disjointness tests are linear merges and unions are linear too.
+ * paper) are sets of embedding-vector indices. Headers are small (a set
+ * never holds more ids than its query has indices), so a sorted vector
+ * beats any node-based set: subset/disjointness tests are linear merges
+ * and unions are linear too.
  */
 
 #ifndef FAFNIR_FAFNIR_INDEXSET_HH
@@ -30,9 +31,11 @@ class IndexSet
 {
   public:
     /**
-     * Inline storage: headers are tiny (a query holds at most 16
-     * indices, most sets are far smaller), so eight inline slots cover
-     * the common case without a heap allocation per header.
+     * Inline storage: sets of up to eight ids (every leaf `indices`
+     * field and the partial sums of the lower levels) never touch the
+     * heap. Larger sets spill: a leaf residual holds query size - 1 ids
+     * (15 at fafnir_sim's default --query-size=16), so residuals live
+     * on the heap until reduces shrink them to eight.
      */
     using Storage = SmallVec<IndexId, 8>;
 
@@ -118,6 +121,7 @@ class IndexSet
     minus(const IndexSet &other) const
     {
         IndexSet result;
+        result.items_.reserve(items_.size());
         std::set_difference(items_.begin(), items_.end(),
                             other.items_.begin(), other.items_.end(),
                             std::back_inserter(result.items_));

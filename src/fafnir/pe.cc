@@ -6,7 +6,8 @@
 #include "pe.hh"
 
 #include <algorithm>
-#include <map>
+#include <bit>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "embedding/reduce_kernels.hh"
@@ -41,16 +42,70 @@ addValues(const embedding::Vector &a, const embedding::Vector &b,
     return out;
 }
 
-/** A forward of @p source carrying only the residual of @p query. */
-PeOutput
-makeForward(const Item &source, const QueryResidual &residual,
-            std::uint8_t side, std::uint16_t index, VectorPool *pool)
+/** Append to @p raw a forward of @p source carrying only @p residual. */
+void
+pushForward(std::vector<PeOutput> &raw, const Item &source,
+            const QueryResidual &residual, std::uint8_t side,
+            std::uint32_t index, VectorPool *pool)
 {
-    Item item;
-    item.indices = source.indices;
-    item.queries = {residual};
-    item.value = copyValue(source.value, pool);
-    return {std::move(item), PeAction::Forward, {{side, index}}};
+    PeOutput &out = raw.emplace_back();
+    out.item.indices = source.indices;
+    out.item.queries.push_back(residual);
+    out.item.value = copyValue(source.value, pool);
+    out.action = PeAction::Forward;
+    out.sources.push_back({side, static_cast<std::uint16_t>(index)});
+}
+
+/** One residual of one buffer entry: the unit the compute fabric pairs. */
+struct Entry
+{
+    QueryId query = 0;
+    std::uint8_t side = 0;
+    std::uint32_t pos = 0;
+};
+
+/** Hash of an index set for the merge stash. */
+std::size_t
+hashOf(const IndexSet &set)
+{
+    std::uint64_t h = set.size();
+    for (IndexId id : set)
+        h = (h ^ id) * 0x9E3779B97F4A7C15ull;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
+/** Fold raw output @p out into @p head, which has the same indices. */
+void
+mergeInto(PeOutput &head, PeOutput &out, PeActivity &activity,
+          VectorPool *pool)
+{
+    // The losing duplicate's value buffer dies here; recycle it.
+    if (pool != nullptr)
+        pool->release(std::move(out.item.value));
+    for (auto &residual : out.item.queries) {
+        bool duplicate = false;
+        for (const auto &have : head.item.queries) {
+            if (have == residual) {
+                duplicate = true;
+                break;
+            }
+        }
+        if (duplicate) {
+            ++activity.duplicatesDropped;
+        } else {
+            head.item.queries.push_back(std::move(residual));
+            ++activity.headersMerged;
+        }
+    }
+    for (const Provenance &src : out.sources) {
+        bool known = false;
+        for (const Provenance &have : head.sources)
+            known |= have == src;
+        if (!known)
+            head.sources.push_back(src);
+    }
+    if (out.action == PeAction::Reduce)
+        head.action = PeAction::Reduce;
 }
 
 } // namespace
@@ -67,26 +122,50 @@ ProcessingElement::process(const std::vector<Item> &a,
     // entry of the other (Section IV-B).
     activity.compares += static_cast<std::uint64_t>(a.size()) * b.size();
 
-    // Gather, per query, the buffer positions that carry its residuals, in
-    // buffer order. std::map keeps query iteration deterministic.
-    std::map<QueryId, std::pair<std::vector<std::size_t>,
-                                std::vector<std::size_t>>>
-        by_query;
-    for (std::size_t i = 0; i < a.size(); ++i)
+    // Gather, per query, the buffer positions that carry its residuals:
+    // one flat entry per residual, ordered by query, then side (A first),
+    // then buffer position.
+    std::vector<Entry> entries;
+    std::size_t residuals = 0;
+    for (const Item &item : a)
+        residuals += item.queries.size();
+    for (const Item &item : b)
+        residuals += item.queries.size();
+    entries.reserve(residuals);
+    for (std::uint32_t i = 0; i < a.size(); ++i)
         for (const auto &r : a[i].queries)
-            by_query[r.query].first.push_back(i);
-    for (std::size_t i = 0; i < b.size(); ++i)
+            entries.push_back({r.query, 0, i});
+    for (std::uint32_t i = 0; i < b.size(); ++i)
         for (const auto &r : b[i].queries)
-            by_query[r.query].second.push_back(i);
+            entries.push_back({r.query, 1, i});
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry &x, const Entry &y) {
+                  return std::tie(x.query, x.side, x.pos) <
+                         std::tie(y.query, y.side, y.pos);
+              });
 
+    // Every raw output consumes at least one entry, so one reservation
+    // holds them all.
     std::vector<PeOutput> raw;
-    for (const auto &[query, sides] : by_query) {
-        const auto &[in_a, in_b] = sides;
-        const std::size_t paired = std::min(in_a.size(), in_b.size());
+    raw.reserve(entries.size());
+    for (std::size_t first = 0; first < entries.size();) {
+        const QueryId query = entries[first].query;
+        std::size_t split = first; // the query's first B entry
+        while (split < entries.size() && entries[split].query == query &&
+               entries[split].side == 0)
+            ++split;
+        std::size_t last = split;
+        while (last < entries.size() && entries[last].query == query)
+            ++last;
+        const std::size_t in_a = split - first;
+        const std::size_t in_b = last - split;
+        const std::size_t paired = std::min(in_a, in_b);
 
         for (std::size_t i = 0; i < paired; ++i) {
-            const Item &left = a[in_a[i]];
-            const Item &right = b[in_b[i]];
+            const std::uint32_t pa = entries[first + i].pos;
+            const std::uint32_t pb = entries[split + i].pos;
+            const Item &left = a[pa];
+            const Item &right = b[pb];
             const QueryResidual *ra = left.findQuery(query);
             const QueryResidual *rb = right.findQuery(query);
             FAFNIR_ASSERT(ra && rb, "residual lookup failed");
@@ -98,11 +177,12 @@ ProcessingElement::process(const std::vector<Item> &a,
             FAFNIR_ASSERT(rb->remaining.containsAll(left.indices),
                           "query ", query, ": left operand not wanted");
 
-            Item item;
-            item.indices = left.indices.disjointUnion(right.indices);
-            item.queries = {{query, ra->remaining.minus(right.indices)}};
+            PeOutput &out = raw.emplace_back();
+            out.item.indices = left.indices.disjointUnion(right.indices);
+            out.item.queries.push_back(
+                {query, ra->remaining.minus(right.indices)});
             if (values && !left.value.empty())
-                item.value = addValues(left.value, right.value, op, pool);
+                out.item.value = addValues(left.value, right.value, op, pool);
             // Meeting-logic codec work under a compressed payload:
             // dequantize both operands, accumulate in fp32, and
             // requantize the partial for the uplink. Counted per
@@ -115,70 +195,61 @@ ProcessingElement::process(const std::vector<Item> &a,
                 activity.dequants += 2;
                 activity.requants += 1;
             }
-            raw.push_back(
-                {std::move(item),
-                 PeAction::Reduce,
-                 {{0, static_cast<std::uint16_t>(in_a[i])},
-                  {1, static_cast<std::uint16_t>(in_b[i])}}});
+            out.action = PeAction::Reduce;
+            out.sources.push_back({0, static_cast<std::uint16_t>(pa)});
+            out.sources.push_back({1, static_cast<std::uint16_t>(pb)});
             ++activity.reduces;
         }
-        for (std::size_t i = paired; i < in_a.size(); ++i) {
-            raw.push_back(
-                makeForward(a[in_a[i]], *a[in_a[i]].findQuery(query), 0,
-                            static_cast<std::uint16_t>(in_a[i]), pool));
+        for (std::size_t i = first + paired; i < split; ++i) {
+            const Item &source = a[entries[i].pos];
+            pushForward(raw, source, *source.findQuery(query), 0,
+                        entries[i].pos, pool);
             ++activity.forwards;
         }
-        for (std::size_t i = paired; i < in_b.size(); ++i) {
-            raw.push_back(
-                makeForward(b[in_b[i]], *b[in_b[i]].findQuery(query), 1,
-                            static_cast<std::uint16_t>(in_b[i]), pool));
+        for (std::size_t i = split + paired; i < last; ++i) {
+            const Item &source = b[entries[i].pos];
+            pushForward(raw, source, *source.findQuery(query), 1,
+                        entries[i].pos, pool);
             ++activity.forwards;
         }
+        first = last;
     }
 
     // Merge unit: group by indices set. Equal indices imply the same value
     // (a value is a pure function of the vectors it sums), so duplicates
-    // are dropped and distinct residual lists are concatenated.
-    std::map<IndexSet, PeOutput> merged;
-    for (auto &out : raw) {
-        auto [it, inserted] = merged.try_emplace(out.item.indices,
-                                                 std::move(out));
-        if (inserted)
-            continue;
-        PeOutput &existing = it->second;
-        // The losing duplicate's value buffer dies here; recycle it.
-        if (pool != nullptr)
-            pool->release(std::move(out.item.value));
-        for (auto &residual : out.item.queries) {
-            bool duplicate = false;
-            for (const auto &have : existing.item.queries) {
-                if (have == residual) {
-                    duplicate = true;
-                    break;
-                }
-            }
-            if (duplicate) {
-                ++activity.duplicatesDropped;
-            } else {
-                existing.item.queries.push_back(std::move(residual));
-                ++activity.headersMerged;
-            }
+    // are dropped and distinct residual lists are concatenated. The stash
+    // is a linear-probe table from an indices set to the first raw output
+    // carrying it (the group's head); later outputs fold into their head
+    // in raw order. At least twice as many slots as raw outputs keeps
+    // probes short and the table never full.
+    constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+    const std::size_t mask = std::bit_ceil(2 * raw.size()) - 1;
+    std::vector<std::uint32_t> stash(mask + 1, kEmpty);
+    std::vector<std::uint32_t> heads;
+    heads.reserve(raw.size());
+    for (std::uint32_t k = 0; k < raw.size(); ++k) {
+        const IndexSet &key = raw[k].item.indices;
+        std::size_t slot = hashOf(key) & mask;
+        while (stash[slot] != kEmpty && raw[stash[slot]].item.indices != key)
+            slot = (slot + 1) & mask;
+        if (stash[slot] == kEmpty) {
+            stash[slot] = k;
+            heads.push_back(k);
+        } else {
+            mergeInto(raw[stash[slot]], raw[k], activity, pool);
         }
-        for (const Provenance &src : out.sources) {
-            bool known = false;
-            for (const Provenance &have : existing.sources)
-                known |= have == src;
-            if (!known)
-                existing.sources.push_back(src);
-        }
-        if (out.action == PeAction::Reduce)
-            existing.action = PeAction::Reduce;
     }
 
+    // Heads leave in ascending indices order: the output-order contract
+    // (pe.hh) that fixes every output's issue slot.
+    std::sort(heads.begin(), heads.end(),
+              [&raw](std::uint32_t x, std::uint32_t y) {
+                  return raw[x].item.indices < raw[y].item.indices;
+              });
     std::vector<PeOutput> outputs;
-    outputs.reserve(merged.size());
-    for (auto &[key, out] : merged)
-        outputs.push_back(std::move(out));
+    outputs.reserve(heads.size());
+    for (std::uint32_t k : heads)
+        outputs.push_back(std::move(raw[k]));
     return outputs;
 }
 

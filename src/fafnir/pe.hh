@@ -18,6 +18,13 @@
  * of A with the i-th matching entry of B per query; unpaired entries are
  * forwarded. This keeps every query's in-flight items disjoint partial
  * sums — the invariant the root combiner relies on.
+ *
+ * Output order. Outputs leave in ascending order of their `indices` set,
+ * and each output's residuals and sources are those of its first raw
+ * output followed by the ones folded into it, in raw order (queries
+ * ascending). The analytic engine gives output k the k-th issue slot and
+ * the event engine scans outputs in index order, so this order sets the
+ * emission ticks.
  */
 
 #ifndef FAFNIR_FAFNIR_PE_HH
@@ -26,6 +33,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/smallvec.hh"
 #include "common/types.hh"
 #include "embedding/quantize.hh"
 #include "fafnir/item.hh"
@@ -118,8 +126,12 @@ struct PeOutput
 {
     Item item;
     PeAction action = PeAction::Forward;
-    /** Input entries this output depends on (post-merge union). */
-    std::vector<Provenance> sources;
+    /**
+     * Input entries this output depends on (post-merge union). Four
+     * inline slots: a reduce has two, a forward one, and only merged
+     * outputs carry more.
+     */
+    SmallVec<Provenance, 4> sources;
 };
 
 /**

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 
 #include "dram/memsystem.hh"
@@ -15,6 +16,7 @@
 #include "embedding/layout.hh"
 #include "fafnir/functional.hh"
 #include "fafnir/host.hh"
+#include "fafnir/pe.hh"
 #include "fafnir/tree.hh"
 
 using namespace fafnir;
@@ -388,14 +390,97 @@ TEST(FunctionalTree, Figure6ExactPlacement)
     // {50}, forwarded {11}, and reduced {50,11}.
     const unsigned pe01 = topology.leafPeOf(0);
     const auto &trace = run.trace[pe01];
-    ASSERT_EQ(trace.inputsA.size(), 1u);
-    ASSERT_EQ(trace.inputsB.size(), 1u);
-    EXPECT_EQ(trace.outputs.size(), 3u);
+    EXPECT_EQ(trace.inputs[0], 1u);
+    EXPECT_EQ(trace.inputs[1], 1u);
+    ASSERT_EQ(trace.outputs.size(), 3u);
+    std::size_t reduces = 0;
+    for (const auto &out : trace.outputs) {
+        if (out.action != PeAction::Reduce)
+            continue;
+        ++reduces;
+        EXPECT_EQ(out.sources, (SmallVec<Provenance, 4>{{0, 0}, {1, 0}}));
+    }
+    EXPECT_EQ(reduces, 1u);
+
+    // The trace keeps no items: run the leaf on its two rank-read lists
+    // to see which header the reduce built.
+    std::vector<Item> side_a, side_b;
+    for (unsigned rank = 0; rank < topology.numRanks(); ++rank) {
+        if (topology.leafPeOf(rank) != pe01)
+            continue;
+        auto &side = topology.sideOf(rank) == 0 ? side_a : side_b;
+        for (const auto &read : prepared.rankReads[rank])
+            side.push_back(read.item);
+    }
+    PeActivity activity;
     bool saw_reduced = false;
-    for (const auto &out : trace.outputs)
+    for (const auto &out :
+         ProcessingElement::process(side_a, side_b, activity, false))
         if (out.item.indices == IndexSet({50, 11}))
             saw_reduced = out.action == PeAction::Reduce;
     EXPECT_TRUE(saw_reduced);
+}
+
+TEST(FunctionalTree, TraceIsObservationOnly)
+{
+    // Keeping the per-PE trace must not perturb the evaluation, and the
+    // trace's input counts must match what actually flowed into each PE.
+    TreeHarness h;
+    WorkloadConfig wc;
+    wc.tables = h.tables;
+    wc.batchSize = 16;
+    wc.querySize = 12;
+    wc.popularity = Popularity::Zipfian;
+    wc.zipfSkew = 0.9;
+    wc.hotFraction = 0.01;
+    BatchGenerator gen(wc, 4242);
+    const TreeTopology &topo = h.topology;
+    for (int round = 0; round < 4; ++round) {
+        const PreparedBatch prepared = h.host.prepare(gen.next(), true);
+        const TreeRun plain = h.tree.run(prepared, true, false);
+        const TreeRun traced = h.tree.run(prepared, true, true);
+
+        ASSERT_EQ(plain.results.size(), traced.results.size());
+        for (std::size_t q = 0; q < plain.results.size(); ++q)
+            EXPECT_EQ(plain.results[q], traced.results[q]) << "query " << q;
+        EXPECT_EQ(plain.total.compares, traced.total.compares);
+        EXPECT_EQ(plain.total.reduces, traced.total.reduces);
+        EXPECT_EQ(plain.total.forwards, traced.total.forwards);
+        EXPECT_EQ(plain.total.duplicatesDropped,
+                  traced.total.duplicatesDropped);
+        EXPECT_EQ(plain.total.headersMerged, traced.total.headersMerged);
+        EXPECT_EQ(plain.total.dequants, traced.total.dequants);
+        EXPECT_EQ(plain.total.requants, traced.total.requants);
+        EXPECT_EQ(plain.rootCombines, traced.rootCombines);
+        EXPECT_EQ(plain.rootItemsPerQuery, traced.rootItemsPerQuery);
+        EXPECT_EQ(plain.maxPeOutputs, traced.maxPeOutputs);
+        EXPECT_EQ(plain.poolStats.acquires, traced.poolStats.acquires);
+        EXPECT_EQ(plain.poolStats.reuses, traced.poolStats.reuses);
+        EXPECT_EQ(plain.poolStats.releases, traced.poolStats.releases);
+        EXPECT_EQ(plain.poolStats.exhaustions,
+                  traced.poolStats.exhaustions);
+        EXPECT_TRUE(plain.trace.empty());
+
+        ASSERT_EQ(traced.trace.size(), topo.numPes() + 1);
+        std::vector<std::array<std::size_t, 2>> leaf_reads(topo.numPes() +
+                                                           1);
+        for (unsigned rank = 0; rank < topo.numRanks(); ++rank)
+            leaf_reads[topo.leafPeOf(rank)][topo.sideOf(rank)] +=
+                prepared.rankReads[rank].size();
+        for (unsigned pe = 1; pe <= topo.numPes(); ++pe) {
+            const PeTrace &trace = traced.trace[pe];
+            if (topo.isLeafPe(pe)) {
+                EXPECT_EQ(trace.inputs, leaf_reads[pe]) << "leaf PE " << pe;
+            } else {
+                EXPECT_EQ(trace.inputs[0],
+                          traced.trace[topo.leftChild(pe)].outputs.size())
+                    << "PE " << pe;
+                EXPECT_EQ(trace.inputs[1],
+                          traced.trace[topo.rightChild(pe)].outputs.size())
+                    << "PE " << pe;
+            }
+        }
+    }
 }
 
 TEST(FunctionalTree, HighSharingStress)

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "fafnir/pe.hh"
 
 using namespace fafnir;
@@ -200,6 +203,107 @@ TEST(Pe, PartialChainOverTwoLevels)
     EXPECT_EQ(l2[0].item.indices, IndexSet({1, 2, 3}));
     EXPECT_TRUE(l2[0].item.queries[0].remaining.empty());
     EXPECT_TRUE(l2[0].item.completesAnyQuery());
+}
+
+TEST(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
+{
+    // Seeded random inputs. Ids form disjoint chunks, each living on one
+    // side; every query is a union of chunks. A chunk's entry is one
+    // shared item carrying all its queries (in shuffled order) or one
+    // item per query, and some entries repeat on their side.
+    std::mt19937 rng(1515);
+    PeActivity seen;
+    for (int round = 0; round < 300; ++round) {
+        const unsigned num_chunks = 2 + rng() % 10;
+        std::vector<std::vector<IndexId>> chunks(num_chunks);
+        IndexId next = 0;
+        for (auto &chunk : chunks)
+            for (unsigned len = 1 + rng() % 3; len > 0; --len)
+                chunk.push_back(next++);
+        const unsigned num_queries = 1 + rng() % 6;
+        std::vector<std::vector<unsigned>> members(num_queries);
+        std::vector<IndexSet> query_sets;
+        for (auto &chunk_ids : members) {
+            std::vector<IndexId> ids;
+            for (unsigned c = 0; c < num_chunks; ++c) {
+                if (rng() % 2 == 0 && !(c + 1 == num_chunks && ids.empty()))
+                    continue;
+                chunk_ids.push_back(c);
+                ids.insert(ids.end(), chunks[c].begin(), chunks[c].end());
+            }
+            query_sets.emplace_back(ids);
+        }
+
+        std::vector<Item> sides[2];
+        for (unsigned c = 0; c < num_chunks; ++c) {
+            const IndexSet indices(chunks[c]);
+            std::vector<QueryResidual> residuals;
+            for (QueryId q = 0; q < num_queries; ++q)
+                if (std::find(members[q].begin(), members[q].end(), c) !=
+                    members[q].end())
+                    residuals.push_back({q, query_sets[q].minus(indices)});
+            std::shuffle(residuals.begin(), residuals.end(), rng);
+            std::vector<Item> items;
+            if (rng() % 2 == 0) {
+                Item shared;
+                shared.indices = indices;
+                for (const auto &r : residuals)
+                    shared.queries.push_back(r);
+                if (!residuals.empty())
+                    items.push_back(shared);
+            } else {
+                for (const auto &r : residuals) {
+                    Item own;
+                    own.indices = indices;
+                    own.queries.push_back(r);
+                    items.push_back(own);
+                }
+            }
+            auto &side = sides[rng() % 2];
+            for (const Item &item : items) {
+                side.push_back(item);
+                if (rng() % 4 == 0)
+                    side.push_back(item); // same-side duplicate
+            }
+        }
+        std::shuffle(sides[0].begin(), sides[0].end(), rng);
+        std::shuffle(sides[1].begin(), sides[1].end(), rng);
+
+        PeActivity activity;
+        const auto outputs = ProcessingElement::process(
+            sides[0], sides[1], activity, /*values=*/false);
+        seen += activity;
+
+        std::size_t carried = 0;
+        for (std::size_t k = 0; k < outputs.size(); ++k) {
+            const PeOutput &out = outputs[k];
+            if (k > 0) {
+                EXPECT_TRUE(outputs[k - 1].item.indices < out.item.indices)
+                    << "round " << round << " output " << k;
+            }
+            for (std::size_t i = 0; i < out.sources.size(); ++i)
+                for (std::size_t j = i + 1; j < out.sources.size(); ++j)
+                    EXPECT_FALSE(out.sources[i] == out.sources[j])
+                        << "round " << round << " output " << k;
+            // Residuals fold in the order the merge unit meets them:
+            // raw outputs are produced query by query.
+            for (std::size_t i = 1; i < out.item.queries.size(); ++i)
+                EXPECT_LT(out.item.queries[i - 1].query,
+                          out.item.queries[i].query)
+                    << "round " << round << " output " << k;
+            carried += out.item.queries.size();
+        }
+        const std::uint64_t raw = activity.reduces + activity.forwards;
+        EXPECT_EQ(carried, raw - activity.duplicatesDropped)
+            << "round " << round;
+        EXPECT_EQ(raw - outputs.size(),
+                  activity.duplicatesDropped + activity.headersMerged)
+            << "round " << round;
+    }
+    // The inputs exercised both kinds of merge.
+    EXPECT_GT(seen.reduces, 0u);
+    EXPECT_GT(seen.duplicatesDropped, 0u);
+    EXPECT_GT(seen.headersMerged, 0u);
 }
 
 TEST(Item, HeaderBitsAccounting)
