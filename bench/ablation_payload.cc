@@ -35,6 +35,7 @@
 #include "common/cli.hh"
 #include "common/parallel.hh"
 #include "embedding/quantize.hh"
+#include "embedding/reduce_kernels.hh"
 #include "embedding/reduce_op.hh"
 #include "fafnir/event_engine.hh"
 #include "hwmodel/energy.hh"

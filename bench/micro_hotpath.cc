@@ -137,25 +137,30 @@ benchEventChurn(std::uint64_t operations)
 /**
  * Two PE input sides for @p pairs queries: query q holds {2q, 2q+1},
  * side A delivers the even vector, side B the odd one — every entry
- * reduces exactly once, like a balanced leaf level.
+ * reduces exactly once, like a balanced leaf level. @p query_sets gets
+ * each query's full index set.
  */
 void
 makePeSides(std::size_t pairs, std::size_t dim, bool values,
-            std::vector<Item> &a, std::vector<Item> &b)
+            std::vector<Item> &a, std::vector<Item> &b,
+            std::vector<IndexSet> &query_sets)
 {
     a.clear();
     b.clear();
+    query_sets.clear();
     a.reserve(pairs);
     b.reserve(pairs);
+    query_sets.reserve(pairs);
     for (std::size_t q = 0; q < pairs; ++q) {
         const IndexId even = static_cast<IndexId>(2 * q);
         const IndexId odd = even + 1;
+        query_sets.push_back({even, odd});
         Item left;
         left.indices = IndexSet::single(even);
-        left.queries = {{static_cast<QueryId>(q), IndexSet::single(odd)}};
+        left.queries = {static_cast<QueryId>(q)};
         Item right;
         right.indices = IndexSet::single(odd);
-        right.queries = {{static_cast<QueryId>(q), IndexSet::single(even)}};
+        right.queries = {static_cast<QueryId>(q)};
         if (values) {
             left.value.assign(dim, static_cast<float>(q) * 0.5f);
             right.value.assign(dim, static_cast<float>(q) * 0.25f);
@@ -183,15 +188,17 @@ benchPe(std::size_t pairs, std::size_t dim, bool values,
 {
     std::vector<Item> a;
     std::vector<Item> b;
-    makePeSides(pairs, dim, values, a, b);
+    std::vector<IndexSet> query_sets;
+    makePeSides(pairs, dim, values, a, b, query_sets);
 
     PeActivity activity;
     VectorPool pool;
     std::size_t outputs = 0;
     const auto begin = Clock::now();
     for (std::uint64_t it = 0; it < iterations; ++it) {
-        auto out = ProcessingElement::process(
-            a, b, activity, values, embedding::ReduceOp::Sum, &pool);
+        auto out = ProcessingElement::process(a, b, query_sets, activity,
+                                              values,
+                                              embedding::ReduceOp::Sum, &pool);
         outputs += out.size();
         // Steady state: a parent consumes these outputs and their value
         // buffers come back, exactly as FunctionalTree::run recycles.

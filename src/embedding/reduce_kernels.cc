@@ -23,8 +23,6 @@ namespace
 using Fn2 = void (*)(float *, const float *, std::size_t);
 using Fn3 = void (*)(float *, const float *, const float *, std::size_t);
 using FnScale = void (*)(float *, std::size_t, float);
-using FnFilter = std::size_t (*)(std::uint32_t *, const std::uint32_t *,
-                                 std::size_t, std::uint32_t);
 
 // ---- scalar backend ---------------------------------------------------
 // One loop per operator: no per-element switch, so -O3 vectorizes these.
@@ -76,18 +74,6 @@ scaleSpanScalar(float *dst, std::size_t n, float divisor)
 {
     for (std::size_t i = 0; i < n; ++i)
         dst[i] = dst[i] / divisor;
-}
-
-std::size_t
-filterOutSpanScalar(std::uint32_t *dst, const std::uint32_t *src,
-                    std::size_t n, std::uint32_t exclude)
-{
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        dst[kept] = src[i];
-        kept += src[i] != exclude;
-    }
-    return kept;
 }
 
 // ---- AVX2 backend -----------------------------------------------------
@@ -192,65 +178,6 @@ scaleSpanAvx2(float *dst, std::size_t n, float divisor)
         dst[i] = dst[i] / divisor;
 }
 
-/** Lane-compress permutations: entry m lists, in order, the positions
- *  of the set bits of the 8-bit keep mask m (unused lanes repeat 0 —
- *  their stores are overwritten by later blocks or lie past the kept
- *  prefix inside dst's capacity). */
-struct CompressTable
-{
-    alignas(32) std::uint32_t perm[256][8];
-};
-
-const CompressTable &
-compressTable()
-{
-    static const CompressTable table = [] {
-        CompressTable t{};
-        for (unsigned mask = 0; mask < 256; ++mask) {
-            unsigned out = 0;
-            for (unsigned lane = 0; lane < 8; ++lane)
-                if (mask & (1u << lane))
-                    t.perm[mask][out++] = lane;
-            for (; out < 8; ++out)
-                t.perm[mask][out] = 0;
-        }
-        return t;
-    }();
-    return table;
-}
-
-__attribute__((target("avx2"))) std::size_t
-filterOutSpanAvx2(std::uint32_t *dst, const std::uint32_t *src,
-                  std::size_t n, std::uint32_t exclude)
-{
-    const CompressTable &table = compressTable();
-    const __m256i needle =
-        _mm256_set1_epi32(static_cast<int>(exclude));
-    std::size_t i = 0;
-    std::size_t kept = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        const __m256i hit = _mm256_cmpeq_epi32(v, needle);
-        const unsigned keep =
-            ~static_cast<unsigned>(
-                _mm256_movemask_ps(_mm256_castsi256_ps(hit))) & 0xffu;
-        const __m256i perm = _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(table.perm[keep]));
-        // The full 8-lane store is in-bounds: kept <= i and i + 8 <= n,
-        // so dst + kept + 8 never passes dst + n; stray lanes are
-        // overwritten by the next block or lie past the kept prefix.
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + kept),
-                            _mm256_permutevar8x32_epi32(v, perm));
-        kept += static_cast<unsigned>(__builtin_popcount(keep));
-    }
-    for (; i < n; ++i) {
-        dst[kept] = src[i];
-        kept += src[i] != exclude;
-    }
-    return kept;
-}
-
 #endif // FAFNIR_REDUCE_HAVE_AVX2
 
 struct Kernels
@@ -258,7 +185,6 @@ struct Kernels
     Fn2 add2, min2, max2;
     Fn3 add3, min3, max3;
     FnScale scale;
-    FnFilter filter;
     const char *backend;
 };
 
@@ -269,12 +195,12 @@ pickKernels()
     if (__builtin_cpu_supports("avx2")) {
         return {addSpan2Avx2, minSpan2Avx2, maxSpan2Avx2,
                 addSpan3Avx2, minSpan3Avx2, maxSpan3Avx2,
-                scaleSpanAvx2, filterOutSpanAvx2, "avx2"};
+                scaleSpanAvx2, "avx2"};
     }
 #endif
     return {addSpan2Scalar, minSpan2Scalar, maxSpan2Scalar,
             addSpan3Scalar, minSpan3Scalar, maxSpan3Scalar,
-            scaleSpanScalar, filterOutSpanScalar, "scalar"};
+            scaleSpanScalar, "scalar"};
 }
 
 const Kernels &
@@ -335,13 +261,6 @@ finalizeSpan(ReduceOp op, float *dst, std::size_t n, std::size_t count)
     if (op != ReduceOp::Mean || count == 0)
         return;
     kernels().scale(dst, n, static_cast<float>(count));
-}
-
-std::size_t
-filterOutSpan(std::uint32_t *dst, const std::uint32_t *src, std::size_t n,
-              std::uint32_t exclude)
-{
-    return kernels().filter(dst, src, n, exclude);
 }
 
 double

@@ -21,7 +21,6 @@
 #define FAFNIR_EMBEDDING_REDUCE_KERNELS_HH
 
 #include <cstddef>
-#include <cstdint>
 
 #include "embedding/reduce_op.hh"
 
@@ -49,19 +48,6 @@ void finalizeSpan(ReduceOp op, float *dst, std::size_t n,
  * convergence trajectory) is unchanged.
  */
 double absDeltaSum(const float *a, const float *b, std::size_t n);
-
-/**
- * Header-build kernel: copy src[0..n) to dst, left-packed, skipping
- * every element equal to @p exclude. Returns the number of elements
- * written. Order is preserved, so on a sorted-unique input the output
- * equals std::set_difference against {exclude} — the residual lists of
- * Fafnir flit headers (query set minus the read's own index). The AVX2
- * backend uses compare + movemask + a permute-table compress store;
- * both backends are exact and shared through the same runtime dispatch
- * as the reduce kernels. dst may not alias src.
- */
-std::size_t filterOutSpan(std::uint32_t *dst, const std::uint32_t *src,
-                          std::size_t n, std::uint32_t exclude);
 
 } // namespace fafnir::embedding
 

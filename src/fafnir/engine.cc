@@ -223,7 +223,7 @@ FafnirEngine::runPrepared(const PreparedBatch &prepared, Tick start,
     for (QueryId q = 0; q < num_queries; ++q) {
         Tick tq = start;
         for (std::size_t k = 0; k < root_out.size(); ++k)
-            if (root_out[k].item.findQuery(q))
+            if (root_out[k].item.hasQuery(q))
                 tq = std::max(tq, root_times[k]);
         // Residual disjoint partials are summed at the root output stage.
         tq += (run.rootItemsPerQuery[q] - 1) *

@@ -446,7 +446,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     for (QueryId q = 0; q < num_queries; ++q) {
         Tick tq = start;
         for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-            if (run.rootOutputs[k].item.findQuery(q)) {
+            if (run.rootOutputs[k].item.hasQuery(q)) {
                 FAFNIR_ASSERT(root_times[k] != MaxTick,
                               "root output never emitted");
                 tq = std::max(tq, root_times[k]);
@@ -499,7 +499,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             std::size_t k_last = run.rootOutputs.size();
             Tick t_last = 0;
             for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-                if (run.rootOutputs[k].item.findQuery(q) &&
+                if (run.rootOutputs[k].item.hasQuery(q) &&
                     (k_last == run.rootOutputs.size() ||
                      root_times[k] > t_last)) {
                     k_last = k;

@@ -51,7 +51,8 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
 
         PeActivity activity;
         std::vector<PeOutput> pe_out = ProcessingElement::process(
-            *a, *b, activity, values, op, &pool, prepared.payload);
+            *a, *b, prepared.querySets, activity, values, op, &pool,
+            prepared.payload);
         run.total += activity;
         run.maxPeOutputs = std::max(run.maxPeOutputs, pe_out.size());
 
@@ -61,7 +62,7 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
             trace.outputs.reserve(pe_out.size());
             for (const PeOutput &out : pe_out)
                 trace.outputs.push_back(
-                    {out.action, out.sources, out.item.queryIds()});
+                    {out.action, out.sources, out.item.queries});
             trace.activity = activity;
         }
 
@@ -95,7 +96,7 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
         IndexSet covered;
         embedding::Vector acc;
         for (const auto &out : run.rootOutputs) {
-            if (!out.item.findQuery(q))
+            if (!out.item.hasQuery(q))
                 continue;
             ++run.rootItemsPerQuery[q];
             FAFNIR_ASSERT(covered.disjointWith(out.item.indices),

@@ -44,19 +44,13 @@ struct PrepareContext
     const embedding::VectorLayout &layout;
     const embedding::EmbeddingStore *store;
     VectorPool *pool;
-    /** Reference mode computes residuals via std::set_difference
-     *  (IndexSet::minus) instead of the SIMD header-build kernel, so
-     *  differential tests compare the two implementations. */
-    bool reference;
     PreparedBatch prepared;
 
     PrepareContext(const embedding::VectorLayout &lay,
                    const embedding::EmbeddingStore *st,
                    const embedding::Batch &batch, VectorPool *pl,
-                   bool ref = false,
-                   embedding::PayloadFormat fmt =
-                       embedding::PayloadFormat::Fp32)
-        : layout(lay), store(st), pool(pl), reference(ref)
+                   embedding::PayloadFormat fmt)
+        : layout(lay), store(st), pool(pl)
     {
         batch.check();
         prepared.payload = fmt;
@@ -67,16 +61,8 @@ struct PrepareContext
             prepared.querySets.emplace_back(q.indices);
     }
 
-    IndexSet
-    residualOf(QueryId q, IndexId index) const
-    {
-        if (reference)
-            return prepared.querySets[q].minus(IndexSet::single(index));
-        return prepared.querySets[q].minusOne(index);
-    }
-
     void
-    makeRead(IndexId index, SmallVec<QueryResidual, 2> queries)
+    makeRead(IndexId index, SmallVec<QueryId, 2> queries)
     {
         RankRead read;
         read.index = index;
@@ -108,13 +94,11 @@ struct PrepareContext
     void
     emitDedupRead(IndexId index, const QueryId *users, std::size_t count)
     {
-        SmallVec<QueryResidual, 2> residuals;
-        residuals.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            const QueryId q = users[i];
-            residuals.push_back({q, residualOf(q, index)});
-        }
-        makeRead(index, std::move(residuals));
+        SmallVec<QueryId, 2> queries;
+        queries.reserve(count);
+        for (std::size_t i = 0; i < count; ++i)
+            queries.push_back(users[i]);
+        makeRead(index, std::move(queries));
     }
 
     void
@@ -134,7 +118,7 @@ struct PrepareContext
 
         for (const auto &q : batch.queries)
             for (IndexId index : q.indices)
-                makeRead(index, {{q.id, residualOf(q.id, index)}});
+                makeRead(index, {q.id});
     }
 };
 
@@ -184,7 +168,7 @@ prepareBatch(const embedding::VectorLayout &layout,
              const embedding::Batch &batch, bool dedup, VectorPool *pool,
              embedding::PayloadFormat payload)
 {
-    PrepareContext ctx(layout, store, batch, pool, /*ref=*/false, payload);
+    PrepareContext ctx(layout, store, batch, pool, payload);
     if (!dedup) {
         ctx.emitNoDedup(batch);
         FAFNIR_DPRINTF(Host, "compiled batch of ", batch.size(),
@@ -270,7 +254,7 @@ prepareBatchReference(const embedding::VectorLayout &layout,
                       const embedding::Batch &batch, bool dedup,
                       VectorPool *pool, embedding::PayloadFormat payload)
 {
-    PrepareContext ctx(layout, store, batch, pool, /*ref=*/true, payload);
+    PrepareContext ctx(layout, store, batch, pool, payload);
     if (!dedup) {
         ctx.emitNoDedup(batch);
         return std::move(ctx.prepared);

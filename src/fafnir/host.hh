@@ -5,10 +5,11 @@
  * Fafnir's software support (Section IV-B/IV-C): the host rearranges a
  * batch of queries into per-rank lists of memory reads and their flit
  * headers. In dedup mode (the paper's key mechanism) each *unique* index
- * of the batch is read exactly once; its header's `queries` field lists,
- * for every query containing it, the other indices of that query. In
- * no-dedup mode (the Figure 13 ablation) every (query, index) reference
- * issues its own read.
+ * of the batch is read exactly once; its header's `queries` field lists
+ * every query containing it (on the wire, each with the other indices of
+ * that query, which PreparedBatch::querySets gives). In no-dedup mode
+ * (the Figure 13 ablation) every (query, index) reference issues its own
+ * read.
  */
 
 #ifndef FAFNIR_FAFNIR_HOST_HH
@@ -47,7 +48,11 @@ struct PreparedBatch
     std::size_t totalReferences = 0;
     /** Reads actually issued (== uniqueCount in dedup mode). */
     std::size_t accessCount = 0;
-    /** Full index set per query, for the root combiner. */
+    /**
+     * Full index set Q(q) per query id. The root combiner checks
+     * coverage against it, the PEs check pairings against it, and
+     * Item::headerBits derives each residual, Q(q) \ indices, from it.
+     */
     std::vector<IndexSet> querySets;
     /**
      * Payload encoding the batch was compiled for. Item values are

@@ -2,11 +2,11 @@
  * @file
  * Sorted small index sets — the value domain of Fafnir headers.
  *
- * The `indices` and `queries` fields of a flit header (Section IV-B of the
- * paper) are sets of embedding-vector indices. Headers are small (a set
- * never holds more ids than its query has indices), so a sorted vector
- * beats any node-based set: subset/disjointness tests are linear merges
- * and unions are linear too.
+ * The `indices` field of a flit header (Section IV-B of the paper) and
+ * each query's full index set are sets of embedding-vector indices. They
+ * are small (a set never holds more ids than its query has indices), so a
+ * sorted vector beats any node-based set: subset/disjointness tests are
+ * linear merges and unions are linear too.
  */
 
 #ifndef FAFNIR_FAFNIR_INDEXSET_HH
@@ -21,7 +21,6 @@
 #include "common/logging.hh"
 #include "common/smallvec.hh"
 #include "common/types.hh"
-#include "embedding/reduce_kernels.hh"
 
 namespace fafnir::core
 {
@@ -33,9 +32,8 @@ class IndexSet
     /**
      * Inline storage: sets of up to eight ids (every leaf `indices`
      * field and the partial sums of the lower levels) never touch the
-     * heap. Larger sets spill: a leaf residual holds query size - 1 ids
-     * (15 at fafnir_sim's default --query-size=16), so residuals live
-     * on the heap until reduces shrink them to eight.
+     * heap. Only partials of more than eight vectors near the root, and
+     * the batch's full query sets, spill.
      */
     using Storage = SmallVec<IndexId, 8>;
 
@@ -125,23 +123,6 @@ class IndexSet
         std::set_difference(items_.begin(), items_.end(),
                             other.items_.begin(), other.items_.end(),
                             std::back_inserter(result.items_));
-        return result;
-    }
-
-    /**
-     * Elements of this set other than @p excluded — equivalent to
-     * minus(single(excluded)) but through the SIMD header-build kernel.
-     * This is the hot operation of batch prepare: every deduplicated
-     * read subtracts its own index from each sharing query's set.
-     */
-    IndexSet
-    minusOne(IndexId excluded) const
-    {
-        IndexSet result;
-        result.items_.resize(items_.size());
-        const std::size_t kept = embedding::filterOutSpan(
-            result.items_.data(), items_.data(), items_.size(), excluded);
-        result.items_.resize(kept);
         return result;
     }
 

@@ -15,8 +15,7 @@ Item::toString() const
     for (std::size_t i = 0; i < queries.size(); ++i) {
         if (i)
             s += ' ';
-        s += 'q' + std::to_string(queries[i].query) + ':' +
-             queries[i].remaining.toString();
+        s += 'q' + std::to_string(queries[i]);
     }
     return s + "]";
 }

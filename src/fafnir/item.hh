@@ -4,22 +4,24 @@
  *
  * An Item is one entry of a PE input/output buffer: a value (the partial
  * reduction) plus its header. The header's `indices` field records which
- * embedding vectors the value already sums; the `queries` field lists, for
- * every query that still wants this value, the indices of that query that
- * have NOT been folded in yet (the paper's example header
- * [indices:50,11 | queries:94,26]). We keep the owning query id explicit
- * per residual — the hardware encodes it positionally, the semantics are
- * identical — so the root can route finished vectors to their queries.
+ * embedding vectors the value already sums; the `queries` field lists the
+ * queries that still want this value. On the wire each query's entry is
+ * its residual, the indices of the query NOT folded in yet (the paper's
+ * example header [indices:50,11 | queries:94,26]). That residual is
+ * derived data, Q(q) \ indices, so the simulator carries only the query
+ * ids and reads Q(q) from the batch's query sets (PreparedBatch::
+ * querySets) wherever a residual's contents matter.
  *
- * Invariant (checked in debug paths): for every residual r of an item,
- * r.remaining is disjoint from header.indices, and
- * header.indices ∪ r.remaining equals the full index set of query r.query.
+ * Invariant (checked where the PE pairs items): for every query q of an
+ * item, header.indices is a subset of Q(q).
  */
 
 #ifndef FAFNIR_FAFNIR_ITEM_HH
 #define FAFNIR_FAFNIR_ITEM_HH
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/smallvec.hh"
 #include "common/types.hh"
@@ -29,71 +31,55 @@
 namespace fafnir::core
 {
 
-/** One query's view of an item: what it still needs. */
-struct QueryResidual
-{
-    QueryId query = 0;
-    /** Indices of the query not yet included in the item's value. */
-    IndexSet remaining;
-
-    bool operator==(const QueryResidual &other) const = default;
-};
-
 /** One buffer entry: value + header. */
 struct Item
 {
     /** Vectors already reduced into `value` (the header's indices field). */
     IndexSet indices;
     /**
-     * Queries that still want this value (the header's queries field).
-     * Two inline slots: most items carry one residual (their own query)
-     * and pick up more only when the merge unit folds headers together.
+     * Ids of the queries that still want this value (the header's
+     * queries field; query q's residual is Q(q) \ indices). Two inline
+     * slots: most items carry one query and pick up more only when the
+     * merge unit folds headers together.
      */
-    SmallVec<QueryResidual, 2> queries;
+    SmallVec<QueryId, 2> queries;
     /**
      * The partial reduction. Empty in timing-only runs; the functional
      * model always populates it.
      */
     embedding::Vector value;
 
-    /** Ids of the queries this item belongs to (attribution tags). */
-    SmallVec<QueryId, 2>
-    queryIds() const
-    {
-        SmallVec<QueryId, 2> ids;
-        for (const auto &r : queries)
-            ids.push_back(r.query);
-        return ids;
-    }
-
-    /** Residual for @p query, or nullptr. */
-    const QueryResidual *
-    findQuery(QueryId query) const
-    {
-        for (const auto &r : queries)
-            if (r.query == query)
-                return &r;
-        return nullptr;
-    }
-
-    /** True once some query is fully reduced in this item. */
+    /** True if @p query wants this item. */
     bool
-    completesAnyQuery() const
+    hasQuery(QueryId query) const
     {
-        for (const auto &r : queries)
-            if (r.remaining.empty())
+        return std::find(queries.begin(), queries.end(), query) !=
+               queries.end();
+    }
+
+    /** True once some query is fully reduced in this item, given the
+     *  batch's full index set per query. */
+    bool
+    completesAnyQuery(const std::vector<IndexSet> &query_sets) const
+    {
+        for (QueryId q : queries)
+            if (query_sets[q].size() == indices.size())
                 return true;
         return false;
     }
 
-    /** Header bytes on the wire: 5-bit ids, ceil(bits/8) per field set. */
+    /**
+     * Header bits on the wire: the indices field plus every query's
+     * residual, |Q(q)| - |indices| ids, at @p bits_per_index each.
+     */
     std::size_t
-    headerBits(unsigned bits_per_index) const
+    headerBits(const std::vector<IndexSet> &query_sets,
+               unsigned bits_per_index) const
     {
-        std::size_t total = indices.size() * bits_per_index;
-        for (const auto &r : queries)
-            total += r.remaining.size() * bits_per_index;
-        return total;
+        std::size_t ids = indices.size();
+        for (QueryId q : queries)
+            ids += query_sets[q].size() - indices.size();
+        return ids * bits_per_index;
     }
 
     std::string toString() const;

@@ -42,21 +42,20 @@ addValues(const embedding::Vector &a, const embedding::Vector &b,
     return out;
 }
 
-/** Append to @p raw a forward of @p source carrying only @p residual. */
+/** Append to @p raw a forward of @p source carrying only @p query. */
 void
-pushForward(std::vector<PeOutput> &raw, const Item &source,
-            const QueryResidual &residual, std::uint8_t side,
-            std::uint32_t index, VectorPool *pool)
+pushForward(std::vector<PeOutput> &raw, const Item &source, QueryId query,
+            std::uint32_t side, std::uint32_t index, VectorPool *pool)
 {
     PeOutput &out = raw.emplace_back();
     out.item.indices = source.indices;
-    out.item.queries.push_back(residual);
+    out.item.queries.push_back(query);
     out.item.value = copyValue(source.value, pool);
     out.action = PeAction::Forward;
-    out.sources.push_back({side, static_cast<std::uint16_t>(index)});
+    out.sources.push_back({side, index});
 }
 
-/** One residual of one buffer entry: the unit the compute fabric pairs. */
+/** One query of one buffer entry: the unit the compute fabric pairs. */
 struct Entry
 {
     QueryId query = 0;
@@ -82,18 +81,13 @@ mergeInto(PeOutput &head, PeOutput &out, PeActivity &activity,
     // The losing duplicate's value buffer dies here; recycle it.
     if (pool != nullptr)
         pool->release(std::move(out.item.value));
-    for (auto &residual : out.item.queries) {
-        bool duplicate = false;
-        for (const auto &have : head.item.queries) {
-            if (have == residual) {
-                duplicate = true;
-                break;
-            }
-        }
-        if (duplicate) {
+    // Equal indices and an equal query mean an equal residual: an exact
+    // duplicate.
+    for (QueryId query : out.item.queries) {
+        if (head.item.hasQuery(query)) {
             ++activity.duplicatesDropped;
         } else {
-            head.item.queries.push_back(std::move(residual));
+            head.item.queries.push_back(query);
             ++activity.headersMerged;
         }
     }
@@ -112,32 +106,38 @@ mergeInto(PeOutput &head, PeOutput &out, PeActivity &activity,
 
 std::vector<PeOutput>
 ProcessingElement::process(const std::vector<Item> &a,
-                           const std::vector<Item> &b, PeActivity &activity,
-                           bool values, embedding::ReduceOp op,
+                           const std::vector<Item> &b,
+                           const std::vector<IndexSet> &query_sets,
+                           PeActivity &activity, bool values,
+                           embedding::ReduceOp op,
                            VectorPool *pool,
                            embedding::PayloadFormat payload)
 {
     const bool quantized = payload != embedding::PayloadFormat::Fp32;
+    constexpr std::size_t kMaxInputs = std::size_t{1} << 31;
+    FAFNIR_ASSERT(a.size() < kMaxInputs && b.size() < kMaxInputs,
+                  "input lists of ", a.size(), " and ", b.size(),
+                  " items overflow Provenance::index");
     // The compute-unit fabric compares every entry of one buffer with every
     // entry of the other (Section IV-B).
     activity.compares += static_cast<std::uint64_t>(a.size()) * b.size();
 
-    // Gather, per query, the buffer positions that carry its residuals:
-    // one flat entry per residual, ordered by query, then side (A first),
+    // Gather, per query, the buffer positions that carry it: one flat
+    // entry per (item, query), ordered by query, then side (A first),
     // then buffer position.
     std::vector<Entry> entries;
-    std::size_t residuals = 0;
+    std::size_t wanted = 0;
     for (const Item &item : a)
-        residuals += item.queries.size();
+        wanted += item.queries.size();
     for (const Item &item : b)
-        residuals += item.queries.size();
-    entries.reserve(residuals);
+        wanted += item.queries.size();
+    entries.reserve(wanted);
     for (std::uint32_t i = 0; i < a.size(); ++i)
-        for (const auto &r : a[i].queries)
-            entries.push_back({r.query, 0, i});
+        for (QueryId q : a[i].queries)
+            entries.push_back({q, 0, i});
     for (std::uint32_t i = 0; i < b.size(); ++i)
-        for (const auto &r : b[i].queries)
-            entries.push_back({r.query, 1, i});
+        for (QueryId q : b[i].queries)
+            entries.push_back({q, 1, i});
     std::sort(entries.begin(), entries.end(),
               [](const Entry &x, const Entry &y) {
                   return std::tie(x.query, x.side, x.pos) <
@@ -166,21 +166,22 @@ ProcessingElement::process(const std::vector<Item> &a,
             const std::uint32_t pb = entries[split + i].pos;
             const Item &left = a[pa];
             const Item &right = b[pb];
-            const QueryResidual *ra = left.findQuery(query);
-            const QueryResidual *rb = right.findQuery(query);
-            FAFNIR_ASSERT(ra && rb, "residual lookup failed");
-            FAFNIR_ASSERT(ra->remaining.containsAll(right.indices),
-                          "query ", query, ": right operand ",
-                          right.indices.toString(),
-                          " not wanted by residual ",
-                          ra->remaining.toString());
-            FAFNIR_ASSERT(rb->remaining.containsAll(left.indices),
-                          "query ", query, ": left operand not wanted");
+            // Both operands must lie inside Q(query); disjointUnion
+            // checks that they do not overlap.
+            FAFNIR_ASSERT(query < query_sets.size(), "query ", query,
+                          " outside the batch's ", query_sets.size(),
+                          " queries");
+            const IndexSet &full = query_sets[query];
+            FAFNIR_ASSERT(full.containsAll(left.indices) &&
+                              full.containsAll(right.indices),
+                          "query ", query, ": operands ",
+                          left.indices.toString(), " and ",
+                          right.indices.toString(), " not wanted by ",
+                          full.toString());
 
             PeOutput &out = raw.emplace_back();
             out.item.indices = left.indices.disjointUnion(right.indices);
-            out.item.queries.push_back(
-                {query, ra->remaining.minus(right.indices)});
+            out.item.queries.push_back(query);
             if (values && !left.value.empty())
                 out.item.value = addValues(left.value, right.value, op, pool);
             // Meeting-logic codec work under a compressed payload:
@@ -196,20 +197,18 @@ ProcessingElement::process(const std::vector<Item> &a,
                 activity.requants += 1;
             }
             out.action = PeAction::Reduce;
-            out.sources.push_back({0, static_cast<std::uint16_t>(pa)});
-            out.sources.push_back({1, static_cast<std::uint16_t>(pb)});
+            out.sources.push_back({0, pa});
+            out.sources.push_back({1, pb});
             ++activity.reduces;
         }
         for (std::size_t i = first + paired; i < split; ++i) {
-            const Item &source = a[entries[i].pos];
-            pushForward(raw, source, *source.findQuery(query), 0,
-                        entries[i].pos, pool);
+            pushForward(raw, a[entries[i].pos], query, 0, entries[i].pos,
+                        pool);
             ++activity.forwards;
         }
         for (std::size_t i = split + paired; i < last; ++i) {
-            const Item &source = b[entries[i].pos];
-            pushForward(raw, source, *source.findQuery(query), 1,
-                        entries[i].pos, pool);
+            pushForward(raw, b[entries[i].pos], query, 1, entries[i].pos,
+                        pool);
             ++activity.forwards;
         }
         first = last;
@@ -217,7 +216,7 @@ ProcessingElement::process(const std::vector<Item> &a,
 
     // Merge unit: group by indices set. Equal indices imply the same value
     // (a value is a pure function of the vectors it sums), so duplicates
-    // are dropped and distinct residual lists are concatenated. The stash
+    // are dropped and distinct query lists are concatenated. The stash
     // is a linear-probe table from an indices set to the first raw output
     // carrying it (the group's head); later outputs fold into their head
     // in raw order. At least twice as many slots as raw outputs keeps

@@ -5,8 +5,8 @@
  * A PE (Figure 5) has two input FIFO buffers, A and B, a bank of compute
  * units, and a merge unit. For each buffered item it decides, per query in
  * the item's header, whether to REDUCE it with a matching item of the
- * opposite input (concatenating `indices` fields and shrinking the
- * `queries` field) or to FORWARD it unchanged. The merge unit then (a)
+ * opposite input (concatenating `indices` fields, which shrinks that
+ * query's residual) or to FORWARD it unchanged. The merge unit then (a)
  * eliminates redundant identical outputs and (b) merges outputs that carry
  * the same value — equal `indices` sets — by concatenating their `queries`
  * fields, which is what bounds the output count by the batch size.
@@ -20,7 +20,7 @@
  * sums — the invariant the root combiner relies on.
  *
  * Output order. Outputs leave in ascending order of their `indices` set,
- * and each output's residuals and sources are those of its first raw
+ * and each output's query ids and sources are those of its first raw
  * output followed by the ones folded into it, in raw order (queries
  * ascending). The analytic engine gives output k the k-th issue slot and
  * the event engine scans outputs in index order, so this order sets the
@@ -114,12 +114,13 @@ struct PeActivity
 struct Provenance
 {
     /** 0 = input A, 1 = input B. */
-    std::uint8_t side = 0;
+    std::uint32_t side : 1 = 0;
     /** Position within that input list. */
-    std::uint16_t index = 0;
+    std::uint32_t index : 31 = 0;
 
     bool operator==(const Provenance &other) const = default;
 };
+static_assert(sizeof(Provenance) == 4, "Provenance packs into one word");
 
 /** An output item tagged with the action that produced it. */
 struct PeOutput
@@ -143,6 +144,9 @@ class ProcessingElement
   public:
     /**
      * Process inputs A and B.
+     * @param query_sets the batch's full index set per query id
+     *        (PreparedBatch::querySets): Q(q), against which pairing
+     *        checks that both operands are wanted by q.
      * @param values when false, item values are not combined (timing-only
      *        runs on large batches skip the arithmetic).
      * @param op element-wise operator of the reduce path.
@@ -155,7 +159,8 @@ class ProcessingElement
      */
     static std::vector<PeOutput>
     process(const std::vector<Item> &a, const std::vector<Item> &b,
-            PeActivity &activity, bool values = true,
+            const std::vector<IndexSet> &query_sets, PeActivity &activity,
+            bool values = true,
             embedding::ReduceOp op = embedding::ReduceOp::Sum,
             VectorPool *pool = nullptr,
             embedding::PayloadFormat payload =

@@ -359,9 +359,7 @@ TEST(FunctionalTree, Figure6ExactPlacement)
         read.index = index;
         read.item.indices = IndexSet::single(index);
         for (QueryId qid : qids)
-            read.item.queries.push_back(
-                {qid, prepared.querySets[qid].minus(
-                          IndexSet::single(index))});
+            read.item.queries.push_back(qid);
         read.item.value = store.vector(index);
         prepared.rankReads[index % 10].push_back(std::move(read));
         ++prepared.accessCount;
@@ -414,8 +412,8 @@ TEST(FunctionalTree, Figure6ExactPlacement)
     }
     PeActivity activity;
     bool saw_reduced = false;
-    for (const auto &out :
-         ProcessingElement::process(side_a, side_b, activity, false))
+    for (const auto &out : ProcessingElement::process(
+             side_a, side_b, prepared.querySets, activity, false))
         if (out.item.indices == IndexSet({50, 11}))
             saw_reduced = out.action == PeAction::Reduce;
     EXPECT_TRUE(saw_reduced);

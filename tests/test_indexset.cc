@@ -60,29 +60,6 @@ TEST(IndexSet, Minus)
     EXPECT_TRUE(IndexSet({1}).minus(IndexSet{1}).empty());
 }
 
-TEST(IndexSet, MinusOneMatchesMinusAtEveryLength)
-{
-    // minusOne routes through the SIMD compress-store kernel; sweep
-    // lengths across the 8-lane boundary and every excluded position
-    // (plus an absent index) against the scalar minus().
-    for (std::size_t n = 0; n <= 40; ++n) {
-        std::vector<IndexId> items;
-        for (std::size_t i = 0; i < n; ++i)
-            items.push_back(static_cast<IndexId>(3 * i + 1));
-        const IndexSet s(items);
-        for (IndexId excluded : items) {
-            const IndexSet got = s.minusOne(excluded);
-            const IndexSet want = s.minus(IndexSet::single(excluded));
-            EXPECT_EQ(std::vector<IndexId>(got.begin(), got.end()),
-                      std::vector<IndexId>(want.begin(), want.end()))
-                << "n=" << n << " excluded=" << excluded;
-        }
-        const IndexSet same = s.minusOne(2); // never present (3i+1)
-        EXPECT_EQ(std::vector<IndexId>(same.begin(), same.end()), items)
-            << "n=" << n;
-    }
-}
-
 TEST(IndexSet, OrderingAndEquality)
 {
     EXPECT_EQ(IndexSet({1, 2}), IndexSet({2, 1}));

@@ -19,26 +19,56 @@ using namespace fafnir::core;
 namespace
 {
 
-/** An item summing `indices`, wanted by residuals {query -> remaining}. */
-Item
-makeItem(std::initializer_list<IndexId> indices,
-         std::initializer_list<std::pair<QueryId,
-                                         std::initializer_list<IndexId>>>
-             residuals)
+/** One test's batch: each query's full index set, Q(q), by query id. */
+struct TestBatch
 {
-    Item item;
-    item.indices = IndexSet(std::vector<IndexId>(indices));
-    for (const auto &[q, rem] : residuals)
-        item.queries.push_back({q, IndexSet(std::vector<IndexId>(rem))});
-    return item;
-}
+    std::vector<IndexSet> querySets;
 
-std::vector<PeOutput>
-run(const std::vector<Item> &a, const std::vector<Item> &b)
-{
-    PeActivity activity;
-    return ProcessingElement::process(a, b, activity, /*values=*/false);
-}
+    /**
+     * An item summing `indices`, wanted by residuals {query -> remaining}.
+     * Records Q(query) = indices ∪ remaining, on which every item of the
+     * query must agree.
+     */
+    Item
+    makeItem(std::initializer_list<IndexId> indices,
+             std::initializer_list<
+                 std::pair<QueryId, std::initializer_list<IndexId>>>
+                 residuals)
+    {
+        Item item;
+        item.indices = IndexSet(std::vector<IndexId>(indices));
+        for (const auto &[q, rem] : residuals) {
+            const IndexSet full = item.indices.disjointUnion(
+                IndexSet(std::vector<IndexId>(rem)));
+            if (querySets.size() <= q)
+                querySets.resize(q + 1);
+            EXPECT_TRUE(querySets[q].empty() || querySets[q] == full)
+                << "query " << q;
+            querySets[q] = full;
+            item.queries.push_back(q);
+        }
+        return item;
+    }
+
+    std::vector<PeOutput>
+    run(const std::vector<Item> &a, const std::vector<Item> &b) const
+    {
+        PeActivity activity;
+        return ProcessingElement::process(a, b, querySets, activity,
+                                          /*values=*/false);
+    }
+
+    /** Query @p q's residual in @p item's header: Q(q) \ indices. */
+    IndexSet
+    remaining(const Item &item, QueryId q) const
+    {
+        return querySets[q].minus(item.indices);
+    }
+};
+
+/** Each Pe test runs one batch. */
+class Pe : public ::testing::Test, public TestBatch
+{};
 
 const Item *
 findByIndices(const std::vector<PeOutput> &outputs,
@@ -53,7 +83,7 @@ findByIndices(const std::vector<PeOutput> &outputs,
 
 } // namespace
 
-TEST(Pe, ReducesMatchingPair)
+TEST_F(Pe, ReducesMatchingPair)
 {
     // Query 0 = {1, 2}: item {1} on A, item {2} on B -> one reduce.
     const auto out = run({makeItem({1}, {{0, {2}}})},
@@ -62,10 +92,10 @@ TEST(Pe, ReducesMatchingPair)
     EXPECT_EQ(out[0].action, PeAction::Reduce);
     EXPECT_EQ(out[0].item.indices, IndexSet({1, 2}));
     ASSERT_EQ(out[0].item.queries.size(), 1u);
-    EXPECT_TRUE(out[0].item.queries[0].remaining.empty());
+    EXPECT_TRUE(remaining(out[0].item, out[0].item.queries[0]).empty());
 }
 
-TEST(Pe, ForwardsWhenNoMatch)
+TEST_F(Pe, ForwardsWhenNoMatch)
 {
     // Query 0 = {1, 9}; B holds an unrelated query's item.
     const auto out = run({makeItem({1}, {{0, {9}}})},
@@ -75,7 +105,7 @@ TEST(Pe, ForwardsWhenNoMatch)
         EXPECT_EQ(o.action, PeAction::Forward);
 }
 
-TEST(Pe, EmptySideForwardsEverything)
+TEST_F(Pe, EmptySideForwardsEverything)
 {
     // "In some cases only one of the inputs exists, which automatically
     // leads to a forward action" (Figure 6, PE (4|15)).
@@ -87,7 +117,7 @@ TEST(Pe, EmptySideForwardsEverything)
         EXPECT_EQ(o.action, PeAction::Forward);
 }
 
-TEST(Pe, SharedItemReducesAndForwards)
+TEST_F(Pe, SharedItemReducesAndForwards)
 {
     // Figure 6 step 1: index 11's value reduces with 50 for query c but
     // must also forward for query a.
@@ -98,28 +128,29 @@ TEST(Pe, SharedItemReducesAndForwards)
     const Item *reduced = findByIndices(out, {50, 11});
     ASSERT_NE(reduced, nullptr);
     EXPECT_EQ(reduced->queries.size(), 1u);
-    EXPECT_EQ(reduced->queries[0].query, 2u);
+    EXPECT_EQ(reduced->queries[0], 2u);
 
     const Item *forwarded = findByIndices(out, {11});
     ASSERT_NE(forwarded, nullptr);
     ASSERT_EQ(forwarded->queries.size(), 1u);
-    EXPECT_EQ(forwarded->queries[0].query, 0u);
-    EXPECT_EQ(forwarded->queries[0].remaining, IndexSet({44}));
+    EXPECT_EQ(forwarded->queries[0], 0u);
+    EXPECT_EQ(remaining(*forwarded, forwarded->queries[0]), IndexSet({44}));
 }
 
-TEST(Pe, MergeUnitDropsDuplicateOutputs)
+TEST_F(Pe, MergeUnitDropsDuplicateOutputs)
 {
     // The symmetric scan produces the reduced item from both sides; the
     // merge unit must emit it once.
     PeActivity activity;
-    const auto out = ProcessingElement::process(
-        {makeItem({1}, {{0, {2}}})}, {makeItem({2}, {{0, {1}}})},
-        activity, false);
+    const std::vector<Item> a = {makeItem({1}, {{0, {2}}})};
+    const std::vector<Item> b = {makeItem({2}, {{0, {1}}})};
+    const auto out =
+        ProcessingElement::process(a, b, querySets, activity, false);
     EXPECT_EQ(out.size(), 1u);
     EXPECT_EQ(activity.reduces, 1u);
 }
 
-TEST(Pe, MergeUnitConcatenatesHeaders)
+TEST_F(Pe, MergeUnitConcatenatesHeaders)
 {
     // Two queries both need {1} u {2}: same value, two residuals — the
     // merge unit concatenates the queries fields (Figure 6 step at
@@ -130,11 +161,11 @@ TEST(Pe, MergeUnitConcatenatesHeaders)
     const Item *merged = findByIndices(out, {1, 2});
     ASSERT_NE(merged, nullptr);
     ASSERT_EQ(merged->queries.size(), 2u);
-    EXPECT_EQ(merged->queries[0].remaining, IndexSet({7}));
-    EXPECT_EQ(merged->queries[1].remaining, IndexSet({9}));
+    EXPECT_EQ(remaining(*merged, merged->queries[0]), IndexSet({7}));
+    EXPECT_EQ(remaining(*merged, merged->queries[1]), IndexSet({9}));
 }
 
-TEST(Pe, SameSideMultiplicityPairsOnce)
+TEST_F(Pe, SameSideMultiplicityPairsOnce)
 {
     // Query 0 = {1, 2, 3}; A holds {1} and {2}, B holds {3}. Exactly one
     // of A's items may reduce with B's; the other must forward.
@@ -158,54 +189,55 @@ TEST(Pe, SameSideMultiplicityPairsOnce)
     EXPECT_EQ(covered, IndexSet({1, 2, 3}));
 }
 
-TEST(Pe, ValuesAreSummedWhenPresent)
+TEST_F(Pe, ValuesAreSummedWhenPresent)
 {
     Item a = makeItem({1}, {{0, {2}}});
     Item b = makeItem({2}, {{0, {1}}});
     a.value = {1.0f, 2.0f};
     b.value = {10.0f, 20.0f};
     PeActivity activity;
-    const auto out =
-        ProcessingElement::process({a}, {b}, activity, /*values=*/true);
+    const auto out = ProcessingElement::process({a}, {b}, querySets,
+                                                activity, /*values=*/true);
     ASSERT_EQ(out.size(), 1u);
     ASSERT_EQ(out[0].item.value.size(), 2u);
     EXPECT_FLOAT_EQ(out[0].item.value[0], 11.0f);
     EXPECT_FLOAT_EQ(out[0].item.value[1], 22.0f);
 }
 
-TEST(Pe, ActivityCountsCompares)
+TEST_F(Pe, ActivityCountsCompares)
 {
     PeActivity activity;
-    ProcessingElement::process(
-        {makeItem({1}, {{0, {9}}}), makeItem({2}, {{1, {9}}})},
-        {makeItem({3}, {{2, {9}}}), makeItem({4}, {{3, {9}}}),
-         makeItem({5}, {{4, {9}}})},
-        activity, false);
+    const std::vector<Item> a = {makeItem({1}, {{0, {9}}}),
+                                 makeItem({2}, {{1, {9}}})};
+    const std::vector<Item> b = {makeItem({3}, {{2, {9}}}),
+                                 makeItem({4}, {{3, {9}}}),
+                                 makeItem({5}, {{4, {9}}})};
+    ProcessingElement::process(a, b, querySets, activity, false);
     EXPECT_EQ(activity.compares, 6u); // 2 x 3 fabric comparisons
 }
 
-TEST(Pe, OutputBoundFormula)
+TEST_F(Pe, OutputBoundFormula)
 {
     EXPECT_EQ(ProcessingElement::outputBound(3, 4, 100), 19u); // nm+n+m
     EXPECT_EQ(ProcessingElement::outputBound(8, 8, 32), 32u);  // capped at B
 }
 
-TEST(Pe, PartialChainOverTwoLevels)
+TEST_F(Pe, PartialChainOverTwoLevels)
 {
     // Level 1 reduces {1}+{2}; level 2 reduces the partial with {3}.
     const auto l1 = run({makeItem({1}, {{0, {2, 3}}})},
                         {makeItem({2}, {{0, {1, 3}}})});
     ASSERT_EQ(l1.size(), 1u);
-    EXPECT_EQ(l1[0].item.queries[0].remaining, IndexSet({3}));
+    EXPECT_EQ(remaining(l1[0].item, l1[0].item.queries[0]), IndexSet({3}));
 
     const auto l2 = run({l1[0].item}, {makeItem({3}, {{0, {1, 2}}})});
     ASSERT_EQ(l2.size(), 1u);
     EXPECT_EQ(l2[0].item.indices, IndexSet({1, 2, 3}));
-    EXPECT_TRUE(l2[0].item.queries[0].remaining.empty());
-    EXPECT_TRUE(l2[0].item.completesAnyQuery());
+    EXPECT_TRUE(remaining(l2[0].item, l2[0].item.queries[0]).empty());
+    EXPECT_TRUE(l2[0].item.completesAnyQuery(querySets));
 }
 
-TEST(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
+TEST_F(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
 {
     // Seeded random inputs. Ids form disjoint chunks, each living on one
     // side; every query is a union of chunks. A chunk's entry is one
@@ -237,22 +269,22 @@ TEST(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
         std::vector<Item> sides[2];
         for (unsigned c = 0; c < num_chunks; ++c) {
             const IndexSet indices(chunks[c]);
-            std::vector<QueryResidual> residuals;
+            std::vector<QueryId> wanting;
             for (QueryId q = 0; q < num_queries; ++q)
                 if (std::find(members[q].begin(), members[q].end(), c) !=
                     members[q].end())
-                    residuals.push_back({q, query_sets[q].minus(indices)});
-            std::shuffle(residuals.begin(), residuals.end(), rng);
+                    wanting.push_back(q);
+            std::shuffle(wanting.begin(), wanting.end(), rng);
             std::vector<Item> items;
             if (rng() % 2 == 0) {
                 Item shared;
                 shared.indices = indices;
-                for (const auto &r : residuals)
+                for (QueryId r : wanting)
                     shared.queries.push_back(r);
-                if (!residuals.empty())
+                if (!wanting.empty())
                     items.push_back(shared);
             } else {
-                for (const auto &r : residuals) {
+                for (QueryId r : wanting) {
                     Item own;
                     own.indices = indices;
                     own.queries.push_back(r);
@@ -271,7 +303,7 @@ TEST(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
 
         PeActivity activity;
         const auto outputs = ProcessingElement::process(
-            sides[0], sides[1], activity, /*values=*/false);
+            sides[0], sides[1], query_sets, activity, /*values=*/false);
         seen += activity;
 
         std::size_t carried = 0;
@@ -285,11 +317,10 @@ TEST(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
                 for (std::size_t j = i + 1; j < out.sources.size(); ++j)
                     EXPECT_FALSE(out.sources[i] == out.sources[j])
                         << "round " << round << " output " << k;
-            // Residuals fold in the order the merge unit meets them:
+            // Query ids fold in the order the merge unit meets them:
             // raw outputs are produced query by query.
             for (std::size_t i = 1; i < out.item.queries.size(); ++i)
-                EXPECT_LT(out.item.queries[i - 1].query,
-                          out.item.queries[i].query)
+                EXPECT_LT(out.item.queries[i - 1], out.item.queries[i])
                     << "round " << round << " output " << k;
             carried += out.item.queries.size();
         }
@@ -306,16 +337,60 @@ TEST(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
     EXPECT_GT(seen.headersMerged, 0u);
 }
 
+TEST_F(Pe, PairingChecksAbortOnUnwantedOperands)
+{
+    // Query 0 = {1, 2}. A pairing whose operand lies outside Q(0), whose
+    // operands overlap, or whose query is not in the batch must abort
+    // rather than reduce.
+    const Item left = makeItem({1}, {{0, {2}}});
+    Item stray;
+    stray.indices = IndexSet({3});
+    stray.queries.push_back(0);
+    EXPECT_DEATH(run({left}, {stray}), "not wanted");
+
+    Item overlap;
+    overlap.indices = IndexSet({1, 2});
+    overlap.queries.push_back(0);
+    EXPECT_DEATH(run({left}, {overlap}), "overlapping");
+
+    Item unknown_left = left;
+    Item unknown_right = stray;
+    unknown_left.queries = {7};
+    unknown_right.queries = {7};
+    EXPECT_DEATH(run({unknown_left}, {unknown_right}), "outside the batch");
+}
+
+TEST_F(Pe, ProvenanceIndexDoesNotWrap)
+{
+    // 65,537 single-query items on side A: every one forwards, and each
+    // output's provenance must name its own buffer position, past the
+    // 16-bit range too (the event engine counts FIFO uses by it).
+    constexpr IndexId kItems = 65537;
+    std::vector<Item> a;
+    a.reserve(kItems);
+    for (IndexId i = 0; i < kItems; ++i)
+        a.push_back(makeItem({i}, {{i, {}}}));
+    const auto out = run(a, {});
+    ASSERT_EQ(out.size(), kItems);
+    for (IndexId k = 0; k < kItems; ++k) {
+        ASSERT_EQ(out[k].sources.size(), 1u);
+        EXPECT_EQ(out[k].sources[0].side, 0u);
+        ASSERT_EQ(out[k].sources[0].index, k);
+    }
+}
+
 TEST(Item, HeaderBitsAccounting)
 {
-    const Item item = makeItem({1, 2}, {{0, {3, 4, 5}}, {1, {9}}});
+    TestBatch batch;
+    const Item item = batch.makeItem({1, 2}, {{0, {3, 4, 5}}, {1, {9}}});
     // 2 indices + 4 residual indices at 5 bits each.
-    EXPECT_EQ(item.headerBits(5), 30u);
+    EXPECT_EQ(item.headerBits(batch.querySets, 5), 30u);
 }
 
 TEST(Item, ToStringReadable)
 {
-    const Item item = makeItem({50, 11}, {{2, {94, 26}}});
+    TestBatch batch;
+    const Item item = batch.makeItem({50, 11}, {{2, {94, 26}}});
     const std::string s = item.toString();
     EXPECT_NE(s.find("{11,50}"), std::string::npos);
     EXPECT_NE(s.find("q2"), std::string::npos);

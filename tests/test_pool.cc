@@ -47,27 +47,31 @@ TEST(VectorPool, IgnoresEmptyBuffers)
 namespace
 {
 
-/** Two reducible input sides plus an unpaired forward. */
+/** Two reducible input sides plus an unpaired forward; @p query_sets
+ *  gets each query's full index set. */
 void
-makeInputs(std::vector<Item> &a, std::vector<Item> &b, std::size_t dim)
+makeInputs(std::vector<Item> &a, std::vector<Item> &b,
+           std::vector<IndexSet> &query_sets, std::size_t dim)
 {
     for (IndexId i = 0; i < 6; i += 2) {
         const QueryId q = i / 2;
+        query_sets.push_back({i, i + 1});
         Item left;
         left.indices = IndexSet::single(i);
-        left.queries = {{q, IndexSet::single(i + 1)}};
+        left.queries = {q};
         left.value.assign(dim, 1.0f + static_cast<float>(i));
         Item right;
         right.indices = IndexSet::single(i + 1);
-        right.queries = {{q, IndexSet::single(i)}};
+        right.queries = {q};
         right.value.assign(dim, 0.5f + static_cast<float>(i));
         a.push_back(std::move(left));
         b.push_back(std::move(right));
     }
     // Query 3 has both vectors on side A: one reduceless forward each.
+    query_sets.push_back({40, 41});
     Item lone;
     lone.indices = IndexSet::single(40);
-    lone.queries = {{3, IndexSet::single(41)}};
+    lone.queries = {3};
     lone.value.assign(dim, 7.0f);
     a.push_back(std::move(lone));
 }
@@ -78,18 +82,19 @@ TEST(VectorPool, PooledPeOutputsBitIdentical)
 {
     std::vector<Item> a;
     std::vector<Item> b;
-    makeInputs(a, b, 33); // odd length: no convenient vector width
+    std::vector<IndexSet> query_sets;
+    makeInputs(a, b, query_sets, 33); // odd length: no convenient width
 
     PeActivity plain_activity;
     const auto plain = ProcessingElement::process(
-        a, b, plain_activity, true, ReduceOp::Sum, nullptr);
+        a, b, query_sets, plain_activity, true, ReduceOp::Sum, nullptr);
 
     VectorPool pool;
     PeActivity pooled_activity;
     // Two rounds so round two actually reuses round one's buffers.
     for (int round = 0; round < 2; ++round) {
         auto pooled = ProcessingElement::process(
-            a, b, pooled_activity, true, ReduceOp::Sum, &pool);
+            a, b, query_sets, pooled_activity, true, ReduceOp::Sum, &pool);
         ASSERT_EQ(pooled.size(), plain.size());
         for (std::size_t i = 0; i < plain.size(); ++i) {
             EXPECT_EQ(pooled[i].item.indices, plain[i].item.indices);

@@ -110,8 +110,7 @@ expectPreparedIdentical(const PreparedBatch &a, const PreparedBatch &b)
             EXPECT_EQ(ra.address, rb.address);
             ASSERT_EQ(ra.item.queries.size(), rb.item.queries.size());
             for (std::size_t q = 0; q < ra.item.queries.size(); ++q) {
-                EXPECT_EQ(ra.item.queries[q].query,
-                          rb.item.queries[q].query)
+                EXPECT_EQ(ra.item.queries[q], rb.item.queries[q])
                     << "rank " << r << " read " << i << " user " << q;
             }
             EXPECT_TRUE(bitIdentical(ra.item.value, rb.item.value));

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests of the discrete-event kernel: ordering, cancellation,
- * rescheduling, one-shot callbacks, and clock-domain arithmetic.
+ * rescheduling and one-shot callbacks.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <random>
 #include <vector>
 
-#include "sim/clocked.hh"
 #include "sim/eventq.hh"
 
 using namespace fafnir;
@@ -382,43 +381,4 @@ TEST(EventQueue, TeardownDestroysPendingOneShots)
         EXPECT_EQ(token.use_count(), 3);
     }
     EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(ClockDomain, Conversions)
-{
-    const ClockDomain clk = ClockDomain::fromMhz(200.0);
-    EXPECT_EQ(clk.period(), 5000u);
-    EXPECT_EQ(clk.cyclesToTicks(3), 15000u);
-    EXPECT_EQ(clk.ticksToCycles(15000), 3u);
-    EXPECT_EQ(clk.ticksToCycles(15001), 3u);
-    EXPECT_EQ(clk.nextEdge(0), 0u);
-    EXPECT_EQ(clk.nextEdge(1), 5000u);
-    EXPECT_EQ(clk.nextEdge(5000), 5000u);
-    EXPECT_EQ(clk.nextEdge(5001), 10000u);
-}
-
-TEST(Clocked, EdgeAlignedScheduling)
-{
-    EventQueue eq;
-    struct Widget : Clocked
-    {
-        Widget(EventQueue &eq)
-            : Clocked("widget", eq, ClockDomain::fromMhz(100.0))
-        {}
-    } widget(eq);
-
-    // Advance time off-edge with a dummy event.
-    eq.scheduleFn(123, [] {});
-    eq.run();
-    EXPECT_EQ(eq.now(), 123u);
-    EXPECT_EQ(widget.clockEdge(0), 10000u);
-    EXPECT_EQ(widget.clockEdge(2), 30000u);
-    EXPECT_EQ(widget.curCycle(), 0u);
-
-    int fired = 0;
-    Event tick("tick", [&] { ++fired; });
-    widget.scheduleCycles(tick, 1);
-    eq.run();
-    EXPECT_EQ(eq.now(), 20000u);
-    EXPECT_EQ(fired, 1);
 }

@@ -168,8 +168,14 @@ TEST(Host, HeadersCarryResidualsOfAllUsers)
                 read2 = &r;
     ASSERT_NE(read2, nullptr);
     ASSERT_EQ(read2->item.queries.size(), 2u);
-    EXPECT_EQ(read2->item.queries[0].remaining, IndexSet({1, 5}));
-    EXPECT_EQ(read2->item.queries[1].remaining, IndexSet({5, 9}));
+    EXPECT_EQ(read2->item.queries[0], 0u);
+    EXPECT_EQ(read2->item.queries[1], 1u);
+    // Each user's residual on the wire, Q(q) \ indices.
+    const auto remaining = [&](std::size_t k) {
+        return p.querySets[read2->item.queries[k]].minus(read2->item.indices);
+    };
+    EXPECT_EQ(remaining(0), IndexSet({1, 5}));
+    EXPECT_EQ(remaining(1), IndexSet({5, 9}));
 }
 
 TEST(Host, ReadsLandOnTheLayoutRank)
