@@ -2,11 +2,12 @@
 # Build everything, regenerate every paper table/figure plus the
 # ablations into results/, then run the full test suite. Each harness
 # writes its table to results/<name>.txt and a machine-readable run
-# report to results/<name>.json (see docs/OBSERVABILITY.md). The tests
-# run last because the bench_<name> ctests compare each harness's stdout
-# with results/<name>.txt: a change that means to move a table gets it
-# regenerated here, and the tests then check that the harness prints it
-# again.
+# report to results/<name>.json (see docs/OBSERVABILITY.md); the
+# fafnir_sim event-replay goldens go to results/fafnir_sim_event*. The
+# tests run last because the bench_<name> and tool_fafnir_sim_golden_*
+# ctests compare those outputs with results/: a change that means to
+# move one gets it regenerated here, and the tests then check that the
+# run prints it again.
 #
 # Usage: scripts/run_all.sh [-j N] [build-dir]
 #   -j N   worker threads for sweep-parallel harnesses (default: nproc).
@@ -81,6 +82,25 @@ for bench in "$build_dir"/bench/*; do
     timing_names+=("$name")
     timing_secs+=("$(echo "$start" "$(date +%s.%N)" | awk '{printf "%.2f", $2 - $1}')")
 done
+
+# The fafnir_sim goldens the tool_fafnir_sim_golden_* ctests pin, with
+# the command lines tools/CMakeLists.txt gives them.
+echo "== fafnir_sim goldens =="
+sim="$build_dir/tools/fafnir_sim"
+golden_event=(--mode=lookup --engine=event --batches=4)
+if ! "$sim" "${golden_event[@]}" \
+        --stats-json="$results_dir/fafnir_sim_event.stats.json" \
+        --attrib="$results_dir/fafnir_sim_event.attrib.json" \
+        > "$results_dir/fafnir_sim_event.txt"; then
+    failed+=("fafnir_sim_event")
+fi
+if ! "$sim" "${golden_event[@]}" \
+        --faults=pe_backpressure:0.05,dram_latency:0.05 --fault-seed=7 \
+        --attrib="$results_dir/fafnir_sim_event_faults.attrib.json" \
+        > "$results_dir/fafnir_sim_event_faults.txt"; then
+    failed+=("fafnir_sim_event_faults")
+fi
+echo
 
 echo "== harness wall time (jobs=$jobs) =="
 printf '%-28s %10s\n' "harness" "seconds"

@@ -7,33 +7,23 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace fafnir::core
 {
 
 FafnirEngine::FafnirEngine(dram::MemorySystem &memory,
                            const embedding::VectorLayout &layout,
                            const EngineConfig &config)
-    : memory_(memory), layout_(layout), config_(config),
-      topology_(memory.geometry().totalRanks(), config.ranksPerLeafPe),
-      host_(layout), tree_(topology_),
-      pePeriod_(periodFromMhz(config.peClockMhz))
-{
-    if (config_.interactive)
-        config_.latency.compare = 0; // no batch comparisons (§IV-C)
-}
+    : memory_(memory), replay_(memory, layout, config)
+{}
 
 LookupTiming
 FafnirEngine::lookup(const embedding::Batch &batch, Tick start)
 {
     const unsigned capacity =
-        config_.interactive ? 1 : config_.hwBatch;
+        config().interactive ? 1 : config().hwBatch;
     if (batch.size() <= capacity) {
-        PreparedBatch prepared =
-            host_.prepare(batch, config_.dedup, config_.payload);
-        scheduleReads(prepared, config_.readOrder, memory_.mapper());
-        return runPrepared(prepared, start, 0);
+        PreparedBatch prepared = replay_.prepare(batch);
+        return lookupPrepared(prepared, start);
     }
 
     // Serve the software batch as hardware sub-batches: sub-batch i+1's
@@ -56,9 +46,7 @@ FafnirEngine::lookup(const embedding::Batch &batch, Tick start)
             q.id = static_cast<QueryId>(i - first);
             sub.queries.push_back(std::move(q));
         }
-        PreparedBatch sub_prepared =
-            host_.prepare(sub, config_.dedup, config_.payload);
-        scheduleReads(sub_prepared, config_.readOrder, memory_.mapper());
+        PreparedBatch sub_prepared = replay_.prepare(sub);
         LookupTiming t =
             runPrepared(sub_prepared, sub_start, min_complete);
         for (std::size_t i = first; i < last; ++i)
@@ -91,9 +79,7 @@ FafnirEngine::lookupMany(const std::vector<embedding::Batch> &batches,
     timings.reserve(batches.size());
     Tick min_complete = 0;
     for (const auto &batch : batches) {
-        PreparedBatch prepared =
-            host_.prepare(batch, config_.dedup, config_.payload);
-        scheduleReads(prepared, config_.readOrder, memory_.mapper());
+        PreparedBatch prepared = replay_.prepare(batch);
         LookupTiming t = runPrepared(prepared, start, min_complete);
         min_complete = t.complete;
         timings.push_back(std::move(t));
@@ -104,156 +90,63 @@ FafnirEngine::lookupMany(const std::vector<embedding::Batch> &batches,
 LookupTiming
 FafnirEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
 {
-    scheduleReads(prepared, config_.readOrder, memory_.mapper());
     return runPrepared(prepared, start, 0);
 }
 
 LookupTiming
-FafnirEngine::runPrepared(const PreparedBatch &prepared, Tick start,
+FafnirEngine::runPrepared(PreparedBatch &prepared, Tick start,
                           Tick min_complete)
 {
-    // Transport width under the batch's payload format: fp32 keeps the
-    // historical 4*dim; int8/twobit shrink every DRAM read and link
-    // transfer to the compressed width (values were round-tripped at
-    // prepare time, so the arithmetic downstream is unchanged).
-    const auto vector_bytes = static_cast<unsigned>(
-        prepared.vectorPayloadBytes(layout_.tables().dim()));
-    const unsigned num_pes = topology_.numPes();
-
-    LookupTiming timing;
-    timing.issued = start;
-    timing.memAccesses = prepared.accessCount;
-    timing.uniqueCount = prepared.uniqueCount;
-    timing.totalReferences = prepared.totalReferences;
-    timing.payload = prepared.payload;
-    timing.dramPayloadBytes =
-        static_cast<std::uint64_t>(prepared.accessCount) * vector_bytes;
+    scheduleReads(prepared, config().readOrder, memory_.mapper());
+    const TreeTopology &topology = replay_.topology();
+    const unsigned num_pes = topology.numPes();
+    const unsigned vector_bytes = replay_.vectorBytes(prepared);
 
     // 1. Issue all reads. Per-rank lists are issued in order; the memory
-    //    model serializes bank/bus conflicts internally. Arrival lists are
-    //    built in the same (rank-ascending, in-list) order the functional
-    //    evaluator uses to assemble leaf inputs.
-    std::vector<std::vector<Tick>> arrive_a(num_pes + 1);
-    std::vector<std::vector<Tick>> arrive_b(num_pes + 1);
-    timing.memFirst = MaxTick;
-    timing.memLast = start;
-    for (unsigned rank = 0; rank < topology_.numRanks(); ++rank) {
-        const unsigned pe = topology_.leafPeOf(rank);
-        auto &side = topology_.sideOf(rank) == 0 ? arrive_a[pe]
-                                                 : arrive_b[pe];
-        for (const auto &read : prepared.rankReads[rank]) {
+    //    model serializes bank/bus conflicts internally. A PE's barrier is
+    //    its latest input arrival.
+    LookupTiming timing;
+    std::vector<Tick> last_input(num_pes + 1, start);
+    replay_.issueReads(
+        prepared, start, timing,
+        [&](const RankRead &read, unsigned, unsigned pe, unsigned,
+            std::size_t) {
             const auto result = memory_.read(read.address, vector_bytes,
                                              start, dram::Destination::Ndp);
-            side.push_back(result.complete);
-            timing.memFirst = std::min(timing.memFirst, result.firstData);
-            timing.memLast = std::max(timing.memLast, result.complete);
-        }
-    }
-    if (timing.memFirst == MaxTick)
-        timing.memFirst = start;
+            last_input[pe] = std::max(last_input[pe], result.complete);
+            return result;
+        });
 
     // 2. Functional evaluation (headers only) with traces.
-    const TreeRun run = tree_.run(prepared, /*values=*/false,
-                                  /*keep_trace=*/true);
-    timing.activity = run.total;
-    timing.rootCombines = run.rootCombines;
-    timing.maxPeOutputs = run.maxPeOutputs;
-    if (run.maxPeOutputs > config_.hwBatch)
-        ++timing.bufferOverflows;
+    const TreeRun run = replay_.run(prepared, start, timing);
 
-    // 3. Replay traces with latencies, leaves to root.
-    auto align = [this](Tick t) {
-        const Tick rem = t % pePeriod_;
-        return rem == 0 ? t : t + (pePeriod_ - rem);
-    };
-    std::vector<std::vector<Tick>> out_times(num_pes + 1);
+    // 3. Replay traces leaves to root: a PE's outputs start once its
+    //    last input has arrived, one per issue slot.
+    std::vector<Tick> root_times;
     for (unsigned pe = num_pes; pe >= 1; --pe) {
-        const std::vector<Tick> &in_a = topology_.isLeafPe(pe)
-            ? arrive_a[pe]
-            : out_times[topology_.leftChild(pe)];
-        const std::vector<Tick> &in_b = topology_.isLeafPe(pe)
-            ? arrive_b[pe]
-            : out_times[topology_.rightChild(pe)];
-
-        Tick ready = start;
-        for (Tick t : in_a)
-            ready = std::max(ready, t);
-        for (Tick t : in_b)
-            ready = std::max(ready, t);
-        ready = align(ready);
-
-        // Crossing from a DIMM/rank-node chip into the channel-node chip
-        // costs an inter-chip link hop (Figure 4a packaging): the link is
-        // charged on the outputs of the highest PE still inside a
-        // DIMM/rank node.
-        Cycles link = 0;
-        if (topology_.numLevels() > config_.channelNodeLevels &&
-            topology_.heightOf(pe) ==
-                topology_.numLevels() - 1 - config_.channelNodeLevels) {
-            link = config_.interNodeLinkCycles;
-        }
-
+        const Tick ready = replay_.align(last_input[pe]);
         const auto &outputs = run.trace[pe].outputs;
-        // Every traced output crosses one link upward (the root's cross
-        // the root-to-host link) carrying one vector payload.
-        timing.linkPayloadBytes +=
-            static_cast<std::uint64_t>(outputs.size()) * vector_bytes;
-        out_times[pe].reserve(outputs.size());
         for (std::size_t k = 0; k < outputs.size(); ++k) {
-            const Cycles action = outputs[k].action == PeAction::Reduce
-                ? config_.latency.reducePath()
-                : config_.latency.forwardPath();
-            const Cycles total = action + config_.latency.merge + link +
-                                 k * config_.latency.issue;
-            out_times[pe].push_back(ready + total * pePeriod_);
+            const Tick t = ready + replay_.pathTicks(pe, outputs[k].action) +
+                           k * replay_.issueTicks();
+            if (pe == TreeTopology::rootPe()) {
+                root_times.push_back(t);
+            } else {
+                Tick &parent_input = last_input[topology.parent(pe)];
+                parent_input = std::max(parent_input, t);
+            }
         }
         if (pe == 1)
             break;
     }
 
-    // 4. Per-query completion at the root, then serialize result vectors
-    //    on the root-to-host link.
-    const std::size_t num_queries = prepared.querySets.size();
-    std::vector<std::pair<Tick, QueryId>> finish_order;
-    finish_order.reserve(num_queries);
-    const auto &root_out = run.rootOutputs;
-    const auto &root_times = out_times[TreeTopology::rootPe()];
-    FAFNIR_ASSERT(root_times.size() == root_out.size(),
-                  "root trace size mismatch");
-    for (QueryId q = 0; q < num_queries; ++q) {
-        Tick tq = start;
-        for (std::size_t k = 0; k < root_out.size(); ++k)
-            if (root_out[k].item.hasQuery(q))
-                tq = std::max(tq, root_times[k]);
-        // Residual disjoint partials are summed at the root output stage.
-        tq += (run.rootItemsPerQuery[q] - 1) *
-              config_.latency.reduceValue * pePeriod_;
-        finish_order.emplace_back(tq, q);
-    }
-    std::sort(finish_order.begin(), finish_order.end());
-
-    const auto transfer_ticks = static_cast<Tick>(
-        static_cast<double>(vector_bytes) / config_.rootLinkGBs * 1000.0);
-    // Finished vectors leave over c parallel root-to-host links.
-    FAFNIR_ASSERT(config_.hostLinks >= 1, "need at least one host link");
-    std::vector<Tick> link_free(config_.hostLinks, min_complete);
-    Tick last = min_complete;
-    timing.queryComplete.assign(num_queries, 0);
-    for (const auto &[ready, q] : finish_order) {
-        auto earliest = static_cast<std::size_t>(
-            std::min_element(link_free.begin(), link_free.end()) -
-            link_free.begin());
-        const Tick done =
-            std::max(ready, link_free[earliest]) + transfer_ticks;
-        timing.queryComplete[q] = done + config_.hostReceiveOverhead;
-        link_free[earliest] = done;
-        last = std::max(last, done);
-    }
-    timing.complete = last + config_.hostReceiveOverhead;
+    // 4. Per-query completion at the root, then the root-to-host links.
+    replay_.hostTail(replay_.queryReady(run, root_times, start),
+                     vector_bytes, min_complete, timing);
     timing.memLast = std::min(timing.memLast, timing.complete);
 
     ++batches_;
-    queries_ += num_queries;
+    queries_ += timing.queryComplete.size();
     reads_ += timing.memAccesses;
     reduces_ += timing.activity.reduces;
     forwards_ += timing.activity.forwards;

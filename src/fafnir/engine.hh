@@ -3,11 +3,11 @@
  * Cycle-level timing engine for Fafnir embedding lookup.
  *
  * Reads flow through the DDR4 model into the leaf PEs (Destination::Ndp —
- * rank-internal buses, no channel-bus crossing), the per-PE traces of the
- * functional evaluator are replayed with Table-IV latencies attached, and
- * finished query vectors serialize on the root-to-host link. The engine
- * reports the Figure 11 latency breakdown (memory vs computation), the
- * Figure 13 throughput inputs, and the Figure 15 access counts.
+ * rank-internal buses, no channel-bus crossing), and TreeReplay replays
+ * the functional evaluator's per-PE traces with Table-IV latencies behind
+ * a per-PE barrier (outputs start once the PE's last input arrived). The
+ * engine reports the Figure 11 latency breakdown (memory vs computation),
+ * the Figure 13 throughput inputs, and the Figure 15 access counts.
  */
 
 #ifndef FAFNIR_FAFNIR_ENGINE_HH
@@ -16,101 +16,10 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/types.hh"
-#include "dram/memsystem.hh"
-#include "embedding/layout.hh"
-#include "embedding/query.hh"
-#include "fafnir/functional.hh"
-#include "fafnir/host.hh"
-#include "fafnir/pe.hh"
-#include "fafnir/scheduler.hh"
-#include "fafnir/tree.hh"
+#include "fafnir/replay.hh"
 
 namespace fafnir::core
 {
-
-/** Engine parameters. */
-struct EngineConfig
-{
-    PeLatency latency;
-    /** PE clock (the paper's FPGA implementation runs at 200 MHz). */
-    double peClockMhz = 200.0;
-    /** Root-to-host link bandwidth for result vectors. */
-    double rootLinkGBs = 25.6;
-    /** Parallel root-to-host links (the `c` of Section IV-A's
-     *  (2m-2)+c connection count — one per consuming core). */
-    unsigned hostLinks = 1;
-    /** Host-side cost of landing one finished query vector (a single
-     *  well-known attach point, cheaper than scattered NDP partials). */
-    Tick hostReceiveOverhead = 20 * kTicksPerNs;
-    /** Read each unique index once (Section IV-C mechanism). */
-    bool dedup = true;
-    /**
-     * Hardware batch capacity B (buffer entries and compute units per PE,
-     * Table I). Software batches larger than this are served as several
-     * hardware sub-batches (Section IV-B).
-     */
-    unsigned hwBatch = 32;
-    /** Tree scale: ranks per leaf PE (1, 2, or 4 per Section IV-B). */
-    unsigned ranksPerLeafPe = 2;
-    /**
-     * Extra cycles when a flit crosses between fabricated chips — from a
-     * DIMM/rank node's top PE to the channel node (Figure 4a's physical
-     * packaging). Intra-chip hops are free beyond the PE pipeline.
-     */
-    Cycles interNodeLinkCycles = 2;
-    /** Tree levels contained in the channel-node chip (log2 channels). */
-    unsigned channelNodeLevels = 2;
-    /** Per-rank read issue order at the root's request decoder. */
-    ReadOrder readOrder = ReadOrder::InOrder;
-    /**
-     * Interactive processing (Section IV-C): queries are served one at a
-     * time; PEs only forward or reduce, skipping the batch comparisons,
-     * and the host performs no cross-query dedup.
-     */
-    bool interactive = false;
-    /**
-     * Transport payload encoding. Non-fp32 formats shrink every DRAM
-     * read and PE-link/root-link transfer to the format's byte width
-     * (and round-trip leaf values through the quantizer — see
-     * PreparedBatch::payload); fp32 is the exact path and the default.
-     */
-    embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
-};
-
-/** Timing of one batch lookup. */
-struct LookupTiming
-{
-    Tick issued = 0;
-    /** First data beat delivered by DRAM. */
-    Tick memFirst = 0;
-    /** Last vector fully gathered from DRAM. */
-    Tick memLast = 0;
-    /** Last query vector delivered to the host. */
-    Tick complete = 0;
-    std::size_t memAccesses = 0;
-    std::size_t uniqueCount = 0;
-    std::size_t totalReferences = 0;
-    std::size_t rootCombines = 0;
-    std::size_t maxPeOutputs = 0;
-    /** Batches whose peak PE occupancy exceeded the hardware batch size
-     *  (served as several hardware sub-batches; see Section IV-B). */
-    std::size_t bufferOverflows = 0;
-    /** Payload encoding the batch travelled in. */
-    embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
-    /** Modelled payload bytes read from DRAM (accesses x format width). */
-    std::uint64_t dramPayloadBytes = 0;
-    /** Modelled payload bytes over PE links and the root-to-host link
-     *  (one vector payload per traced PE output). */
-    std::uint64_t linkPayloadBytes = 0;
-    PeActivity activity;
-    /** Completion tick of each query. */
-    std::vector<Tick> queryComplete;
-
-    Tick memoryTime() const { return memLast - issued; }
-    Tick computeTime() const { return complete - memLast; }
-    Tick totalTime() const { return complete - issued; }
-};
 
 /** Fafnir lookup accelerator model. */
 class FafnirEngine
@@ -139,8 +48,8 @@ class FafnirEngine
     std::vector<LookupTiming>
     lookupMany(const std::vector<embedding::Batch> &batches, Tick start);
 
-    const EngineConfig &config() const { return config_; }
-    const TreeTopology &topology() const { return topology_; }
+    const EngineConfig &config() const { return replay_.config(); }
+    const TreeTopology &topology() const { return replay_.topology(); }
 
     /** Register cumulative engine counters with @p group. */
     void registerStats(StatGroup &group) const;
@@ -152,16 +61,11 @@ class FafnirEngine
     /** @} */
 
   private:
-    LookupTiming runPrepared(const PreparedBatch &prepared, Tick start,
+    LookupTiming runPrepared(PreparedBatch &prepared, Tick start,
                              Tick min_complete);
 
     dram::MemorySystem &memory_;
-    const embedding::VectorLayout &layout_;
-    EngineConfig config_;
-    TreeTopology topology_;
-    Host host_;
-    FunctionalTree tree_;
-    Tick pePeriod_;
+    TreeReplay replay_;
 
     Counter batches_;
     Counter queries_;

@@ -28,14 +28,11 @@ struct PeRun
     /** Arrival tick per input entry, per side; MaxTick = not arrived. */
     std::array<std::vector<Tick>, 2> arrival;
     std::array<std::size_t, 2> arrived{0, 0};
-    std::array<std::size_t, 2> expected{0, 0};
     /** Outputs remaining to consume each input (FIFO occupancy). */
     std::array<std::vector<unsigned>, 2> remainingUses;
     std::array<std::size_t, 2> occupancy{0, 0};
-    /** Per-output emitted flag. */
-    std::vector<bool> emitted;
     std::vector<bool> countedForwardWait;
-    /** Emission tick per output (attribution back-walk). */
+    /** Emission tick per output; MaxTick = not emitted yet. */
     std::vector<Tick> emitTick;
     std::size_t emittedCount = 0;
     /** Output-port availability (one emission per issue interval). */
@@ -61,21 +58,16 @@ EventDrivenEngine::EventDrivenEngine(dram::MemorySystem &memory,
                                      const embedding::VectorLayout &layout,
                                      const EventEngineConfig &config,
                                      const embedding::EmbeddingStore *store)
-    : memory_(memory), layout_(layout), config_(config),
-      topology_(memory.geometry().totalRanks(),
-                config.base.ranksPerLeafPe),
-      host_(layout, store), tree_(topology_),
-      pePeriod_(periodFromMhz(config.base.peClockMhz)),
-      peStats_(topology_.numPes() + 1)
+    : memory_(memory), replay_(memory, layout, config.base, store),
+      config_(config), peStats_(topology().numPes() + 1)
 {
-    if (config_.base.interactive)
-        config_.base.latency.compare = 0;
+    config_.base = replay_.config(); // as replayed (interactive applied)
 }
 
 void
 EventDrivenEngine::registerStats(StatGroup &group) const
 {
-    for (unsigned pe = 1; pe <= topology_.numPes(); ++pe) {
+    for (unsigned pe = 1; pe <= topology().numPes(); ++pe) {
         const std::string prefix = "pe" + std::to_string(pe);
         const PeTelemetry &activity = peStats_[pe];
         group.addCounter(prefix + ".deliveries", activity.deliveries,
@@ -117,57 +109,38 @@ EventDrivenEngine::lookupMany(const std::vector<embedding::Batch> &batches,
 EventLookupTiming
 EventDrivenEngine::lookup(const embedding::Batch &batch, Tick start)
 {
-    PreparedBatch prepared =
-        host_.prepare(batch, config_.base.dedup, config_.base.payload);
+    PreparedBatch prepared = replay_.prepare(batch);
     return lookupPrepared(prepared, start);
 }
 
 EventLookupTiming
 EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
 {
-    // Transport width under the batch's payload format (fp32 keeps the
-    // historical 4*dim): shared by the DRAM reads, every PE-link
-    // emission, and the root-link serialization below.
-    const auto vector_bytes = static_cast<unsigned>(
-        prepared.vectorPayloadBytes(layout_.tables().dim()));
-    const unsigned num_pes = topology_.numPes();
+    const TreeTopology &topology = replay_.topology();
+    const unsigned num_pes = topology.numPes();
+    const unsigned vector_bytes = replay_.vectorBytes(prepared);
     EventQueue &eq = memory_.eventq();
     // The event clock only moves forward; an earlier logical start would
     // schedule completions in the past.
     start = std::max(start, eq.now());
 
-    scheduleReads(prepared, config_.base.readOrder, memory_.mapper());
-    TreeRun run = tree_.run(prepared, config_.computeValues,
-                            /*keep_trace=*/true, config_.reduceOp);
-
+    scheduleReads(prepared, replay_.config().readOrder, memory_.mapper());
     EventLookupTiming timing;
-    timing.issued = start;
-    timing.memAccesses = prepared.accessCount;
-    timing.uniqueCount = prepared.uniqueCount;
-    timing.totalReferences = prepared.totalReferences;
-    timing.activity = run.total;
-    timing.rootCombines = run.rootCombines;
-    timing.maxPeOutputs = run.maxPeOutputs;
-    timing.payload = prepared.payload;
-    timing.dramPayloadBytes =
-        static_cast<std::uint64_t>(prepared.accessCount) * vector_bytes;
-    if (run.maxPeOutputs > config_.base.hwBatch)
-        ++timing.bufferOverflows;
+    TreeRun run = replay_.run(prepared, start, timing,
+                              config_.computeValues, config_.reduceOp);
 
     // --- Set up per-PE pipeline state from the functional trace. --------
     std::vector<PeRun> pes(num_pes + 1);
     for (unsigned pe = 1; pe <= num_pes; ++pe) {
         PeRun &state = pes[pe];
         const PeTrace &trace = run.trace[pe];
-        state.expected = trace.inputs;
         for (int side = 0; side < 2; ++side) {
-            state.arrival[side].assign(state.expected[side], MaxTick);
-            state.remainingUses[side].assign(state.expected[side], 0);
+            state.arrival[side].assign(trace.inputs[side], MaxTick);
+            state.remainingUses[side].assign(trace.inputs[side], 0);
         }
         for (const auto &out : trace.outputs)
             for (const Provenance &src : out.sources)
                 ++state.remainingUses[src.side][src.index];
-        state.emitted.assign(trace.outputs.size(), false);
         state.countedForwardWait.assign(trace.outputs.size(), false);
         state.emitTick.assign(trace.outputs.size(), MaxTick);
         state.pipeFree = start;
@@ -184,15 +157,15 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             ts->setThreadName(
                 telemetry::kPidTree, static_cast<int>(pe),
                 "PE " + std::to_string(pe) + " (h" +
-                    std::to_string(topology_.heightOf(pe)) + ")");
+                    std::to_string(topology.heightOf(pe)) + ")");
         }
     }
     // Items buffered per tree level, emitted as one counter track each.
-    std::vector<std::int64_t> level_occupancy(topology_.numLevels(), 0);
+    std::vector<std::int64_t> level_occupancy(topology.numLevels(), 0);
     auto occupancy_changed = [&](unsigned pe, int delta, Tick at) {
         if (!ts)
             return;
-        const unsigned height = topology_.heightOf(pe);
+        const unsigned height = topology.heightOf(pe);
         level_occupancy[height] += delta;
         ts->counterEvent(
             telemetry::kPidTree,
@@ -201,24 +174,8 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     };
 
     // --- Pipeline dynamics. ---------------------------------------------
-    auto align = [this](Tick t) {
-        const Tick rem = t % pePeriod_;
-        return rem == 0 ? t : t + (pePeriod_ - rem);
-    };
-
-    // Inter-chip link hop for outputs leaving a DIMM/rank node.
-    auto link_cycles = [&](unsigned pe) -> Cycles {
-        if (topology_.numLevels() > config_.base.channelNodeLevels &&
-            topology_.heightOf(pe) ==
-                topology_.numLevels() - 1 -
-                    config_.base.channelNodeLevels) {
-            return config_.base.interNodeLinkCycles;
-        }
-        return 0;
-    };
-
     // Forward-declared so emissions can deliver upward recursively.
-    std::function<void(unsigned, unsigned, std::size_t, Tick)> deliver;
+    std::function<void(unsigned, unsigned, std::size_t)> deliver;
 
     auto try_emit = [&](unsigned pe) {
         PeRun &state = pes[pe];
@@ -227,7 +184,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         while (progressed && state.emittedCount < trace.outputs.size()) {
             progressed = false;
             for (std::size_t k = 0; k < trace.outputs.size(); ++k) {
-                if (state.emitted[k])
+                if (state.emitTick[k] != MaxTick)
                     continue;
                 const TracedOutput &out = trace.outputs[k];
 
@@ -251,8 +208,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                     bool blocked = false;
                     for (const Provenance &src : out.sources) {
                         const unsigned other = 1 - src.side;
-                        if (state.arrived[other] <
-                            state.expected[other]) {
+                        if (state.arrived[other] < trace.inputs[other]) {
                             blocked = true;
                             break;
                         }
@@ -266,18 +222,13 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                     }
                 }
 
-                const Cycles path =
-                    (out.action == PeAction::Reduce
-                         ? config_.base.latency.reducePath()
-                         : config_.base.latency.forwardPath()) +
-                    config_.base.latency.merge + link_cycles(pe);
-                Tick emit = align(ready) + path * pePeriod_;
+                Tick emit = replay_.align(ready) +
+                            replay_.pathTicks(pe, out.action);
                 emit = std::max(emit, state.pipeFree);
                 // The emit decision is made now (e.g., a forward that was
                 // waiting for the opposite side to complete).
                 emit = std::max(emit, eq.now());
-                state.pipeFree =
-                    emit + config_.base.latency.issue * pePeriod_;
+                state.pipeFree = emit + replay_.issueTicks();
 
                 // Consume inputs; free FIFO slots at last use.
                 for (const Provenance &src : out.sources) {
@@ -290,10 +241,8 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                     }
                 }
 
-                state.emitted[k] = true;
                 state.emitTick[k] = emit;
                 ++state.emittedCount;
-                timing.linkPayloadBytes += vector_bytes;
                 progressed = true;
                 PeTelemetry &activity = peStats_[pe];
                 ++activity.outputs;
@@ -302,8 +251,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                     ++activity.reduces;
                 else
                     ++activity.forwards;
-                const Tick issue_ticks =
-                    config_.base.latency.issue * pePeriod_;
+                const Tick issue_ticks = replay_.issueTicks();
                 activity.busyTicks += issue_ticks;
                 if (ts) {
                     // Tagged with the item's originating query ids and
@@ -327,30 +275,29 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                 if (pe == TreeTopology::rootPe()) {
                     root_times[k] = emit;
                 } else {
-                    const unsigned parent = topology_.parent(pe);
+                    const unsigned parent = topology.parent(pe);
                     const unsigned side = pe % 2 == 0 ? 0 : 1;
                     // Position within the parent's input list: children
                     // outputs land in trace order.
                     eq.scheduleFn(emit, [&deliver, parent, side, k] {
-                        deliver(parent, side, k, 0);
+                        deliver(parent, side, k);
                     });
                 }
             }
         }
     };
 
-    deliver = [&](unsigned pe, unsigned side, std::size_t index,
-                  Tick /*unused*/) {
+    deliver = [&](unsigned pe, unsigned side, std::size_t index) {
         PeRun &state = pes[pe];
-        FAFNIR_ASSERT(index < state.expected[side],
+        FAFNIR_ASSERT(index < run.trace[pe].inputs[side],
                       "delivery beyond expected inputs");
         Tick at = eq.now();
         ++state.occupancy[side];
         ++peStats_[pe].deliveries;
         occupancy_changed(pe, 1, at);
-        if (state.occupancy[side] > config_.base.hwBatch) {
+        if (state.occupancy[side] > replay_.config().hwBatch) {
             ++timing.fifoOverflows;
-            at += config_.overflowPenalty * pePeriod_;
+            at += config_.overflowPenalty * replay_.pePeriod();
         }
         // Injected backpressure (pe_backpressure hook): the arrival
         // stalls as if the FIFO had no free slot, mirroring the organic
@@ -359,7 +306,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             if (const Cycles extra = p->peBackpressureCycles();
                 extra != 0) {
                 ++timing.injectedBackpressure;
-                at += extra * pePeriod_;
+                at += extra * replay_.pePeriod();
                 if (ts) {
                     ts->instantEvent(telemetry::kPidTree,
                                      static_cast<int>(pe), "fault",
@@ -376,7 +323,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         if (config_.recordTimeline) {
             timing.timeline.push_back(
                 {at, pe, "deliver",
-                 side * state.expected[0] + index});
+                 side * run.trace[pe].inputs[0] + index});
         }
         try_emit(pe);
         // An arrival here may unblock forwards waiting in the parent
@@ -389,45 +336,21 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     // the tree) inherit the flow id through the event queue.
     std::vector<std::array<std::vector<LeafRead>, 2>> leaf_reads(
         num_pes + 1);
-    timing.memFirst = MaxTick;
-    timing.memLast = start;
-    for (unsigned rank = 0; rank < topology_.numRanks(); ++rank) {
-        const unsigned pe = topology_.leafPeOf(rank);
-        const unsigned side = topology_.sideOf(rank);
-        // Position of this rank's reads within the leaf input side: ranks
-        // earlier in the same side contribute first (matches the
-        // functional assembly order).
-        std::size_t base = 0;
-        for (unsigned r = 0; r < rank; ++r) {
-            if (topology_.leafPeOf(r) == pe &&
-                topology_.sideOf(r) == side) {
-                base += prepared.rankReads[r].size();
-            }
-        }
-        auto &side_reads = leaf_reads[pe][side];
-        for (std::size_t i = 0; i < prepared.rankReads[rank].size();
-             ++i) {
-            const auto &read = prepared.rankReads[rank][i];
+    replay_.issueReads(
+        prepared, start, timing,
+        [&](const RankRead &read, unsigned rank, unsigned pe, unsigned side,
+            std::size_t pos) {
             const std::uint64_t flow = eq.beginFlow();
             const auto result = memory_.readAsync(
-                read.address, vector_bytes, start,
-                dram::Destination::Ndp,
-                [&deliver, pe, side, pos = base + i](
-                    Tick, const dram::AccessResult &) {
-                    deliver(pe, side, pos, 0);
+                read.address, vector_bytes, start, dram::Destination::Ndp,
+                [&deliver, pe, side, pos](Tick, const dram::AccessResult &) {
+                    deliver(pe, side, pos);
                 });
-            const std::size_t pos = base + i;
-            if (side_reads.size() <= pos)
-                side_reads.resize(pos + 1);
-            side_reads[pos] =
-                LeafRead{rank, result.firstData, result.complete, flow};
-            timing.memFirst = std::min(timing.memFirst, result.firstData);
-            timing.memLast = std::max(timing.memLast, result.complete);
-        }
-    }
+            leaf_reads[pe][side].push_back(
+                LeafRead{rank, result.firstData, result.complete, flow});
+            return result;
+        });
     eq.setCurrentFlow(0);
-    if (timing.memFirst == MaxTick)
-        timing.memFirst = start;
 
     eq.run();
 
@@ -438,41 +361,10 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                       run.trace[pe].outputs.size(), " outputs emitted");
     }
 
-    // --- Per-query completion and root-link serialization. --------------
-    const std::size_t num_queries = prepared.querySets.size();
-    std::vector<std::pair<Tick, QueryId>> finish_order;
-    finish_order.reserve(num_queries);
-    std::vector<Tick> query_ready(num_queries, start);
-    for (QueryId q = 0; q < num_queries; ++q) {
-        Tick tq = start;
-        for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-            if (run.rootOutputs[k].item.hasQuery(q)) {
-                FAFNIR_ASSERT(root_times[k] != MaxTick,
-                              "root output never emitted");
-                tq = std::max(tq, root_times[k]);
-            }
-        }
-        tq += (run.rootItemsPerQuery[q] - 1) *
-              config_.base.latency.reduceValue * pePeriod_;
-        query_ready[q] = tq;
-        finish_order.emplace_back(tq, q);
-    }
-    std::sort(finish_order.begin(), finish_order.end());
-
-    const auto transfer_ticks = static_cast<Tick>(
-        static_cast<double>(vector_bytes) / config_.base.rootLinkGBs *
-        1000.0);
-    Tick link_free = 0;
-    timing.queryComplete.assign(num_queries, 0);
-    std::vector<Tick> link_start(num_queries, 0);
-    for (const auto &[ready, q] : finish_order) {
-        link_start[q] = std::max(ready, link_free);
-        const Tick done = link_start[q] + transfer_ticks;
-        timing.queryComplete[q] =
-            done + config_.base.hostReceiveOverhead;
-        link_free = done;
-    }
-    timing.complete = link_free + config_.base.hostReceiveOverhead;
+    // --- Per-query completion and the root-to-host links. ---------------
+    const auto query_ready = replay_.queryReady(run, root_times, start);
+    const std::vector<Tick> link_start =
+        replay_.hostTail(query_ready, vector_bytes, 0, timing);
 
     // --- Causal attribution: walk each query's critical path. -----------
     //
@@ -487,39 +379,32 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             ts->setThreadName(telemetry::kPidService,
                               kServiceDeliveryTid, "delivery");
         }
-        const PeLatency &lat = config_.base.latency;
         struct Hop
         {
             unsigned pe;
             std::size_t out;
         };
         std::vector<Hop> path;
-        for (QueryId q = 0; q < num_queries; ++q) {
-            // Root output of q that bounds its tree time.
-            std::size_t k_last = run.rootOutputs.size();
-            Tick t_last = 0;
-            for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-                if (run.rootOutputs[k].item.hasQuery(q) &&
-                    (k_last == run.rootOutputs.size() ||
-                     root_times[k] > t_last)) {
+        for (QueryId q = 0; q < query_ready.size(); ++q) {
+            // Root output of q that bounds its tree time (the first of
+            // its latest).
+            const auto &outputs = run.rootOutputsOf[q];
+            std::size_t k_last = outputs.front();
+            for (std::uint32_t k : outputs)
+                if (root_times[k] > root_times[k_last])
                     k_last = k;
-                    t_last = root_times[k];
-                }
-            }
-            if (k_last == run.rootOutputs.size())
-                continue; // nothing reached the root for this query
+            const Tick t_last = root_times[k_last];
 
             // Back-walk to the leaf, following binding arrivals.
             path.clear();
             unsigned pe = TreeTopology::rootPe();
             std::size_t k = k_last;
-            unsigned leaf_side = 0;
-            std::size_t leaf_index = 0;
+            const Provenance *bind = nullptr;
             while (true) {
                 path.push_back({pe, k});
-                const TracedOutput &out = run.trace[pe].outputs[k];
-                const Provenance *bind = nullptr;
+                bind = nullptr;
                 Tick best = 0;
+                const TracedOutput &out = run.trace[pe].outputs[k];
                 for (const Provenance &src : out.sources) {
                     const Tick t = pes[pe].arrival[src.side][src.index];
                     if (bind == nullptr || t > best) {
@@ -528,17 +413,12 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                     }
                 }
                 FAFNIR_ASSERT(bind != nullptr, "output without sources");
-                if (topology_.heightOf(pe) == 0) {
-                    leaf_side = bind->side;
-                    leaf_index = bind->index;
+                if (topology.heightOf(pe) == 0)
                     break;
-                }
                 pe = 2 * pe + bind->side;
                 k = bind->index;
             }
-            const unsigned leaf_pe = path.back().pe;
-            const LeafRead &lr =
-                leaf_reads[leaf_pe][leaf_side][leaf_index];
+            const LeafRead &lr = leaf_reads[pe][bind->side][bind->index];
 
             // Memory interval: isolated service vs. contention.
             const Tick mem_interval = lr.complete - start;
@@ -551,13 +431,8 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             Tick forward_wait = 0;
             Tick prev = lr.complete;
             for (auto it = path.rbegin(); it != path.rend(); ++it) {
-                const TracedOutput &out =
-                    run.trace[it->pe].outputs[it->out];
-                const Cycles cycles =
-                    (out.action == PeAction::Reduce ? lat.reducePath()
-                                                    : lat.forwardPath()) +
-                    lat.merge + link_cycles(it->pe);
-                const Tick compute = cycles * pePeriod_;
+                const Tick compute = replay_.pathTicks(
+                    it->pe, run.trace[it->pe].outputs[it->out].action);
                 const Tick emit = pes[it->pe].emitTick[it->out];
                 pe_compute += compute;
                 forward_wait += emit - prev - compute;
@@ -608,30 +483,22 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
 
         // Meeting-level histogram: one pairwise merge per reduce
         // emission at that PE's height; the root's serial combines
-        // merge at the root level.
-        if (attr) {
-            for (unsigned p = 1; p <= num_pes; ++p) {
-                std::uint64_t reduces = 0;
-                for (const auto &out : run.trace[p].outputs)
-                    reduces += out.action == PeAction::Reduce;
-                attr->recordMeeting(topology_.heightOf(p), reduces);
-            }
-            attr->recordMeeting(topology_.numLevels() - 1,
-                                run.rootCombines);
+        // merge at the root level. The flight recorder keeps a per-PE
+        // meeting summary (bounded per batch, off the try_emit hot
+        // path): code = PE id; a = tree height, b = reduce count.
+        auto *rec = telemetry::flightRecorder();
+        for (unsigned p = 1; p <= num_pes; ++p) {
+            std::uint64_t reduces = 0;
+            for (const auto &out : run.trace[p].outputs)
+                reduces += out.action == PeAction::Reduce;
+            if (attr)
+                attr->recordMeeting(topology.heightOf(p), reduces);
+            if (rec && reduces > 0)
+                rec->record(telemetry::Stage::PeMeeting, timing.complete,
+                            p, topology.heightOf(p), reduces);
         }
-        // Per-PE meeting summary (bounded per batch, off the try_emit
-        // hot path): code = PE id; a = tree height, b = reduce count.
-        if (auto *rec = telemetry::flightRecorder()) {
-            for (unsigned p = 1; p <= num_pes; ++p) {
-                std::uint64_t reduces = 0;
-                for (const auto &out : run.trace[p].outputs)
-                    reduces += out.action == PeAction::Reduce;
-                if (reduces > 0)
-                    rec->record(telemetry::Stage::PeMeeting,
-                                timing.complete, p,
-                                topology_.heightOf(p), reduces);
-            }
-        }
+        if (attr)
+            attr->recordMeeting(topology.numLevels() - 1, run.rootCombines);
     }
     activeTicks_ += timing.complete - start;
     if (config_.computeValues)

@@ -19,8 +19,8 @@
  * This realizes the paper's "simultaneously activates distinct routes of
  * the tree from arbitrary leaves to the root": queries whose operands
  * arrive early reach the root before stragglers of other queries, which
- * the analytic engine's barriers cannot express. Functional behavior is
- * identical by construction (both replay the same FunctionalTree run).
+ * the analytic engine's barriers cannot express. Read issue, path
+ * latencies and the root-to-host links are the shared TreeReplay core.
  */
 
 #ifndef FAFNIR_FAFNIR_EVENT_ENGINE_HH
@@ -117,12 +117,13 @@ class EventDrivenEngine
      */
     EventLookupTiming lookupPrepared(PreparedBatch &prepared, Tick start);
 
-    /** Run batches back to back, admitting each batch's reads once the
-     *  previous batch's memory traffic drains. */
+    /** Run batches back to back. Each starts at the previous batch's
+     *  memLast, raised to the event clock (the tick of its last event);
+     *  the root-to-host links start free for every batch. */
     std::vector<EventLookupTiming>
     lookupMany(const std::vector<embedding::Batch> &batches, Tick start);
 
-    const TreeTopology &topology() const { return topology_; }
+    const TreeTopology &topology() const { return replay_.topology(); }
     const EventEngineConfig &config() const { return config_; }
 
     /** Per-PE activity since construction (index 1..numPes). */
@@ -133,12 +134,8 @@ class EventDrivenEngine
 
   private:
     dram::MemorySystem &memory_;
-    const embedding::VectorLayout &layout_;
+    TreeReplay replay_;
     EventEngineConfig config_;
-    TreeTopology topology_;
-    Host host_;
-    FunctionalTree tree_;
-    Tick pePeriod_;
     /** Indexed by PE id (entry 0 unused); never resized after build. */
     std::vector<PeTelemetry> peStats_;
     /** Simulated ticks covered by lookups (for occupancy formulas). */

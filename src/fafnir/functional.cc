@@ -63,7 +63,6 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
             for (const PeOutput &out : pe_out)
                 trace.outputs.push_back(
                     {out.action, out.sources, out.item.queries});
-            trace.activity = activity;
         }
 
         if (pe == TreeTopology::rootPe()) {
@@ -88,35 +87,37 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
             break; // unsigned loop guard
     }
 
-    // Root output stage: per query, sum its (disjoint) partial items.
+    // Root output stage: index the root outputs by query, then sum each
+    // query's (disjoint) partial items in root order.
     const std::size_t num_queries = prepared.querySets.size();
+    run.rootOutputsOf.resize(num_queries);
+    for (std::uint32_t k = 0; k < run.rootOutputs.size(); ++k)
+        for (QueryId q : run.rootOutputs[k].item.queries)
+            run.rootOutputsOf[q].push_back(k);
     run.results.resize(num_queries);
-    run.rootItemsPerQuery.assign(num_queries, 0);
     for (QueryId q = 0; q < num_queries; ++q) {
+        const auto &items = run.rootOutputsOf[q];
+        FAFNIR_ASSERT(!items.empty(), "query ", q,
+                      " produced no root items");
+        run.rootCombines += items.size() - 1;
         IndexSet covered;
         embedding::Vector acc;
-        for (const auto &out : run.rootOutputs) {
-            if (!out.item.hasQuery(q))
-                continue;
-            ++run.rootItemsPerQuery[q];
-            FAFNIR_ASSERT(covered.disjointWith(out.item.indices),
+        for (std::uint32_t k : items) {
+            const Item &item = run.rootOutputs[k].item;
+            FAFNIR_ASSERT(covered.disjointWith(item.indices),
                           "query ", q, ": overlapping root items — ",
                           covered.toString(), " vs ",
-                          out.item.indices.toString());
-            covered = covered.disjointUnion(out.item.indices);
-            if (values && !out.item.value.empty()) {
+                          item.indices.toString());
+            covered = covered.disjointUnion(item.indices);
+            if (values && !item.value.empty()) {
                 if (acc.empty()) {
-                    acc = out.item.value;
+                    acc = item.value;
                 } else {
                     embedding::combineSpan(op, acc.data(),
-                                           out.item.value.data(),
-                                           acc.size());
+                                           item.value.data(), acc.size());
                 }
             }
         }
-        FAFNIR_ASSERT(run.rootItemsPerQuery[q] >= 1,
-                      "query ", q, " produced no root items");
-        run.rootCombines += run.rootItemsPerQuery[q] - 1;
         FAFNIR_ASSERT(covered == prepared.querySets[q],
                       "query ", q, " incomplete at root: got ",
                       covered.toString(), ", want ",

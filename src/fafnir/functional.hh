@@ -20,6 +20,7 @@
 #define FAFNIR_FAFNIR_FUNCTIONAL_HH
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/smallvec.hh"
@@ -52,7 +53,6 @@ struct PeTrace
     /** Input list lengths, indexed by Provenance::side (0 = A). */
     std::array<std::size_t, 2> inputs{0, 0};
     std::vector<TracedOutput> outputs;
-    PeActivity activity;
 };
 
 /** Result of evaluating one batch. */
@@ -66,8 +66,9 @@ struct TreeRun
     PeActivity total;
     /** Extra per-query summations applied at the root output stage. */
     std::size_t rootCombines = 0;
-    /** Number of root items feeding each query (>= 1). */
-    std::vector<std::size_t> rootItemsPerQuery;
+    /** Query → root-output index: the root outputs carrying each query
+     *  (at least one), ascending, the order its partials combine in. */
+    std::vector<SmallVec<std::uint32_t, 2>> rootOutputsOf;
     /** Largest post-merge output list of any PE (buffer occupancy). */
     std::size_t maxPeOutputs = 0;
     /** Value-buffer recycling counters for the evaluation's pool. */

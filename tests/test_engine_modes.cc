@@ -1,13 +1,15 @@
 /**
  * @file
  * Engine-mode tests: hardware sub-batch splitting, interactive
- * processing, tree scales, and the HBM pseudo-channel integration.
+ * processing, tree scales, parallel host links, and the HBM
+ * pseudo-channel integration.
  */
 
 #include <gtest/gtest.h>
 
 #include "embedding/generator.hh"
 #include "fafnir/engine.hh"
+#include "fafnir/event_engine.hh"
 
 using namespace fafnir;
 using namespace fafnir::core;
@@ -213,26 +215,30 @@ TEST(EngineModes, RowHitFirstSchedulingNeverLosesWork)
 TEST(EngineModes, ParallelHostLinksRelieveTheRootBottleneck)
 {
     // With many queries finishing together, c parallel root links drain
-    // the results faster than one (Section IV-A's c connections).
+    // the results faster than one (Section IV-A's c connections), on
+    // both engines: the root-to-host tail is their shared replay core.
     const Batch batch = ModeRig().makeBatch(32, 16, 21);
-
-    ModeRig one_rig;
-    EngineConfig one;
-    one.hostLinks = 1;
-    FafnirEngine e1(one_rig.memory, one_rig.layout, one);
-    const auto t1 = e1.lookup(batch, 0);
-
-    ModeRig four_rig;
-    EngineConfig four;
-    four.hostLinks = 4;
-    FafnirEngine e4(four_rig.memory, four_rig.layout, four);
-    const auto t4 = e4.lookup(batch, 0);
-
-    EXPECT_LE(t4.complete, t1.complete);
-    EXPECT_EQ(t4.memAccesses, t1.memAccesses);
-    // Every query still completes within the batch window.
-    for (Tick qc : t4.queryComplete)
-        EXPECT_LE(qc, t4.complete);
+    auto run = [&](bool event, unsigned links) -> LookupTiming {
+        ModeRig rig;
+        EngineConfig cfg;
+        cfg.hostLinks = links;
+        if (!event)
+            return FafnirEngine(rig.memory, rig.layout, cfg).lookup(batch, 0);
+        EventEngineConfig ecfg;
+        ecfg.base = cfg;
+        return EventDrivenEngine(rig.memory, rig.layout, ecfg)
+            .lookup(batch, 0);
+    };
+    for (bool event : {false, true}) {
+        SCOPED_TRACE(event ? "event engine" : "analytic engine");
+        const LookupTiming t1 = run(event, 1);
+        const LookupTiming t4 = run(event, 4);
+        EXPECT_LT(t4.complete, t1.complete);
+        EXPECT_EQ(t4.memAccesses, t1.memAccesses);
+        // Every query still completes within the batch window.
+        for (Tick qc : t4.queryComplete)
+            EXPECT_LE(qc, t4.complete);
+    }
 }
 
 TEST(EngineModes, HbmFasterThanDdr4)

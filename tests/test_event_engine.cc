@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 
 #include "embedding/generator.hh"
@@ -70,23 +71,57 @@ TEST(EventEngine, CompletesAndOrders)
 
 TEST(EventEngine, FunctionalQuantitiesMatchAnalyticEngine)
 {
-    const Batch batch = EventRig().makeBatch(16, 16, 2);
+    // Both engines replay the same functional run, so on batches that fit
+    // one hardware batch they agree on every work count and, issuing the
+    // same reads to fresh memory systems, on the DRAM window. Seeded sweep
+    // over tree sizes, batch and query shapes, dedup and payload formats.
+    std::mt19937 rng(71);
+    std::size_t cases = 0;
+    for (unsigned ranks : {1u, 2u, 4u, 8u, 16u, 32u}) {
+        for (bool dedup : {true, false}) {
+            for (PayloadFormat payload :
+                 {PayloadFormat::Fp32, PayloadFormat::Int8,
+                  PayloadFormat::TwoBit}) {
+                for (int round = 0; round < 16; ++round, ++cases) {
+                    EngineConfig base;
+                    base.dedup = dedup;
+                    base.payload = payload;
+                    const unsigned batch_size = 1 + rng() % base.hwBatch;
+                    const unsigned query_size = 1 + rng() % 32;
+                    EventRig a_rig(ranks);
+                    const Batch batch =
+                        a_rig.makeBatch(batch_size, query_size, rng());
+                    SCOPED_TRACE(testing::Message()
+                                 << "ranks=" << ranks << " dedup=" << dedup
+                                 << " payload=" << payloadFormatName(payload)
+                                 << " B=" << batch_size
+                                 << " q=" << query_size);
 
-    EventRig a_rig;
-    FafnirEngine analytic(a_rig.memory, a_rig.layout, EngineConfig{});
-    const LookupTiming a = analytic.lookup(batch, 0);
+                    FafnirEngine analytic(a_rig.memory, a_rig.layout, base);
+                    const LookupTiming a = analytic.lookup(batch, 0);
+                    EventRig e_rig(ranks);
+                    EventEngineConfig ecfg;
+                    ecfg.base = base;
+                    EventDrivenEngine event(e_rig.memory, e_rig.layout, ecfg);
+                    const EventLookupTiming e = event.lookup(batch, 0);
 
-    EventRig e_rig;
-    EventDrivenEngine event(e_rig.memory, e_rig.layout,
-                            EventEngineConfig{});
-    const EventLookupTiming e = event.lookup(batch, 0);
-
-    // Same functional run underneath: identical work counts.
-    EXPECT_EQ(a.memAccesses, e.memAccesses);
-    EXPECT_EQ(a.activity.reduces, e.activity.reduces);
-    EXPECT_EQ(a.activity.forwards, e.activity.forwards);
-    EXPECT_EQ(a.rootCombines, e.rootCombines);
-    EXPECT_EQ(a.memLast, e.memLast); // same reads on fresh systems
+                    EXPECT_EQ(a.memAccesses, e.memAccesses);
+                    EXPECT_EQ(a.uniqueCount, e.uniqueCount);
+                    EXPECT_EQ(a.totalReferences, e.totalReferences);
+                    EXPECT_EQ(a.activity.reduces, e.activity.reduces);
+                    EXPECT_EQ(a.activity.forwards, e.activity.forwards);
+                    EXPECT_EQ(a.rootCombines, e.rootCombines);
+                    EXPECT_EQ(a.maxPeOutputs, e.maxPeOutputs);
+                    EXPECT_EQ(a.bufferOverflows, e.bufferOverflows);
+                    EXPECT_EQ(a.dramPayloadBytes, e.dramPayloadBytes);
+                    EXPECT_EQ(a.linkPayloadBytes, e.linkPayloadBytes);
+                    EXPECT_EQ(a.memFirst, e.memFirst);
+                    EXPECT_EQ(a.memLast, e.memLast);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 576u);
 }
 
 TEST(EventEngine, PipeliningBeatsTheBarrierModel)

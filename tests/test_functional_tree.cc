@@ -375,7 +375,7 @@ TEST(FunctionalTree, Figure6ExactPlacement)
     // opposite input — the root output stage sums the two disjoint
     // partials (the one case the paper's "at least at the root" elides).
     for (std::size_t q = 0; q < queries.size(); ++q) {
-        EXPECT_EQ(run.rootItemsPerQuery[q], q == 2 ? 2u : 1u)
+        EXPECT_EQ(run.rootOutputsOf[q].size(), q == 2 ? 2u : 1u)
             << "query " << q;
         EXPECT_TRUE(vectorsEqual(run.results[q],
                                  store.reduce(queries[q])))
@@ -450,7 +450,7 @@ TEST(FunctionalTree, TraceIsObservationOnly)
         EXPECT_EQ(plain.total.dequants, traced.total.dequants);
         EXPECT_EQ(plain.total.requants, traced.total.requants);
         EXPECT_EQ(plain.rootCombines, traced.rootCombines);
-        EXPECT_EQ(plain.rootItemsPerQuery, traced.rootItemsPerQuery);
+        EXPECT_EQ(plain.rootOutputsOf, traced.rootOutputsOf);
         EXPECT_EQ(plain.maxPeOutputs, traced.maxPeOutputs);
         EXPECT_EQ(plain.poolStats.acquires, traced.poolStats.acquires);
         EXPECT_EQ(plain.poolStats.reuses, traced.poolStats.reuses);
