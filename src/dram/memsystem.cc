@@ -295,20 +295,6 @@ MemorySystem::read(Addr addr, unsigned bytes, Tick earliest,
 }
 
 AccessResult
-MemorySystem::readAsync(
-    Addr addr, unsigned bytes, Tick earliest, Destination dest,
-    std::function<void(Tick, const AccessResult &)> on_complete)
-{
-    AccessResult result = read(addr, bytes, earliest, dest);
-    eventq_.scheduleFn(result.complete,
-                       [result, cb = std::move(on_complete)] {
-                           cb(result.complete, result);
-                       },
-                       Event::DramPriority);
-    return result;
-}
-
-AccessResult
 MemorySystem::readAt(const Coordinates &coords, unsigned bytes,
                      Tick earliest, Destination dest)
 {
