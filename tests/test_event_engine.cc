@@ -8,12 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <string>
 
+#include "common/faultinject.hh"
 #include "embedding/generator.hh"
 #include "fafnir/engine.hh"
 #include "fafnir/event_engine.hh"
+#include "fafnir/functional.hh"
+#include "fafnir/host.hh"
 
 using namespace fafnir;
 using namespace fafnir::core;
@@ -257,5 +264,126 @@ TEST(EventEngine, SequentialBatchesAdvanceTime)
         EXPECT_GE(timing.issued, t);
         EXPECT_GT(timing.complete, t);
         t = timing.complete;
+    }
+}
+
+TEST(EventEngine, ReadinessRulesHold)
+{
+    // The pipeline's readiness rules, checked from outside: the recorded
+    // timeline against the functional trace of the same prepared batch,
+    // on shapes that overflow the FIFOs and under injected backpressure
+    // (both delay arrivals past the delivery event's tick).
+    struct Case
+    {
+        const char *name;
+        unsigned batchSize;
+        unsigned hwBatch;
+        double skew;
+        const char *faults;
+    };
+    const Case cases[] = {
+        {"B=32", 32, 32, 0.9, ""},
+        {"B=48", 48, 32, 0.9, ""},
+        {"hwBatch=2", 32, 2, 1.1, ""},
+        {"pe_backpressure", 32, 32, 0.9, "pe_backpressure:0.05"},
+    };
+    for (const Case &c : cases) {
+        std::size_t early_emits = 0;
+        std::size_t early_forwards = 0;
+        std::size_t crowded_emits = 0;
+        std::size_t forwards = 0;
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << c.name << " seed=" << seed);
+            std::optional<fault::FaultPlan> plan;
+            if (*c.faults != '\0')
+                plan.emplace(fault::FaultPlan::parse(c.faults, seed));
+            // Installed before the rig: the queue samples the plan once.
+            fault::ScopedPlanInstall install(plan ? &*plan : nullptr);
+            EventRig rig;
+            EventEngineConfig cfg;
+            cfg.base.hwBatch = c.hwBatch;
+            cfg.recordTimeline = true;
+            EventDrivenEngine engine(rig.memory, rig.layout, cfg);
+            PreparedBatch prepared = Host(rig.layout).prepare(
+                rig.makeBatch(c.batchSize, 16, seed, c.skew),
+                cfg.base.dedup);
+            const EventLookupTiming t = engine.lookupPrepared(prepared, 0);
+            const TreeRun run = FunctionalTree(engine.topology())
+                                    .run(prepared, false, true);
+            const TreeReplay replay(rig.memory, rig.layout, cfg.base);
+
+            // Per PE: arrival tick per side-major input, emission tick
+            // per output.
+            const unsigned num_pes = engine.topology().numPes();
+            std::vector<std::vector<Tick>> arrival(num_pes + 1);
+            std::vector<std::vector<Tick>> emitted(num_pes + 1);
+            for (unsigned pe = 1; pe <= num_pes; ++pe) {
+                const PeTrace &trace = run.trace[pe];
+                arrival[pe].assign(trace.inputs[0] + trace.inputs[1],
+                                   MaxTick);
+                emitted[pe].assign(trace.outputs.size(), MaxTick);
+            }
+            for (const TimelineEvent &ev : t.timeline) {
+                const bool deliver = std::string(ev.kind) == "deliver";
+                std::vector<Tick> &ticks =
+                    deliver ? arrival[ev.pe] : emitted[ev.pe];
+                ASSERT_LT(ev.index, ticks.size()) << ev.kind;
+                EXPECT_EQ(ticks[ev.index], MaxTick)
+                    << ev.kind << " twice: pe " << ev.pe << " #"
+                    << ev.index;
+                ticks[ev.index] = ev.tick;
+            }
+
+            for (unsigned pe = 1; pe <= num_pes; ++pe) {
+                const PeTrace &trace = run.trace[pe];
+                std::array<Tick, 2> side_last{0, 0};
+                for (std::size_t i = 0; i < arrival[pe].size(); ++i) {
+                    ASSERT_NE(arrival[pe][i], MaxTick)
+                        << "pe " << pe << " input " << i << " never "
+                        << "delivered";
+                    const unsigned side = i < trace.inputs[0] ? 0 : 1;
+                    side_last[side] =
+                        std::max(side_last[side], arrival[pe][i]);
+                }
+                for (std::size_t k = 0; k < trace.outputs.size(); ++k) {
+                    const TracedOutput &out = trace.outputs[k];
+                    const Tick emit = emitted[pe][k];
+                    ASSERT_NE(emit, MaxTick)
+                        << "pe " << pe << " output " << k
+                        << " never emitted";
+                    Tick latest = 0;
+                    for (const Provenance &src : out.sources) {
+                        const std::size_t input =
+                            src.side * trace.inputs[0] + src.index;
+                        latest = std::max(latest, arrival[pe][input]);
+                    }
+                    early_emits += emit < replay.align(latest) +
+                                              replay.pathTicks(pe,
+                                                               out.action);
+                    if (out.action != PeAction::Forward)
+                        continue;
+                    ++forwards;
+                    bool early = false;
+                    for (const Provenance &src : out.sources)
+                        early |= emit < side_last[1 - src.side];
+                    early_forwards += early;
+                }
+                std::vector<Tick> ticks = emitted[pe];
+                std::sort(ticks.begin(), ticks.end());
+                for (std::size_t i = 1; i < ticks.size(); ++i)
+                    crowded_emits +=
+                        ticks[i] - ticks[i - 1] < replay.issueTicks();
+            }
+        }
+        EXPECT_GT(forwards, 0u) << c.name;
+        EXPECT_EQ(early_emits, 0u)
+            << c.name << ": emissions before their sources' arrival "
+            << "plus the path latency";
+        EXPECT_EQ(early_forwards, 0u)
+            << c.name << ": of " << forwards << " forwards, emitted "
+            << "before an opposite side's last arrival";
+        EXPECT_EQ(crowded_emits, 0u)
+            << c.name << ": emissions closer than one issue interval";
     }
 }
