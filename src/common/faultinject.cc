@@ -200,8 +200,9 @@ FaultPlan::noteSkippedFiring(Hook hook)
     if (logging::warnEvery(std::string("faults.skipped.") +
                            toString(hook))) {
         FAFNIR_WARN("fault hook ", toString(hook),
-                    " skipped a firing (lossy hook recovered); "
-                    "further skips counted, not warned");
+                    " skipped a firing (a registered event recovers; "
+                    "a delivery fires exactly once); further skips "
+                    "counted, not warned");
     }
 }
 
@@ -242,18 +243,20 @@ FaultPlan::registerStats(StatGroup &g) const
         g.addCounter(name + ".fired", hooks_[i].fired,
                      "faults injected at the " + name + " hook");
         // Only lossy event hooks skip firings (a drop unschedules one
-        // firing; a dup's echo is suppressed when the event was
-        // rescheduled first); keep the group free of dead rows.
+        // registered-event firing; a dup's echo is suppressed when the
+        // event was rescheduled first; neither applies to a delivery);
+        // keep the group free of dead rows.
         const auto hook = static_cast<Hook>(i);
         if (hook == Hook::EventDrop || hook == Hook::EventDup) {
             g.addCounter(name + ".skipped", hooks_[i].skipped,
-                         "registered-event firings skipped "
-                         "(dropped or suppressed duplicates)");
+                         "firings skipped (registered-event drops and "
+                         "suppressed echoes, draws not applied to "
+                         "deliveries)");
         }
     }
     g.addFormula("totalSkipped", [this] {
         return static_cast<double>(totalSkipped());
-    }, "registered-event firings skipped across all hooks");
+    }, "lossy-hook firings skipped across all hooks");
     g.addFormula("totalChecked", [this] {
         return static_cast<double>(totalChecked());
     }, "hook evaluations across all hooks");

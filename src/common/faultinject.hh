@@ -240,12 +240,13 @@ class FaultPlan
     std::uint64_t totalChecked() const;
 
     /**
-     * Record one event firing skipped (or suppressed) by lossy @p hook
-     * on a registered Event: a drop that unscheduled one firing, or a
-     * duplicate firing suppressed because its event was rescheduled
-     * before the echo landed. Counts under faults.<hook>.skipped so a
-     * lossy-plan run reports its effective coverage. No-op while the
-     * hook is unarmed.
+     * Record one draw of lossy @p hook that did not take effect as a
+     * plain drop or duplicate: on a registered Event, a drop that
+     * unscheduled one firing or an echo suppressed because the event
+     * was rescheduled first; on a delivery that must fire exactly once
+     * (EventQueue::scheduleDelivery), a drop or dup not applied at all.
+     * Counts under faults.<hook>.skipped so a lossy-plan run reports
+     * its effective coverage. No-op while the hook is unarmed.
      */
     void noteSkippedFiring(Hook hook);
 
@@ -282,8 +283,8 @@ class FaultPlan
         double magnitude = 0.0;
         Counter checked;
         Counter fired;
-        /** Registered-event firings skipped by a drop or suppressed
-         *  duplicate (lossy hooks recover instead of warning). */
+        /** Lossy draws skipped: registered-event drops and suppressed
+         *  echoes, and drops/dups not applied to deliveries. */
         Counter skipped;
         Rng rng;
     };

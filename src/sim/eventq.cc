@@ -384,6 +384,18 @@ EventQueue::sampleOneShotFaults(Tick when, bool copyable)
     return f;
 }
 
+/** Cold like sampleOneShotFaults(), whose draws it makes. */
+[[gnu::noinline]] Tick
+EventQueue::sampleDeliveryFaults(Tick when)
+{
+    const OneShotFaults f = sampleOneShotFaults(when, true);
+    if (f.drop)
+        faultPlan_->noteSkippedFiring(fault::Hook::EventDrop);
+    if (f.dup)
+        faultPlan_->noteSkippedFiring(fault::Hook::EventDup);
+    return f.when;
+}
+
 void
 EventQueue::schedule(Event &event, Tick when)
 {
