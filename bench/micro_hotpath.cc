@@ -1,14 +1,16 @@
 /**
  * @file
- * Hot-path microbenchmark: the simulator's three innermost loops.
+ * Hot-path microbenchmark: the simulator's innermost loops.
  *
  * Measures, in isolation, the primitives every timing model spends its
  * cycles in — event-queue throughput (one-shot bursts, self-scheduling
  * chains, and schedule/deschedule churn), items/s through a functional
  * PE (header-only and value-carrying), and element-wise reduction
- * throughput. Emits the numbers as a run report (BENCH_hotpath.json by
- * default) so successive performance PRs leave a recorded trajectory;
- * pass --baseline=<earlier report> to get speedup columns against it.
+ * throughput — plus one composite: batches/s through the event
+ * engine's replay. Emits the numbers as a run report
+ * (BENCH_hotpath.json by default) so successive performance PRs leave
+ * a recorded trajectory; pass --baseline=<earlier report> to get
+ * speedup columns against it.
  * Each rate is the best of three runs, so a background process on a
  * shared box cannot masquerade as a regression.
  */
@@ -28,7 +30,12 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/types.hh"
+#include "dram/memsystem.hh"
+#include "embedding/generator.hh"
+#include "embedding/layout.hh"
 #include "embedding/quantize.hh"
+#include "fafnir/event_engine.hh"
+#include "fafnir/host.hh"
 #include "fafnir/pe.hh"
 #include "fafnir/pool.hh"
 #include "sim/eventq.hh"
@@ -294,6 +301,40 @@ benchQuant(std::size_t dim, std::size_t vectors, std::uint64_t iterations)
     return rates;
 }
 
+/** Memory shape of the event-replay bench: 32 ranks of DDR4-2400. */
+dram::MemorySystem
+replayMemory(EventQueue &eq)
+{
+    return dram::MemorySystem(eq, dram::Geometry::withTotalRanks(32),
+                              dram::Timing::ddr4_2400(),
+                              dram::Interleave::BlockRank, 512);
+}
+
+/**
+ * Event replay: EventDrivenEngine::lookupPrepared on a fixed set of
+ * prepared 32x24 batches of uniform traffic (nearly every reference a
+ * distinct read), headers only — the functional tree plus PE
+ * readiness, DRAM completions and PE deliveries through the event
+ * queue. A fresh memory system per run keeps runs equal.
+ * @return batches per second.
+ */
+double
+benchEventReplay(const embedding::TableConfig &tables,
+                 std::vector<PreparedBatch> &batches)
+{
+    EventQueue eq;
+    dram::MemorySystem memory = replayMemory(eq);
+    const embedding::VectorLayout layout(tables, memory.mapper());
+    EventDrivenEngine engine(memory, layout, EventEngineConfig{});
+    Tick t = 0;
+    const auto begin = Clock::now();
+    for (PreparedBatch &prepared : batches)
+        t = engine.lookupPrepared(prepared, t).memLast;
+    const auto end = Clock::now();
+    FAFNIR_ASSERT(t > 0, "event replay did not advance");
+    return static_cast<double>(batches.size()) / seconds(begin, end);
+}
+
 /** Naive scan of an earlier report's "metrics" object: name -> value. */
 std::map<std::string, double>
 loadBaselineMetrics(const std::string &path)
@@ -397,6 +438,27 @@ main(int argc, char **argv)
                                std::string(
                                    embedding::quantizeKernelBackend()));
 
+    // Event replay on a fixed set of batches, prepared once (about a
+    // tenth of a second per run, so the smoke run keeps it).
+    const embedding::TableConfig tables{32, 1u << 20, 512, 4};
+    std::vector<PreparedBatch> replay_batches;
+    {
+        EventQueue eq;
+        const dram::MemorySystem memory = replayMemory(eq);
+        const embedding::VectorLayout layout(tables, memory.mapper());
+        embedding::WorkloadConfig wc;
+        wc.tables = tables;
+        wc.batchSize = 32;
+        wc.querySize = 24;
+        wc.popularity = embedding::Popularity::Uniform;
+        embedding::BatchGenerator gen(wc, 1);
+        const Host host(layout);
+        for (int b = 0; b < 64; ++b)
+            replay_batches.push_back(host.prepare(gen.next(), true));
+    }
+    const double replay = bestOf(
+        3, [&] { return benchEventReplay(tables, replay_batches); });
+
     // The same event kernels with a flight recorder installed
     // (informational): pins what the always-on rings cost when a run
     // actually records, next to the disabled-guard rates above. Under
@@ -428,6 +490,7 @@ main(int argc, char **argv)
         {"fp32_copy_bytes_per_sec", quant.copyBytesPerSec},
         {"int8_quant_bytes_per_sec", quant.quantBytesPerSec},
         {"int8_dequant_bytes_per_sec", quant.dequantBytesPerSec},
+        {"event_replay_batches_per_sec", replay},
     };
 
     std::map<std::string, double> baseline;
