@@ -213,9 +213,10 @@ TEST(ShardRouter, PlacementPartitionsTheTableSpace)
                 for (unsigned t = 1; t < tables.numTables; ++t)
                     EXPECT_GE(router.shardOfTable(t),
                               router.shardOfTable(t - 1));
-                if (shards <= tables.numTables)
+                if (shards <= tables.numTables) {
                     for (unsigned s = 0; s < shards; ++s)
                         EXPECT_GT(perShard[s], 0u) << "shard " << s;
+                }
             }
         }
     }
@@ -238,9 +239,10 @@ TEST(ShardRouter, SplitCoversEveryReferenceExactlyOnce)
                     const Query &query = sub.batch.queries[lq];
                     // Dense local ids in global order.
                     EXPECT_EQ(query.id, lq);
-                    if (lq > 0)
+                    if (lq > 0) {
                         EXPECT_GT(sub.globalQuery[lq],
                                   sub.globalQuery[lq - 1]);
+                    }
                     EXPECT_FALSE(query.indices.empty());
                     for (IndexId index : query.indices)
                         EXPECT_EQ(router.shardOfIndex(index), s);
@@ -446,8 +448,9 @@ TEST(ShardedTier, ReportAccountsLoadAndCrossShardQueries)
     EXPECT_GT(report.makespan, 0u);
     for (const ShardedBatchTrace &trace : report.batches) {
         EXPECT_GE(trace.combineDone, trace.shardsDone);
-        if (trace.shardsTouched > 1)
+        if (trace.shardsTouched > 1) {
             EXPECT_GT(trace.combineDone, trace.shardsDone);
+        }
     }
     EXPECT_GT(report.combineBusy, 0u);
 }
