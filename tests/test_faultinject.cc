@@ -304,6 +304,35 @@ TEST(FaultEventQueue, DupDeliversOneShotsTwice)
     EXPECT_EQ(delivered, 32);
 }
 
+TEST(FaultEventQueue, DeliveriesFireExactlyOnceUnderLossyHooks)
+{
+    // scheduleDelivery draws the lossy hooks like scheduleFn but does
+    // not apply them: each delivery fires once, and every drawn drop or
+    // dup is counted as a skipped firing.
+    for (const char *spec : {"event_drop:1", "event_dup:1"}) {
+        SCOPED_TRACE(spec);
+        fault::FaultPlan plan = fault::FaultPlan::parse(spec, 3);
+        fault::ScopedPlanInstall install(&plan);
+        const fault::Hook hook = std::string(spec) == "event_drop:1"
+            ? fault::Hook::EventDrop
+            : fault::Hook::EventDup;
+
+        EventQueue eq;
+        std::vector<Tick> fired_at;
+        for (Tick when = 10; when <= 160; when += 10) {
+            eq.scheduleDelivery(when, [&fired_at, &eq] {
+                fired_at.push_back(eq.now());
+            });
+        }
+        eq.run();
+        ASSERT_EQ(fired_at.size(), 16u);
+        for (std::size_t i = 0; i < fired_at.size(); ++i)
+            EXPECT_EQ(fired_at[i], 10 * (i + 1));
+        EXPECT_EQ(plan.firedCount(hook), 16u);
+        EXPECT_EQ(plan.skippedCount(hook), 16u);
+    }
+}
+
 TEST(FaultEventQueue, NoPlanLeavesScheduleExact)
 {
     ASSERT_EQ(fault::plan(), nullptr);
