@@ -35,8 +35,6 @@
 #include "common/cli.hh"
 #include "common/parallel.hh"
 #include "embedding/quantize.hh"
-#include "embedding/reduce_kernels.hh"
-#include "embedding/reduce_op.hh"
 #include "fafnir/event_engine.hh"
 #include "hwmodel/energy.hh"
 #include "telemetry/session.hh"
@@ -46,28 +44,6 @@ using namespace fafnir::bench;
 
 namespace
 {
-
-/** Store-side reference under quantized transport: round-trip each
- *  leaf vector through the payload codec, then reduce exactly. */
-embedding::Vector
-quantizedReduce(const embedding::EmbeddingStore &store,
-                const std::vector<IndexId> &indices,
-                embedding::PayloadFormat fmt)
-{
-    embedding::Vector acc;
-    for (IndexId idx : indices) {
-        embedding::Vector v = store.vector(idx);
-        embedding::payloadRoundTrip(fmt, v.data(), v.size());
-        if (acc.empty())
-            acc = std::move(v);
-        else
-            embedding::combineSpan(embedding::ReduceOp::Sum, acc.data(),
-                                   v.data(), acc.size());
-    }
-    embedding::finalizeSpan(embedding::ReduceOp::Sum, acc.data(),
-                            acc.size(), indices.size());
-    return acc;
-}
 
 struct Point
 {
@@ -105,7 +81,7 @@ runPoint(const embedding::TableConfig &tables,
         for (std::size_t q = 0; q < batches[b].queries.size(); ++q) {
             const auto &indices = batches[b].queries[q].indices;
             const embedding::Vector qref =
-                quantizedReduce(store, indices, fmt);
+                embedding::quantizedReduce(fmt, store, indices);
             const embedding::Vector &got = timings[b].results[q];
             if (got.size() != qref.size() ||
                 (!got.empty() &&

@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "embedding/reduce_kernels.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define FAFNIR_QUANT_HAVE_AVX2 1
@@ -463,6 +465,22 @@ payloadRoundTrip(PayloadFormat format, float *v, std::size_t n)
     packed.resize(twoBitPackedBytes(n));
     const float t = quantizeTwoBit(v, n, packed.data());
     dequantizeTwoBit(packed.data(), n, t, v);
+}
+
+Vector
+quantizedReduce(PayloadFormat format, const EmbeddingStore &store,
+                const std::vector<IndexId> &indices)
+{
+    Vector acc;
+    for (IndexId idx : indices) {
+        Vector v = store.vector(idx);
+        payloadRoundTrip(format, v.data(), v.size());
+        if (acc.empty())
+            acc = std::move(v);
+        else
+            combineSpan(ReduceOp::Sum, acc.data(), v.data(), acc.size());
+    }
+    return acc;
 }
 
 } // namespace fafnir::embedding

@@ -49,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "embedding/table.hh"
 
@@ -155,6 +156,15 @@ float quantizeTwoBitEf(const float *src, std::size_t n, TwoBitState &state,
  * Fp32 is the identity. Pure and deterministic (stateless two-bit).
  */
 void payloadRoundTrip(PayloadFormat format, float *v, std::size_t n);
+
+/**
+ * Store-side Sum reference for one query under @p format: every vector
+ * round-trips the payload codec once, exactly as its leaf rank read
+ * does, and the vectors then sum in query order (see the scale note
+ * above for why that order matches the tree's).
+ */
+Vector quantizedReduce(PayloadFormat format, const EmbeddingStore &store,
+                       const std::vector<IndexId> &indices);
 
 } // namespace fafnir::embedding
 

@@ -17,85 +17,8 @@ FafnirEngine::FafnirEngine(dram::MemorySystem &memory,
 {}
 
 LookupTiming
-FafnirEngine::lookup(const embedding::Batch &batch, Tick start)
-{
-    const unsigned capacity =
-        config().interactive ? 1 : config().hwBatch;
-    if (batch.size() <= capacity) {
-        PreparedBatch prepared = replay_.prepare(batch);
-        return lookupPrepared(prepared, start);
-    }
-
-    // Serve the software batch as hardware sub-batches: sub-batch i+1's
-    // reads are admitted once i's drain from memory; root deliveries
-    // stay ordered.
-    LookupTiming merged;
-    merged.issued = start;
-    merged.memFirst = MaxTick;
-    merged.queryComplete.assign(batch.size(), 0);
-    Tick sub_start = start;
-    Tick min_complete = 0;
-    for (std::size_t first = 0; first < batch.size();
-         first += capacity) {
-        const std::size_t last =
-            std::min(batch.size(), first + capacity);
-        embedding::Batch sub;
-        sub.queries.reserve(last - first);
-        for (std::size_t i = first; i < last; ++i) {
-            embedding::Query q = batch.queries[i];
-            q.id = static_cast<QueryId>(i - first);
-            sub.queries.push_back(std::move(q));
-        }
-        PreparedBatch sub_prepared = replay_.prepare(sub);
-        LookupTiming t =
-            runPrepared(sub_prepared, sub_start, min_complete);
-        for (std::size_t i = first; i < last; ++i)
-            merged.queryComplete[i] = t.queryComplete[i - first];
-        merged.memFirst = std::min(merged.memFirst, t.memFirst);
-        merged.memLast = std::max(merged.memLast, t.memLast);
-        merged.complete = std::max(merged.complete, t.complete);
-        merged.memAccesses += t.memAccesses;
-        merged.uniqueCount += t.uniqueCount;
-        merged.totalReferences += t.totalReferences;
-        merged.rootCombines += t.rootCombines;
-        merged.maxPeOutputs = std::max(merged.maxPeOutputs,
-                                       t.maxPeOutputs);
-        merged.bufferOverflows += t.bufferOverflows;
-        merged.payload = t.payload;
-        merged.dramPayloadBytes += t.dramPayloadBytes;
-        merged.linkPayloadBytes += t.linkPayloadBytes;
-        merged.activity += t.activity;
-        sub_start = t.memLast;
-        min_complete = t.complete;
-    }
-    return merged;
-}
-
-std::vector<LookupTiming>
-FafnirEngine::lookupMany(const std::vector<embedding::Batch> &batches,
-                         Tick start)
-{
-    std::vector<LookupTiming> timings;
-    timings.reserve(batches.size());
-    Tick min_complete = 0;
-    for (const auto &batch : batches) {
-        PreparedBatch prepared = replay_.prepare(batch);
-        LookupTiming t = runPrepared(prepared, start, min_complete);
-        min_complete = t.complete;
-        timings.push_back(std::move(t));
-    }
-    return timings;
-}
-
-LookupTiming
-FafnirEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
-{
-    return runPrepared(prepared, start, 0);
-}
-
-LookupTiming
-FafnirEngine::runPrepared(PreparedBatch &prepared, Tick start,
-                          Tick min_complete)
+FafnirEngine::lookupPrepared(PreparedBatch &prepared, Tick start,
+                             Tick min_complete)
 {
     scheduleReads(prepared, config().readOrder, memory_.mapper());
     const TreeTopology &topology = replay_.topology();

@@ -29,24 +29,32 @@ class FafnirEngine
                  const embedding::VectorLayout &layout,
                  const EngineConfig &config);
 
-    /** Run one batch starting at @p start. */
-    LookupTiming lookup(const embedding::Batch &batch, Tick start);
+    /** Run one batch starting at @p start (TreeReplay::lookup). */
+    LookupTiming
+    lookup(const embedding::Batch &batch, Tick start)
+    {
+        return replay_.lookup(*this, batch, start);
+    }
 
     /**
-     * Run one pre-compiled batch starting at @p start (serving-pipeline
-     * entry; prepare happened upstream). By reference: read scheduling
-     * reorders the per-rank lists in place (idempotently); the caller
-     * keeps ownership of the value buffers.
+     * Run one pre-compiled batch as one hardware batch from @p start,
+     * delivering no vector before @p min_complete (serving entry; prepare
+     * happened upstream). By reference: read scheduling reorders the
+     * per-rank lists in place (idempotently); the caller owns the values.
      */
-    LookupTiming lookupPrepared(PreparedBatch &prepared, Tick start);
+    LookupTiming lookupPrepared(PreparedBatch &prepared, Tick start,
+                                Tick min_complete = 0);
 
     /**
-     * Run @p batches back to back (memory-pipelined: a batch's reads are
-     * admitted as soon as the memory system can take them, and root
-     * deliveries stay ordered). Returns the per-batch timings.
+     * Run @p batches back to back (TreeReplay::lookupMany). Memory
+     * pipelined: every batch's reads are issued at @p start and admitted
+     * as soon as the memory system can take them.
      */
     std::vector<LookupTiming>
-    lookupMany(const std::vector<embedding::Batch> &batches, Tick start);
+    lookupMany(const std::vector<embedding::Batch> &batches, Tick start)
+    {
+        return replay_.lookupMany(*this, batches, start);
+    }
 
     const EngineConfig &config() const { return replay_.config(); }
     const TreeTopology &topology() const { return replay_.topology(); }
@@ -61,9 +69,6 @@ class FafnirEngine
     /** @} */
 
   private:
-    LookupTiming runPrepared(PreparedBatch &prepared, Tick start,
-                             Tick min_complete);
-
     dram::MemorySystem &memory_;
     TreeReplay replay_;
 

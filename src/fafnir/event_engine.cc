@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <ostream>
 #include <string>
 
@@ -178,7 +179,6 @@ EventDrivenEngine::Pipeline::deliver(unsigned pe, unsigned side,
     // overflow penalty above. Timing-only — values are untouched.
     if (fault::FaultPlan *p = fault::plan(); p != nullptr) {
         if (const Cycles extra = p->peBackpressureCycles(); extra != 0) {
-            ++timing_.injectedBackpressure;
             at += extra * replay_.pePeriod();
             if (ts_) {
                 ts_->instantEvent(telemetry::kPidTree,
@@ -350,29 +350,9 @@ EventDrivenEngine::registerStats(StatGroup &group) const
     }
 }
 
-std::vector<EventLookupTiming>
-EventDrivenEngine::lookupMany(const std::vector<embedding::Batch> &batches,
-                              Tick start)
-{
-    std::vector<EventLookupTiming> timings;
-    timings.reserve(batches.size());
-    Tick t = start;
-    for (const auto &batch : batches) {
-        timings.push_back(lookup(batch, t));
-        t = timings.back().memLast;
-    }
-    return timings;
-}
-
 EventLookupTiming
-EventDrivenEngine::lookup(const embedding::Batch &batch, Tick start)
-{
-    PreparedBatch prepared = replay_.prepare(batch);
-    return lookupPrepared(prepared, start);
-}
-
-EventLookupTiming
-EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
+EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start,
+                                  Tick min_complete)
 {
     const TreeTopology &topology = replay_.topology();
     const unsigned num_pes = topology.numPes();
@@ -443,7 +423,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     const std::vector<Tick> &root_times = pipeline.rootTimes();
     const auto query_ready = replay_.queryReady(run, root_times, start);
     const std::vector<Tick> link_start =
-        replay_.hostTail(query_ready, vector_bytes, 0, timing);
+        replay_.hostTail(query_ready, vector_bytes, min_complete, timing);
 
     // --- Causal attribution: walk each query's critical path. -----------
     //
@@ -583,13 +563,22 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     if (config_.computeValues)
         timing.results = std::move(run.results);
 
-    if (config_.recordTimeline) {
-        std::sort(timing.timeline.begin(), timing.timeline.end(),
-                  [](const TimelineEvent &a, const TimelineEvent &b) {
-                      return a.tick < b.tick;
-                  });
-    }
+    std::sort(timing.timeline.begin(), timing.timeline.end());
     return timing;
+}
+
+void
+EventLookupTiming::appendSubBatch(EventLookupTiming &&next)
+{
+    LookupTiming::appendSubBatch(next);
+    fifoOverflows += next.fifoOverflows;
+    forwardWaits += next.forwardWaits;
+    const auto mid = timeline.insert(timeline.end(), next.timeline.begin(),
+                                     next.timeline.end());
+    std::inplace_merge(timeline.begin(), mid, timeline.end());
+    results.insert(results.end(),
+                   std::make_move_iterator(next.results.begin()),
+                   std::make_move_iterator(next.results.end()));
 }
 
 void

@@ -70,6 +70,9 @@ struct TimelineEvent
     const char *kind = "";
     /** Input position (deliver) or output position (emit). */
     std::size_t index = 0;
+
+    /** Timeline order. */
+    bool operator<(const TimelineEvent &o) const { return tick < o.tick; }
 };
 
 /** Timing plus pipeline-pressure observability. */
@@ -79,12 +82,14 @@ struct EventLookupTiming : LookupTiming
     std::uint64_t fifoOverflows = 0;
     /** Outputs whose emission waited on the opposite side (forwards). */
     std::uint64_t forwardWaits = 0;
-    /** Deliveries stalled by the pe_backpressure fault hook. */
-    std::uint64_t injectedBackpressure = 0;
     /** Chronological pipeline events (when recordTimeline is set). */
     std::vector<TimelineEvent> timeline;
     /** Reduced query vectors (when computeValues is set). */
     std::vector<embedding::Vector> results;
+
+    /** LookupTiming::appendSubBatch, plus the pressure counters, the
+     *  timeline and the values. */
+    void appendSubBatch(EventLookupTiming &&next);
 };
 
 /** Render a timeline as tab-separated text (tick, pe, kind, index). */
@@ -115,24 +120,33 @@ class EventDrivenEngine
                       const EventEngineConfig &config,
                       const embedding::EmbeddingStore *store = nullptr);
 
-    /** Run one batch starting at @p start. */
-    EventLookupTiming lookup(const embedding::Batch &batch, Tick start);
+    /** Run one batch starting at @p start (TreeReplay::lookup). */
+    EventLookupTiming
+    lookup(const embedding::Batch &batch, Tick start)
+    {
+        return replay_.lookup(*this, batch, start);
+    }
 
     /**
-     * Run one pre-compiled batch starting at @p start — the serving
-     * pipeline's entry, where host prepare happened upstream (possibly
-     * overlapped with an earlier batch's execution on this engine).
-     * Takes the batch by reference: read scheduling reorders per-rank
-     * lists in place (idempotently), and the caller keeps ownership of
-     * the value buffers (the pipeline's per-slot arenas).
+     * Run one pre-compiled batch as one hardware batch from @p start,
+     * raised to the event clock (the tick of the last event), delivering
+     * no vector before @p min_complete — the serving pipeline's entry,
+     * where host prepare happened upstream. Takes the batch by
+     * reference: read scheduling reorders per-rank lists in place
+     * (idempotently), and the caller keeps ownership of the value
+     * buffers (the pipeline's per-slot arenas).
      */
-    EventLookupTiming lookupPrepared(PreparedBatch &prepared, Tick start);
+    EventLookupTiming lookupPrepared(PreparedBatch &prepared, Tick start,
+                                     Tick min_complete = 0);
 
-    /** Run batches back to back. Each starts at the previous batch's
-     *  memLast, raised to the event clock (the tick of its last event);
-     *  the root-to-host links start free for every batch. */
+    /** Run batches back to back (TreeReplay::lookupMany). Each starts at
+     *  the event clock, so after the previous batch's last event, and
+     *  leaves the root after the previous batch's complete. */
     std::vector<EventLookupTiming>
-    lookupMany(const std::vector<embedding::Batch> &batches, Tick start);
+    lookupMany(const std::vector<embedding::Batch> &batches, Tick start)
+    {
+        return replay_.lookupMany(*this, batches, start);
+    }
 
     const TreeTopology &topology() const { return replay_.topology(); }
     const EventEngineConfig &config() const { return config_; }

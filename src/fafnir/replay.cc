@@ -26,6 +26,25 @@ TreeReplay::TreeReplay(const dram::MemorySystem &memory,
         config_.latency.compare = 0; // no batch comparisons
 }
 
+void
+LookupTiming::appendSubBatch(const LookupTiming &next)
+{
+    memFirst = std::min(memFirst, next.memFirst);
+    memLast = std::max(memLast, next.memLast);
+    complete = std::max(complete, next.complete);
+    memAccesses += next.memAccesses;
+    uniqueCount += next.uniqueCount;
+    totalReferences += next.totalReferences;
+    rootCombines += next.rootCombines;
+    maxPeOutputs = std::max(maxPeOutputs, next.maxPeOutputs);
+    bufferOverflows += next.bufferOverflows;
+    dramPayloadBytes += next.dramPayloadBytes;
+    linkPayloadBytes += next.linkPayloadBytes;
+    activity += next.activity;
+    queryComplete.insert(queryComplete.end(), next.queryComplete.begin(),
+                         next.queryComplete.end());
+}
+
 TreeRun
 TreeReplay::run(const PreparedBatch &prepared, Tick start,
                 LookupTiming &timing, bool values,

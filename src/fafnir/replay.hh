@@ -43,8 +43,9 @@ struct EngineConfig
     bool dedup = true;
     /**
      * Hardware batch capacity B (buffer entries and compute units per PE,
-     * Table I). Software batches larger than this are served as several
-     * hardware sub-batches (Section IV-B).
+     * Table I). Both engines' lookup and lookupMany serve a larger
+     * software batch as several hardware sub-batches (Section IV-B);
+     * lookupPrepared runs its batch as one hardware batch.
      */
     unsigned hwBatch = 32;
     /** Tree scale: ranks per leaf PE (1, 2, or 4 per Section IV-B). */
@@ -61,7 +62,7 @@ struct EngineConfig
     ReadOrder readOrder = ReadOrder::InOrder;
     /**
      * Interactive processing (Section IV-C): PEs skip the batch
-     * comparisons (compare = 0). Only the analytic engine also serves the
+     * comparisons (compare = 0), and lookup and lookupMany serve the
      * queries one at a time, with no cross-query dedup at the host.
      */
     bool interactive = false;
@@ -89,8 +90,8 @@ struct LookupTiming
     std::size_t totalReferences = 0;
     std::size_t rootCombines = 0;
     std::size_t maxPeOutputs = 0;
-    /** Batches whose peak PE occupancy exceeded the hardware batch size
-     *  (served as several hardware sub-batches; see Section IV-B). */
+    /** Hardware batches whose peak PE occupancy exceeded hwBatch (see
+     *  DESIGN.md §7; counted, not split). */
     std::size_t bufferOverflows = 0;
     /** Payload encoding the batch travelled in. */
     embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
@@ -102,6 +103,10 @@ struct LookupTiming
     PeActivity activity;
     /** Completion tick of each query. */
     std::vector<Tick> queryComplete;
+
+    /** Fold in the next hardware sub-batch of the same software batch,
+     *  whose queries follow this timing's. */
+    void appendSubBatch(const LookupTiming &next);
 
     Tick memoryTime() const { return memLast - issued; }
     Tick computeTime() const { return complete - memLast; }
@@ -121,6 +126,65 @@ class TreeReplay
     const EngineConfig &config() const { return config_; }
     const TreeTopology &topology() const { return topology_; }
     Tick pePeriod() const { return pePeriod_; }
+
+    /**
+     * Both engines' lookup: serve @p batch on @p engine from @p start,
+     * delivering no vector before @p min_complete. A batch above hwBatch,
+     * or any batch in interactive mode, runs as hardware sub-batches that
+     * prepare and dedup on their own. Each starts at the previous one's
+     * memLast (the event engine raises a start to its event clock) and
+     * delivers after its complete. Engine::lookupPrepared replays one
+     * hardware batch.
+     */
+    template <typename Engine>
+    auto
+    lookup(Engine &engine, const embedding::Batch &batch, Tick start,
+           Tick min_complete = 0) const
+    {
+        const std::size_t capacity =
+            config_.interactive ? 1 : config_.hwBatch;
+        if (batch.size() <= capacity) {
+            PreparedBatch prepared = prepare(batch);
+            return engine.lookupPrepared(prepared, start, min_complete);
+        }
+        const auto serve = [&](std::size_t first) {
+            embedding::Batch sub;
+            sub.queries.assign(
+                batch.queries.begin() + first,
+                batch.queries.begin() +
+                    std::min(batch.size(), first + capacity));
+            for (std::size_t i = 0; i < sub.size(); ++i)
+                sub.queries[i].id = static_cast<QueryId>(i);
+            PreparedBatch prepared = prepare(sub);
+            auto timing = engine.lookupPrepared(prepared, start, min_complete);
+            start = timing.memLast;
+            min_complete = timing.complete;
+            return timing;
+        };
+        auto merged = serve(0);
+        for (std::size_t first = capacity; first < batch.size();
+             first += capacity) {
+            merged.appendSubBatch(serve(first));
+        }
+        return merged;
+    }
+
+    /** Serve @p batches back to back from @p start: each batch's vectors
+     *  leave the root after the previous batch's complete. */
+    template <typename Engine>
+    auto
+    lookupMany(Engine &engine, const std::vector<embedding::Batch> &batches,
+               Tick start) const
+    {
+        std::vector<decltype(lookup(engine, batches.front(), start))> timings;
+        timings.reserve(batches.size());
+        Tick min_complete = 0;
+        for (const embedding::Batch &batch : batches) {
+            timings.push_back(lookup(engine, batch, start, min_complete));
+            min_complete = timings.back().complete;
+        }
+        return timings;
+    }
 
     /** Host prepare under the configured dedup and payload. */
     PreparedBatch

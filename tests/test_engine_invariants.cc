@@ -2,9 +2,10 @@
  * @file
  * Engine invariant torture matrix: for every combination of rank count,
  * batch size, dedup, interactive mode, tree scale, and memory technology
- * that the public API accepts, the timing output must satisfy the
- * structural invariants (ordering, conservation, bounds), and cumulative
- * statistics must reconcile with per-lookup results.
+ * that the public API accepts, both engines' timing output must satisfy
+ * the structural invariants (ordering, conservation, bounds), and the
+ * analytic engine's cumulative statistics must reconcile with per-lookup
+ * results.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "embedding/generator.hh"
 #include "fafnir/engine.hh"
+#include "fafnir/event_engine.hh"
 
 using namespace fafnir;
 using namespace fafnir::core;
@@ -55,79 +57,94 @@ TEST_P(EngineInvariants, HoldAcrossTheConfigurationSpace)
     if (p.ranksPerLeafPe > p.ranks)
         GTEST_SKIP() << "leaf scale larger than the system";
 
-    EventQueue eq;
     const TableConfig tables{32, 1u << 16, 512, 4};
     const dram::Geometry geometry =
         p.hbm ? dram::Geometry::hbm2()
               : dram::Geometry::withTotalRanks(p.ranks);
     const dram::Timing timing =
         p.hbm ? dram::Timing::hbm2() : dram::Timing::ddr4_2400();
-    dram::MemorySystem memory(eq, geometry, timing,
-                              dram::Interleave::BlockRank, 512);
-    const VectorLayout layout(tables, memory.mapper());
-
     EngineConfig cfg;
     cfg.dedup = p.dedup;
     cfg.interactive = p.interactive;
     cfg.ranksPerLeafPe = p.ranksPerLeafPe;
-    FafnirEngine engine(memory, layout, cfg);
-
     WorkloadConfig wc;
     wc.tables = tables;
     wc.batchSize = p.batchSize;
     wc.querySize = p.querySize;
     wc.zipfSkew = 1.0;
     wc.hotFraction = 0.005;
-    BatchGenerator gen(wc, 4242 + p.ranks);
 
-    Tick prev_complete = 0;
-    std::uint64_t reads_sum = 0;
-    for (int round = 0; round < 3; ++round) {
-        const Batch batch = gen.next();
-        const LookupTiming t = engine.lookup(batch, prev_complete);
+    // Three batches back to back; returns the reads they issued.
+    const auto serve_rounds = [&](auto &engine) {
+        BatchGenerator gen(wc, 4242 + p.ranks);
+        Tick prev_complete = 0;
+        std::uint64_t reads_sum = 0;
+        for (int round = 0; round < 3; ++round) {
+            const Batch batch = gen.next();
+            const LookupTiming t = engine.lookup(batch, prev_complete);
 
-        // Ordering invariants.
-        EXPECT_GE(t.memFirst, t.issued);
-        EXPECT_GE(t.memLast, t.memFirst);
-        EXPECT_GE(t.complete, t.memLast);
-        EXPECT_EQ(t.issued, prev_complete);
+            // Ordering invariants.
+            EXPECT_GE(t.memFirst, t.issued);
+            EXPECT_GE(t.memLast, t.memFirst);
+            EXPECT_GE(t.complete, t.memLast);
+            EXPECT_EQ(t.issued, prev_complete);
 
-        // Every query completes within the batch window.
-        ASSERT_EQ(t.queryComplete.size(), batch.size());
-        for (Tick qc : t.queryComplete) {
-            EXPECT_GT(qc, t.issued);
-            EXPECT_LE(qc, t.complete);
+            // Every query completes within the batch window.
+            EXPECT_EQ(t.queryComplete.size(), batch.size());
+            for (Tick qc : t.queryComplete) {
+                EXPECT_GT(qc, t.issued);
+                EXPECT_LE(qc, t.complete);
+            }
+
+            // Access conservation.
+            EXPECT_EQ(t.totalReferences, batch.totalIndices());
+            if (p.interactive) {
+                EXPECT_EQ(t.memAccesses, batch.totalIndices());
+            } else if (p.dedup && p.batchSize <= 32) {
+                EXPECT_EQ(t.memAccesses, batch.uniqueIndices());
+            } else if (!p.dedup) {
+                EXPECT_EQ(t.memAccesses, batch.totalIndices());
+            }
+            EXPECT_GE(t.memAccesses, batch.uniqueIndices());
+            EXPECT_LE(t.memAccesses, batch.totalIndices());
+
+            // The tree performed enough reductions to fold every
+            // reference.
+            EXPECT_GE(t.activity.reduces + t.rootCombines + batch.size(),
+                      t.memAccesses);
+
+            reads_sum += t.memAccesses;
+            prev_complete = t.complete;
         }
+        return reads_sum;
+    };
 
-        // Access conservation.
-        EXPECT_EQ(t.totalReferences, batch.totalIndices());
-        if (p.interactive) {
-            EXPECT_EQ(t.memAccesses, batch.totalIndices());
-        } else if (p.dedup && p.batchSize <= 32) {
-            EXPECT_EQ(t.memAccesses, batch.uniqueIndices());
-        } else if (!p.dedup) {
-            EXPECT_EQ(t.memAccesses, batch.totalIndices());
+    for (bool event : {false, true}) {
+        SCOPED_TRACE(event ? "event engine" : "analytic engine");
+        EventQueue eq;
+        dram::MemorySystem memory(eq, geometry, timing,
+                                  dram::Interleave::BlockRank, 512);
+        const VectorLayout layout(tables, memory.mapper());
+        if (event) {
+            EventEngineConfig ecfg;
+            ecfg.base = cfg;
+            EventDrivenEngine engine(memory, layout, ecfg);
+            serve_rounds(engine);
+            continue;
         }
-        EXPECT_GE(t.memAccesses, batch.uniqueIndices());
-        EXPECT_LE(t.memAccesses, batch.totalIndices());
+        FafnirEngine engine(memory, layout, cfg);
+        const std::uint64_t reads_sum = serve_rounds(engine);
 
-        // The tree performed enough reductions to fold every reference.
-        EXPECT_GE(t.activity.reduces + t.rootCombines + batch.size(),
-                  t.memAccesses);
+        // Cumulative engine counters reconcile.
+        EXPECT_EQ(engine.issuedReads(), reads_sum);
+        EXPECT_EQ(engine.servedQueries(), 3ull * p.batchSize);
 
-        reads_sum += t.memAccesses;
-        prev_complete = t.complete;
+        StatGroup group("engine");
+        engine.registerStats(group);
+        std::ostringstream os;
+        group.dump(os);
+        EXPECT_NE(os.str().find("engine.queries"), std::string::npos);
     }
-
-    // Cumulative engine counters reconcile.
-    EXPECT_EQ(engine.issuedReads(), reads_sum);
-    EXPECT_EQ(engine.servedQueries(), 3ull * p.batchSize);
-
-    StatGroup group("engine");
-    engine.registerStats(group);
-    std::ostringstream os;
-    group.dump(os);
-    EXPECT_NE(os.str().find("engine.queries"), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,11 +1,16 @@
 /**
  * @file
- * Engine-mode tests: hardware sub-batch splitting, interactive
- * processing, tree scales, parallel host links, and the HBM
+ * Engine-mode tests: hardware sub-batch splitting and interactive
+ * processing on both engines and both batch entry points, root-delivery
+ * order across batches, tree scales, parallel host links, and the HBM
  * pseudo-channel integration.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "embedding/generator.hh"
 #include "fafnir/engine.hh"
@@ -34,120 +39,217 @@ struct ModeRig
     {}
 
     Batch
-    makeBatch(unsigned batch_size, unsigned query_size, std::uint64_t seed)
+    makeBatch(unsigned batch_size, unsigned query_size, std::uint64_t seed,
+              double skew = 0.9, double hot_fraction = 0.01)
     {
         WorkloadConfig wc;
         wc.tables = tables;
         wc.batchSize = batch_size;
         wc.querySize = query_size;
-        wc.zipfSkew = 0.9;
-        wc.hotFraction = 0.01;
+        wc.zipfSkew = skew;
+        wc.hotFraction = hot_fraction;
         return BatchGenerator(wc, seed).next();
     }
 };
+
+/** One engine and one batch entry point: lookup, or lookupMany over a
+ *  stream that holds only the batch. */
+struct Path
+{
+    bool event;
+    bool many;
+};
+
+constexpr Path kPaths[] = {
+    {false, false}, {false, true}, {true, false}, {true, true}};
+
+std::string
+pathName(const Path &path)
+{
+    return std::string(path.event ? "event" : "analytic") + " engine, " +
+           (path.many ? "lookupMany" : "lookup");
+}
+
+/** Serve @p batch on a fresh rig with @p cfg through @p path. */
+LookupTiming
+serve(const Path &path, const EngineConfig &cfg, const Batch &batch)
+{
+    ModeRig rig;
+    const auto run = [&](auto &engine) -> LookupTiming {
+        if (path.many)
+            return engine.lookupMany({batch}, 0).front();
+        return engine.lookup(batch, 0);
+    };
+    if (!path.event) {
+        FafnirEngine engine(rig.memory, rig.layout, cfg);
+        return run(engine);
+    }
+    EventEngineConfig ecfg;
+    ecfg.base = cfg;
+    EventDrivenEngine engine(rig.memory, rig.layout, ecfg);
+    return run(engine);
+}
+
+/** Reads of @p batch served as hardware batches of @p capacity queries
+ *  that each dedup on their own. */
+std::size_t
+subBatchReads(const Batch &batch, std::size_t capacity)
+{
+    std::size_t reads = 0;
+    for (std::size_t first = 0; first < batch.size(); first += capacity) {
+        Batch sub;
+        sub.queries.assign(batch.queries.begin() + first,
+                           batch.queries.begin() +
+                               std::min(batch.size(), first + capacity));
+        reads += sub.uniqueIndices();
+    }
+    return reads;
+}
+
+/** Every query of a hardware batch completes after every query of the
+ *  one before it: root deliveries stay ordered. */
+void
+expectSubBatchesInOrder(const LookupTiming &t, std::size_t capacity)
+{
+    const std::vector<Tick> &qc = t.queryComplete;
+    for (std::size_t first = capacity; first < qc.size();
+         first += capacity) {
+        const Tick prev_last =
+            *std::max_element(qc.begin() + (first - capacity),
+                              qc.begin() + first);
+        const Tick next_first = *std::min_element(
+            qc.begin() + first,
+            qc.begin() + std::min(qc.size(), first + capacity));
+        EXPECT_GT(next_first, prev_last) << "hardware batch at " << first;
+    }
+}
 
 } // namespace
 
 TEST(EngineModes, OversizedBatchSplitsIntoHwBatches)
 {
-    ModeRig rig;
+    const Batch batch = ModeRig().makeBatch(20, 8, 5); // 3 sub-batches
     EngineConfig cfg;
     cfg.hwBatch = 8;
-    FafnirEngine engine(rig.memory, rig.layout, cfg);
-    const Batch batch = rig.makeBatch(20, 8, 5); // 3 sub-batches
-    const LookupTiming t = engine.lookup(batch, 0);
-    EXPECT_EQ(t.queryComplete.size(), 20u);
-    for (Tick qc : t.queryComplete) {
-        EXPECT_GT(qc, 0u);
-        EXPECT_LE(qc, t.complete);
+    ASSERT_LT(batch.uniqueIndices(), subBatchReads(batch, 8));
+    for (const Path &path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        const LookupTiming t = serve(path, cfg, batch);
+        ASSERT_EQ(t.queryComplete.size(), 20u);
+        for (Tick qc : t.queryComplete) {
+            EXPECT_GT(qc, 0u);
+            EXPECT_LE(qc, t.complete);
+        }
+        EXPECT_EQ(t.totalReferences, batch.totalIndices());
+        // Each sub-batch dedups on its own.
+        EXPECT_EQ(t.memAccesses, subBatchReads(batch, 8));
+        expectSubBatchesInOrder(t, 8);
     }
-    EXPECT_EQ(t.totalReferences, batch.totalIndices());
-    EXPECT_GE(t.memAccesses, batch.uniqueIndices());
 }
 
 TEST(EngineModes, SplittingPreservesTotalWork)
 {
-    ModeRig rig_whole;
-    ModeRig rig_split;
-    const Batch batch = rig_whole.makeBatch(32, 16, 6);
-
+    const Batch batch = ModeRig().makeBatch(32, 16, 6);
     EngineConfig whole;
     whole.hwBatch = 32;
     whole.dedup = false;
-    FafnirEngine engine_whole(rig_whole.memory, rig_whole.layout, whole);
-
-    EngineConfig split;
+    EngineConfig split = whole;
     split.hwBatch = 8;
-    split.dedup = false;
-    FafnirEngine engine_split(rig_split.memory, rig_split.layout, split);
-
-    const auto a = engine_whole.lookup(batch, 0);
-    const auto b = engine_split.lookup(batch, 0);
-    EXPECT_EQ(a.memAccesses, b.memAccesses); // no-dedup: same reads
-    // Splitting can only reduce cross-query dedup, never total coverage.
-    EXPECT_EQ(a.totalReferences, b.totalReferences);
+    for (const Path &path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        const LookupTiming a = serve(path, whole, batch);
+        const LookupTiming b = serve(path, split, batch);
+        EXPECT_EQ(a.memAccesses, b.memAccesses); // no-dedup: same reads
+        // Splitting can only reduce cross-query dedup, never total
+        // coverage.
+        EXPECT_EQ(a.totalReferences, b.totalReferences);
+        EXPECT_EQ(a.activity.reduces + a.rootCombines,
+                  b.activity.reduces + b.rootCombines);
+        expectSubBatchesInOrder(b, 8);
+    }
 }
 
 TEST(EngineModes, SplittingWeakensDedup)
 {
     // Cross-sub-batch repeats are re-read: dedup scope is the hardware
     // batch.
-    ModeRig rig_whole;
-    ModeRig rig_split;
-    WorkloadConfig wc;
-    wc.tables = rig_whole.tables;
-    wc.batchSize = 32;
-    wc.querySize = 16;
-    wc.zipfSkew = 1.1;
-    wc.hotFraction = 0.0001;
-    const Batch batch = BatchGenerator(wc, 9).next();
-    ASSERT_LT(batch.uniqueIndices(), batch.totalIndices());
+    const Batch batch = ModeRig().makeBatch(32, 16, 9, 1.1, 0.0001);
+    ASSERT_LT(batch.uniqueIndices(), subBatchReads(batch, 4));
+    ASSERT_LT(subBatchReads(batch, 4), batch.totalIndices());
 
     EngineConfig whole;
     whole.hwBatch = 32;
-    FafnirEngine ew(rig_whole.memory, rig_whole.layout, whole);
     EngineConfig split;
     split.hwBatch = 4;
-    FafnirEngine es(rig_split.memory, rig_split.layout, split);
-
-    const auto a = ew.lookup(batch, 0);
-    const auto b = es.lookup(batch, 0);
-    EXPECT_EQ(a.memAccesses, batch.uniqueIndices());
-    EXPECT_GE(b.memAccesses, a.memAccesses);
-    EXPECT_LE(b.memAccesses, batch.totalIndices());
+    for (const Path &path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        const auto a = serve(path, whole, batch);
+        const auto b = serve(path, split, batch);
+        EXPECT_EQ(a.memAccesses, batch.uniqueIndices());
+        EXPECT_EQ(b.memAccesses, subBatchReads(batch, 4));
+    }
 }
 
 TEST(EngineModes, InteractiveServesQueriesIndividually)
 {
-    ModeRig rig;
+    const Batch batch = ModeRig().makeBatch(6, 8, 7, 1.1, 0.0001);
     EngineConfig cfg;
     cfg.interactive = true;
-    FafnirEngine engine(rig.memory, rig.layout, cfg);
-    const Batch batch = rig.makeBatch(6, 8, 7);
-    const LookupTiming t = engine.lookup(batch, 0);
-    EXPECT_EQ(t.queryComplete.size(), 6u);
-    // No cross-query dedup in interactive mode.
-    EXPECT_EQ(t.memAccesses, batch.totalIndices());
-    // Queries drain in admission order.
-    for (std::size_t i = 1; i < t.queryComplete.size(); ++i)
-        EXPECT_GE(t.queryComplete[i], t.queryComplete[i - 1]);
+    ASSERT_LT(batch.uniqueIndices(), batch.totalIndices());
+    for (const Path &path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        const LookupTiming t = serve(path, cfg, batch);
+        EXPECT_EQ(t.queryComplete.size(), 6u);
+        // No cross-query dedup in interactive mode.
+        EXPECT_EQ(t.memAccesses, batch.totalIndices());
+        // Queries drain in admission order.
+        expectSubBatchesInOrder(t, 1);
+    }
 }
 
 TEST(EngineModes, InteractiveSlowerThanBatchedOnStreams)
 {
-    ModeRig batched_rig;
-    ModeRig interactive_rig;
-    const Batch batch = batched_rig.makeBatch(16, 16, 8);
-
-    FafnirEngine batched(batched_rig.memory, batched_rig.layout,
-                         EngineConfig{});
+    const Batch batch = ModeRig().makeBatch(16, 16, 8);
     EngineConfig icfg;
     icfg.interactive = true;
-    FafnirEngine interactive(interactive_rig.memory,
-                             interactive_rig.layout, icfg);
+    for (const Path &path : kPaths) {
+        SCOPED_TRACE(pathName(path));
+        EXPECT_LT(serve(path, EngineConfig{}, batch).complete,
+                  serve(path, icfg, batch).complete);
+    }
+}
 
-    EXPECT_LT(batched.lookup(batch, 0).complete,
-              interactive.lookup(batch, 0).complete);
+TEST(EngineModes, BatchStreamsKeepRootDeliveriesOrdered)
+{
+    // A slow root link makes one batch's vectors queue behind the
+    // previous batch's: on both engines, a batch leaves the root only
+    // after the previous batch's complete.
+    ModeRig shapes;
+    std::vector<Batch> batches;
+    for (std::uint64_t seed = 30; seed < 34; ++seed)
+        batches.push_back(shapes.makeBatch(16, 16, seed));
+    EngineConfig cfg;
+    cfg.rootLinkGBs = 4.0;
+    for (bool event : {false, true}) {
+        SCOPED_TRACE(event ? "event engine" : "analytic engine");
+        ModeRig rig;
+        std::vector<LookupTiming> timings;
+        if (event) {
+            EventEngineConfig ecfg;
+            ecfg.base = cfg;
+            for (auto &t : EventDrivenEngine(rig.memory, rig.layout, ecfg)
+                               .lookupMany(batches, 0))
+                timings.push_back(std::move(t));
+        } else {
+            timings = FafnirEngine(rig.memory, rig.layout, cfg)
+                          .lookupMany(batches, 0);
+        }
+        ASSERT_EQ(timings.size(), batches.size());
+        for (std::size_t b = 1; b < timings.size(); ++b) {
+            for (Tick qc : timings[b].queryComplete)
+                EXPECT_GE(qc, timings[b - 1].complete) << "batch " << b;
+        }
+    }
 }
 
 TEST(EngineModes, TreeScalesProduceSameResultsDifferentShapes)

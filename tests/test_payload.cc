@@ -17,7 +17,6 @@
 #include "embedding/generator.hh"
 #include "embedding/layout.hh"
 #include "embedding/quantize.hh"
-#include "embedding/reduce_kernels.hh"
 #include "fafnir/engine.hh"
 #include "fafnir/event_engine.hh"
 #include "fafnir/host.hh"
@@ -64,24 +63,6 @@ makeBatches(const TableConfig &tables, unsigned count,
     for (unsigned i = 0; i < count; ++i)
         batches.push_back(gen.next());
     return batches;
-}
-
-/** Store-side reference under quantized transport (query order). */
-Vector
-quantizedReduce(const EmbeddingStore &store,
-                const std::vector<IndexId> &indices, PayloadFormat fmt)
-{
-    Vector acc;
-    for (IndexId idx : indices) {
-        Vector v = store.vector(idx);
-        payloadRoundTrip(fmt, v.data(), v.size());
-        if (acc.empty())
-            acc = std::move(v);
-        else
-            combineSpan(ReduceOp::Sum, acc.data(), v.data(), acc.size());
-    }
-    finalizeSpan(ReduceOp::Sum, acc.data(), acc.size(), indices.size());
-    return acc;
 }
 
 bool
@@ -158,7 +139,7 @@ TEST(Payload, EventEngineMatchesQuantizedReference)
             for (std::size_t q = 0; q < batches[b].queries.size();
                  ++q) {
                 const Vector reference = quantizedReduce(
-                    rig.store, batches[b].queries[q].indices, fmt);
+                    fmt, rig.store, batches[b].queries[q].indices);
                 EXPECT_TRUE(
                     bitEqual(timings[b].results[q], reference))
                     << payloadFormatName(fmt) << " batch " << b
@@ -330,7 +311,7 @@ TEST(Payload, ShardedTierPinsAgainstSingleStoreReference)
         ASSERT_EQ(trace.results.size(), queries.size());
         for (std::size_t q = 0; q < queries.size(); ++q) {
             const Vector reference = quantizedReduce(
-                store, queries[q].indices, PayloadFormat::Int8);
+                PayloadFormat::Int8, store, queries[q].indices);
             EXPECT_TRUE(bitEqual(trace.results[q], reference))
                 << "batch " << trace.batch << " query " << q;
         }

@@ -20,8 +20,10 @@
  * --serve-engines=N or --shards=S serves it through the sharded tier
  * instead: max(1, S) shards of max(1, N) event-engine replicas, so
  * --serve-engines=N alone is the one-shard tier, the pipelined front
- * end. Event-engine runs that serve replicas, a quantized --payload, or
- * --payload-accuracy check every served value in-process.
+ * end. The tier runs each batch whole, so --interactive (one query per
+ * hardware batch) needs the single-engine shape. Event-engine runs
+ * that serve replicas, a quantized --payload, or --payload-accuracy
+ * check every served value in-process.
  *
  * Telemetry flags (see docs/OBSERVABILITY.md):
  *   --stats-json=out.json   every registered stat as one JSON object
@@ -55,7 +57,6 @@
 #include "embedding/generator.hh"
 #include "embedding/layout.hh"
 #include "embedding/quantize.hh"
-#include "embedding/reduce_kernels.hh"
 #include "embedding/service.hh"
 #include "fafnir/engine.hh"
 #include "fafnir/event_engine.hh"
@@ -156,31 +157,6 @@ makeWorkload(const Options &opt, const embedding::TableConfig &tables)
     return batches;
 }
 
-/**
- * Store-side reference for one query: every vector round-trips the
- * payload codec once (exactly as the leaf rank read does; a no-op for
- * fp32), then sums in query order. Power-of-two quantizer scales make
- * the fp32 sums exact, so this matches the tree's meeting-order
- * partials bit for bit (see embedding/quantize.hh).
- */
-embedding::Vector
-quantizedReduce(const embedding::EmbeddingStore &store,
-                const std::vector<IndexId> &indices,
-                embedding::PayloadFormat fmt)
-{
-    embedding::Vector acc;
-    for (IndexId idx : indices) {
-        embedding::Vector v = store.vector(idx);
-        embedding::payloadRoundTrip(fmt, v.data(), v.size());
-        if (acc.empty())
-            acc = std::move(v);
-        else
-            embedding::combineSpan(embedding::ReduceOp::Sum, acc.data(),
-                                   v.data(), acc.size());
-    }
-    return acc;
-}
-
 /** Record @p metrics on @p run, in order. */
 void
 setMetrics(telemetry::RunReport &run,
@@ -190,8 +166,8 @@ setMetrics(telemetry::RunReport &run,
         run.setMetric(name, value);
 }
 
-/** Served values against quantizedReduce, plus the reference's error
- *  against the exact fp32 reduction. */
+/** Served values against embedding::quantizedReduce, plus the
+ *  reference's error against the exact fp32 reduction. */
 struct ValueCheck
 {
     std::size_t mismatches = 0;
@@ -219,7 +195,7 @@ checkValues(const Options &opt, const embedding::EmbeddingStore &store,
         for (std::size_t q = 0; q < batches[b].queries.size(); ++q) {
             const auto &indices = batches[b].queries[q].indices;
             const embedding::Vector want =
-                quantizedReduce(store, indices, opt.payload);
+                embedding::quantizedReduce(opt.payload, store, indices);
             const embedding::Vector &got = served[b].results[q];
             if (got.size() != want.size() ||
                 (!got.empty() &&
@@ -655,7 +631,6 @@ serveTier(const Options &opt, telemetry::TelemetrySession &session,
 
     core::EventEngineConfig ecfg;
     ecfg.base.dedup = opt.dedup;
-    ecfg.base.interactive = opt.interactive;
     ecfg.computeValues = true;
     const embedding::EmbeddingStore store(tables);
     std::vector<std::vector<core::EngineReplica>> groups =
@@ -747,6 +722,13 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
     if (opt.replicated() && opt.engine != "event") {
         std::fprintf(stderr, "error: --serve-engines and --shards "
                              "require --engine=event\n");
+        return 2;
+    }
+    // The tier replays each prepared batch as one hardware batch, so it
+    // cannot serve queries one at a time.
+    if (opt.replicated() && opt.interactive) {
+        std::fprintf(stderr, "error: --interactive cannot be combined "
+                             "with --serve-engines or --shards\n");
         return 2;
     }
     if (opt.payload != embedding::PayloadFormat::Fp32 && !fafnir) {
