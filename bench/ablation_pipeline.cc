@@ -7,10 +7,10 @@
  * the identical functional tree; only the timing abstraction differs.
  */
 
-#include <algorithm>
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/stats.hh"
 #include "fafnir/engine.hh"
 #include "fafnir/event_engine.hh"
 #include "telemetry/session.hh"
@@ -31,13 +31,10 @@ struct Percentiles
 Percentiles
 percentiles(const std::vector<Tick> &latencies, Tick complete, Tick start)
 {
-    std::vector<Tick> sorted = latencies;
-    std::sort(sorted.begin(), sorted.end());
-    Percentiles p;
-    p.p50 = ns(sorted[sorted.size() / 2] - start);
-    p.p99 = ns(sorted[sorted.size() * 99 / 100] - start);
-    p.batchNs = ns(complete - start);
-    return p;
+    Distribution query_ns;
+    for (const Tick t : latencies)
+        query_ns.sample(ns(t - start));
+    return {query_ns.p50(), query_ns.p99(), ns(complete - start)};
 }
 
 } // namespace

@@ -9,7 +9,6 @@
  * a production recommender cares about.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -17,6 +16,7 @@
 
 #include "baselines/cpu.hh"
 #include "baselines/recnmp.hh"
+#include "common/stats.hh"
 #include "dram/memsystem.hh"
 #include "embedding/generator.hh"
 #include "embedding/layout.hh"
@@ -58,23 +58,6 @@ struct ServiceStats
     double requestsPerSec = 0.0;
 };
 
-ServiceStats
-summarize(const std::vector<Tick> &embed_latency, Tick span)
-{
-    std::vector<Tick> sorted = embed_latency;
-    std::sort(sorted.begin(), sorted.end());
-    ServiceStats s;
-    s.p50Us = static_cast<double>(sorted[sorted.size() / 2] +
-                                  neuralNetTicks()) /
-              kTicksPerUs;
-    s.p99Us = static_cast<double>(sorted[sorted.size() * 99 / 100] +
-                                  neuralNetTicks()) /
-              kTicksPerUs;
-    s.requestsPerSec = static_cast<double>(kRequests) /
-                       (static_cast<double>(span) / kTicksPerSec);
-    return s;
-}
-
 std::vector<embedding::Batch>
 requestStream(const embedding::TableConfig &tables)
 {
@@ -96,12 +79,16 @@ template <typename Engine>
 ServiceStats
 serve(Engine &engine, const std::vector<embedding::Batch> &stream)
 {
-    std::vector<Tick> latency;
-    latency.reserve(stream.size());
+    Distribution latency_us;
     const auto timings = engine.lookupMany(stream, 0);
     for (const auto &t : timings)
-        latency.push_back(t.totalTime());
-    return summarize(latency, timings.back().complete);
+        latency_us.sample(static_cast<double>(t.totalTime() +
+                                              neuralNetTicks()) /
+                          kTicksPerUs);
+    const Tick span = timings.back().complete;
+    return {latency_us.p50(), latency_us.p99(),
+            static_cast<double>(kRequests) /
+                (static_cast<double>(span) / kTicksPerSec)};
 }
 
 } // namespace

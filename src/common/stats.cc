@@ -10,83 +10,152 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "json.hh"
-#include "logging.hh"
 
 namespace fafnir
 {
 
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    sum_ += v;
-    ++count_;
+// --- LogHistogram -----------------------------------------------------
 
-    if (reservoir_.size() < kReservoirSize) {
-        reservoir_.push_back(v);
+double
+LogHistogram::bucketValue(std::size_t index)
+{
+    if (index == 0)
+        return 0.0;
+    if (index >= kBucketCount - 1)
+        return std::ldexp(1.0, kMaxExp);
+    const std::size_t linear = index - 1;
+    const int exp =
+        kMinExp + static_cast<int>(linear / kSubBuckets);
+    const unsigned sub = static_cast<unsigned>(linear % kSubBuckets);
+    // Upper edge of sub-bucket `sub` of octave [2^(exp-1), 2^exp).
+    return std::ldexp(1.0 + (sub + 1) / double(kSubBuckets), exp - 1);
+}
+
+void
+LogHistogram::recordWithExemplar(double v, const Exemplar &ex)
+{
+    record(v);
+    Exemplar candidate = ex;
+    candidate.value = v;
+    candidate.valid = true;
+    offerExemplar(bucketOf(v), candidate);
+}
+
+void
+LogHistogram::offerExemplar(std::size_t bucket, const Exemplar &ex)
+{
+    if (!ex.valid)
         return;
+    if (exemplar_.valid) {
+        // Total order so retention is merge-order independent: higher
+        // bucket wins; within a bucket the earliest (tick, batch,
+        // query, value) tuple wins.
+        if (bucket < exemplarBucket_)
+            return;
+        if (bucket == exemplarBucket_) {
+            const auto keyOf = [](const Exemplar &e) {
+                return std::make_tuple(e.tick, e.batch, e.query,
+                                       e.value);
+            };
+            if (keyOf(exemplar_) <= keyOf(ex))
+                return;
+        }
     }
-    // Vitter's algorithm R with a deterministic LCG: keep each of the
-    // count_ samples with probability kReservoirSize / count_.
-    rngState_ = rngState_ * 6364136223846793005ull +
-                1442695040888963407ull;
-    const std::uint64_t slot = rngState_ % count_;
-    if (slot < kReservoirSize)
-        reservoir_[slot] = v;
+    exemplar_ = ex;
+    exemplarBucket_ = bucket;
+}
+
+void
+LogHistogram::merge(const LogHistogram &other)
+{
+    if (other.counts_.size() > counts_.size())
+        counts_.resize(other.counts_.size(), 0);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i)
+        counts_[i] += other.counts_[i];
+    count_ += other.count_;
+    sum_ += other.sum_;
+    if (other.exemplar_.valid)
+        offerExemplar(other.exemplarBucket_, other.exemplar_);
 }
 
 double
-Distribution::mean() const
+LogHistogram::mean() const
 {
-    return count_ ? sum_ / static_cast<double>(count_)
+    return count_ ? sum_ / double(count_)
                   : std::numeric_limits<double>::quiet_NaN();
 }
 
 double
+LogHistogram::percentile(double p) const
+{
+    if (count_ == 0)
+        return std::numeric_limits<double>::quiet_NaN();
+    p = std::clamp(p, 0.0, 100.0);
+    // Nearest rank: the k-th smallest with k = ceil(p/100 * n), k >= 1.
+    std::uint64_t rank = static_cast<std::uint64_t>(
+        std::ceil(p / 100.0 * double(count_)));
+    rank = std::clamp<std::uint64_t>(rank, 1, count_);
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+        seen += counts_[i];
+        if (seen >= rank)
+            return bucketValue(i);
+    }
+    return bucketValue(counts_.empty() ? 0 : counts_.size() - 1);
+}
+
+std::uint64_t
+LogHistogram::bucketCount(std::size_t index) const
+{
+    return index < counts_.size() ? counts_[index] : 0;
+}
+
+bool
+LogHistogram::identicalBuckets(const LogHistogram &other) const
+{
+    const std::size_t n = std::max(counts_.size(), other.counts_.size());
+    for (std::size_t i = 0; i < n; ++i)
+        if (bucketCount(i) != other.bucketCount(i))
+            return false;
+    return count_ == other.count_;
+}
+
+void
+LogHistogram::clear()
+{
+    counts_.clear();
+    count_ = 0;
+    sum_ = 0.0;
+    exemplar_ = {};
+    exemplarBucket_ = 0;
+}
+
+// --- Distribution -----------------------------------------------------
+
+double
 Distribution::min() const
 {
-    return count_ ? min_ : std::numeric_limits<double>::quiet_NaN();
+    return count() ? min_ : std::numeric_limits<double>::quiet_NaN();
 }
 
 double
 Distribution::max() const
 {
-    return count_ ? max_ : std::numeric_limits<double>::quiet_NaN();
+    return count() ? max_ : std::numeric_limits<double>::quiet_NaN();
 }
 
 double
 Distribution::percentile(double p) const
 {
-    FAFNIR_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
-    if (reservoir_.empty())
+    if (count() == 0)
         return std::numeric_limits<double>::quiet_NaN();
-    std::vector<double> sorted(reservoir_);
-    std::sort(sorted.begin(), sorted.end());
-    // Nearest-rank: the smallest value with at least p% of samples at or
-    // below it.
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-    return sorted[rank == 0 ? 0 : rank - 1];
+    return std::min(std::max(hist_.percentile(p), min_), max_);
 }
 
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-    reservoir_.clear();
-    rngState_ = 0x9e3779b97f4a7c15ull;
-}
+// --- StatGroup --------------------------------------------------------
 
 void
 StatGroup::addCounter(const std::string &stat, const Counter &counter,

@@ -24,14 +24,10 @@ ServiceReport::percentileTotal(double p) const
 {
     FAFNIR_ASSERT(!requests.empty(), "empty report");
     FAFNIR_ASSERT(p >= 0.0 && p <= 1.0, "percentile out of range");
-    std::vector<Tick> totals;
-    totals.reserve(requests.size());
+    Distribution totals;
     for (const auto &r : requests)
-        totals.push_back(r.totalTime());
-    std::sort(totals.begin(), totals.end());
-    const auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(totals.size() - 1));
-    return totals[idx];
+        totals.sample(static_cast<double>(r.totalTime()));
+    return static_cast<Tick>(totals.percentile(p * 100.0));
 }
 
 double

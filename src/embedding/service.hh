@@ -69,6 +69,8 @@ struct ServiceReport
      */
     bool saturated = false;
 
+    /** Nearest-rank percentile of request total time, @p p in [0, 1]
+     *  (a Distribution's: the log-bucket edge clamped to [min, max]). */
     Tick percentileTotal(double p) const;
     double meanQueueTicks() const;
 };

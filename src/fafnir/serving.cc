@@ -103,21 +103,6 @@ ServingPipeline::pickEngine(std::size_t batchOrdinal,
     return best;
 }
 
-Tick
-ServingPipeline::serviceP(double pct) const
-{
-    if (serviceHistory_.empty())
-        return 0;
-    std::vector<Tick> sorted = serviceHistory_;
-    std::sort(sorted.begin(), sorted.end());
-    const double frac = std::min(std::max(pct, 0.0), 100.0) / 100.0;
-    auto rank = static_cast<std::size_t>(
-        std::ceil(frac * static_cast<double>(sorted.size())));
-    if (rank > 0)
-        --rank;
-    return sorted[std::min(rank, sorted.size() - 1)];
-}
-
 PipelineReport
 ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                        Tick arrivalGap, Tick start)
@@ -256,8 +241,10 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
         bool hedge_won = false;
         EventLookupTiming win_timing = timing;
         if (config_.hedgePct > 0.0 && engines >= 2 &&
-            serviceHistory_.size() >= config_.hedgeWarmup) {
-            const Tick p = serviceP(config_.hedgePct);
+            serviceHistory_.count() > 0 &&
+            serviceHistory_.count() >= config_.hedgeWarmup) {
+            const auto p = static_cast<Tick>(
+                serviceHistory_.percentile(config_.hedgePct));
             if (service > p) {
                 hedged = true;
                 ++report.hedgesIssued;
@@ -298,7 +285,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                 }
             }
         }
-        serviceHistory_.push_back(service);
+        serviceHistory_.sample(static_cast<double>(service));
 
         // --- Writeback (results land host-side, in arrival order). ------
         const Tick complete = win_timing.complete;
@@ -339,7 +326,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
         double tailP99 = 0.0;
         bool tailWarm = false;
         if (series && rec) {
-            const telemetry::LogHistogram recent = winLatency->rolling(8);
+            const LogHistogram recent = winLatency->rolling(8);
             tailWarm = recent.count() >= 64;
             tailP99 = recent.p99();
         }
@@ -382,7 +369,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                                     win_timing.issued) / us);
             std::size_t plain = batch.size();
             if (victim != nullptr) {
-                telemetry::Exemplar ex;
+                Exemplar ex;
                 ex.tick = wb_done;
                 ex.batch = victim->batch;
                 ex.query = victim->query;

@@ -83,7 +83,7 @@ struct ServingConfig
      */
     double hedgePct = 0.0;
     /** Minimum completed batches before hedging engages (the running
-     *  percentile is noise until the history has mass). */
+     *  percentile is noise until the history has mass; 0 counts as 1). */
     std::size_t hedgeWarmup = 8;
     /** Read each unique index once (Section IV-C). */
     bool dedup = true;
@@ -260,8 +260,6 @@ class ServingPipeline
   private:
     unsigned pickEngine(std::size_t batchOrdinal,
                         const std::vector<Tick> &engineFree) const;
-    /** Running p-th percentile of completed service times. */
-    Tick serviceP(double pct) const;
 
     ServingConfig config_;
     std::vector<EngineReplica> &replicas_;
@@ -270,7 +268,7 @@ class ServingPipeline
     /** Per-slot value-buffer arenas (index = batch % pipelineDepth). */
     std::vector<PreparePool::SlotArenas> slotArenas_;
     /** Completed service times (started -> complete), for hedging. */
-    std::vector<Tick> serviceHistory_;
+    Distribution serviceHistory_;
 
     Counter servedBatches_;
     Counter servedQueries_;

@@ -5,159 +5,12 @@
 #include <cstdio>
 #include <limits>
 #include <ostream>
-#include <tuple>
 
 #include "common/stats.hh"
 #include "telemetry/trace_sink.hh"
 
 namespace fafnir::telemetry
 {
-
-// --- LogHistogram -----------------------------------------------------
-
-std::size_t
-LogHistogram::bucketOf(double v)
-{
-    if (!(v > 0.0) || !std::isfinite(v))
-        return 0;
-    int exp = 0;
-    const double frac = std::frexp(v, &exp); // v = frac * 2^exp, [0.5, 1)
-    if (exp < kMinExp)
-        return 0;
-    if (exp > kMaxExp)
-        return kBucketCount - 1;
-    unsigned sub =
-        static_cast<unsigned>((frac - 0.5) * 2.0 * kSubBuckets);
-    if (sub >= kSubBuckets)
-        sub = kSubBuckets - 1;
-    return 1 +
-           static_cast<std::size_t>(exp - kMinExp) * kSubBuckets + sub;
-}
-
-double
-LogHistogram::bucketValue(std::size_t index)
-{
-    if (index == 0)
-        return 0.0;
-    if (index >= kBucketCount - 1)
-        return std::ldexp(1.0, kMaxExp);
-    const std::size_t linear = index - 1;
-    const int exp =
-        kMinExp + static_cast<int>(linear / kSubBuckets);
-    const unsigned sub = static_cast<unsigned>(linear % kSubBuckets);
-    // Upper edge of sub-bucket `sub` of octave [2^(exp-1), 2^exp).
-    return std::ldexp(1.0 + (sub + 1) / double(kSubBuckets), exp - 1);
-}
-
-void
-LogHistogram::record(double v)
-{
-    const std::size_t index = bucketOf(v);
-    if (index >= counts_.size())
-        counts_.resize(index + 1, 0);
-    ++counts_[index];
-    ++count_;
-    sum_ += v;
-}
-
-void
-LogHistogram::recordWithExemplar(double v, const Exemplar &ex)
-{
-    record(v);
-    Exemplar candidate = ex;
-    candidate.value = v;
-    candidate.valid = true;
-    offerExemplar(bucketOf(v), candidate);
-}
-
-void
-LogHistogram::offerExemplar(std::size_t bucket, const Exemplar &ex)
-{
-    if (!ex.valid)
-        return;
-    if (exemplar_.valid) {
-        // Total order so retention is merge-order independent: higher
-        // bucket wins; within a bucket the earliest (tick, batch,
-        // query, value) tuple wins.
-        if (bucket < exemplarBucket_)
-            return;
-        if (bucket == exemplarBucket_) {
-            const auto keyOf = [](const Exemplar &e) {
-                return std::make_tuple(e.tick, e.batch, e.query,
-                                       e.value);
-            };
-            if (keyOf(exemplar_) <= keyOf(ex))
-                return;
-        }
-    }
-    exemplar_ = ex;
-    exemplarBucket_ = bucket;
-}
-
-void
-LogHistogram::merge(const LogHistogram &other)
-{
-    if (other.counts_.size() > counts_.size())
-        counts_.resize(other.counts_.size(), 0);
-    for (std::size_t i = 0; i < other.counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.exemplar_.valid)
-        offerExemplar(other.exemplarBucket_, other.exemplar_);
-}
-
-double
-LogHistogram::mean() const
-{
-    return count_ ? sum_ / double(count_)
-                  : std::numeric_limits<double>::quiet_NaN();
-}
-
-double
-LogHistogram::percentile(double p) const
-{
-    if (count_ == 0)
-        return std::numeric_limits<double>::quiet_NaN();
-    p = std::clamp(p, 0.0, 100.0);
-    // Nearest rank: the k-th smallest with k = ceil(p/100 * n), k >= 1.
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(p / 100.0 * double(count_)));
-    rank = std::clamp<std::uint64_t>(rank, 1, count_);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        seen += counts_[i];
-        if (seen >= rank)
-            return bucketValue(i);
-    }
-    return bucketValue(counts_.empty() ? 0 : counts_.size() - 1);
-}
-
-std::uint64_t
-LogHistogram::bucketCount(std::size_t index) const
-{
-    return index < counts_.size() ? counts_[index] : 0;
-}
-
-bool
-LogHistogram::identicalBuckets(const LogHistogram &other) const
-{
-    const std::size_t n = std::max(counts_.size(), other.counts_.size());
-    for (std::size_t i = 0; i < n; ++i)
-        if (bucketCount(i) != other.bucketCount(i))
-            return false;
-    return count_ == other.count_;
-}
-
-void
-LogHistogram::clear()
-{
-    counts_.clear();
-    count_ = 0;
-    sum_ = 0.0;
-    exemplar_ = {};
-    exemplarBucket_ = 0;
-}
 
 // --- WindowRing -------------------------------------------------------
 
@@ -550,50 +403,37 @@ TimeSeries::registerStats(StatGroup &group) const
                 e->name + ".peakWindowP99",
                 [h] { return h->peakWindowPercentile(99.0); },
                 "worst per-window p99 across retained windows");
-            group.addFormula(
-                e->name + ".exemplar.value",
-                [h] {
-                    const LogHistogram all = h->overall();
-                    return all.hasExemplar()
-                        ? all.exemplar().value
-                        : std::numeric_limits<double>::quiet_NaN();
-                },
+            // Fields of the tail exemplar of every retained window
+            // merged; NaN when no sample carried one.
+            const auto exemplarStat = [&](const char *field,
+                                          double (*get)(const Exemplar &),
+                                          const char *desc) {
+                group.addFormula(
+                    e->name + ".exemplar." + field,
+                    [h, get] {
+                        const LogHistogram all = h->overall();
+                        return all.hasExemplar()
+                            ? get(all.exemplar())
+                            : std::numeric_limits<double>::quiet_NaN();
+                    },
+                    desc);
+            };
+            exemplarStat(
+                "value", [](const Exemplar &x) { return x.value; },
                 "tail exemplar's recorded value");
-            group.addFormula(
-                e->name + ".exemplar.query",
-                [h] {
-                    const LogHistogram all = h->overall();
-                    return all.hasExemplar()
-                        ? double(all.exemplar().query)
-                        : std::numeric_limits<double>::quiet_NaN();
-                },
+            exemplarStat(
+                "query", [](const Exemplar &x) { return double(x.query); },
                 "tail exemplar's in-batch query id");
-            group.addFormula(
-                e->name + ".exemplar.flow",
-                [h] {
-                    const LogHistogram all = h->overall();
-                    return all.hasExemplar()
-                        ? double(all.exemplar().flow)
-                        : std::numeric_limits<double>::quiet_NaN();
-                },
+            exemplarStat(
+                "flow", [](const Exemplar &x) { return double(x.flow); },
                 "tail exemplar's Perfetto flow id");
-            group.addFormula(
-                e->name + ".exemplar.totalTicks",
-                [h] {
-                    const LogHistogram all = h->overall();
-                    return all.hasExemplar()
-                        ? double(all.exemplar().totalTicks)
-                        : std::numeric_limits<double>::quiet_NaN();
-                },
+            exemplarStat(
+                "totalTicks",
+                [](const Exemplar &x) { return double(x.totalTicks); },
                 "tail exemplar's end-to-end ticks");
-            group.addFormula(
-                e->name + ".exemplar.componentSumTicks",
-                [h] {
-                    const LogHistogram all = h->overall();
-                    return all.hasExemplar()
-                        ? double(all.exemplar().componentSum())
-                        : std::numeric_limits<double>::quiet_NaN();
-                },
+            exemplarStat(
+                "componentSumTicks",
+                [](const Exemplar &x) { return double(x.componentSum()); },
                 "tail exemplar's attribution sum (== totalTicks)");
         }
     }

@@ -18,14 +18,11 @@
  *                        the single-stream histogram of the same
  *                        samples).
  *
- * Histograms trade per-sample memory for bounded relative error: a
- * sample lands in bucket (exponent, 1-of-16 sub-bucket), so a reported
- * quantile is the bucket's upper edge, at most 1/16 (6.25%) above the
- * true sample. Contrast with common/stats.hh Distribution, whose
- * reservoir keeps exact sample values (exact percentiles up to 8192
- * samples) but cannot be merged across streams and decays to a sampled
- * approximation beyond the reservoir. Windowed telemetry needs merges
- * and bounded state per window, hence log buckets here.
+ * Histograms are the LogHistogram of common/stats.hh, the one
+ * percentile rule of the repo: a reported quantile is the upper edge of
+ * the true sample's bucket, at most 1/16 (6.25%) above it. Whole-run
+ * Distributions read the same buckets, clamped into their exact
+ * [min, max]; windows here keep the raw histograms so they can merge.
  *
  * Instrumentation sites follow the TraceSink pattern: fetch the
  * process-global engine with telemetry::timeseries(); when none is
@@ -36,148 +33,20 @@
 #ifndef FAFNIR_TELEMETRY_TIMESERIES_HH
 #define FAFNIR_TELEMETRY_TIMESERIES_HH
 
-#include <array>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 #include "telemetry/context.hh"
-
-namespace fafnir
-{
-class StatGroup;
-}
 
 namespace fafnir::telemetry
 {
 
 class TraceSink;
-
-/** Attribution components an exemplar carries, in the telescoping
- *  order of QueryAttribution (batchPrepare .. shardCombine). */
-inline constexpr std::size_t kExemplarComponents = 8;
-inline constexpr std::array<const char *, kExemplarComponents>
-    kExemplarComponentNames = {
-        "batch_prepare", "dispatch_queue", "dram_service", "ctrl_queue",
-        "pe_compute",    "forward_wait",   "service_queue",
-        "shard_combine",
-};
-
-/**
- * One concrete sample retained alongside a histogram's tail: the query
- * behind a windowed p99 spike, with its Perfetto flow id and its full
- * attribution split (components sum to totalTicks exactly, so every
- * exported exemplar telescopes like the attribution artifact does).
- */
-struct Exemplar
-{
-    double value = 0.0; ///< the recorded sample (e.g. latency in µs)
-    Tick tick = 0;      ///< completion tick of the sample
-    std::uint64_t batch = 0;
-    std::uint32_t query = 0;
-    std::uint64_t flow = 0; ///< event-queue / Perfetto flow id
-    Tick totalTicks = 0;    ///< end-to-end ticks (== component sum)
-    std::array<Tick, kExemplarComponents> components{};
-    bool valid = false;
-
-    Tick
-    componentSum() const
-    {
-        Tick sum = 0;
-        for (const Tick c : components)
-            sum += c;
-        return sum;
-    }
-};
-
-/**
- * Log-bucketed histogram with integer bucket counts.
- *
- * Bucket layout: bucket 0 catches non-positive and underflowing
- * samples; then 16 sub-buckets per power of two across the frexp
- * exponent range [kMinExp, kMaxExp]; one final overflow bucket.
- * bucketValue() returns a bucket's upper edge, so quantiles never
- * under-report. merge() adds bucket counts elementwise — associative
- * and commutative, so any merge order over any partition of a sample
- * stream yields bit-identical buckets.
- */
-class LogHistogram
-{
-  public:
-    static constexpr unsigned kSubBits = 4;
-    static constexpr unsigned kSubBuckets = 1u << kSubBits; // 16
-    static constexpr int kMinExp = -32;
-    static constexpr int kMaxExp = 63;
-    static constexpr std::size_t kBucketCount =
-        2 + static_cast<std::size_t>(kMaxExp - kMinExp + 1) * kSubBuckets;
-
-    /** Bucket index a sample lands in (pure function of the value). */
-    static std::size_t bucketOf(double v);
-
-    /** Upper edge of bucket @p index (0.0 for the underflow bucket). */
-    static double bucketValue(std::size_t index);
-
-    void record(double v);
-
-    /**
-     * record(v) and offer @p ex as the histogram's retained exemplar.
-     * Retention is a total order — higher bucket wins, then earlier
-     * tick, then smaller (batch, query, value) — so it is associative
-     * and commutative: any merge order over any partition of a sample
-     * stream retains the identical exemplar, and the retained exemplar
-     * always sits in the highest bucket any exemplared sample reached
-     * (the tail bucket, when every sample carries an exemplar).
-     */
-    void recordWithExemplar(double v, const Exemplar &ex);
-
-    /** Add @p other's bucket counts into this histogram (and keep the
-     *  winning exemplar of the two, same total order). */
-    void merge(const LogHistogram &other);
-
-    bool hasExemplar() const { return exemplar_.valid; }
-    const Exemplar &exemplar() const { return exemplar_; }
-    /** Bucket the retained exemplar's value landed in. */
-    std::size_t exemplarBucket() const { return exemplarBucket_; }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    /** NaN when empty, sum/count otherwise. */
-    double mean() const;
-
-    /**
-     * Nearest-rank percentile over bucket upper edges, @p p in
-     * [0, 100]. NaN when empty. Within 6.25% above the true
-     * nearest-rank sample (exactly bucketValue(bucketOf(sample))).
-     */
-    double percentile(double p) const;
-    double p50() const { return percentile(50.0); }
-    double p95() const { return percentile(95.0); }
-    double p99() const { return percentile(99.0); }
-
-    /** Count in bucket @p index (0 beyond the stored prefix). */
-    std::uint64_t bucketCount(std::size_t index) const;
-
-    /** True when every bucket count matches (the merge identity). */
-    bool identicalBuckets(const LogHistogram &other) const;
-
-    void clear();
-
-  private:
-    /** Replace the retained exemplar when @p ex (in @p bucket) wins
-     *  under the retention total order. */
-    void offerExemplar(std::size_t bucket, const Exemplar &ex);
-
-    /** Buckets at or past this index are all zero (kept minimal). */
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    Exemplar exemplar_;
-    std::size_t exemplarBucket_ = 0;
-};
 
 namespace detail
 {

@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "json_test_util.hh"
 
+#include "common/random.hh"
 #include "common/stats.hh"
 #include "embedding/generator.hh"
 #include "fafnir/event_engine.hh"
@@ -58,14 +61,62 @@ runOneLookup()
 
 TEST(Distribution, NearestRankPercentilesOnKnownSet)
 {
+    // Each percentile is clamp(bucketValue(bucketOf(s)), min, max) for
+    // the nearest-rank sample s: 1 -> 1.0625, 50 -> 52, 95 -> 96,
+    // 99 -> 100, and 100 -> 104 clamped to the max.
     Distribution d;
     for (int i = 1; i <= 100; ++i)
         d.sample(i);
-    EXPECT_DOUBLE_EQ(d.p50(), 50.0);
-    EXPECT_DOUBLE_EQ(d.p95(), 95.0);
-    EXPECT_DOUBLE_EQ(d.p99(), 99.0);
+    EXPECT_DOUBLE_EQ(d.percentile(0.0), 1.0625);
+    EXPECT_DOUBLE_EQ(d.p50(), 52.0);
+    EXPECT_DOUBLE_EQ(d.p95(), 96.0);
+    EXPECT_DOUBLE_EQ(d.p99(), 100.0);
     EXPECT_DOUBLE_EQ(d.percentile(100.0), 100.0);
-    EXPECT_DOUBLE_EQ(d.percentile(0.0), 1.0);
+}
+
+TEST(Distribution, ConstantStreamIsExactAtEveryPercentile)
+{
+    Distribution d;
+    for (int i = 0; i < 64; ++i)
+        d.sample(5.0);
+    for (double p : {0.0, 1.0, 50.0, 95.0, 99.0, 100.0})
+        EXPECT_DOUBLE_EQ(d.percentile(p), 5.0) << "p=" << p;
+}
+
+TEST(Distribution, SingleSampleIsExactAtEveryPercentile)
+{
+    Distribution d;
+    d.sample(1.34);
+    for (double p : {0.0, 50.0, 99.0, 100.0})
+        EXPECT_DOUBLE_EQ(d.percentile(p), 1.34) << "p=" << p;
+}
+
+TEST(Distribution, PercentileBoundedByNearestRankSample)
+{
+    // On a seeded positive stream spanning several octaves, every
+    // percentile lies in [s, min(1.0625 s, max)] for the true
+    // nearest-rank sample s, and never decreases as p grows.
+    Rng rng(20211);
+    Distribution d;
+    std::vector<double> samples;
+    for (int i = 0; i < 5000; ++i) {
+        const double v = std::exp(8.0 * rng.nextDouble()) * 0.37;
+        samples.push_back(v);
+        d.sample(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    double prev = 0.0;
+    for (int tenth = 0; tenth <= 1000; ++tenth) {
+        const double p = tenth / 10.0;
+        const auto rank = static_cast<std::size_t>(
+            std::ceil(p / 100.0 * static_cast<double>(samples.size())));
+        const double s = samples[rank == 0 ? 0 : rank - 1];
+        const double got = d.percentile(p);
+        EXPECT_GE(got, s) << "p=" << p;
+        EXPECT_LE(got, std::min(1.0625 * s, d.max())) << "p=" << p;
+        EXPECT_GE(got, prev) << "p=" << p;
+        prev = got;
+    }
 }
 
 TEST(Distribution, EmptyReportsNaN)
@@ -90,10 +141,10 @@ TEST(Distribution, MinMaxTrackSamples)
     EXPECT_TRUE(std::isnan(d.min()));
 }
 
-TEST(Distribution, ReservoirIsDeterministicAndAccurate)
+TEST(Distribution, LargeStreamIsDeterministicAndAccurate)
 {
-    // Two identical streams larger than the reservoir must agree
-    // exactly, and the sampled percentile must stay close to truth.
+    // Two identical 50,000-sample streams must agree exactly, and the
+    // bucketed percentile must stay close to truth.
     Distribution a;
     Distribution b;
     const int n = 50000;
@@ -140,9 +191,9 @@ TEST(StatRegistry, JsonRoundTrip)
     EXPECT_DOUBLE_EQ(dist.at("count").number, 100.0);
     EXPECT_DOUBLE_EQ(dist.at("min").number, 1.0);
     EXPECT_DOUBLE_EQ(dist.at("max").number, 100.0);
-    EXPECT_DOUBLE_EQ(dist.at("p50").number, 50.0);
-    EXPECT_DOUBLE_EQ(dist.at("p95").number, 95.0);
-    EXPECT_DOUBLE_EQ(dist.at("p99").number, 99.0);
+    EXPECT_DOUBLE_EQ(dist.at("p50").number, 52.0);
+    EXPECT_DOUBLE_EQ(dist.at("p95").number, 96.0);
+    EXPECT_DOUBLE_EQ(dist.at("p99").number, 100.0);
 }
 
 TEST(StatRegistry, EmptyDistributionSerializesAsNullBounds)

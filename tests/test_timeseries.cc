@@ -12,12 +12,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
 
+#include "common/random.hh"
+#include "common/stats.hh"
 #include "common/types.hh"
 #include "embedding/query.hh"
 #include "embedding/service.hh"
@@ -94,6 +99,86 @@ TEST(LogHistogram, DegenerateSamplesLandInUnderflowBucket)
                   std::numeric_limits<double>::quiet_NaN()),
               0u);
     EXPECT_EQ(LogHistogram::bucketValue(0), 0.0);
+}
+
+namespace
+{
+
+/** The frexp formula bucketOf() replaced, kept as its reference. */
+std::size_t
+frexpBucketOf(double v)
+{
+    if (!(v > 0.0) || !std::isfinite(v))
+        return 0;
+    int exp = 0;
+    const double frac = std::frexp(v, &exp); // v = frac * 2^exp, [0.5, 1)
+    if (exp < LogHistogram::kMinExp)
+        return 0;
+    if (exp > LogHistogram::kMaxExp)
+        return LogHistogram::kBucketCount - 1;
+    auto sub = static_cast<unsigned>((frac - 0.5) * 2.0 *
+                                     LogHistogram::kSubBuckets);
+    if (sub >= LogHistogram::kSubBuckets)
+        sub = LogHistogram::kSubBuckets - 1;
+    return 1 + static_cast<std::size_t>(exp - LogHistogram::kMinExp) *
+                   LogHistogram::kSubBuckets +
+           sub;
+}
+
+} // namespace
+
+TEST(LogHistogram, BucketOfMatchesFrexpReference)
+{
+    using limits = std::numeric_limits<double>;
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        -1.0,
+        -limits::max(),
+        -limits::denorm_min(),
+        limits::quiet_NaN(),
+        -limits::quiet_NaN(),
+        limits::signaling_NaN(),
+        limits::infinity(),
+        -limits::infinity(),
+        limits::denorm_min(),
+        limits::min() / 2.0,
+        limits::min(),
+        limits::max(),
+    };
+    // Both sides of the range ends, and the neighbours of every power
+    // of two in range.
+    for (int e = LogHistogram::kMinExp - 2; e <= LogHistogram::kMaxExp + 1;
+         ++e) {
+        const double pow2 = std::ldexp(1.0, e);
+        values.push_back(pow2);
+        values.push_back(std::nextafter(pow2, 0.0));
+        values.push_back(std::nextafter(pow2, limits::infinity()));
+        // Sub-bucket edges inside the octave [2^e, 2^(e+1)).
+        for (unsigned sub = 1; sub < LogHistogram::kSubBuckets; ++sub) {
+            const double edge =
+                pow2 * (1.0 + sub / double(LogHistogram::kSubBuckets));
+            values.push_back(edge);
+            values.push_back(std::nextafter(edge, 0.0));
+        }
+    }
+    // A seeded stream of random bit patterns: every sign, exponent
+    // (normal, subnormal, inf/NaN) and mantissa.
+    Rng rng(2021);
+    for (int i = 0; i < 200000; ++i)
+        values.push_back(std::bit_cast<double>(rng.next()));
+    // Random positive values concentrated on the histogram's range.
+    for (int i = 0; i < 200000; ++i) {
+        const int e = static_cast<int>(
+            rng.nextRange(0, LogHistogram::kMaxExp - LogHistogram::kMinExp +
+                                 4)) +
+                      LogHistogram::kMinExp - 2;
+        values.push_back(std::ldexp(1.0 + rng.nextDouble(), e));
+    }
+    for (const double v : values)
+        ASSERT_EQ(LogHistogram::bucketOf(v), frexpBucketOf(v))
+            << "v=" << v << " bits=" << std::hex
+            << std::bit_cast<std::uint64_t>(v);
 }
 
 TEST(LogHistogram, EmptyIsNaN)
@@ -481,6 +566,32 @@ TEST(TimeSeries, GetOrCreateAndTimeline)
     EXPECT_NE(out.find("\"kind\":\"histogram\""), std::string::npos);
     // Chronological: the tick-0 window rows precede the tick-200 row.
     EXPECT_LT(out.find("\"tick\":0"), out.find("\"tick\":200"));
+}
+
+TEST(TimeSeries, RegisterStatsExportsTheTailExemplar)
+{
+    TimeSeries ts;
+    WindowedHistogram &lat = ts.histogram("lat");
+    lat.record(10, 3.0, makeExemplar(3.0, 10, 0, 1));
+    lat.record(20, 40.0, makeExemplar(40.0, 20, 2, 5));
+    ts.histogram("bare").record(30, 7.0);
+    StatGroup group("windows");
+    ts.registerStats(group);
+
+    std::ostringstream os;
+    group.dump(os);
+    const std::string out = os.str();
+    const Exemplar tail = makeExemplar(40.0, 20, 2, 5);
+    const std::string flow = std::to_string(tail.flow) + ".0000";
+    const std::string ticks = std::to_string(tail.totalTicks) + ".0000";
+    for (const std::string &row : std::vector<std::string>{
+             "windows.lat.exemplar.value 40.0000",
+             "windows.lat.exemplar.query 5.0000",
+             "windows.lat.exemplar.flow " + flow,
+             "windows.lat.exemplar.totalTicks " + ticks,
+             "windows.lat.exemplar.componentSumTicks " + ticks,
+             "windows.bare.exemplar.value nan"})
+        EXPECT_NE(out.find(row), std::string::npos) << row << "\n" << out;
 }
 
 TEST(TimeSeries, ScopedInstallRestoresPrevious)

@@ -10,7 +10,8 @@
  * ablation_payload). CI pipes every artifact it produces through this
  * tool so a schema drift — a renamed key, a broken window sequence, an
  * attribution split that stopped telescoping, a payload byte counter
- * that went missing — fails the build instead of silently breaking the
+ * that went missing, a stats distribution whose percentiles leave
+ * [min, max] — fails the build instead of silently breaking the
  * dashboards that consume them.
  *
  *   artifact_lint [--kind=report|timeline|bundle|accuracy] <path>...
@@ -179,6 +180,41 @@ struct Lint
 
 // --- report ----------------------------------------------------------
 
+/**
+ * The distributions in a report's embedded stats (the objects inside
+ * each group, see StatGroup::writeJson): all bounds and percentiles are
+ * null when count is 0, and otherwise min <= p50 <= p95 <= p99 <= max,
+ * since Distribution clamps its percentiles into [min, max].
+ */
+void
+lintDistributions(Lint &lint, const JsonValue &stats)
+{
+    for (const auto &[group, members] : stats.object) {
+        for (const auto &[name, dist] : members.object) {
+            if (dist.kind != JsonValue::Kind::Object)
+                continue; // a counter or a formula
+            const std::string where = "report stats " + group + "." + name;
+            const JsonValue *count = lint.require(
+                dist, "count", JsonValue::Kind::Number, where.c_str());
+            if (count == nullptr)
+                continue;
+            const auto kind = count->number == 0.0 ? JsonValue::Kind::Null
+                                                   : JsonValue::Kind::Number;
+            const JsonValue *prev = nullptr;
+            for (const char *key : {"min", "p50", "p95", "p99", "max"}) {
+                const JsonValue *v =
+                    lint.require(dist, key, kind, where.c_str());
+                if (v != nullptr && prev != nullptr &&
+                    v->number < prev->number)
+                    lint.fail(where + ": " + key + " " +
+                              std::to_string(v->number) +
+                              " breaks min <= p50 <= p95 <= p99 <= max");
+                prev = v;
+            }
+        }
+    }
+}
+
 void
 lintReport(Lint &lint, const JsonValue &root)
 {
@@ -196,6 +232,8 @@ lintReport(Lint &lint, const JsonValue &root)
                           "\" is not a number");
         }
     }
+    if (const JsonValue *stats = root.find("stats"))
+        lintDistributions(lint, *stats);
 
     // Quantized-transport annotations. The config payload name must be
     // a known format, and the byte/energy counters travel as a group:

@@ -407,13 +407,11 @@ serveStream(const Options &opt, telemetry::TelemetrySession &session,
     Tick complete = 0;
     std::size_t reads = 0;
     std::size_t references = 0;
-    std::vector<Tick> batch_latency;
     Distribution batch_latency_us;
     PayloadTally payload;
     for (const auto &t : timings) {
         complete = std::max(complete, t.complete);
         reads += t.memAccesses;
-        batch_latency.push_back(t.totalTime());
         batch_latency_us.sample(static_cast<double>(t.totalTime()) /
                                 kTicksPerUs);
         if constexpr (fafnir_timing)
@@ -430,15 +428,9 @@ serveStream(const Options &opt, telemetry::TelemetrySession &session,
     std::printf("time: %.2f us total, %.1f ns/query, %.2f Mquery/s\n",
                 us_total, us_total * 1000.0 / queries,
                 queries / us_total);
-    if (!batch_latency.empty()) {
-        std::sort(batch_latency.begin(), batch_latency.end());
-        const auto us_at = [&](std::size_t i) {
-            return static_cast<double>(batch_latency[i]) / kTicksPerUs;
-        };
+    if (batch_latency_us.count() > 0)
         std::printf("batch latency: p50 %.2f us, p99 %.2f us\n",
-                    us_at(batch_latency.size() / 2),
-                    us_at(batch_latency.size() * 99 / 100));
-    }
+                    batch_latency_us.p50(), batch_latency_us.p99());
     std::printf("bandwidth: %.1f GB/s achieved, rank-bus utilization "
                 "%.1f%%\n",
                 memory.achievedBandwidthGBs(complete),
