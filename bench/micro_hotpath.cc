@@ -3,9 +3,9 @@
  * Hot-path microbenchmark: the simulator's innermost loops.
  *
  * Measures, in isolation, the primitives every timing model spends its
- * cycles in — event-queue throughput (one-shot bursts, self-scheduling
- * chains, and schedule/deschedule churn), items/s through a functional
- * PE (header-only and value-carrying), and element-wise reduction
+ * cycles in — event-queue throughput (one-shot bursts and
+ * self-scheduling chains), items/s through a functional PE
+ * (header-only and value-carrying), and element-wise reduction
  * throughput — plus one composite: batches/s through the event
  * engine's replay. Emits the numbers as a run report
  * (BENCH_hotpath.json by default) so successive performance PRs leave
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -83,8 +84,8 @@ benchEventBurst(std::uint64_t total_events, unsigned burst)
         for (unsigned i = 0; i < burst; ++i) {
             // Deterministic scatter over a 64-cycle window so the heap
             // sees out-of-order inserts, like DRAM completions do.
-            eq.scheduleFn(base + 1 + (i * 7919) % 64,
-                          [&sum, i] { sum += i; });
+            eq.schedule(base + 1 + (i * 7919) % 64,
+                        [&sum, i] { sum += i; });
         }
         scheduled += burst;
         eq.run();
@@ -102,43 +103,14 @@ benchEventChain(std::uint64_t chain_length)
     std::uint64_t remaining = chain_length;
     std::function<void()> next = [&] {
         if (--remaining > 0)
-            eq.scheduleFn(eq.now() + 3, next);
+            eq.schedule(eq.now() + 3, next);
     };
     const auto begin = Clock::now();
-    eq.scheduleFn(1, next);
+    eq.schedule(1, next);
     eq.run();
     const auto end = Clock::now();
     FAFNIR_ASSERT(remaining == 0, "chain did not complete");
     return static_cast<double>(chain_length) / seconds(begin, end);
-}
-
-/** schedule/reschedule/deschedule churn on registered events. */
-double
-benchEventChurn(std::uint64_t operations)
-{
-    EventQueue eq;
-    int fired = 0;
-    std::vector<Event> events;
-    events.reserve(16);
-    for (unsigned i = 0; i < 16; ++i)
-        events.emplace_back("churn", [&fired] { ++fired; });
-
-    const auto begin = Clock::now();
-    std::uint64_t done = 0;
-    while (done < operations) {
-        const Tick base = eq.now();
-        for (unsigned i = 0; i < 16; ++i)
-            eq.schedule(events[i], base + 10 + i);
-        for (unsigned i = 0; i < 16; ++i)
-            eq.schedule(events[i], base + 40 + i); // reschedule
-        for (unsigned i = 0; i < 16; i += 2)
-            eq.deschedule(events[i]); // half cancelled
-        done += 40;
-        eq.run();
-    }
-    const auto end = Clock::now();
-    FAFNIR_ASSERT(fired > 0, "churn events did not run");
-    return static_cast<double>(done) / seconds(begin, end);
 }
 
 /**
@@ -384,7 +356,6 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t events = 2'000'000;
-    std::uint64_t churn_ops = 1'000'000;
     unsigned pe_pairs = 64;
     unsigned pe_dim = 128;
     std::uint64_t pe_iters = 2000;
@@ -394,8 +365,6 @@ main(int argc, char **argv)
     FlagParser flags("hot-path microbenchmark: event kernel, PE item "
                      "flow, element-wise reduction");
     flags.addUint64("events", events, "one-shot events per queue bench");
-    flags.addUint64("churn-ops", churn_ops,
-                    "schedule/deschedule operations for the churn bench");
     flags.addUnsigned("pe-pairs", pe_pairs,
                       "reducible query pairs per PE input side");
     flags.addUnsigned("pe-dim", pe_dim,
@@ -414,7 +383,6 @@ main(int argc, char **argv)
     session.start();
 
     session.report().setConfig("events", events);
-    session.report().setConfig("churnOps", churn_ops);
     session.report().setConfig("pePairs", std::uint64_t(pe_pairs));
     session.report().setConfig("peDim", std::uint64_t(pe_dim));
     session.report().setConfig("peIters", pe_iters);
@@ -424,8 +392,6 @@ main(int argc, char **argv)
         bestOf(3, [&] { return benchEventBurst(events, 512); });
     const double chain =
         bestOf(3, [&] { return benchEventChain(events / 4); });
-    const double churn =
-        bestOf(3, [&] { return benchEventChurn(churn_ops); });
     const PeRates header =
         bestOf(3, [&] { return benchPe(pe_pairs, pe_dim, false, pe_iters); });
     const PeRates value = bestOf(
@@ -481,7 +447,6 @@ main(int argc, char **argv)
     const std::vector<Metric> metrics = {
         {"eventq_burst_events_per_sec", burst},
         {"eventq_chain_events_per_sec", chain},
-        {"eventq_churn_ops_per_sec", churn},
         {"eventq_burst_flightrec_on_events_per_sec", burst_rec},
         {"eventq_chain_flightrec_on_events_per_sec", chain_rec},
         {"pe_header_items_per_sec", header.itemsPerSec},

@@ -6,6 +6,7 @@
 #include "faultinject.hh"
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -194,15 +195,17 @@ FaultPlan::noteSkippedFiring(Hook hook)
     if (st.rate <= 0.0)
         return;
     ++st.skipped;
-    // Rate-limited visibility: a lossy plan can skip thousands of
-    // firings per run; one warning plus the exit-time suppressed count
-    // (and the faults.<hook>.skipped stat) tells the whole story.
+    // One warning per hook per process: a lossy plan can skip thousands
+    // of firings per run, and the exit-time suppressed count (and the
+    // faults.<hook>.skipped stat) tells the rest. The bucket never
+    // refills.
     if (logging::warnEvery(std::string("faults.skipped.") +
-                           toString(hook))) {
+                               toString(hook),
+                           1, std::numeric_limits<std::uint64_t>::max())) {
         FAFNIR_WARN("fault hook ", toString(hook),
-                    " skipped a firing (a registered event recovers; "
-                    "a delivery fires exactly once); further skips "
-                    "counted, not warned");
+                    " skipped a firing (every event-queue callback "
+                    "fires exactly once); further skips counted, not "
+                    "warned");
     }
 }
 
@@ -242,16 +245,14 @@ FaultPlan::registerStats(StatGroup &g) const
                      "times the " + name + " hook was evaluated");
         g.addCounter(name + ".fired", hooks_[i].fired,
                      "faults injected at the " + name + " hook");
-        // Only lossy event hooks skip firings (a drop unschedules one
-        // registered-event firing; a dup's echo is suppressed when the
-        // event was rescheduled first; neither applies to a delivery);
-        // keep the group free of dead rows.
+        // Only the lossy event hooks skip firings (a drawn drop or
+        // dup is never applied to an event-queue callback); keep the
+        // group free of dead rows.
         const auto hook = static_cast<Hook>(i);
         if (hook == Hook::EventDrop || hook == Hook::EventDup) {
             g.addCounter(name + ".skipped", hooks_[i].skipped,
-                         "firings skipped (registered-event drops and "
-                         "suppressed echoes, draws not applied to "
-                         "deliveries)");
+                         "drawn firings not applied (every event-queue "
+                         "callback fires exactly once)");
         }
     }
     g.addFormula("totalSkipped", [this] {

@@ -65,9 +65,10 @@ enum class Hook : unsigned
     DramStall,
     /** Scheduled event delivered late: magnitude = max jitter ns. */
     EventDelay,
-    /** One-shot callback silently dropped (never delivered). */
+    /** Drawn per scheduled event and counted as skipped, never applied
+     *  (every event-queue callback fires exactly once). */
     EventDrop,
-    /** One-shot callback delivered twice at the same tick. */
+    /** Drawn and counted like EventDrop, never applied. */
     EventDup,
     /** PE input delivery stalled: magnitude = extra PE cycles. */
     PeBackpressure,
@@ -240,13 +241,12 @@ class FaultPlan
     std::uint64_t totalChecked() const;
 
     /**
-     * Record one draw of lossy @p hook that did not take effect as a
-     * plain drop or duplicate: on a registered Event, a drop that
-     * unscheduled one firing or an echo suppressed because the event
-     * was rescheduled first; on a delivery that must fire exactly once
-     * (EventQueue::scheduleDelivery), a drop or dup not applied at all.
-     * Counts under faults.<hook>.skipped so a lossy-plan run reports
-     * its effective coverage. No-op while the hook is unarmed.
+     * Record one drawn firing of lossy @p hook that was not applied:
+     * every event-queue callback fires exactly once
+     * (EventQueue::schedule), so a drawn drop or dup is skipped. Counts
+     * under faults.<hook>.skipped so a lossy-plan run reports its
+     * effective coverage, and warns once per hook per process. No-op
+     * while the hook is unarmed.
      */
     void noteSkippedFiring(Hook hook);
 
@@ -283,8 +283,8 @@ class FaultPlan
         double magnitude = 0.0;
         Counter checked;
         Counter fired;
-        /** Lossy draws skipped: registered-event drops and suppressed
-         *  echoes, and drops/dups not applied to deliveries. */
+        /** Lossy draws skipped: drops/dups drawn for event-queue
+         *  callbacks and not applied. */
         Counter skipped;
         Rng rng;
     };

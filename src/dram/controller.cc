@@ -43,8 +43,8 @@ Controller::enqueue(Addr addr, unsigned bytes, Tick when,
     if (!queue.draining) {
         queue.draining = true;
         EventQueue &eq = memory_.eventq();
-        eq.scheduleFn(std::max(when, eq.now()),
-                      [this, rank] { drain(rank); });
+        eq.schedule(std::max(when, eq.now()),
+                    [this, rank] { drain(rank); });
     }
 }
 
@@ -119,7 +119,7 @@ Controller::drain(unsigned rank)
                                  {{"stallNs", static_cast<double>(stall) /
                                                   kTicksPerNs}});
             }
-            eq.scheduleFn(now + stall, [this, rank] { drain(rank); });
+            eq.schedule(now + stall, [this, rank] { drain(rank); });
             return;
         }
     }
@@ -130,7 +130,7 @@ Controller::drain(unsigned rank)
         Tick earliest = MaxTick;
         for (const Request &r : queue.requests)
             earliest = std::min(earliest, r.arrival);
-        eq.scheduleFn(earliest, [this, rank] { drain(rank); });
+        eq.schedule(earliest, [this, rank] { drain(rank); });
         return;
     }
 
@@ -176,19 +176,19 @@ Controller::drain(unsigned rank)
         attr->recordCtrlResidency(issue_at - picked.arrival);
 
     if (picked.onComplete) {
-        eq.scheduleFn(result.complete,
-                      [cb = std::move(picked.onComplete), result] {
-                          cb(result.complete, result);
-                      },
-                      Event::DramPriority);
+        eq.schedule(result.complete,
+                    [cb = std::move(picked.onComplete), result] {
+                        cb(result.complete, result);
+                    },
+                    DramPriority);
     }
     eq.setCurrentFlow(0);
 
     if (queue.requests.empty()) {
         queue.draining = false;
     } else {
-        eq.scheduleFn(std::max(now, queue.nextIssue),
-                      [this, rank] { drain(rank); });
+        eq.schedule(std::max(now, queue.nextIssue),
+                    [this, rank] { drain(rank); });
     }
 }
 

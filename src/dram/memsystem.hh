@@ -83,11 +83,10 @@ class MemorySystem
 
     /**
      * Like read(), but invokes @p on_complete(complete, result) from the
-     * event queue at the completion tick, at DramPriority. The
-     * completion is a delivery: it fires exactly once under any fault
-     * plan (EventQueue::scheduleDelivery). The callable is stored with
-     * the result in the queue's inline node storage, so keep its
-     * captures small (a pointer and a few indices).
+     * event queue at the completion tick, at DramPriority, exactly once
+     * under any fault plan (EventQueue::schedule). The callable is
+     * stored with the result in the queue's inline node storage, so
+     * keep its captures small (a pointer and a few indices).
      */
     template <typename OnComplete>
     AccessResult
@@ -95,12 +94,12 @@ class MemorySystem
               OnComplete &&on_complete)
     {
         const AccessResult result = read(addr, bytes, earliest, dest);
-        eventq_.scheduleDelivery(
+        eventq_.schedule(
             result.complete,
             [result, cb = std::forward<OnComplete>(on_complete)] {
                 cb(result.complete, result);
             },
-            Event::DramPriority);
+            DramPriority);
         return result;
     }
 

@@ -302,11 +302,10 @@ EventDrivenEngine::Pipeline::emit(unsigned pe, std::uint32_t k)
         rootTimes_[k] = at;
     } else {
         // Children's outputs land in the parent's input list in trace
-        // order. A flit has no recovery story, so it is delivered
-        // exactly once under any fault plan.
+        // order.
         const unsigned parent = topology_.parent(pe);
         const unsigned side = pe % 2 == 0 ? 0 : 1;
-        eq_.scheduleDelivery(at, [this, parent, side, k] {
+        eq_.schedule(at, [this, parent, side, k] {
             deliver(parent, side, k);
         });
     }

@@ -5,7 +5,7 @@
  * Structure invariants (established in the header comment):
  *  - windowBase_ <= now_ except transiently inside advance(), between a
  *    window re-base and the execution of the migrated heap minimum.
- *  - Live bucket entries sit in bucket[when - windowBase_]; ticks below
+ *  - Bucket entries sit in bucket[when - windowBase_]; ticks below
  *    now_ have already been drained, so their buckets are empty.
  *  - Heap entries satisfy when - windowBase_ >= kWindow: inserts target
  *    the heap only beyond the window, and every re-base migrates all
@@ -43,13 +43,9 @@ EventQueue::EventQueue()
 
 EventQueue::~EventQueue()
 {
-    // Destroy never-fired one-shot callbacks still sitting in the queue.
-    const auto dropOneShot = [](Node *node) {
-        if (node->event == nullptr)
-            node->drop(node->storage);
-    };
+    // Destroy never-fired callbacks still sitting in the queue.
     for (std::size_t i = cacheIdx_; i < cache_.size(); ++i)
-        dropOneShot(cache_[i].node);
+        cache_[i].node->drop(cache_[i].node->storage);
     for (std::size_t word = 0; word < bucketBits_.size(); ++word) {
         std::uint64_t bits = bucketBits_[word];
         while (bits != 0) {
@@ -58,12 +54,12 @@ EventQueue::~EventQueue()
             bits &= bits - 1;
             for (Node *node = bucketHead_[bucket]; node != nullptr;
                  node = node->next) {
-                dropOneShot(node);
+                node->drop(node->storage);
             }
         }
     }
     for (const HeapEntry &entry : heap_)
-        dropOneShot(entry.node);
+        entry.node->drop(entry.node->storage);
 }
 
 EventQueue::Node *
@@ -195,12 +191,7 @@ EventQueue::activateTick(Tick tick)
         Node *const next = node->next;
         if (next != nullptr)
             __builtin_prefetch(next);
-        if (isStaleNode(*node)) {
-            --stale_;
-            freeNode(node);
-        } else {
-            cache_.push_back({node->order, node});
-        }
+        cache_.push_back({node->order, node});
         node = next;
     }
     // The chain is newest-first; reversing restores insertion order,
@@ -226,12 +217,7 @@ EventQueue::refreshCache()
         Node *const next = node->next;
         if (next != nullptr)
             __builtin_prefetch(next);
-        if (isStaleNode(*node)) {
-            --stale_;
-            freeNode(node);
-        } else {
-            cache_.push_back({node->order, node});
-        }
+        cache_.push_back({node->order, node});
         node = next;
     }
     std::reverse(cache_.begin() + start, cache_.end());
@@ -258,18 +244,13 @@ EventQueue::rebaseWindow()
         if (delta >= kWindow)
             break;
         heapPopTop();
-        if (isStaleNode(*top.node)) {
-            --stale_;
-            freeNode(top.node);
-        } else {
-            // Heap pops arrive in (when, order) order, so same-tick
-            // chains stay newest-first like direct inserts.
-            bucketPush(static_cast<std::size_t>(delta), top.node);
-        }
+        // Heap pops arrive in (when, order) order, so same-tick chains
+        // stay newest-first like direct inserts.
+        bucketPush(static_cast<std::size_t>(delta), top.node);
     }
 }
 
-Tick
+bool
 EventQueue::advance(Tick limit)
 {
     while (true) {
@@ -280,76 +261,39 @@ EventQueue::advance(Tick limit)
         const std::size_t bucket = scanBuckets(from);
         if (bucket == kWindow) {
             // Nothing in the window; the heap minimum is next.
-            while (!heap_.empty() && isStaleNode(*heap_[0].node)) {
-                --stale_;
-                freeNode(heap_[0].node);
-                heapPopTop();
-            }
-            if (heap_.empty())
-                return MaxTick;
-            if (heap_[0].when > limit)
-                return heap_[0].when;
+            if (heap_.empty() || heap_[0].when > limit)
+                return false;
             rebaseWindow();
             continue;
         }
         const Tick tick = windowBase_ + bucket;
         if (tick > limit)
-            return tick;
+            return false;
         activateTick(tick);
-        if (cacheIdx_ < cache_.size())
-            return tick;
-        // The tick held only stale entries; keep scanning.
+        return true;
     }
 }
 
-bool
+void
 EventQueue::fireNext()
 {
     // Same-tick arrivals (scheduled while this tick drains) must be
     // merged before choosing the next entry.
     if (cacheDirty_)
         refreshCache();
-    const CacheEntry entry = cache_[cacheIdx_++];
+    Node *const node = cache_[cacheIdx_++].node;
     // Pull the next entry's node in while this one executes.
     if (cacheIdx_ < cache_.size())
         __builtin_prefetch(cache_[cacheIdx_].node);
-    Node *const node = entry.node;
-    Event *const event = node->event;
-    if (event != nullptr) {
-        if (node->generation != event->generation_) {
-            --stale_;
-            freeNode(node);
-            return false;
-        }
-        now_ = cacheTick_;
-        event->scheduled_ = false;
-        --pendingCount_;
-        ++executed_;
-        currentFlow_ = 0; // registered events run untagged
-        freeNode(node);
-        if (curSink_ != nullptr) {
-            curSink_->instantEvent(telemetry::kPidSim, 0, "sim.dispatch",
-                                   event->name_, now_);
-            curSink_->counterEvent(telemetry::kPidSim, "eventq.pending",
-                                   now_,
-                                   static_cast<double>(pendingCount_));
-        }
-        // code 0 = registered event; a = queue depth after dispatch.
-        if (curRec_ != nullptr)
-            curRec_->record(telemetry::Stage::EventqDispatch, now_, 0,
-                            pendingCount_, 0);
-        event->callback_();
-        return true;
-    }
     now_ = cacheTick_;
     --pendingCount_;
     ++executed_;
     // Re-establish the scheduler's flow so work scheduled by this
-    // callback inherits its cause (one-shots stash it in generation).
-    // Both dispatch paths write currentFlow_ before firing, so no reset
-    // is needed afterwards; out-of-dispatch scheduling that cares sets
-    // its own flow (beginFlow / setCurrentFlow).
-    currentFlow_ = node->generation;
+    // callback inherits its cause. Every dispatch writes currentFlow_
+    // before firing, so no reset is needed afterwards; out-of-dispatch
+    // scheduling that cares sets its own flow (beginFlow /
+    // setCurrentFlow).
+    currentFlow_ = node->flow;
     if (curSink_ != nullptr) {
         curSink_->counterEvent(telemetry::kPidSim, "eventq.pending", now_,
                                static_cast<double>(pendingCount_));
@@ -362,197 +306,32 @@ EventQueue::fireNext()
     // schedules more work), then retire it.
     node->fire(node->storage);
     freeNode(node);
-    return true;
 }
 
 /** Cold by design: only reached when a fault plan is installed, so the
- *  RNG draws stay out of the inlined scheduleFn fast path. Sampling
- *  order (drop, delay, dup) is part of the determinism contract; dup is
- *  only drawn for copyable callables so move-only schedules leave the
- *  dup stream untouched. */
-[[gnu::noinline]] EventQueue::OneShotFaults
-EventQueue::sampleOneShotFaults(Tick when, bool copyable)
-{
-    OneShotFaults f{false, false, when};
-    if (faultPlan_->shouldFire(fault::Hook::EventDrop)) {
-        f.drop = true;
-        return f;
-    }
-    f.when = when + faultPlan_->eventDelayTicks();
-    if (copyable)
-        f.dup = faultPlan_->shouldFire(fault::Hook::EventDup);
-    return f;
-}
-
-/** Cold like sampleOneShotFaults(), whose draws it makes. */
+ *  RNG draws stay out of the inlined schedule() fast path. The draw
+ *  order (drop; then, unless a drop was drawn, delay and dup) is part
+ *  of the determinism contract. */
 [[gnu::noinline]] Tick
-EventQueue::sampleDeliveryFaults(Tick when)
+EventQueue::sampleFaults(Tick when)
 {
-    const OneShotFaults f = sampleOneShotFaults(when, true);
-    if (f.drop)
+    if (faultPlan_->shouldFire(fault::Hook::EventDrop)) {
         faultPlan_->noteSkippedFiring(fault::Hook::EventDrop);
-    if (f.dup)
+        return when;
+    }
+    when += faultPlan_->eventDelayTicks();
+    if (faultPlan_->shouldFire(fault::Hook::EventDup))
         faultPlan_->noteSkippedFiring(fault::Hook::EventDup);
-    return f.when;
-}
-
-void
-EventQueue::schedule(Event &event, Tick when)
-{
-    // Lossy hooks apply to registered events generation-aware, in the
-    // same stream order as one-shots (drop, delay, dup):
-    //  - event_drop consumes this (re)schedule: the generation bump
-    //    stales any queued node, so exactly one firing is skipped and
-    //    the owner's next schedule() recovers the event.
-    //  - event_dup files a one-shot echo at the same (tick, priority)
-    //    guarded by the generation captured at insert; it refires the
-    //    callback after the real firing unless the event was
-    //    rescheduled or cancelled in between, in which case the echo
-    //    is suppressed and counted as a skipped firing.
-    // Both outcomes update faults.<hook>.skipped, so a lossy-plan run
-    // reports its effective registered-event coverage.
-    if (faultPlan_ != nullptr) [[unlikely]] {
-        if (faultPlan_->shouldFire(fault::Hook::EventDrop)) {
-            faultPlan_->noteSkippedFiring(fault::Hook::EventDrop);
-            if (event.scheduled_) {
-                --pendingCount_;
-                ++stale_;
-            }
-            ++event.generation_; // the queued node becomes a no-op
-            event.scheduled_ = false;
-            maybeCompact();
-            return;
-        }
-        when += faultPlan_->eventDelayTicks();
-    }
-    if (event.scheduled_) {
-        --pendingCount_; // the stale queue entry becomes a no-op
-        ++stale_;
-    }
-    ++event.generation_;
-    event.scheduled_ = true;
-    event.when_ = when;
-    Node *const node = allocNode();
-    node->event = &event;
-    node->generation = event.generation_;
-    insertNode(node, when, event.priority_);
-    maybeCompact();
-
-    if (faultPlan_ != nullptr) [[unlikely]] {
-        if (faultPlan_->shouldFire(fault::Hook::EventDup)) {
-            Event *const ev = &event;
-            const std::uint64_t gen = event.generation_;
-            fault::FaultPlan *const plan = faultPlan_;
-            // Inserted after the real node, so at the shared key the
-            // echo fires second (insertion order breaks ties).
-            emplaceOneShot(
-                when,
-                [ev, gen, plan] {
-                    if (ev->generation_ == gen)
-                        ev->callback_();
-                    else
-                        plan->noteSkippedFiring(fault::Hook::EventDup);
-                },
-                event.priority_);
-        }
-    }
-}
-
-void
-EventQueue::deschedule(Event &event)
-{
-    if (!event.scheduled_)
-        return;
-    ++event.generation_; // invalidates the queue entry lazily
-    event.scheduled_ = false;
-    --pendingCount_;
-    ++stale_;
-    maybeCompact();
-}
-
-void
-EventQueue::maybeCompact()
-{
-    if (stale_ >= 64 && stale_ > pendingCount_)
-        compact();
-}
-
-void
-EventQueue::compact()
-{
-    // Cache remainder.
-    const auto staleOut = [this](const CacheEntry &entry) {
-        if (isStaleNode(*entry.node)) {
-            --stale_;
-            freeNode(entry.node);
-            return true;
-        }
-        return false;
-    };
-    cache_.erase(std::remove_if(cache_.begin() +
-                                    static_cast<std::ptrdiff_t>(cacheIdx_),
-                                cache_.end(), staleOut),
-                 cache_.end());
-
-    // Bucket chains, preserving newest-first chain order.
-    for (std::size_t word = 0; word < bucketBits_.size(); ++word) {
-        std::uint64_t bits = bucketBits_[word];
-        while (bits != 0) {
-            const std::size_t bucket =
-                word * 64 + std::countr_zero(bits);
-            bits &= bits - 1;
-            Node *node = bucketHead_[bucket];
-            Node *newHead = nullptr;
-            Node **link = &newHead;
-            while (node != nullptr) {
-                Node *const next = node->next;
-                if (isStaleNode(*node)) {
-                    --stale_;
-                    freeNode(node);
-                } else {
-                    *link = node;
-                    link = &node->next;
-                }
-                node = next;
-            }
-            *link = nullptr;
-            bucketHead_[bucket] = newHead;
-            if (newHead == nullptr)
-                clearBucketBit(bucket);
-        }
-    }
-
-    // Heap: filter, then Floyd rebuild. Pop order depends only on the
-    // (when, order) key, a total order, so rebuilding cannot change the
-    // execution order.
-    std::size_t kept = 0;
-    for (const HeapEntry &entry : heap_) {
-        if (isStaleNode(*entry.node)) {
-            --stale_;
-            freeNode(entry.node);
-        } else {
-            heap_[kept++] = entry;
-        }
-    }
-    heap_.resize(kept);
-    if (heap_.size() > 1) {
-        for (std::size_t i = (heap_.size() - 2) / kHeapArity + 1; i-- > 0;)
-            heapSiftDown(i, heap_[i]);
-    }
+    return when;
 }
 
 bool
 EventQueue::step()
 {
-    while (true) {
-        if (cacheIdx_ >= cache_.size()) {
-            advance(MaxTick);
-            if (cacheIdx_ >= cache_.size())
-                return false; // idle
-        }
-        if (fireNext())
-            return true;
-    }
+    if (cacheIdx_ >= cache_.size() && !advance(MaxTick))
+        return false; // idle
+    fireNext();
+    return true;
 }
 
 Tick
@@ -560,8 +339,7 @@ EventQueue::run(Tick limit)
 {
     while (true) {
         if (cacheIdx_ >= cache_.size()) {
-            advance(limit);
-            if (cacheIdx_ >= cache_.size())
+            if (!advance(limit))
                 break; // idle, or the next tick is beyond the limit
         } else if (cacheTick_ > limit) {
             break; // a partially drained tick left over from an earlier run

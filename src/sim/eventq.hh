@@ -8,8 +8,12 @@
  * banks, Fafnir PEs, channel buses, baseline NDP units — are driven from
  * one EventQueue per simulated system.
  *
+ * One way to schedule: schedule() files a one-shot callback that fires
+ * exactly once. There are no handles and no cancellation, so no entry
+ * can go stale and every pending entry is live.
+ *
  * Hot-path design. Every pending entry lives in a slab of pooled nodes
- * with inline callback storage, so scheduling and firing a one-shot
+ * with inline callback storage, so scheduling and firing a callback
  * allocates nothing. The pending set is split by distance from the
  * clock:
  *
@@ -24,12 +28,8 @@
  *    the heap's minimum and heap entries inside the new window migrate
  *    into buckets — each entry pays the heap cost at most once.
  *
- * Cancellation is lazy via generation counting; stale nodes are dropped
- * when their tick drains, and both structures are compacted once stale
- * entries outnumber live ones, so reschedule-heavy components cannot
- * grow the queue without bound. The (tick, priority, insertion-order)
- * contract is identical to the heap-only kernel and is pinned by the
- * determinism tests.
+ * The (tick, priority, insertion-order) contract is identical to the
+ * heap-only kernel and is pinned by the determinism tests.
  */
 
 #ifndef FAFNIR_SIM_EVENTQ_HH
@@ -37,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -57,50 +56,13 @@ class FlightRecorder;
 namespace fafnir
 {
 
-/**
- * An event: a named callback with a scheduling priority. Events are owned
- * by their creating component and may be (re)scheduled on one queue at a
- * time; descheduling is handled by generation counting, so cancel() is O(1).
- *
- * Names are debug labels, not owned storage: an Event keeps only the
- * pointer, so pass a string literal (or any string that outlives the
- * event). Hot paths construct events by the thousand and must not copy
- * a std::string each time.
- */
-class Event
+/** Lower value runs earlier among events at the same tick. Any int in
+ *  16 bits is a valid priority — the queue packs (priority, sequence)
+ *  into one comparison key. */
+enum EventPriority : int
 {
-  public:
-    /** Lower value runs earlier among events at the same tick. Must fit
-     *  in 16 bits — the queue packs (priority, sequence) into one
-     *  comparison key. */
-    enum Priority : int
-    {
-        DramPriority = 10,
-        DefaultPriority = 50,
-        StatsPriority = 90,
-    };
-
-    template <typename F>
-    explicit Event(const char *name, F &&callback,
-                   int priority = DefaultPriority)
-        : name_(name), callback_(std::forward<F>(callback)),
-          priority_(priority)
-    {}
-
-    const char *name() const { return name_; }
-    int priority() const { return priority_; }
-    bool scheduled() const { return scheduled_; }
-    Tick when() const { return when_; }
-
-  private:
-    friend class EventQueue;
-
-    const char *name_;
-    std::function<void()> callback_;
-    int priority_;
-    bool scheduled_ = false;
-    Tick when_ = 0;
-    std::uint64_t generation_ = 0;
+    DramPriority = 10,
+    DefaultPriority = 50,
 };
 
 /**
@@ -119,14 +81,13 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * @{ Causal flow ids. A flow tags a chain of one-shot callbacks with
-     * the event that originated it: scheduleFn() captures the ambient
-     * flow into the node, and firing the node re-establishes it, so
-     * everything a callback schedules inherits its cause (0 = untagged).
-     * Components start a chain with beginFlow() — ids are monotonically
-     * increasing — before scheduling its first event, and instrumentation
-     * reads currentFlow() to tag spans. Registered Events do not carry
-     * flows; their callbacks run untagged.
+     * @{ Causal flow ids. A flow tags a chain of callbacks with the
+     * event that originated it: schedule() captures the ambient flow
+     * into the node, and firing the node re-establishes it, so
+     * everything a callback schedules inherits its cause (0 =
+     * untagged). Components start a chain with beginFlow() — ids are
+     * monotonically increasing — before scheduling its first event, and
+     * instrumentation reads currentFlow() to tag spans.
      */
     std::uint64_t
     beginFlow()
@@ -143,115 +104,31 @@ class EventQueue
     /** @} */
 
     /**
-     * Schedule @p event at absolute tick @p when (>= now). An already-
-     * scheduled event is moved to the new time.
-     *
-     * Fault hooks (with a fault::FaultPlan installed when the queue was
-     * built) apply generation-aware: event_drop consumes this schedule
-     * — one firing is skipped, the owner's next schedule() recovers —
-     * event_dup files a generation-guarded echo that refires the
-     * callback unless the event was rescheduled or cancelled first,
-     * and event_delay adds delivery jitter. Skipped/suppressed firings
-     * count under faults.<hook>.skipped.
-     */
-    void schedule(Event &event, Tick when);
-
-    /** Remove @p event from the queue if pending. */
-    void deschedule(Event &event);
-
-    /**
-     * Schedule a one-shot callback at @p when. The queue owns the callback;
-     * there is no handle and no way to cancel — use an Event for that.
-     * The callable is stored inline in a pooled node (no allocation when
-     * it fits the node's storage, as every callable in the repo does).
+     * Schedule a one-shot callback at @p when (>= now()); it fires
+     * exactly once. The queue owns the callback; there is no handle and
+     * no way to cancel. The callable is stored inline in a pooled node
+     * (no allocation when it fits the node's storage, as every callable
+     * in the repo does).
      *
      * Fault hooks (only with a fault::FaultPlan installed when the
-     * queue is built, otherwise one member test): event_drop discards
-     * the callback outright, event_dup files a second copy at the same
-     * tick (copyable callables only), event_delay adds delivery jitter.
-     * Registered Events take the same hooks through schedule(), where
-     * generation counting makes drops and duplicate echoes safe (see
-     * schedule()'s contract).
+     * queue is built, otherwise one member test) draw event_drop, then,
+     * unless a drop was drawn, event_delay and event_dup. Only the
+     * delay applies: a drawn event_drop or event_dup is counted as a
+     * skipped firing (faults.<hook>.skipped), because nothing would
+     * recover a lost or repeated callback (a DRAM completion, a flit
+     * between PEs, a controller drain pass).
      */
     template <typename F>
     void
-    scheduleFn(Tick when, F &&fn, int priority = Event::DefaultPriority)
+    schedule(Tick when, F &&fn, int priority = DefaultPriority)
     {
         static_assert(std::is_invocable_v<std::decay_t<F>>,
-                      "scheduleFn callable must take no arguments");
+                      "scheduled callable must take no arguments");
         using Fn = std::decay_t<F>;
-        if (faultPlan_ != nullptr) [[unlikely]] {
-            const OneShotFaults f = sampleOneShotFaults(
-                when, std::is_copy_constructible_v<Fn>);
-            if (f.drop)
-                return;
-            when = f.when;
-            if constexpr (std::is_copy_constructible_v<Fn>) {
-                if (f.dup)
-                    emplaceDup<Fn>(when, fn, priority);
-            }
-        }
-        emplaceOneShot(when, std::forward<F>(fn), priority);
-    }
-
-    /**
-     * Schedule a delivery: a one-shot that must fire exactly once,
-     * because nothing would recover a lost or repeated copy (a DRAM
-     * completion, a flit between PEs). Fault hooks draw as they do for
-     * a copyable scheduleFn() callable, so every stream advances the
-     * same way, but only event_delay applies: a drawn event_drop or
-     * event_dup is counted as a skipped firing (faults.<hook>.skipped)
-     * instead.
-     */
-    template <typename F>
-    void
-    scheduleDelivery(Tick when, F &&fn,
-                     int priority = Event::DefaultPriority)
-    {
-        static_assert(std::is_invocable_v<std::decay_t<F>>,
-                      "scheduleDelivery callable must take no arguments");
         if (faultPlan_ != nullptr) [[unlikely]]
-            when = sampleDeliveryFaults(when);
-        emplaceOneShot(when, std::forward<F>(fn), priority);
-    }
-
-  private:
-    /** Fault verdict for one scheduleFn call. */
-    struct OneShotFaults
-    {
-        bool drop;
-        bool dup;
-        Tick when;
-    };
-
-    /** Draw the drop / delay / dup decisions for a one-shot. Cold and
-     *  out-of-line so the fault machinery (three RNG streams) never
-     *  bloats the inlined scheduleFn body. */
-    OneShotFaults sampleOneShotFaults(Tick when, bool copyable);
-    /** Draw a delivery's faults; @return its (possibly delayed) tick. */
-    Tick sampleDeliveryFaults(Tick when);
-
-    /** File the duplicate copy of a one-shot. Out-of-line so the
-     *  callable's copy constructor (std::function for chained events)
-     *  is not instantiated inside the hot scheduleFn body. */
-    template <typename Fn>
-    [[gnu::noinline]] void
-    emplaceDup(Tick when, const Fn &fn, int priority)
-    {
-        emplaceOneShot(when, Fn(fn), priority);
-    }
-    /** File one one-shot node for @p fn at @p when (no fault hooks). */
-    template <typename F>
-    void
-    emplaceOneShot(Tick when, F &&fn, int priority)
-    {
-        using Fn = std::decay_t<F>;
+            when = sampleFaults(when);
         Node *const node = allocNode();
-        node->event = nullptr;
-        // One-shots reuse the generation field — consulted only for
-        // registered Events — as the causal flow tag, keeping the node
-        // at two cache lines with no storage shrink.
-        node->generation = currentFlow_;
+        node->flow = currentFlow_;
         if constexpr (sizeof(Fn) <= kInlineCallbackBytes &&
                       alignof(Fn) <= alignof(std::max_align_t)) {
             ::new (static_cast<void *>(node->storage))
@@ -277,15 +154,11 @@ class EventQueue
         insertNode(node, when, priority);
     }
 
-  public:
     /** True if no events are pending. */
     bool empty() const { return pendingCount_ == 0; }
 
-    /** Pending events, excluding cancelled/rescheduled generations. */
+    /** Pending events. */
     std::size_t pendingCount() const { return pendingCount_; }
-
-    /** Stale (cancelled or superseded) entries not yet reclaimed. */
-    std::size_t staleCount() const { return stale_; }
 
     /**
      * Run until the queue drains or @p limit is reached.
@@ -301,11 +174,10 @@ class EventQueue
 
   private:
     /**
-     * Inline storage of a pooled one-shot callback. Sized so a Node is
-     * exactly two cache lines, which fits the largest hot-path capture
-     * in the repo: a DRAM completion, the AccessResult by value plus
-     * the event engine's continuation (a pointer and three indices),
-     * 56 bytes.
+     * Inline storage of a pooled callback. Sized so a Node is exactly
+     * two cache lines, which fits the largest hot-path capture in the
+     * repo: a DRAM completion, the AccessResult by value plus the event
+     * engine's continuation (a pointer and three indices), 56 bytes.
      */
     static constexpr std::size_t kInlineCallbackBytes = 80;
     /** Near-future window: one bucket per tick. */
@@ -321,10 +193,8 @@ class EventQueue
     {
         /** (priority, sequence) packed into one comparison key. */
         std::uint64_t order;
-        /** Registered event, or nullptr for a one-shot callback. */
-        Event *event;
-        /** Generation the entry was scheduled under (event entries). */
-        std::uint64_t generation;
+        /** Causal flow the callback was scheduled under. */
+        std::uint64_t flow;
         /** Next node in the same bucket chain / free list. */
         Node *next;
         /** Invoke the stored callable, then destroy it. */
@@ -357,6 +227,11 @@ class EventQueue
         return a.when != b.when ? a.when < b.when : a.order < b.order;
     }
 
+    /** Draw the fault hooks for one schedule; @return its (possibly
+     *  delayed) tick. Cold and out-of-line so the fault machinery
+     *  (three RNG streams) never bloats the inlined schedule body. */
+    Tick sampleFaults(Tick when);
+
     Node *allocNode();
     void freeNode(Node *node);
     void insertNode(Node *node, Tick when, int priority);
@@ -374,26 +249,14 @@ class EventQueue
     /** Re-base the window at the heap minimum, migrate entries in. */
     void rebaseWindow();
     /**
-     * Find the next occupied tick and activate it if <= @p limit.
-     * Returns that tick, or MaxTick when the queue is idle; a return
-     * beyond @p limit means the tick was not activated.
+     * Activate the next occupied tick if it is <= @p limit. Returns
+     * false, activating nothing, when the queue is idle or the next
+     * tick lies beyond @p limit.
      */
-    Tick advance(Tick limit);
-    /**
-     * Execute cache_[cacheIdx_] (precondition: cache has remaining
-     * entries). Returns false if the entry was stale and only dropped.
-     */
-    bool fireNext();
-    /** Drop stale entries from all structures, reclaim their nodes. */
-    void compact();
-    void maybeCompact();
-
-    bool
-    isStaleNode(const Node &node) const
-    {
-        return node.event != nullptr &&
-               node.generation != node.event->generation_;
-    }
+    bool advance(Tick limit);
+    /** Execute cache_[cacheIdx_] (precondition: cache has remaining
+     *  entries). */
+    void fireNext();
 
     /** Pooled entries in chunked slabs: node addresses stay stable while
      *  a firing callback schedules more work. */
@@ -429,18 +292,17 @@ class EventQueue
      *  tests a member the schedule state keeps warm anyway — install
      *  the plan before building the simulated system. */
     fault::FaultPlan *faultPlan_ = fault::plan();
-    /** Ambient causal flow inherited by scheduled one-shots. */
+    /** Ambient causal flow inherited by scheduled callbacks. */
     std::uint64_t currentFlow_ = 0;
     /** Last flow id handed out by beginFlow(). */
     std::uint64_t flowCounter_ = 0;
     std::uint64_t sequence_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t pendingCount_ = 0;
-    std::size_t stale_ = 0;
 };
 
 /** Pack (priority, sequence) and file the node under @p when. Inline so
- *  scheduleFn compiles down to a handful of stores at the call site. */
+ *  schedule compiles down to a handful of stores at the call site. */
 inline void
 EventQueue::insertNode(Node *node, Tick when, int priority)
 {

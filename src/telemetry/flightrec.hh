@@ -57,7 +57,7 @@ struct QueryAttribution;
 /** Pipeline stage a flight record belongs to (one ring per stage). */
 enum class Stage : unsigned
 {
-    EventqDispatch, ///< event-queue dispatch (code 0 registered, 1 one-shot)
+    EventqDispatch, ///< event-queue dispatch (code 1, one-shot callback)
     DramService,    ///< DRAM read completion
     PeMeeting,      ///< partial sums met at a tree PE
     Prepare,        ///< host batch prepare done

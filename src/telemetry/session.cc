@@ -103,7 +103,6 @@ TelemetrySession::start()
         config.windowTicks = static_cast<Tick>(
             windowUs_ * static_cast<double>(kTicksPerUs));
         series_.emplace(config);
-        series_->registerStats(StatRegistry::instance().group("windows"));
         report_.setConfig("windowUs", windowUs_);
     }
     if (!sloSpec_.empty()) {
@@ -168,6 +167,10 @@ TelemetrySession::finish()
     finished_ = true;
 
     StatRegistry &registry = StatRegistry::instance();
+    // Windowed metrics come into being as the run records them, so the
+    // series registers only now, before the stats and report go out.
+    if (series_)
+        series_->registerStats(registry.group("windows"));
     if (plan_) {
         // The fire listener captures the recorder; detach it before
         // either object can go away below.

@@ -167,13 +167,19 @@ TEST(CompareReports, InjectedSlowdownTripsGate)
     EXPECT_TRUE(results[0].regressed);
 }
 
-TEST(CompareReports, MissingCurrentMetricSkipped)
+TEST(CompareReports, MissingCurrentMetricFails)
 {
+    // A metric the current report dropped is a failing row, not a
+    // silent skip; a metric only the current report has is ignored.
     std::vector<Comparison> results;
     compareReports("r", report({{"gone_per_sec", 100.0}}),
                    report({{"other_per_sec", 100.0}}), 0.05, {}, 0.0,
                    results);
-    EXPECT_TRUE(results.empty());
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].name, "gone_per_sec");
+    EXPECT_TRUE(results[0].missing);
+    EXPECT_FALSE(results[0].regressed);
+    EXPECT_DOUBLE_EQ(results[0].baseline, 100.0);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/faultinject.hh"
+#include "common/logging.hh"
 #include "sim/eventq.hh"
 
 using namespace fafnir;
@@ -253,6 +254,20 @@ TEST(FaultPlan, SuspendFaultsRaii)
     EXPECT_TRUE(plan.shouldFire(fault::Hook::PoolExhaust));
 }
 
+TEST(FaultPlan, SkippedFiringsWarnOncePerHook)
+{
+    // Skips are counted every time but warned about once per hook per
+    // process: after the first, every further skip is suppressed.
+    fault::FaultPlan plan = fault::FaultPlan::parse("event_drop:1", 3);
+    const std::string site = "faults.skipped.event_drop";
+    plan.noteSkippedFiring(fault::Hook::EventDrop);
+    const std::uint64_t suppressed = logging::warnEverySuppressed(site);
+    for (int i = 0; i < 500; ++i)
+        plan.noteSkippedFiring(fault::Hook::EventDrop);
+    EXPECT_EQ(logging::warnEverySuppressed(site), suppressed + 500);
+    EXPECT_EQ(plan.skippedCount(fault::Hook::EventDrop), 501u);
+}
+
 TEST(FaultEventQueue, DelayIsAdditiveOnly)
 {
     fault::FaultPlan plan = fault::FaultPlan::parse("event_delay:1", 3);
@@ -261,7 +276,7 @@ TEST(FaultEventQueue, DelayIsAdditiveOnly)
     EventQueue eq;
     std::vector<Tick> fired_at;
     for (Tick when = 100; when <= 1000; when += 100) {
-        eq.scheduleFn(when, [&fired_at, &eq] {
+        eq.schedule(when, [&fired_at, &eq] {
             fired_at.push_back(eq.now());
         });
     }
@@ -277,38 +292,11 @@ TEST(FaultEventQueue, DelayIsAdditiveOnly)
     EXPECT_LE(fired_at.back(), 1000 + 50 * kTicksPerNs);
 }
 
-TEST(FaultEventQueue, DropSuppressesOneShots)
-{
-    fault::FaultPlan plan = fault::FaultPlan::parse("event_drop:1", 3);
-    fault::ScopedPlanInstall install(&plan);
-
-    EventQueue eq;
-    int delivered = 0;
-    for (int i = 0; i < 32; ++i)
-        eq.scheduleFn(10 * (i + 1), [&delivered] { ++delivered; });
-    eq.run();
-    EXPECT_EQ(delivered, 0);
-    EXPECT_EQ(plan.firedCount(fault::Hook::EventDrop), 32u);
-}
-
-TEST(FaultEventQueue, DupDeliversOneShotsTwice)
-{
-    fault::FaultPlan plan = fault::FaultPlan::parse("event_dup:1", 3);
-    fault::ScopedPlanInstall install(&plan);
-
-    EventQueue eq;
-    int delivered = 0;
-    for (int i = 0; i < 16; ++i)
-        eq.scheduleFn(10 * (i + 1), [&delivered] { ++delivered; });
-    eq.run();
-    EXPECT_EQ(delivered, 32);
-}
-
 TEST(FaultEventQueue, DeliveriesFireExactlyOnceUnderLossyHooks)
 {
-    // scheduleDelivery draws the lossy hooks like scheduleFn but does
-    // not apply them: each delivery fires once, and every drawn drop or
-    // dup is counted as a skipped firing.
+    // schedule() draws the lossy hooks but does not apply them: each
+    // callback fires once, and every drawn drop or dup is counted as a
+    // skipped firing.
     for (const char *spec : {"event_drop:1", "event_dup:1"}) {
         SCOPED_TRACE(spec);
         fault::FaultPlan plan = fault::FaultPlan::parse(spec, 3);
@@ -320,7 +308,7 @@ TEST(FaultEventQueue, DeliveriesFireExactlyOnceUnderLossyHooks)
         EventQueue eq;
         std::vector<Tick> fired_at;
         for (Tick when = 10; when <= 160; when += 10) {
-            eq.scheduleDelivery(when, [&fired_at, &eq] {
+            eq.schedule(when, [&fired_at, &eq] {
                 fired_at.push_back(eq.now());
             });
         }
@@ -339,7 +327,7 @@ TEST(FaultEventQueue, NoPlanLeavesScheduleExact)
     EventQueue eq;
     std::vector<Tick> fired_at;
     for (Tick when : {500, 300, 100, 400, 200}) {
-        eq.scheduleFn(when, [&fired_at, &eq] {
+        eq.schedule(when, [&fired_at, &eq] {
             fired_at.push_back(eq.now());
         });
     }
@@ -347,93 +335,16 @@ TEST(FaultEventQueue, NoPlanLeavesScheduleExact)
     EXPECT_EQ(fired_at, (std::vector<Tick>{100, 200, 300, 400, 500}));
 }
 
-TEST(FaultEventQueue, DropSkipsOneRegisteredFiringAndRecovers)
-{
-    // A certain drop consumes the schedule(): the firing is skipped —
-    // and counted — instead of merely warned about, and the event is
-    // left unscheduled so the owner's next schedule() recovers it.
-    fault::FaultPlan plan = fault::FaultPlan::parse("event_drop:1", 3);
-    fault::ScopedPlanInstall install(&plan);
-
-    EventQueue eq;
-    int delivered = 0;
-    Event ev("drop-probe", [&delivered] { ++delivered; });
-    eq.schedule(ev, 10);
-    EXPECT_FALSE(ev.scheduled());
-    eq.run();
-    EXPECT_EQ(delivered, 0);
-    EXPECT_EQ(plan.firedCount(fault::Hook::EventDrop), 1u);
-    EXPECT_EQ(plan.skippedCount(fault::Hook::EventDrop), 1u);
-    EXPECT_EQ(plan.totalSkipped(), 1u);
-
-    // Recovery: re-scheduling under suspended faults delivers normally
-    // (the queue and event bookkeeping survived the drop intact).
-    {
-        fault::SuspendFaults off;
-        eq.schedule(ev, 20);
-        EXPECT_TRUE(ev.scheduled());
-        eq.run();
-    }
-    EXPECT_EQ(delivered, 1);
-}
-
-TEST(FaultEventQueue, DupEchoesRegisteredFiring)
-{
-    // A certain dup files a generation-guarded echo after the real
-    // node: a callback that does not reschedule fires twice.
-    fault::FaultPlan plan = fault::FaultPlan::parse("event_dup:1", 3);
-    fault::ScopedPlanInstall install(&plan);
-
-    EventQueue eq;
-    int delivered = 0;
-    Event ev("dup-probe", [&delivered] { ++delivered; });
-    eq.schedule(ev, 10);
-    eq.run();
-    EXPECT_EQ(delivered, 2);
-    EXPECT_EQ(plan.firedCount(fault::Hook::EventDup), 1u);
-    EXPECT_EQ(plan.skippedCount(fault::Hook::EventDup), 0u);
-}
-
-TEST(FaultEventQueue, DupEchoSuppressedWhenEventMovesOn)
-{
-    // When the callback reschedules its own event (the recurring-event
-    // idiom), the generation bump invalidates the echo: it must be
-    // suppressed and counted as a skipped firing, not double-fire.
-    fault::FaultPlan plan = fault::FaultPlan::parse("event_dup:1", 3);
-    fault::ScopedPlanInstall install(&plan);
-
-    EventQueue eq;
-    int delivered = 0;
-    Event ev("recurring-probe", [&] {
-        ++delivered;
-        if (delivered < 3) {
-            // Reschedule fault-free so the chain itself is not dup'd
-            // again — this test isolates the echo suppression.
-            fault::SuspendFaults off;
-            eq.schedule(ev, eq.now() + 10);
-        }
-    });
-    eq.schedule(ev, 10);
-    eq.run();
-    EXPECT_EQ(delivered, 3);
-    // One dup was drawn (the initial schedule); its echo found the
-    // event rescheduled and was suppressed.
-    EXPECT_EQ(plan.firedCount(fault::Hook::EventDup), 1u);
-    EXPECT_EQ(plan.skippedCount(fault::Hook::EventDup), 1u);
-    EXPECT_EQ(plan.totalSkipped(), 1u);
-}
-
 TEST(FaultEventQueue, UnarmedLossyHooksSkipNothing)
 {
-    // A delay-only plan touches registered events legitimately: no
-    // skip accounting, no warning.
+    // A delay-only plan touches callbacks legitimately: no skip
+    // accounting, no warning.
     fault::FaultPlan plan = fault::FaultPlan::parse("event_delay:1", 3);
     fault::ScopedPlanInstall install(&plan);
 
     EventQueue eq;
     int delivered = 0;
-    Event ev("delay-probe", [&delivered] { ++delivered; });
-    eq.schedule(ev, 10);
+    eq.schedule(10, [&delivered] { ++delivered; });
     eq.run();
     EXPECT_EQ(delivered, 1);
     EXPECT_EQ(plan.totalSkipped(), 0u);

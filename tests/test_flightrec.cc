@@ -100,7 +100,7 @@ TEST(FlightRecorder, GuardOffMeansZeroRecords)
     EventQueue eq;
     int fired = 0;
     for (int i = 0; i < 10; ++i)
-        eq.scheduleFn(Tick(10 * (i + 1)), [&fired] { ++fired; });
+        eq.schedule(Tick(10 * (i + 1)), [&fired] { ++fired; });
     eq.run();
     EXPECT_EQ(fired, 10);
 
@@ -120,7 +120,7 @@ TEST(FlightRecorder, AmbientGuardSeesInstalledRecorder)
 #else
         EXPECT_EQ(flightRecorder(), &rec);
         EventQueue eq;
-        eq.scheduleFn(5, [] {});
+        eq.schedule(5, [] {});
         eq.run();
         EXPECT_GE(rec.recordedCount(Stage::EventqDispatch), 1u);
 #endif
@@ -221,9 +221,9 @@ TEST(FlightRecorder, SameSeedRunsWriteByteIdenticalBundles)
         int hops = 0;
         std::function<void()> hop = [&] {
             if (++hops < 200)
-                eq.scheduleFn(eq.now() + 10, hop);
+                eq.schedule(eq.now() + 10, hop);
         };
-        eq.scheduleFn(10, hop);
+        eq.schedule(10, hop);
         eq.run();
         plan.setFireListener(nullptr);
 

@@ -9,7 +9,8 @@
  * improvement direction is inferred from the metric name:
  * throughput-style names (per_sec, PerSec, speedup, GBs, throughput)
  * must not drop; latency-style names (Us, Ns, latency, Time) must not
- * grow; anything else is reported but never gates.
+ * grow; anything else is reported but never gates. A baseline metric
+ * the fresh report lacks is a failing `missing` row.
  *
  *   bench_diff --baseline=results/BENCH_hotpath.json \
  *              --current=build/BENCH_hotpath.json --tolerance=0.05
@@ -20,7 +21,8 @@
  * Directory mode compares every *.json present in both trees.
  * `--inject-slowdown=0.1` degrades the current side by 10% before
  * comparing — the self-test the CI gate runs to prove the gate can
- * fail. Exit codes: 0 ok, 1 regression, 2 usage or I/O error.
+ * fail. Exit codes: 0 ok, 1 regression or missing metric, 2 usage or
+ * I/O error.
  *
  * The comparison machinery lives in bench_diff_util.hh so the unit
  * suite can test it directly.
@@ -117,7 +119,16 @@ main(int argc, char **argv)
                 "tol | verdict |\n");
     std::printf("|---|---|---|---|---|---|---|\n");
     unsigned regressions = 0;
+    unsigned missing = 0;
     for (const Comparison &c : results) {
+        if (c.missing) {
+            ++missing;
+            std::printf("| %s:%s | %s | %.4g | - | - | %.0f%% | missing |\n",
+                        c.file.c_str(), c.name.c_str(),
+                        toString(c.direction), c.baseline,
+                        100.0 * c.tolerance);
+            continue;
+        }
         const double change = c.improvement();
         const char *verdict = "ok";
         if (c.direction == Direction::Informational)
@@ -131,8 +142,8 @@ main(int argc, char **argv)
                     toString(c.direction), c.baseline, c.current,
                     100.0 * change, 100.0 * c.tolerance, verdict);
     }
-    std::printf("\n%zu metrics compared, %u regression%s\n",
+    std::printf("\n%zu metrics compared, %u regression%s, %u missing\n",
                 results.size(), regressions,
-                regressions == 1 ? "" : "s");
-    return regressions == 0 ? 0 : 1;
+                regressions == 1 ? "" : "s", missing);
+    return regressions == 0 && missing == 0 ? 0 : 1;
 }

@@ -283,6 +283,8 @@ struct Comparison
     Direction direction = Direction::Informational;
     double tolerance = 0.0;
     bool regressed = false;
+    /** The current report lacks the metric; the row fails the gate. */
+    bool missing = false;
 
     /** Signed relative change; positive means "got better". */
     double
@@ -382,19 +384,23 @@ compareReports(const std::string &label, const JsonValue &baseline,
     }
 
     for (const auto &[name, base_value] : base) {
-        const auto it = cur.find(name);
-        if (it == cur.end())
-            continue; // dropped metrics are a schema change, not perf
         Comparison c;
         c.file = label;
         c.name = name;
         c.baseline = base_value;
-        c.current = it->second;
         c.direction = directionOf(name);
         const auto ov = overrides.find(name);
         c.tolerance = ov != overrides.end() ? ov->second : tolerance;
-        c.regressed = c.direction != Direction::Informational &&
-                      c.improvement() < -c.tolerance;
+        const auto it = cur.find(name);
+        if (it == cur.end()) {
+            // A bench that stops emitting a metric must not lose its
+            // gate silently: the row fails until the baseline drops it.
+            c.missing = true;
+        } else {
+            c.current = it->second;
+            c.regressed = c.direction != Direction::Informational &&
+                          c.improvement() < -c.tolerance;
+        }
         results.push_back(c);
     }
 }

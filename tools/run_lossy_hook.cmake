@@ -1,9 +1,10 @@
 # ctest helper: a lossy event hook must not abort event replay. Runs
 # fafnir_sim under ${HOOK} on the single engine and on the sharded tier.
-# Each run must exit 0 and count skipped firings (PE and DRAM-completion
-# deliveries fire exactly once). The single engine must serve all 64
-# queries (4 batches of 16); the tier must serve values with no mismatch
-# (its value check covers every query of every batch).
+# Each run must exit 0, count skipped firings (every event-queue
+# callback fires exactly once) and warn about them exactly once. The
+# single engine must serve all 64 queries (4 batches of 16); the tier
+# must serve values with no mismatch (its value check covers every
+# query of every batch).
 set(common --mode=lookup --engine=event --batches=4
            --faults=${HOOK}:0.01 --fault-seed=7)
 foreach(tier single sharded)
@@ -15,9 +16,16 @@ foreach(tier single sharded)
     execute_process(
         COMMAND "${SIM}" ${common} ${tier_args} "--report=${report}"
         OUTPUT_QUIET
+        ERROR_VARIABLE err
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR "fafnir_sim (${tier}) failed (rc=${rc})")
+    endif()
+    string(REGEX MATCHALL "skipped a firing" warnings "${err}")
+    list(LENGTH warnings warned)
+    if(NOT warned EQUAL 1)
+        message(FATAL_ERROR "${tier}: ${warned} \"skipped a firing\" "
+                            "warnings, expected exactly 1")
     endif()
     file(READ "${report}" json)
     string(JSON skipped GET "${json}" metrics faultsSkipped)
