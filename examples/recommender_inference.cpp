@@ -158,16 +158,19 @@ main()
 
         const auto inter =
             static_cast<Tick>(1e12 / req_per_sec); // ps between arrivals
-        const auto report = embedding::serveOpenLoop(
-            stream, inter, [&](const embedding::Batch &batch, Tick at) {
-                return engine.lookup(batch, at).complete;
+        embedding::ServiceGuard guard(
+            {}, [&](const embedding::Batch &batch, Tick at) {
+                return embedding::ServeSample{
+                    engine.lookup(batch, at).complete, {}};
             });
+        const auto report =
+            embedding::serveGuardedOpenLoop(stream, inter, guard);
         std::printf("%14.0f %14.1f %14.1f %12s\n", req_per_sec,
                     static_cast<double>(report.percentileTotal(0.5)) /
                         kTicksPerUs,
                     static_cast<double>(report.percentileTotal(0.99)) /
                         kTicksPerUs,
-                    report.saturated ? "yes" : "no");
+                    report.saturated() ? "yes" : "no");
     }
 
     // Functional end-to-end check: reduce one request's embeddings

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the open-loop serving model.
+ * Implementation of the guarded open-loop serving model.
  */
 
 #include "service.hh"
@@ -11,99 +11,12 @@
 #include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "telemetry/flightrec.hh"
-#include "telemetry/attribution.hh"
 #include "telemetry/slo.hh"
 #include "telemetry/timeseries.hh"
 #include "telemetry/trace_sink.hh"
 
 namespace fafnir::embedding
 {
-
-Tick
-ServiceReport::percentileTotal(double p) const
-{
-    FAFNIR_ASSERT(!requests.empty(), "empty report");
-    FAFNIR_ASSERT(p >= 0.0 && p <= 1.0, "percentile out of range");
-    Distribution totals;
-    for (const auto &r : requests)
-        totals.sample(static_cast<double>(r.totalTime()));
-    return static_cast<Tick>(totals.percentile(p * 100.0));
-}
-
-double
-ServiceReport::meanQueueTicks() const
-{
-    if (requests.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &r : requests)
-        sum += static_cast<double>(r.queueTime());
-    return sum / static_cast<double>(requests.size());
-}
-
-ServiceReport
-serveOpenLoop(const std::vector<Batch> &batches, Tick inter_arrival,
-              const std::function<Tick(const Batch &, Tick)> &serve)
-{
-    FAFNIR_ASSERT(inter_arrival > 0, "zero inter-arrival time");
-
-    ServiceReport report;
-    report.requests.reserve(batches.size());
-    if (auto *ts = telemetry::sink()) {
-        ts->setThreadName(telemetry::kPidService, 0, "queue");
-        ts->setThreadName(telemetry::kPidService, 1, "serve");
-    }
-    Tick engine_free = 0;
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-        ServedRequest request;
-        request.arrival = static_cast<Tick>(i) * inter_arrival;
-        request.started = std::max(request.arrival, engine_free);
-        request.completed = serve(batches[i], request.started);
-        FAFNIR_ASSERT(request.completed >= request.started,
-                      "service went backwards");
-        engine_free = request.completed;
-        if (auto *ts = telemetry::sink()) {
-            // Queueing and service phases of each batch as stacked spans,
-            // joined by a flow arrow when the batch actually queued.
-            const std::string label = "batch " + std::to_string(i);
-            if (request.queueTime() > 0) {
-                ts->completeEvent(telemetry::kPidService, 0,
-                                  "service.queue", label + " (queued)",
-                                  request.arrival, request.queueTime());
-            }
-            ts->completeEvent(telemetry::kPidService, 1, "service.serve",
-                              label, request.started,
-                              request.serviceTime());
-            if (request.queueTime() > 0) {
-                const std::uint64_t fid = ts->newFlowId();
-                ts->flowBegin(fid, telemetry::kPidService, 0,
-                              "service.flow", label, request.arrival);
-                ts->flowEnd(fid, telemetry::kPidService, 1,
-                            "service.flow", label, request.started);
-            }
-        }
-        if (auto *attr = telemetry::attribution())
-            attr->recordBatchQueueWait(request.queueTime());
-        report.requests.push_back(request);
-    }
-
-    // Saturated when the queue delay keeps growing through the run:
-    // compare mean queueing of the last quarter against the first.
-    const std::size_t n = report.requests.size();
-    if (n >= 8) {
-        auto mean_queue = [&](std::size_t lo, std::size_t hi) {
-            double sum = 0.0;
-            for (std::size_t i = lo; i < hi; ++i)
-                sum += static_cast<double>(
-                    report.requests[i].queueTime());
-            return sum / static_cast<double>(hi - lo);
-        };
-        const double head = mean_queue(0, n / 4);
-        const double tail = mean_queue(n - n / 4, n);
-        report.saturated = tail > 2.0 * head + 1000.0;
-    }
-    return report;
-}
 
 const char *
 toString(DegradeReason reason)
@@ -434,6 +347,36 @@ GuardedReport::partialRequests() const
     for (const auto &r : requests)
         total += r.partial() ? 1 : 0;
     return total;
+}
+
+Tick
+GuardedReport::percentileTotal(double p) const
+{
+    FAFNIR_ASSERT(!requests.empty(), "empty report");
+    FAFNIR_ASSERT(p >= 0.0 && p <= 1.0, "percentile out of range");
+    Distribution totals;
+    for (const auto &r : requests)
+        totals.sample(static_cast<double>(r.totalTime()));
+    return static_cast<Tick>(totals.percentile(p * 100.0));
+}
+
+bool
+GuardedReport::saturated() const
+{
+    // Saturated when the queue delay keeps growing through the run:
+    // compare mean queueing of the last quarter against the first.
+    const std::size_t n = requests.size();
+    if (n < 8)
+        return false;
+    auto mean_queue = [&](std::size_t lo, std::size_t hi) {
+        double sum = 0.0;
+        for (std::size_t i = lo; i < hi; ++i)
+            sum += static_cast<double>(requests[i].queueTime());
+        return sum / static_cast<double>(hi - lo);
+    };
+    const double head = mean_queue(0, n / 4);
+    const double tail = mean_queue(n - n / 4, n);
+    return tail > 2.0 * head + 1000.0;
 }
 
 GuardedReport

@@ -1,16 +1,16 @@
 /**
  * @file
- * Open-loop serving model and the guarded serving layer.
+ * The single-engine serving model: an open loop behind ServiceGuard.
  *
  * Production recommenders care about tail latency under a given request
- * rate, not only isolated batch latency. ServiceModel feeds a batch
- * stream at fixed inter-arrival times into any lookup engine (via an
- * adapter callback) and reports queueing + service latency percentiles
- * and the saturation point. Requests are admitted in arrival order; the
- * engine serializes service (one batch in flight), which models the
- * paper's single accelerator front-end.
+ * rate, not only isolated batch latency. serveGuardedOpenLoop feeds a
+ * batch stream at fixed inter-arrival times into any lookup engine (via
+ * the guard's adapter callback), and its GuardedReport reads queueing +
+ * service latency percentiles and the saturation verdict. Requests are
+ * admitted in arrival order; the engine serializes service (one batch
+ * in flight), which models the paper's single accelerator front-end.
  *
- * ServiceGuard wraps the same adapter with the robustness contract the
+ * ServiceGuard wraps the adapter with the robustness contract the
  * fault-injection layer exercises: untrusted batches pass admission
  * checks (Batch::validate), served queries get per-query deadlines
  * measured from arrival, transient faults and deadline misses trigger
@@ -46,43 +46,6 @@ struct ServedRequest
     Tick serviceTime() const { return completed - started; }
     Tick totalTime() const { return completed - arrival; }
 };
-
-/** Aggregate service statistics. */
-struct ServiceReport
-{
-    std::vector<ServedRequest> requests;
-    /**
-     * True when the backlog grew through the run, i.e. offered load
-     * exceeded engine capacity. The heuristic compares the mean
-     * queueing delay of the last quarter of requests against the first
-     * quarter and trips when
-     *
-     *     tail > 2.0 * head + 1000 ticks
-     *
-     * The 2x factor demands sustained growth (a stable queue's head and
-     * tail means agree; an unstable one grows linearly, so the tail
-     * quarter sits far above the head quarter), and the 1000-tick (1 ns)
-     * offset keeps a zero-queue run — head == tail == 0 — and other
-     * sub-nanosecond jitter from tripping the gate. Runs shorter than 8
-     * requests never report saturation: the quarters are too small to
-     * distinguish trend from noise.
-     */
-    bool saturated = false;
-
-    /** Nearest-rank percentile of request total time, @p p in [0, 1]
-     *  (a Distribution's: the log-bucket edge clamped to [min, max]). */
-    Tick percentileTotal(double p) const;
-    double meanQueueTicks() const;
-};
-
-/**
- * Serve @p batches with arrivals every @p inter_arrival ticks.
- * @param serve runs one batch starting no earlier than the given tick
- *        and returns its completion tick; invoked in arrival order.
- */
-ServiceReport
-serveOpenLoop(const std::vector<Batch> &batches, Tick inter_arrival,
-              const std::function<Tick(const Batch &, Tick)> &serve);
 
 /** Why a request, or one of its queries, was degraded. */
 enum class DegradeReason : std::uint8_t
@@ -230,11 +193,33 @@ struct GuardedReport
     std::size_t servedQueries() const;
     std::size_t droppedQueries() const;
     std::size_t partialRequests() const;
+
+    /** Nearest-rank percentile of request total time, @p p in [0, 1]
+     *  (a Distribution's: the log-bucket edge clamped to [min, max]). */
+    Tick percentileTotal(double p) const;
+
+    /**
+     * True when the backlog grew through the run, i.e. offered load
+     * exceeded engine capacity. The heuristic compares the mean
+     * queueing delay of the last quarter of requests against the first
+     * quarter and trips when
+     *
+     *     tail > 2.0 * head + 1000 ticks
+     *
+     * The 2x factor demands sustained growth (a stable queue's head and
+     * tail means agree; an unstable one grows linearly, so the tail
+     * quarter sits far above the head quarter), and the 1000-tick (1 ns)
+     * offset keeps a zero-queue run — head == tail == 0 — and other
+     * sub-nanosecond jitter from tripping the gate. Runs shorter than 8
+     * requests never report saturation: the quarters are too small to
+     * distinguish trend from noise.
+     */
+    bool saturated() const;
 };
 
-/** serveOpenLoop through a ServiceGuard: arrivals every
- *  @p inter_arrival ticks (0 = closed loop, all arrive at tick 0),
- *  each request guarded by @p guard. */
+/** Serve @p batches with arrivals every @p inter_arrival ticks
+ *  (0 = closed loop, all arrive at tick 0), each request through
+ *  @p guard, whose one engine serves them in arrival order. */
 GuardedReport
 serveGuardedOpenLoop(const std::vector<Batch> &batches,
                      Tick inter_arrival, ServiceGuard &guard);

@@ -32,8 +32,8 @@ struct LeafRead
     std::uint64_t flow = 0;
 };
 
-/** Service-track thread for per-query delivery spans (0..2 are the
- *  open-loop queue/serve/guard rows). */
+/** Service-track thread for per-query delivery spans (2 is the
+ *  ServiceGuard row). */
 constexpr int kServiceDeliveryTid = 3;
 
 /** Side-major input number of @p src within its PE. */

@@ -25,8 +25,8 @@ namespace fafnir::core
 namespace
 {
 
-/** Service-track threads for the pipeline stages (0..3 are taken by the
- *  open-loop queue/serve/guard/delivery rows). */
+/** Service-track threads for the pipeline stages (2 and 3 are taken by
+ *  the ServiceGuard and per-query delivery rows). */
 constexpr int kPrepareTid = 6;
 constexpr int kDispatchTid = 7;
 constexpr int kWritebackTid = 8;

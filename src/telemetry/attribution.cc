@@ -52,13 +52,6 @@ Attribution::recordMeeting(unsigned height, std::uint64_t merges)
 }
 
 void
-Attribution::recordBatchQueueWait(Tick wait)
-{
-    batchWaits_.push_back({currentBatch(), wait});
-    batchQueueTicks_ += wait;
-}
-
-void
 Attribution::annotateBatchStages(std::uint64_t batch, Tick prepare,
                                  Tick dispatch)
 {
@@ -154,8 +147,6 @@ Attribution::registerStats(StatGroup &group)
                      "straggler wait, fixed-order combine)");
     group.addCounter("ctrlResidencyTicks", ctrlResidencyTicks_,
                      "total controller queue residency (all requests)");
-    group.addCounter("batchQueueTicks", batchQueueTicks_,
-                     "open-loop service queueing ahead of the engine");
     group.addCounter("merges", merges_,
                      "pairwise partial-sum merges observed");
     group.addDistribution("queryLatencyNs", queryLatencyNs_,
@@ -209,16 +200,6 @@ Attribution::write(std::ostream &os) const
     }
     json.endArray();
 
-    json.key("batchQueueWaits");
-    json.beginArray();
-    for (const auto &w : batchWaits_) {
-        json.beginObject();
-        json.member("batch", w.batch);
-        json.member("waitNs", ticksToNs(w.wait));
-        json.endObject();
-    }
-    json.endArray();
-
     json.key("summary");
     json.beginObject();
     json.member("queries",
@@ -237,7 +218,6 @@ Attribution::write(std::ostream &os) const
     json.member("serviceQueueTicks", serviceQueueTicks_.value());
     json.member("shardCombineTicks", shardCombineTicks_.value());
     json.member("ctrlResidencyTicks", ctrlResidencyTicks_.value());
-    json.member("batchQueueTicks", batchQueueTicks_.value());
     json.endObject();
 
     json.endObject();

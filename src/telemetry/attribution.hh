@@ -103,13 +103,6 @@ struct QueryAttribution
     }
 };
 
-/** Open-loop queueing ahead of one batch's engine issue. */
-struct BatchQueueWait
-{
-    std::uint64_t batch = 0;
-    Tick wait = 0;
-};
-
 /** Collects per-query breakdowns and the meeting-level histogram. */
 class Attribution
 {
@@ -136,9 +129,6 @@ class Attribution
 
     /** Controller queue residency of one request (any engine). */
     void recordCtrlResidency(Tick wait) { ctrlResidencyTicks_ += wait; }
-
-    /** Open-loop service wait of the current batch (serveOpenLoop). */
-    void recordBatchQueueWait(Tick wait);
 
     /**
      * Back-annotate the serving pipeline stages of batch @p batch:
@@ -171,11 +161,6 @@ class Attribution
         return meetings_;
     }
 
-    const std::vector<BatchQueueWait> &batchQueueWaits() const
-    {
-        return batchWaits_;
-    }
-
     /** Fraction of total latency the components cover (1.0 = exact). */
     double componentCoverage() const;
 
@@ -185,7 +170,7 @@ class Attribution
     /** Register the attrib.* counters/distributions into @p group. */
     void registerStats(StatGroup &group);
 
-    /** Serialize queries, histogram, service waits, and a summary. */
+    /** Serialize queries, histogram, and a summary. */
     void write(std::ostream &os) const;
 
     /** write() to @p path. @return false on I/O failure. */
@@ -194,7 +179,6 @@ class Attribution
   private:
     std::vector<QueryAttribution> queries_;
     std::vector<std::uint64_t> meetings_;
-    std::vector<BatchQueueWait> batchWaits_;
     std::uint64_t batchCounter_ = 0;
 
     Counter recorded_;
@@ -208,7 +192,6 @@ class Attribution
     Counter shardCombineTicks_;
     Counter ctrlResidencyTicks_;
     Counter merges_;
-    Counter batchQueueTicks_;
     Distribution queryLatencyNs_;
     Distribution criticalHops_;
 };

@@ -156,13 +156,13 @@ TEST(Integration, ServiceOverSimilarityBatches)
     FullRig rig;
     core::FafnirEngine engine(rig.memory, rig.layout,
                               core::EngineConfig{});
-    const auto report = serveOpenLoop(
-        composed.batches, 4 * kTicksPerUs,
-        [&](const Batch &batch, Tick at) {
-            return engine.lookup(batch, at).complete;
-        });
+    ServiceGuard guard({}, [&](const Batch &batch, Tick at) {
+        return ServeSample{engine.lookup(batch, at).complete, {}};
+    });
+    const auto report =
+        serveGuardedOpenLoop(composed.batches, 4 * kTicksPerUs, guard);
     EXPECT_EQ(report.requests.size(), composed.batches.size());
-    EXPECT_FALSE(report.saturated);
+    EXPECT_FALSE(report.saturated());
 }
 
 TEST(Integration, PageRankOnHbm)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Open-loop serving model tests: queueing behavior at low and high
- * offered load, percentile math, and integration with the Fafnir engine.
+ * Open-loop serving model tests (serveGuardedOpenLoop): queueing
+ * behavior at low and high offered load, percentile math, and
+ * integration with the Fafnir engine.
  */
 
 #include <gtest/gtest.h>
@@ -31,11 +32,11 @@ makeStream(unsigned count)
 }
 
 /** A synthetic fixed-service-time engine. */
-std::function<Tick(const Batch &, Tick)>
+ServiceGuard::ServeFn
 fixedService(Tick service_time)
 {
     return [service_time](const Batch &, Tick start) {
-        return start + service_time;
+        return ServeSample{start + service_time, {}};
     };
 }
 
@@ -45,22 +46,24 @@ TEST(Service, NoQueueingBelowCapacity)
 {
     const auto stream = makeStream(32);
     // Service 100 ns, arrivals every 200 ns: never queues.
-    const auto report = serveOpenLoop(stream, 200 * kTicksPerNs,
-                                      fixedService(100 * kTicksPerNs));
+    ServiceGuard guard({}, fixedService(100 * kTicksPerNs));
+    const auto report =
+        serveGuardedOpenLoop(stream, 200 * kTicksPerNs, guard);
     for (const auto &r : report.requests) {
         EXPECT_EQ(r.queueTime(), 0u);
         EXPECT_EQ(r.serviceTime(), 100 * kTicksPerNs);
     }
-    EXPECT_FALSE(report.saturated);
+    EXPECT_FALSE(report.saturated());
 }
 
 TEST(Service, QueueGrowsBeyondCapacity)
 {
     const auto stream = makeStream(64);
     // Service 300 ns, arrivals every 100 ns: backlog grows linearly.
-    const auto report = serveOpenLoop(stream, 100 * kTicksPerNs,
-                                      fixedService(300 * kTicksPerNs));
-    EXPECT_TRUE(report.saturated);
+    ServiceGuard guard({}, fixedService(300 * kTicksPerNs));
+    const auto report =
+        serveGuardedOpenLoop(stream, 100 * kTicksPerNs, guard);
+    EXPECT_TRUE(report.saturated());
     // The last request queued for roughly (64-1) * 200 ns.
     const Tick last_queue = report.requests.back().queueTime();
     EXPECT_NEAR(static_cast<double>(last_queue),
@@ -70,8 +73,9 @@ TEST(Service, QueueGrowsBeyondCapacity)
 TEST(Service, PercentilesOrdered)
 {
     const auto stream = makeStream(32);
-    const auto report = serveOpenLoop(stream, 100 * kTicksPerNs,
-                                      fixedService(150 * kTicksPerNs));
+    ServiceGuard guard({}, fixedService(150 * kTicksPerNs));
+    const auto report =
+        serveGuardedOpenLoop(stream, 100 * kTicksPerNs, guard);
     EXPECT_LE(report.percentileTotal(0.5), report.percentileTotal(0.9));
     EXPECT_LE(report.percentileTotal(0.9), report.percentileTotal(0.99));
     EXPECT_LE(report.percentileTotal(0.99), report.percentileTotal(1.0));
@@ -88,14 +92,14 @@ TEST(Service, IntegratesWithFafnirEngine)
     core::FafnirEngine engine(memory, layout, core::EngineConfig{});
 
     const auto stream = makeStream(24);
-    const auto report = serveOpenLoop(
-        stream, 5 * kTicksPerUs,
-        [&](const Batch &batch, Tick start) {
-            return engine.lookup(batch, start).complete;
-        });
+    ServiceGuard guard({}, [&](const Batch &batch, Tick start) {
+        return ServeSample{engine.lookup(batch, start).complete, {}};
+    });
+    const auto report = serveGuardedOpenLoop(stream, 5 * kTicksPerUs,
+                                             guard);
     ASSERT_EQ(report.requests.size(), 24u);
     // Generous inter-arrival: no saturation, sub-arrival service.
-    EXPECT_FALSE(report.saturated);
+    EXPECT_FALSE(report.saturated());
     for (const auto &r : report.requests)
         EXPECT_LT(r.serviceTime(), 5 * kTicksPerUs);
 }
@@ -103,14 +107,15 @@ TEST(Service, IntegratesWithFafnirEngine)
 TEST(Service, SaturationDetectionIgnoresShortRuns)
 {
     const auto stream = makeStream(4);
-    const auto report = serveOpenLoop(stream, 1 * kTicksPerNs,
-                                      fixedService(100 * kTicksPerNs));
+    ServiceGuard guard({}, fixedService(100 * kTicksPerNs));
+    const auto report =
+        serveGuardedOpenLoop(stream, 1 * kTicksPerNs, guard);
     // Too few requests to call saturation.
-    EXPECT_FALSE(report.saturated);
+    EXPECT_FALSE(report.saturated());
 }
 
 // The saturated heuristic (tail-quarter mean queue > 2 x head-quarter
-// mean + 1000 ticks, see ServiceReport::saturated) pinned at loads just
+// mean + 1000 ticks, see GuardedReport::saturated) pinned at loads just
 // either side of capacity.
 
 TEST(Service, JustBelowCapacityIsNotSaturated)
@@ -119,9 +124,10 @@ TEST(Service, JustBelowCapacityIsNotSaturated)
     // Service 100 ns, arrivals every 101 ns: 99% utilization. Any
     // backlog drains before the next arrival, so the tail quarter's
     // queueing matches the head quarter's and the verdict stays false.
-    const auto report = serveOpenLoop(stream, 101 * kTicksPerNs,
-                                      fixedService(100 * kTicksPerNs));
-    EXPECT_FALSE(report.saturated);
+    ServiceGuard guard({}, fixedService(100 * kTicksPerNs));
+    const auto report =
+        serveGuardedOpenLoop(stream, 101 * kTicksPerNs, guard);
+    EXPECT_FALSE(report.saturated());
 }
 
 TEST(Service, ExactlyAtCapacityIsNotSaturated)
@@ -129,9 +135,10 @@ TEST(Service, ExactlyAtCapacityIsNotSaturated)
     const auto stream = makeStream(64);
     // Arrivals equal to service time: the queue neither grows nor
     // drains; head == tail == 0, kept false by the 1000-tick offset.
-    const auto report = serveOpenLoop(stream, 100 * kTicksPerNs,
-                                      fixedService(100 * kTicksPerNs));
-    EXPECT_FALSE(report.saturated);
+    ServiceGuard guard({}, fixedService(100 * kTicksPerNs));
+    const auto report =
+        serveGuardedOpenLoop(stream, 100 * kTicksPerNs, guard);
+    EXPECT_FALSE(report.saturated());
     for (const auto &r : report.requests)
         EXPECT_EQ(r.queueTime(), 0u);
 }
@@ -143,9 +150,10 @@ TEST(Service, JustAboveCapacityIsSaturated)
     // request. Tail-quarter mean queue (~55.5 ns) clears twice the
     // head-quarter mean (~7.5 ns) plus the offset, so the linear-growth
     // signature trips the verdict even at 1% overload.
-    const auto report = serveOpenLoop(stream, 99 * kTicksPerNs,
-                                      fixedService(100 * kTicksPerNs));
-    EXPECT_TRUE(report.saturated);
+    ServiceGuard guard({}, fixedService(100 * kTicksPerNs));
+    const auto report =
+        serveGuardedOpenLoop(stream, 99 * kTicksPerNs, guard);
+    EXPECT_TRUE(report.saturated());
 }
 
 TEST(Service, SubNanosecondGrowthStaysBelowTheOffset)
@@ -154,8 +162,8 @@ TEST(Service, SubNanosecondGrowthStaysBelowTheOffset)
     // 10 ticks (0.01 ns) of growth per request: real but negligible.
     // The tail mean (~275 ticks) stays inside 2 x head + 1000 ticks, so
     // the offset keeps sub-ns jitter from reading as saturation.
-    const auto report = serveOpenLoop(
-        stream, 100 * kTicksPerNs - 10,
-        fixedService(100 * kTicksPerNs));
-    EXPECT_FALSE(report.saturated);
+    ServiceGuard guard({}, fixedService(100 * kTicksPerNs));
+    const auto report =
+        serveGuardedOpenLoop(stream, 100 * kTicksPerNs - 10, guard);
+    EXPECT_FALSE(report.saturated());
 }
