@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "common/debug.hh"
-#include "common/faultinject.hh"
 #include "telemetry/attribution.hh"
 #include "telemetry/trace_sink.hh"
 
@@ -106,24 +105,6 @@ Controller::drain(unsigned rank)
         return;
     }
 
-    // Transient command stall (dram_stall hook): the controller backs
-    // off and re-drains later, so a stalled pick is a delayed issue — a
-    // retry in controller terms — not a lost request.
-    if (fault::FaultPlan *p = fault::plan(); p != nullptr) {
-        if (const Tick stall = p->dramStallTicks(); stall != 0) {
-            ++stalled_;
-            if (auto *ts = telemetry::sink()) {
-                ts->instantEvent(telemetry::kPidDram,
-                                 static_cast<int>(rank), "fault",
-                                 "dram_stall", now,
-                                 {{"stallNs", static_cast<double>(stall) /
-                                                  kTicksPerNs}});
-            }
-            eq.schedule(now + stall, [this, rank] { drain(rank); });
-            return;
-        }
-    }
-
     const std::size_t pick = pickNext(queue, rank, now);
     if (pick == queue.requests.size()) {
         // Nothing has arrived yet; wake at the earliest arrival.
@@ -147,7 +128,9 @@ Controller::drain(unsigned rank)
 
     const Tick issue_at = std::max(now, queue.nextIssue);
     // Restore the enqueuer's flow so the read's trace span and the
-    // completion callback chain stay attributed to the right query.
+    // completion callback chain stay attributed to the right query. An
+    // injected dram_stall (drawn once, inside the read) delays this
+    // issue and, through firstData, the rank's next one.
     eq.setCurrentFlow(picked.flow);
     const AccessResult result =
         memory_.read(picked.addr, picked.bytes, issue_at, picked.dest);
@@ -198,8 +181,6 @@ Controller::registerStats(StatGroup &group) const
     group.addCounter("issued", issued_, "requests issued to DRAM");
     group.addCounter("reordered", reordered_,
                      "issues that bypassed an older request");
-    group.addCounter("stalled", stalled_,
-                     "drain passes delayed by an injected command stall");
 }
 
 } // namespace fafnir::dram

@@ -67,7 +67,6 @@ class Controller
     /** @{ Statistics. */
     std::uint64_t issuedCount() const { return issued_.value(); }
     std::uint64_t reorderedCount() const { return reordered_.value(); }
-    std::uint64_t stalledCount() const { return stalled_.value(); }
     void registerStats(StatGroup &group) const;
     /** @} */
 
@@ -109,7 +108,6 @@ class Controller
 
     Counter issued_;
     Counter reordered_;
-    Counter stalled_;
 };
 
 } // namespace fafnir::dram

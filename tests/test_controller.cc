@@ -2,8 +2,8 @@
  * @file
  * Queued-controller tests: completion delivery, FCFS ordering, FR-FCFS
  * row-hit preference, starvation protection, multi-rank
- * independence, and no lost or repeated request under lossy event
- * hooks.
+ * independence, no lost or repeated request under lossy event hooks,
+ * and one dram_stall draw per request.
  */
 
 #include <gtest/gtest.h>
@@ -215,4 +215,20 @@ TEST(Controller, LossyHooksLoseNoRequest)
         EXPECT_EQ(run(), reference);
         EXPECT_GT(plan.totalSkipped(), 0u);
     }
+}
+
+// dram_stall is drawn where MemorySystem::read issues the request, once
+// per request: a drain pass draws nothing of its own.
+TEST(Controller, DramStallDrawnOncePerRequest)
+{
+    fault::FaultPlan plan = fault::FaultPlan::parse("dram_stall:0.000001", 7);
+    fault::ScopedPlanInstall install(&plan);
+    ControllerRig rig(SchedulingPolicy::FrFcfs);
+    // Two requests on each of the 32 ranks (BlockRank interleave).
+    for (int i = 0; i < 64; ++i)
+        rig.controller.enqueue(Addr(i) * 512, 512, 0, Destination::Ndp, {});
+    rig.eq.run();
+    EXPECT_EQ(rig.controller.issuedCount(), 64u);
+    EXPECT_EQ(plan.checkedCount(fault::Hook::DramStall),
+              rig.controller.issuedCount());
 }
