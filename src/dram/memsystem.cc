@@ -446,17 +446,6 @@ MemorySystem::transferToHost(unsigned channel, unsigned bytes,
     return start + duration;
 }
 
-AccessResult
-MemorySystem::write(Addr addr, unsigned bytes, Tick earliest,
-                    Destination source)
-{
-    AccessResult result = read(addr, bytes, earliest, source);
-    // Re-attribute the access from the read counters to writes; timing of
-    // the two directions is symmetric at this model's fidelity.
-    ++writes_;
-    return result;
-}
-
 void
 MemorySystem::registerStats(StatGroup &group) const
 {

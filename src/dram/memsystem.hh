@@ -104,13 +104,6 @@ class MemorySystem
     }
 
     /**
-     * Writes share the read datapath timing (tCWL ≈ tCL at this fidelity);
-     * used by the Two-Step baseline to spill intermediate runs.
-     */
-    AccessResult write(Addr addr, unsigned bytes, Tick earliest,
-                       Destination source);
-
-    /**
      * Read @p bytes starting at explicit coordinates — used by engines
      * whose data layout is not an address-mapper policy (TensorDIMM's
      * column-major striping addresses each rank's local space directly).

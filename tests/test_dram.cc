@@ -420,11 +420,3 @@ TEST(MemorySystem, AchievedBandwidthMatchesBytes)
     EXPECT_NEAR(gbs, expect, 1e-9);
     EXPECT_GT(gbs, 0.0);
 }
-
-TEST(MemorySystem, WriteCountsAsWrite)
-{
-    EventQueue eq;
-    auto mem = makeSystem(eq);
-    mem.write(0, 512, 0, Destination::Ndp);
-    EXPECT_EQ(mem.writeCount(), 1u);
-}
