@@ -2,11 +2,14 @@
  * @file
  * Unit tests for the bench_diff comparison machinery
  * (tools/bench_diff_util.hh): override parsing with both separators,
- * metric-direction inference, and per-metric tolerance gating.
+ * metric-direction inference, per-metric tolerance gating, and the
+ * directory walk.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -180,6 +183,40 @@ TEST(CompareReports, MissingCurrentMetricFails)
     EXPECT_TRUE(results[0].missing);
     EXPECT_FALSE(results[0].regressed);
     EXPECT_DOUBLE_EQ(results[0].baseline, 100.0);
+}
+
+TEST(CompareDirectories, MissingCurrentReportFailsEveryMetric)
+{
+    // The baseline tree holds two reports, the current tree only one:
+    // the absent report's metrics are failing rows, not a skipped file.
+    namespace fs = std::filesystem;
+    const fs::path root = "bench_diff_test";
+    fs::remove_all(root);
+    fs::create_directories(root / "base");
+    fs::create_directories(root / "cur");
+    const auto write = [](const fs::path &path, const std::string &text) {
+        std::ofstream(path) << text;
+    };
+    write(root / "base" / "kept.json", "{\"metrics\":{\"a_per_sec\":10}}");
+    write(root / "base" / "gone.json",
+          "{\"metrics\":{\"b_per_sec\":20,\"cUs\":30}}");
+    write(root / "cur" / "kept.json", "{\"metrics\":{\"a_per_sec\":10}}");
+
+    std::vector<Comparison> results;
+    compareDirectories((root / "base").string(), (root / "cur").string(),
+                       0.05, {}, 0.0, results);
+    fs::remove_all(root);
+
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].file, "gone.json");
+    EXPECT_EQ(results[0].name, "b_per_sec");
+    EXPECT_TRUE(results[0].missing);
+    EXPECT_EQ(results[1].file, "gone.json");
+    EXPECT_EQ(results[1].name, "cUs");
+    EXPECT_TRUE(results[1].missing);
+    EXPECT_EQ(results[2].file, "kept.json");
+    EXPECT_FALSE(results[2].missing);
+    EXPECT_FALSE(results[2].regressed);
 }
 
 } // namespace

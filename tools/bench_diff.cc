@@ -18,7 +18,9 @@
  * Per-metric overrides tighten or loosen individual gates; `:` and `=`
  * are both accepted as the separator:
  * `--metrics=eventq_burst_events_per_sec=0.02,reduced_elements_per_sec:0.10`.
- * Directory mode compares every *.json present in both trees.
+ * Directory mode compares every *.json of the baseline tree with the
+ * same-named report of the current tree; a report the current tree
+ * lacks fails each of its metrics as `missing`.
  * `--inject-slowdown=0.1` degrades the current side by 10% before
  * comparing — the self-test the CI gate runs to prove the gate can
  * fail. Exit codes: 0 ok, 1 regression or missing metric, 2 usage or
@@ -28,10 +30,8 @@
  * suite can test it directly.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -78,24 +78,8 @@ main(int argc, char **argv)
         namespace fs = std::filesystem;
         if (fs::is_directory(baseline_path) &&
             fs::is_directory(current_path)) {
-            // Directory mode: every *.json present on both sides.
-            std::vector<std::string> names;
-            for (const auto &entry :
-                 fs::directory_iterator(baseline_path)) {
-                if (entry.path().extension() == ".json")
-                    names.push_back(entry.path().filename().string());
-            }
-            std::sort(names.begin(), names.end());
-            for (const std::string &name : names) {
-                const fs::path cur = fs::path(current_path) / name;
-                if (!fs::exists(cur))
-                    continue;
-                compareReports(
-                    name,
-                    loadJson((fs::path(baseline_path) / name).string()),
-                    loadJson(cur.string()), tolerance, overrides,
-                    inject_slowdown, results);
-            }
+            compareDirectories(baseline_path, current_path, tolerance,
+                               overrides, inject_slowdown, results);
         } else {
             compareReports(fs::path(current_path).filename().string(),
                            loadJson(baseline_path),

@@ -2,16 +2,18 @@
  * @file
  * The comparison machinery behind tools/bench_diff.cc, extracted so the
  * unit suite (tests/test_bench_diff.cc) can exercise the JSON reader,
- * metric-direction inference, override parsing, and report comparison
- * without spawning the binary. Header-only; everything lives in
- * namespace benchdiff.
+ * metric-direction inference, override parsing, and report and
+ * directory comparison without spawning the binary. Header-only;
+ * everything lives in namespace benchdiff.
  */
 
 #ifndef FAFNIR_TOOLS_BENCH_DIFF_UTIL_HH
 #define FAFNIR_TOOLS_BENCH_DIFF_UTIL_HH
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -402,6 +404,35 @@ compareReports(const std::string &label, const JsonValue &baseline,
                           c.improvement() < -c.tolerance;
         }
         results.push_back(c);
+    }
+}
+
+/**
+ * Directory mode: compare every *.json report in @p baseline_dir, in
+ * name order, with the same-named report in @p current_dir. A report
+ * the current directory lacks compares as one without metrics, so each
+ * of its baseline metrics is a failing `missing` row: a bench that
+ * stops writing its report must not lose its gates silently.
+ */
+inline void
+compareDirectories(const std::string &baseline_dir,
+                   const std::string &current_dir, double tolerance,
+                   const std::map<std::string, double> &overrides,
+                   double inject_slowdown, std::vector<Comparison> &results)
+{
+    namespace fs = std::filesystem;
+    std::vector<std::string> names;
+    for (const auto &entry : fs::directory_iterator(baseline_dir)) {
+        if (entry.path().extension() == ".json")
+            names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    for (const std::string &name : names) {
+        const fs::path cur = fs::path(current_dir) / name;
+        compareReports(name,
+                       loadJson((fs::path(baseline_dir) / name).string()),
+                       fs::exists(cur) ? loadJson(cur.string()) : JsonValue{},
+                       tolerance, overrides, inject_slowdown, results);
     }
 }
 
