@@ -18,8 +18,9 @@
  * the fed-back residual steers the round-average toward the true value,
  * and the improvement over the stateless quantizer is reported. With
  * --payload-accuracy=PATH the whole table lands in a schema-versioned
- * JSON report — and the sweep serializes (the EF stream is
- * order-dependent), with bench::clampParallelism naming the flag.
+ * JSON report. The sweep points are stateless, so they run under
+ * --jobs with or without the report; only the EF section carries
+ * state, and it runs serially after the sweep.
  */
 
 #include <algorithm>
@@ -186,16 +187,11 @@ main(int argc, char **argv)
     flags.addString("payload-accuracy", acc_path,
                     "write the accuracy table (per-format bytes, max/mean "
                     "abs error and relative L2 vs. the exact fp32 path, "
-                    "and the EF stream) to this path; serializes the sweep");
+                    "and the EF stream) to this path");
     telemetry::TelemetrySession session("ablation_payload");
     session.registerFlags(flags);
     flags.parse(argc, argv);
     session.start();
-    // The EF stream (and the accuracy report built around it) is
-    // order-dependent carried state, so an accuracy-report run must
-    // serialize the sweep; clampParallelism names the flag.
-    if (!acc_path.empty())
-        payloadAccuracyActive() = true;
     jobs = sweepJobs(jobs);
 
     const embedding::TableConfig tables{32, 1u << 18, 512, 4};

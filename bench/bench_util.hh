@@ -29,20 +29,6 @@ namespace fafnir::bench
 {
 
 /**
- * Set while an accuracy-report run is active (--payload-accuracy): the
- * error-feedback two-bit stream carries residual state across batches
- * (embedding::TwoBitState), so sweep order matters and parallel sweeps
- * must serialize to stay deterministic. Harnesses set this before
- * clamping when the flag was given.
- */
-inline bool &
-payloadAccuracyActive()
-{
-    static bool active = false;
-    return active;
-}
-
-/**
  * The flags of every process-global facility currently forcing runs
  * serial, comma-joined ("--trace, --faults"); empty when none is
  * installed. Listing *all* active reasons matters: a user who drops
@@ -69,18 +55,16 @@ clampReasons()
     add(fault::plan() != nullptr, "--faults");
     add(series != nullptr || slo != nullptr, "--timeline/--slo");
     add(recorder != nullptr, "--debug-bundle-dir");
-    add(payloadAccuracyActive(), "--payload-accuracy");
     return why;
 }
 
 /**
  * Effective parallelism for @p flag once process-global state is in
  * play: none of the installed telemetry collectors (trace sink,
- * attribution, windowed series, SLO monitor, flight recorder), the
- * fault plan's RNG streams or the error-feedback payload stream is
- * thread-safe, so any of them forces the run serial — with a warning
- * naming the flags and the clamped flag, so a slow traced run is
- * never a silent surprise.
+ * attribution, windowed series, SLO monitor, flight recorder) nor the
+ * fault plan's RNG streams is thread-safe, so any of them forces the
+ * run serial — with a warning naming the flags and the clamped flag,
+ * so a slow traced run is never a silent surprise.
  */
 inline unsigned
 clampParallelism(unsigned requested, const char *flag)

@@ -239,26 +239,3 @@ TEST(ClampParallelism, ReportsAllActiveReasonsAtOnce)
     EXPECT_EQ(bench::clampReasons(), "--trace, --faults, --timeline/--slo");
     EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 1u);
 }
-
-TEST(ClampParallelism, PayloadAccuracySerializesSweeps)
-{
-    // The accuracy report's error-feedback stream carries per-vector
-    // residual state across rounds (order-dependent), so a sweep that
-    // writes one must run serial — and the clamp must say why.
-    ASSERT_EQ(bench::clampReasons(), "");
-    bench::payloadAccuracyActive() = true;
-    EXPECT_EQ(bench::clampReasons(), "--payload-accuracy");
-    EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 1u);
-    EXPECT_EQ(bench::sweepJobs(4), 1u);
-
-    {
-        // Composes with the other serializing facilities, listed last.
-        telemetry::TraceSink sink;
-        telemetry::ScopedContext install({.sink = &sink});
-        EXPECT_EQ(bench::clampReasons(), "--trace, --payload-accuracy");
-    }
-
-    bench::payloadAccuracyActive() = false;
-    EXPECT_EQ(bench::clampReasons(), "");
-    EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 8u);
-}
