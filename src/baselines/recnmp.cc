@@ -40,15 +40,6 @@ RankCache::access(IndexId index)
     return false;
 }
 
-void
-RankCache::clear()
-{
-    lru_.clear();
-    entries_.clear();
-    hits_ = 0;
-    accesses_ = 0;
-}
-
 RecNmpEngine::RecNmpEngine(dram::MemorySystem &memory,
                            const embedding::VectorLayout &layout,
                            const RecNmpConfig &config)
@@ -64,13 +55,6 @@ RecNmpEngine::RecNmpEngine(dram::MemorySystem &memory,
                                  : 0,
                              layout_.tables().vectorBytes,
                              config_.cacheMaxHitRate);
-}
-
-void
-RecNmpEngine::resetCaches()
-{
-    for (auto &cache : caches_)
-        cache.clear();
 }
 
 LookupTiming

@@ -54,7 +54,6 @@ class RankCache
     /** Look up @p index; inserts on miss. @return true on hit. */
     bool access(IndexId index);
 
-    void clear();
     std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }
 
@@ -115,9 +114,6 @@ class RecNmpEngine
     reduceBatch(const embedding::EmbeddingStore &store,
                 const embedding::Batch &batch,
                 embedding::ReduceOp op) const;
-
-    /** Drop all cache contents (between experiments). */
-    void resetCaches();
 
   private:
     LookupTiming lookupKeepCore(const embedding::Batch &batch, Tick start);

@@ -6,7 +6,6 @@
 #include "faultinject.hh"
 
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -17,25 +16,54 @@ namespace fafnir::fault
 namespace
 {
 
-/** Spec name plus the default magnitude of each hook, indexed by Hook. */
+/**
+ * Spec name, RNG stream id and default magnitude of each hook, indexed
+ * by Hook. The stream ids are fixed (not the enum position), so adding
+ * or removing a hook never moves another hook's (spec, seed) schedule;
+ * ids 4 and 5 belonged to removed event-queue hooks and stay unused.
+ */
 struct HookInfo
 {
     const char *name;
+    std::uint64_t stream;
     double defaultMagnitude;
 };
 
 constexpr HookInfo kHookInfo[kNumHooks] = {
-    {"dram_latency", 32.0},   // 32x nominal read latency when fired
-    {"dram_stall", 200.0},    // 200 ns command stall
-    {"event_delay", 50.0},    // up to 50 ns delivery jitter
-    {"event_drop", 0.0},      // no magnitude
-    {"event_dup", 0.0},       // no magnitude
-    {"pe_backpressure", 8.0}, // 8 extra PE cycles per fired delivery
-    {"pool_exhaust", 0.0},    // no magnitude
-    {"query_malformed", 0.0}, // no magnitude
-    {"query_oversized", 8.0}, // 8x the nominal query width
-    {"query_dup_index", 0.0}, // no magnitude
+    {"dram_latency", 1, 32.0},     // 32x nominal read latency when fired
+    {"dram_stall", 2, 200.0},      // 200 ns command stall
+    {"event_delay", 3, 50.0},      // up to 50 ns delivery jitter
+    {"pe_backpressure", 6, 8.0},   // 8 extra PE cycles per fired delivery
+    {"pool_exhaust", 7, 0.0},      // no magnitude
+    {"query_malformed", 8, 0.0},   // no magnitude
+    {"query_oversized", 9, 8.0},   // 8x the nominal query width
+    {"query_dup_index", 10, 0.0},  // no magnitude
 };
+
+/** Why a non-negative @p magnitude would leave a fired @p hook changing
+ *  nothing, or nullptr when the hook injects a fault at that magnitude
+ *  (each test mirrors the conversion at the hook's site). */
+const char *
+inertMagnitude(Hook hook, double magnitude)
+{
+    switch (hook) {
+      case Hook::DramLatency:
+        if (magnitude <= 1.0)
+            return "is a latency multiplier of at most 1";
+        return nullptr;
+      case Hook::DramStall:
+      case Hook::EventDelay:
+        if (magnitude * static_cast<double>(kTicksPerNs) < 1.0)
+            return "is under one tick (0.001 ns)";
+        return nullptr;
+      case Hook::PeBackpressure:
+        if (magnitude < 1.0)
+            return "is under one PE cycle";
+        return nullptr;
+      default:
+        return nullptr;
+    }
+}
 
 /** splitmix64 step, used to derive independent per-hook seeds. */
 std::uint64_t
@@ -70,11 +98,11 @@ hookFromName(std::string_view name)
 FaultPlan::FaultPlan(std::uint64_t seed) : seed_(seed)
 {
     // Expand the user seed into one independent stream per hook. The
-    // double-mix decorrelates adjacent hook indices; enabling or
-    // checking one hook never advances another hook's stream.
+    // double-mix decorrelates adjacent stream ids; enabling or checking
+    // one hook never advances another hook's stream.
     for (std::size_t i = 0; i < kNumHooks; ++i) {
         hooks_[i].magnitude = kHookInfo[i].defaultMagnitude;
-        hooks_[i].rng = Rng(mix(mix(seed) ^ (i + 1)));
+        hooks_[i].rng = Rng(mix(mix(seed) ^ kHookInfo[i].stream));
     }
 }
 
@@ -132,6 +160,11 @@ FaultPlan::tryParse(const std::string &spec, std::uint64_t seed,
                             "' for hook '" + name +
                             "' is not a non-negative number");
             }
+            if (const char *why = inertMagnitude(*hook, m)) {
+                return fail("fault magnitude '" + magnitude_text +
+                            "' for hook '" + name + "' " + why +
+                            ", so the hook would inject nothing");
+            }
             magnitude = m;
         }
 
@@ -160,6 +193,10 @@ FaultPlan::enable(Hook hook, double rate, std::optional<double> magnitude)
 {
     FAFNIR_ASSERT(rate >= 0.0 && rate <= 1.0, "fault rate ", rate,
                   " out of [0, 1] for hook ", toString(hook));
+    FAFNIR_ASSERT(!magnitude.has_value() ||
+                      inertMagnitude(hook, *magnitude) == nullptr,
+                  "fault magnitude ", *magnitude, " for hook ",
+                  toString(hook), " injects nothing");
     HookState &st = state(hook);
     if (st.rate <= 0.0 && rate > 0.0)
         ++armed_;
@@ -185,36 +222,6 @@ FaultPlan::totalChecked() const
     std::uint64_t total = 0;
     for (const HookState &st : hooks_)
         total += st.checked.value();
-    return total;
-}
-
-void
-FaultPlan::noteSkippedFiring(Hook hook)
-{
-    HookState &st = state(hook);
-    if (st.rate <= 0.0)
-        return;
-    ++st.skipped;
-    // One warning per hook per process: a lossy plan can skip thousands
-    // of firings per run, and the exit-time suppressed count (and the
-    // faults.<hook>.skipped stat) tells the rest. The bucket never
-    // refills.
-    if (logging::warnEvery(std::string("faults.skipped.") +
-                               toString(hook),
-                           1, std::numeric_limits<std::uint64_t>::max())) {
-        FAFNIR_WARN("fault hook ", toString(hook),
-                    " skipped a firing (every event-queue callback "
-                    "fires exactly once); further skips counted, not "
-                    "warned");
-    }
-}
-
-std::uint64_t
-FaultPlan::totalSkipped() const
-{
-    std::uint64_t total = 0;
-    for (const HookState &st : hooks_)
-        total += st.skipped.value();
     return total;
 }
 
@@ -245,19 +252,7 @@ FaultPlan::registerStats(StatGroup &g) const
                      "times the " + name + " hook was evaluated");
         g.addCounter(name + ".fired", hooks_[i].fired,
                      "faults injected at the " + name + " hook");
-        // Only the lossy event hooks skip firings (a drawn drop or
-        // dup is never applied to an event-queue callback); keep the
-        // group free of dead rows.
-        const auto hook = static_cast<Hook>(i);
-        if (hook == Hook::EventDrop || hook == Hook::EventDup) {
-            g.addCounter(name + ".skipped", hooks_[i].skipped,
-                         "drawn firings not applied (every event-queue "
-                         "callback fires exactly once)");
-        }
     }
-    g.addFormula("totalSkipped", [this] {
-        return static_cast<double>(totalSkipped());
-    }, "lossy-hook firings skipped across all hooks");
     g.addFormula("totalChecked", [this] {
         return static_cast<double>(totalChecked());
     }, "hook evaluations across all hooks");

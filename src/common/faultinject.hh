@@ -23,11 +23,13 @@
  *
  *     spec     := entry ("," entry)*
  *     entry    := hook ":" rate [":" magnitude]
- *     hook     := dram_latency | dram_stall | event_delay | event_drop
- *               | event_dup | pe_backpressure | pool_exhaust
+ *     hook     := dram_latency | dram_stall | event_delay
+ *               | pe_backpressure | pool_exhaust
  *               | query_malformed | query_oversized | query_dup_index
  *     rate     := probability in [0, 1] that the hook fires per check
- *     magnitude:= hook-specific severity (see kHookInfo defaults)
+ *     magnitude:= hook-specific severity (see kHookInfo defaults); a
+ *                 magnitude under which a fired hook would change
+ *                 nothing is rejected
  *
  * e.g. --faults dram_latency:0.1,event_delay:0.05 --fault-seed 7
  *
@@ -65,11 +67,6 @@ enum class Hook : unsigned
     DramStall,
     /** Scheduled event delivered late: magnitude = max jitter ns. */
     EventDelay,
-    /** Drawn per scheduled event and counted as skipped, never applied
-     *  (every event-queue callback fires exactly once). */
-    EventDrop,
-    /** Drawn and counted like EventDrop, never applied. */
-    EventDup,
     /** PE input delivery stalled: magnitude = extra PE cycles. */
     PeBackpressure,
     /** Value-buffer pool behaves as exhausted (no reuse). */
@@ -97,8 +94,10 @@ std::optional<Hook> hookFromName(std::string_view name);
  * A deterministic, seeded fault schedule.
  *
  * Each enabled hook owns an independent xoshiro256** stream expanded
- * from (seed, hook index), so enabling one hook never perturbs the
- * schedule of another and checks at different sites stay reproducible.
+ * from (seed, the hook's fixed stream id), so enabling one hook never
+ * perturbs the schedule of another and checks at different sites stay
+ * reproducible. Every firing is applied at its site: a hook's fired
+ * count is the number of faults it injected.
  * The plan is intended for single-threaded simulation runs; parallel
  * sweep harnesses force serial execution while a plan is installed.
  */
@@ -118,7 +117,8 @@ class FaultPlan
     /** tryParse() that dies with a clear message on a malformed spec. */
     static FaultPlan parse(const std::string &spec, std::uint64_t seed);
 
-    /** Arm @p hook at @p rate; magnitude defaults per hook. */
+    /** Arm @p hook at @p rate; magnitude defaults per hook and must
+     *  make a fired hook inject a fault (tryParse rejects the rest). */
     void enable(Hook hook, double rate,
                 std::optional<double> magnitude = std::nullopt);
 
@@ -178,9 +178,8 @@ class FaultPlan
     {
         if (!shouldFire(Hook::DramLatency))
             return 0;
-        const double mult = state(Hook::DramLatency).magnitude;
         return static_cast<Tick>(static_cast<double>(base) *
-                                 (mult > 1.0 ? mult - 1.0 : 0.0));
+                                 (state(Hook::DramLatency).magnitude - 1.0));
     }
 
     /** Transient command-stall ticks, 0 when DramStall does not fire. */
@@ -206,7 +205,7 @@ class FaultPlan
         HookState &st = state(Hook::EventDelay);
         const Tick span = static_cast<Tick>(
             st.magnitude * static_cast<double>(kTicksPerNs));
-        return span == 0 ? 0 : 1 + st.rng.nextBelow(span);
+        return 1 + st.rng.nextBelow(span);
     }
 
     /** Extra PE cycles of backpressure, 0 when the hook does not fire. */
@@ -241,25 +240,6 @@ class FaultPlan
     std::uint64_t totalChecked() const;
 
     /**
-     * Record one drawn firing of lossy @p hook that was not applied:
-     * every event-queue callback fires exactly once
-     * (EventQueue::schedule), so a drawn drop or dup is skipped. Counts
-     * under faults.<hook>.skipped so a lossy-plan run reports its
-     * effective coverage, and warns once per hook per process. No-op
-     * while the hook is unarmed.
-     */
-    void noteSkippedFiring(Hook hook);
-
-    std::uint64_t
-    skippedCount(Hook hook) const
-    {
-        return state(hook).skipped.value();
-    }
-
-    /** Total skipped applications across every hook. */
-    std::uint64_t totalSkipped() const;
-
-    /**
      * While suspended, armed hooks never fire (and draw nothing), but
      * their checked counters still advance. Used to calibrate fault-free
      * baselines without perturbing the schedule: streams do not advance
@@ -283,9 +263,6 @@ class FaultPlan
         double magnitude = 0.0;
         Counter checked;
         Counter fired;
-        /** Lossy draws skipped: drops/dups drawn for event-queue
-         *  callbacks and not applied. */
-        Counter skipped;
         Rng rng;
     };
 

@@ -60,13 +60,12 @@ struct SiteRegistry
     std::vector<Site> sites;
 
     Site &
-    get(const std::string &name, std::uint64_t capacity,
-        std::uint64_t refillEvery)
+    get(const std::string &name)
     {
         for (Site &s : sites)
             if (s.name == name)
                 return s;
-        sites.push_back({name, TokenBucket(capacity, refillEvery)});
+        sites.push_back({name, TokenBucket()});
         return sites.back();
     }
 };
@@ -107,12 +106,11 @@ registry()
 } // namespace
 
 bool
-warnEvery(const std::string &site, std::uint64_t capacity,
-          std::uint64_t refillEvery)
+warnEvery(const std::string &site)
 {
     SiteRegistry &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    return reg.get(site, capacity, refillEvery).bucket.allow();
+    return reg.get(site).bucket.allow();
 }
 
 std::uint64_t
@@ -132,12 +130,7 @@ void
 Logger::log(LogLevel level, const std::string &message, const char *file,
             int line)
 {
-    const bool is_error =
-        level == LogLevel::Panic || level == LogLevel::Fatal;
-    if (!is_error && static_cast<int>(level) > static_cast<int>(threshold_))
-        return;
-
-    if (is_error) {
+    if (level == LogLevel::Panic || level == LogLevel::Fatal) {
         std::fprintf(stderr, "%s: %s (%s:%d)\n", levelName(level),
                      message.c_str(), file, line);
     } else {

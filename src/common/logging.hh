@@ -4,7 +4,8 @@
  *
  * panic()  — an internal invariant was violated (a simulator bug); aborts.
  * fatal()  — the simulation cannot continue because of a user error
- *            (bad configuration, invalid arguments); exits with code 1.
+ *            (bad configuration, invalid arguments); exits with code 2,
+ *            the command-line usage-error status.
  * warn()   — something may work but not as well as it should.
  * inform() — normal status output.
  */
@@ -30,9 +31,7 @@ enum class LogLevel
     Debug,
 };
 
-/**
- * Global log verbosity control. Messages below the threshold are dropped.
- */
+/** The process-wide sink of every log message (stderr). */
 class Logger
 {
   public:
@@ -43,24 +42,8 @@ class Logger
     [[gnu::cold]] void log(LogLevel level, const std::string &message,
                            const char *file, int line);
 
-    /** Set the minimum level that is printed (default: Inform). */
-    void setThreshold(LogLevel level) { threshold_ = level; }
-    LogLevel threshold() const { return threshold_; }
-
-    /**
-     * Abort instead of exit on fatal() — useful under death tests.
-     * Panic always aborts.
-     */
-    void setAbortOnFatal(bool abort_on_fatal)
-    {
-        abortOnFatal_ = abort_on_fatal;
-    }
-
   private:
     Logger() = default;
-
-    LogLevel threshold_ = LogLevel::Inform;
-    bool abortOnFatal_ = false;
 };
 
 namespace detail
@@ -131,16 +114,15 @@ class TokenBucket
 
 /**
  * Should the warning identified by @p site be emitted this time?
- * Each distinct site string owns one process-wide TokenBucket
- * (created on first use with @p capacity / @p refillEvery); suppressed
- * counts are flushed to stderr at process exit so a rate-limited
- * warning can never vanish without trace. Usage:
+ * Each distinct site string owns one process-wide default TokenBucket
+ * (one warning, then one per 100 suppressed calls); suppressed counts
+ * are flushed to stderr at process exit so a rate-limited warning can
+ * never vanish without trace. Usage:
  *
  *     if (logging::warnEvery("memsystem.slow_read"))
  *         FAFNIR_WARN("read took ", ns, "ns");
  */
-bool warnEvery(const std::string &site, std::uint64_t capacity = 1,
-               std::uint64_t refillEvery = 100);
+bool warnEvery(const std::string &site);
 
 /** Suppressed-call count of @p site so far (0 for unknown sites). */
 std::uint64_t warnEverySuppressed(const std::string &site);
@@ -158,13 +140,13 @@ std::uint64_t warnEverySuppressed(const std::string &site);
         ::std::abort();                                                     \
     } while (0)
 
-/** Report an unrecoverable user error and exit. */
+/** Report an unrecoverable user error and exit with status 2. */
 #define FAFNIR_FATAL(...)                                                   \
     do {                                                                    \
         ::fafnir::Logger::instance().log(                                   \
             ::fafnir::LogLevel::Fatal,                                      \
             ::fafnir::detail::format(__VA_ARGS__), __FILE__, __LINE__);    \
-        ::std::abort();                                                     \
+        ::std::exit(2);                                                     \
     } while (0)
 
 /** Report a suspicious-but-survivable condition. */

@@ -175,16 +175,6 @@ class MemorySystem
         return refreshStalls_.value();
     }
 
-    /** Bursts served by one physical rank (traffic-balance telemetry). */
-    std::uint64_t
-    rankBurstCount(unsigned rank) const
-    {
-        return rankBursts_[rank].value();
-    }
-
-    /** Per-request read latency (ns), with percentiles. */
-    const Distribution &readLatencyNs() const { return readLatencyNs_; }
-
     /**
      * Fraction of aggregate rank-bus capacity used over @p elapsed —
      * the roofline the paper argues Fafnir fills and the baselines

@@ -129,8 +129,8 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
         const ServeSample sample = serve_(sub, at);
         FAFNIR_ASSERT(sample.complete >= at, "service went backwards");
         last_complete = sample.complete;
-        const bool faulted = config_.retryOnFault && plan != nullptr &&
-                             plan->totalFired() > fired_before;
+        const bool faulted =
+            plan != nullptr && plan->totalFired() > fired_before;
 
         if (faulted && attempt < allowed_attempts) {
             // Transient faults detected: the whole attempt is suspect.

@@ -104,9 +104,6 @@ struct GuardConfig
     unsigned maxAttempts = 3;
     /** Backoff before the first retry; doubles on each further one. */
     Tick retryBackoff = 200 * kTicksPerNs;
-    /** Retry the attempt when the installed fault plan injected faults
-     *  while it ran (models transient-fault detection, e.g. ECC/CRC). */
-    bool retryOnFault = true;
     /** Admission limits for Batch::validate (0 = unchecked). */
     std::uint64_t indexLimit = 0;
     std::size_t maxQueryWidth = 0;

@@ -151,9 +151,6 @@ class EventDrivenEngine
     const TreeTopology &topology() const { return replay_.topology(); }
     const EventEngineConfig &config() const { return config_; }
 
-    /** Per-PE activity since construction (index 1..numPes). */
-    const std::vector<PeTelemetry> &peTelemetry() const { return peStats_; }
-
     /** Register per-PE counters and occupancy formulas into @p group. */
     void registerStats(StatGroup &group) const;
 

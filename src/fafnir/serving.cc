@@ -540,8 +540,7 @@ ServingPipeline::printHealthScoreboard(std::ostream &os,
               "p99 col = end-to-end query latency");
     if (const fault::FaultPlan *plan = fault::plan()) {
         table.row("faults", plan->totalFired(), "-", "-", "-",
-                  "skippedFirings=" +
-                      std::to_string(plan->totalSkipped()));
+                  "batches col = faults injected");
     }
     if (const telemetry::SloMonitor *slo = telemetry::sloMonitor()) {
         table.row("slo", slo->totalFires(), "-", "-", "-",

@@ -309,20 +309,11 @@ EventQueue::fireNext()
 }
 
 /** Cold by design: only reached when a fault plan is installed, so the
- *  RNG draws stay out of the inlined schedule() fast path. The draw
- *  order (drop; then, unless a drop was drawn, delay and dup) is part
- *  of the determinism contract. */
+ *  event_delay draw stays out of the inlined schedule() fast path. */
 [[gnu::noinline]] Tick
 EventQueue::sampleFaults(Tick when)
 {
-    if (faultPlan_->shouldFire(fault::Hook::EventDrop)) {
-        faultPlan_->noteSkippedFiring(fault::Hook::EventDrop);
-        return when;
-    }
-    when += faultPlan_->eventDelayTicks();
-    if (faultPlan_->shouldFire(fault::Hook::EventDup))
-        faultPlan_->noteSkippedFiring(fault::Hook::EventDup);
-    return when;
+    return when + faultPlan_->eventDelayTicks();
 }
 
 bool

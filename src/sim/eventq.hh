@@ -109,14 +109,6 @@ class EventQueue
      * no way to cancel. The callable is stored inline in a pooled node
      * (no allocation when it fits the node's storage, as every callable
      * in the repo does).
-     *
-     * Fault hooks (only with a fault::FaultPlan installed when the
-     * queue is built, otherwise one member test) draw event_drop, then,
-     * unless a drop was drawn, event_delay and event_dup. Only the
-     * delay applies: a drawn event_drop or event_dup is counted as a
-     * skipped firing (faults.<hook>.skipped), because nothing would
-     * recover a lost or repeated callback (a DRAM completion, a flit
-     * between PEs, a controller drain pass).
      */
     template <typename F>
     void
@@ -227,9 +219,9 @@ class EventQueue
         return a.when != b.when ? a.when < b.when : a.order < b.order;
     }
 
-    /** Draw the fault hooks for one schedule; @return its (possibly
-     *  delayed) tick. Cold and out-of-line so the fault machinery
-     *  (three RNG streams) never bloats the inlined schedule body. */
+    /** Draw event_delay for one schedule; @return its (possibly
+     *  delayed) tick. Cold and out-of-line so the fault machinery never
+     *  bloats the inlined schedule body. */
     Tick sampleFaults(Tick when);
 
     Node *allocNode();

@@ -175,7 +175,6 @@ writeFaults(JsonWriter &json, const fault::FaultPlan &plan)
     json.member("suspended", plan.suspended());
     json.member("total_checked", plan.totalChecked());
     json.member("total_fired", plan.totalFired());
-    json.member("total_skipped", plan.totalSkipped());
     json.key("hooks");
     json.beginObject();
     for (std::size_t h = 0; h < fault::kNumHooks; ++h) {
@@ -186,7 +185,6 @@ writeFaults(JsonWriter &json, const fault::FaultPlan &plan)
         json.beginObject();
         json.member("checked", plan.checkedCount(hook));
         json.member("fired", plan.firedCount(hook));
-        json.member("skipped", plan.skippedCount(hook));
         json.endObject();
     }
     json.endObject();

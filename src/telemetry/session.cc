@@ -179,8 +179,6 @@ TelemetrySession::finish()
                           static_cast<double>(plan_->totalFired()));
         report_.setMetric("faultsChecked",
                           static_cast<double>(plan_->totalChecked()));
-        report_.setMetric("faultsSkipped",
-                          static_cast<double>(plan_->totalSkipped()));
     }
     if (monitor_) {
         // Close any window still open at the last observed tick so the

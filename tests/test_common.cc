@@ -270,11 +270,18 @@ TEST(WarnEvery, SitesAreIndependentAndCountSuppressions)
     // Site names are process-global; make them unique to this test.
     const std::string a = "test.warnevery.a";
     const std::string b = "test.warnevery.b";
-    EXPECT_TRUE(logging::warnEvery(a, 1, 100));
-    EXPECT_FALSE(logging::warnEvery(a, 1, 100));
-    EXPECT_FALSE(logging::warnEvery(a, 1, 100));
+    EXPECT_TRUE(logging::warnEvery(a));
+    EXPECT_FALSE(logging::warnEvery(a));
+    EXPECT_FALSE(logging::warnEvery(a));
     // Another site has its own bucket.
-    EXPECT_TRUE(logging::warnEvery(b, 1, 100));
+    EXPECT_TRUE(logging::warnEvery(b));
     EXPECT_EQ(logging::warnEverySuppressed(a), 2u);
     EXPECT_EQ(logging::warnEverySuppressed(b), 0u);
+}
+
+// A user error exits with the command-line usage status, not a crash.
+TEST(LoggingDeathTest, FatalExitsWithStatusTwo)
+{
+    EXPECT_EXIT(FAFNIR_FATAL("bad flag value ", 42),
+                ::testing::ExitedWithCode(2), "fatal: bad flag value 42");
 }

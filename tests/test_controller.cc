@@ -2,8 +2,7 @@
  * @file
  * Queued-controller tests: completion delivery, FCFS ordering, FR-FCFS
  * row-hit preference, starvation protection, multi-rank
- * independence, no lost or repeated request under lossy event hooks,
- * and one dram_stall draw per request.
+ * independence, and one dram_stall draw per request.
  */
 
 #include <gtest/gtest.h>
@@ -175,46 +174,6 @@ TEST(Controller, FutureArrivalsWaitForTheirTime)
                            });
     rig.eq.run();
     EXPECT_GE(completed, arrival);
-}
-
-// The lossy event hooks are drawn for every drain pass and completion
-// the controller schedules, and never applied: each request issues and
-// completes once, at the tick of a fault-free run.
-TEST(Controller, LossyHooksLoseNoRequest)
-{
-    constexpr int kRequests = 64;
-    const auto run = [] {
-        ControllerRig rig(SchedulingPolicy::FrFcfs);
-        std::vector<Tick> completed(kRequests, 0);
-        std::vector<int> fired(kRequests, 0);
-        for (int i = 0; i < kRequests; ++i) {
-            // Sixteen ranks get four requests each, to four rows of one
-            // bank; arrivals straggle, so drains also wait for requests
-            // that have not arrived yet.
-            const Addr addr = Addr(i % 16) * 512 + (Addr(i / 16) << 24);
-            rig.controller.enqueue(
-                addr, 512, Tick(i % 5) * 20 * kTicksPerNs,
-                Destination::Ndp,
-                [&completed, &fired, i](Tick when, const AccessResult &) {
-                    completed[i] = when;
-                    ++fired[i];
-                });
-        }
-        rig.eq.run();
-        EXPECT_EQ(rig.controller.issuedCount(), 64u);
-        EXPECT_EQ(rig.controller.pending(), 0u);
-        EXPECT_EQ(fired, std::vector<int>(kRequests, 1));
-        return completed;
-    };
-
-    const std::vector<Tick> reference = run();
-    for (const char *spec : {"event_drop:1", "event_dup:1"}) {
-        SCOPED_TRACE(spec);
-        fault::FaultPlan plan = fault::FaultPlan::parse(spec, 7);
-        fault::ScopedPlanInstall install(&plan);
-        EXPECT_EQ(run(), reference);
-        EXPECT_GT(plan.totalSkipped(), 0u);
-    }
 }
 
 // dram_stall is drawn where MemorySystem::read issues the request, once

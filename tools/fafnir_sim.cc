@@ -43,6 +43,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <type_traits>
 
 #include "baselines/cpu.hh"
@@ -50,6 +51,7 @@
 #include "baselines/tensordimm.hh"
 #include "baselines/two_step.hh"
 #include "common/cli.hh"
+#include "common/intmath.hh"
 #include "common/stats.hh"
 #include "dram/cmdlog.hh"
 #include "dram/memsystem.hh"
@@ -137,6 +139,43 @@ memoryShape(const Options &opt)
                            : dram::Geometry::withTotalRanks(opt.ranks);
     mem.timing = opt.hbm ? dram::Timing::hbm2() : dram::Timing::ddr4_2400();
     return mem;
+}
+
+/**
+ * Why a numeric flag of @p opt is out of range, or "" when none is.
+ * Such values would otherwise reach library assertions or print NaN.
+ */
+std::string
+flagRangeError(const Options &opt)
+{
+    // Lookup runs on HBM take their geometry from --hbm alone.
+    const bool ranked = opt.mode != "lookup" || !opt.hbm;
+    const std::uint64_t table_bytes = tableConfig().totalBytes();
+    std::ostringstream why;
+    if (ranked && !isPowerOf2(opt.ranks))
+        why << "--ranks=" << opt.ranks << " is not a power of two";
+    else if (opt.mode == "lookup" &&
+             table_bytes > memoryShape(opt).geometry.capacityBytes())
+        why << "--ranks=" << opt.ranks << " cannot hold the "
+            << (table_bytes >> 30) << " GiB of embedding tables";
+    else if (opt.batches == 0)
+        why << "--batches must be at least 1";
+    else if (opt.batch == 0)
+        why << "--batch must be at least 1";
+    else if (opt.querySize == 0)
+        why << "--query-size must be at least 1";
+    else if (!(opt.hotFraction > 0.0 && opt.hotFraction <= 1.0))
+        why << "--hot-fraction=" << opt.hotFraction << " is not in (0, 1]";
+    else if (!(opt.skew >= 0.0))
+        why << "--skew=" << opt.skew << " is negative";
+    else if (!(opt.hedgePct >= 0.0 && opt.hedgePct <= 100.0))
+        why << "--hedge-pct=" << opt.hedgePct
+            << " is not a percentile in [0, 100]";
+    else if (opt.nodes == 0)
+        why << "--nodes must be at least 1";
+    else if (opt.reach == 0)
+        why << "--reach must be at least 1";
+    return why.str();
 }
 
 std::vector<embedding::Batch>
@@ -942,6 +981,10 @@ main(int argc, char **argv)
     telemetry::TelemetrySession session("fafnir_sim");
     session.registerFlags(flags);
     flags.parse(argc, argv);
+    if (const std::string error = flagRangeError(opt); !error.empty()) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        return 2;
+    }
     session.start();
 
     if (!embedding::parsePayloadFormat(opt.payloadName, opt.payload)) {
