@@ -26,7 +26,7 @@ TensorDimmEngine::TensorDimmEngine(dram::MemorySystem &memory,
 }
 
 dram::Coordinates
-TensorDimmEngine::sliceCoords(unsigned rank, IndexId index) const
+TensorDimmEngine::sliceCoords(IndexId index) const
 {
     const dram::Geometry &g = memory_.geometry();
 
@@ -37,11 +37,6 @@ TensorDimmEngine::sliceCoords(unsigned rank, IndexId index) const
     const std::uint64_t row_linear = offset / g.rowBytes;
 
     dram::Coordinates c;
-    const unsigned ranks_per_channel = g.ranksPerChannel();
-    c.channel = rank / ranks_per_channel;
-    const unsigned in_channel = rank % ranks_per_channel;
-    c.dimm = in_channel / g.ranksPerDimm;
-    c.rank = in_channel % g.ranksPerDimm;
     c.bank = static_cast<unsigned>(row_linear % g.banksPerRank);
     c.row = (row_linear / g.banksPerRank) % g.rowsPerBank;
     c.column = static_cast<unsigned>(offset % g.rowBytes);
@@ -75,18 +70,37 @@ TensorDimmEngine::lookup(const embedding::Batch &batch, Tick start)
     timing.memLast = start;
     timing.queryComplete.assign(batch.size(), 0);
 
+    // Every rank holds each slice at the same bank, row and column, so
+    // the references' coordinates are computed once per batch.
+    std::vector<dram::Coordinates> slices;
+    slices.reserve(batch.totalIndices());
+    for (const auto &query : batch.queries) {
+        for (IndexId index : query.indices)
+            slices.push_back(sliceCoords(index));
+    }
+
     // Every rank runs the same serial slice pipeline over the batch; the
     // next read is issued once the current one's data starts returning
     // (command pipelining), and the adder folds slices as they land.
     std::vector<Tick> reduce_done(batch.size(), 0);
+    const unsigned ranks_per_channel = g.ranksPerChannel();
     for (unsigned rank = 0; rank < ranks; ++rank) {
+        const unsigned in_channel = rank % ranks_per_channel;
+        dram::Coordinates at;
+        at.channel = rank / ranks_per_channel;
+        at.dimm = in_channel / g.ranksPerDimm;
+        at.rank = in_channel % g.ranksPerDimm;
+        auto slice = slices.cbegin();
         Tick next_issue = start;
         for (const auto &query : batch.queries) {
             Tick partial = 0;
             for (std::size_t k = 0; k < query.indices.size(); ++k) {
+                at.bank = slice->bank;
+                at.row = slice->row;
+                at.column = slice->column;
+                ++slice;
                 const auto result = memory_.readAt(
-                    sliceCoords(rank, query.indices[k]), sliceBytes_,
-                    next_issue, dram::Destination::Ndp);
+                    at, sliceBytes_, next_issue, dram::Destination::Ndp);
                 ++timing.memAccesses;
                 timing.memLast = std::max(timing.memLast, result.complete);
                 // The NDP pipeline is a dependent chain: the next slice

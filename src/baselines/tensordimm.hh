@@ -64,8 +64,9 @@ class TensorDimmEngine
     unsigned sliceBytes() const { return sliceBytes_; }
 
   private:
-    /** Rank-local coordinates of vector @p index's slice on @p rank. */
-    dram::Coordinates sliceCoords(unsigned rank, IndexId index) const;
+    /** Bank, row and column of vector @p index's slice, the same on
+     *  every rank (channel, DIMM and rank are left 0). */
+    dram::Coordinates sliceCoords(IndexId index) const;
 
     dram::MemorySystem &memory_;
     embedding::TableConfig tables_;

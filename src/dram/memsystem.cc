@@ -18,11 +18,15 @@ MemorySystem::MemorySystem(EventQueue &eq, const Geometry &geometry,
                            const Timing &timing, Interleave interleave,
                            unsigned block_bytes)
     : eventq_(eq), timing_(timing),
-      mapper_(geometry, interleave, block_bytes)
+      mapper_(geometry, interleave, block_bytes),
+      burstShift_(floorLog2(geometry.burstBytes))
 {
     ranks_.resize(geometry.totalRanks());
     for (auto &rank : ranks_)
         rank.banks.resize(geometry.banksPerRank);
+    bankGroup_.resize(geometry.banksPerRank);
+    for (unsigned bank = 0; bank < geometry.banksPerRank; ++bank)
+        bankGroup_[bank] = static_cast<int>(bank % geometry.bankGroups);
     channels_.resize(geometry.channels);
     rankBursts_.resize(geometry.totalRanks());
 }
@@ -33,7 +37,8 @@ MemorySystem::reset()
     for (auto &rank : ranks_) {
         for (auto &bank : rank.banks)
             bank = BankState{};
-        rank.actWindow.clear();
+        rank.fawRing = {};
+        rank.fawOldest = 0;
         rank.nextAct = 0;
         rank.busFreeAt = 0;
         rank.nextRefresh = 0;
@@ -58,12 +63,6 @@ MemorySystem::reset()
     readLatencyNs_.reset();
 }
 
-MemorySystem::RankState &
-MemorySystem::rankState(const Coordinates &coords)
-{
-    return ranks_[coords.globalRank(mapper_.geometry())];
-}
-
 Tick
 MemorySystem::refreshAdjust(RankState &rank, Tick t)
 {
@@ -84,10 +83,11 @@ MemorySystem::refreshAdjust(RankState &rank, Tick t)
 }
 
 Tick
-MemorySystem::accessBurst(const Coordinates &coords, Tick earliest,
-                          Destination dest, AccessResult &result)
+MemorySystem::accessBurst(const Coordinates &coords, unsigned global_rank,
+                          Tick earliest, Destination dest,
+                          AccessResult &result)
 {
-    RankState &rank = rankState(coords);
+    RankState &rank = ranks_[global_rank];
     earliest = refreshAdjust(rank, earliest);
     BankState &bank = rank.banks[coords.bank];
     ChannelState &channel = channels_[coords.channel];
@@ -95,8 +95,7 @@ MemorySystem::accessBurst(const Coordinates &coords, Tick earliest,
 
     // Bank-group pacing: back-to-back CAS commands in the same group
     // space at tCCD_L, across groups at tCCD_S.
-    const int group = static_cast<int>(
-        coords.bank % mapper_.geometry().bankGroups);
+    const int group = bankGroup_[coords.bank];
     Tick group_ready = earliest;
     if (rank.lastCasGroup >= 0) {
         group_ready = rank.lastCasAt + (group == rank.lastCasGroup
@@ -112,8 +111,6 @@ MemorySystem::accessBurst(const Coordinates &coords, Tick earliest,
     } else {
         ++result.rowMisses;
         ++rowMisses_;
-        const unsigned global_rank =
-            coords.globalRank(mapper_.geometry());
         Tick act_ready = earliest;
         if (bank.openRow >= 0) {
             const Tick pre = std::max(earliest, bank.nextPre);
@@ -126,17 +123,16 @@ MemorySystem::accessBurst(const Coordinates &coords, Tick earliest,
             }
         }
         // tRRD and tFAW activation constraints within the rank.
-        Tick act = std::max({act_ready, rank.nextAct, bank.nextAct});
-        if (rank.actWindow.size() >= 4)
-            act = std::max(act, rank.actWindow.front() + timing_.tFAW);
+        const Tick act = std::max({act_ready, rank.nextAct, bank.nextAct,
+                                   rank.fawRing[rank.fawOldest]});
         if (commandLog_) {
             commandLog_->record(act, global_rank, coords.bank, coords.row,
                                 DramCommand::Act);
         }
 
-        rank.actWindow.push_back(act);
-        while (rank.actWindow.size() > 4)
-            rank.actWindow.pop_front();
+        // The new ACT replaces the oldest of the last four.
+        rank.fawRing[rank.fawOldest] = act + timing_.tFAW;
+        rank.fawOldest = (rank.fawOldest + 1) % RankState::kFawActs;
         rank.nextAct = act + timing_.tRRD;
         bank.nextAct = act + timing_.tRC();
         bank.openRow = row;
@@ -171,55 +167,49 @@ MemorySystem::accessBurst(const Coordinates &coords, Tick earliest,
     rank.lastCasGroup = group;
     rank.lastCasAt = eff_cas;
     if (commandLog_) {
-        commandLog_->record(eff_cas,
-                            coords.globalRank(mapper_.geometry()),
-                            coords.bank, coords.row, DramCommand::Read);
+        commandLog_->record(eff_cas, global_rank, coords.bank, coords.row,
+                            DramCommand::Read);
     }
 
     if (result.bursts == 0)
         result.firstData = data_start;
     ++result.bursts;
     ++bursts_;
-    ++rankBursts_[coords.globalRank(mapper_.geometry())];
+    ++rankBursts_[global_rank];
     return complete;
 }
 
 namespace
 {
 
+// The helpers below are cold: callers test the sink or plan pointer
+// first, so a read without tracing or faults pays one branch each, not
+// a call.
+
 /** One span per read request on the owning rank's trace track. */
-void
-traceRead(const Coordinates &coords, const Geometry &geometry,
-          unsigned bytes, Tick earliest, const AccessResult &result,
-          std::uint64_t flow)
+[[gnu::cold]] void
+traceRead(telemetry::TraceSink &ts, unsigned rank, unsigned bytes,
+          Tick earliest, const AccessResult &result, std::uint64_t flow)
 {
-    auto *ts = telemetry::sink();
-    if (ts == nullptr)
-        return;
-    const unsigned rank = coords.globalRank(geometry);
-    ts->setThreadName(telemetry::kPidDram, static_cast<int>(rank),
-                      "rank " + std::to_string(rank));
-    ts->completeEvent(telemetry::kPidDram, static_cast<int>(rank),
-                      "dram.read", "rd", earliest,
-                      result.complete - earliest,
-                      {{"bytes", static_cast<double>(bytes)},
-                       {"rowHits", static_cast<double>(result.rowHits)},
-                       {"rowMisses",
-                        static_cast<double>(result.rowMisses)},
-                       {"flow", static_cast<double>(flow)}});
+    ts.setThreadName(telemetry::kPidDram, static_cast<int>(rank),
+                     "rank " + std::to_string(rank));
+    ts.completeEvent(telemetry::kPidDram, static_cast<int>(rank),
+                     "dram.read", "rd", earliest,
+                     result.complete - earliest,
+                     {{"bytes", static_cast<double>(bytes)},
+                      {"rowHits", static_cast<double>(result.rowHits)},
+                      {"rowMisses", static_cast<double>(result.rowMisses)},
+                      {"flow", static_cast<double>(flow)}});
 }
 
 /**
  * Transient command stall before issuing a read (dram_stall hook).
  * @return the possibly-delayed issue time.
  */
-Tick
-injectCommandStall(Tick earliest)
+[[gnu::cold]] Tick
+injectCommandStall(fault::FaultPlan &plan, Tick earliest)
 {
-    fault::FaultPlan *p = fault::plan();
-    if (p == nullptr)
-        return earliest;
-    const Tick stall = p->dramStallTicks();
+    const Tick stall = plan.dramStallTicks();
     if (stall == 0)
         return earliest;
     if (auto *ts = telemetry::sink()) {
@@ -237,13 +227,10 @@ injectCommandStall(Tick earliest)
  * arrive late, modelling ECC retries or thermal throttling on the DIMM.
  * @return the possibly-extended completion time.
  */
-Tick
-injectReadLatency(Tick earliest, Tick complete)
+[[gnu::cold]] Tick
+injectReadLatency(fault::FaultPlan &plan, Tick earliest, Tick complete)
 {
-    fault::FaultPlan *p = fault::plan();
-    if (p == nullptr)
-        return complete;
-    const Tick extra = p->dramLatencyExtra(complete - earliest);
+    const Tick extra = plan.dramLatencyExtra(complete - earliest);
     if (extra == 0)
         return complete;
     if (auto *ts = telemetry::sink()) {
@@ -262,7 +249,9 @@ MemorySystem::read(Addr addr, unsigned bytes, Tick earliest,
                    Destination dest)
 {
     FAFNIR_ASSERT(bytes > 0, "zero-length read");
-    earliest = injectCommandStall(earliest);
+    fault::FaultPlan *faults = fault::plan();
+    if (faults != nullptr)
+        earliest = injectCommandStall(*faults, earliest);
     const Geometry &g = mapper_.geometry();
 
     AccessResult result;
@@ -270,14 +259,33 @@ MemorySystem::read(Addr addr, unsigned bytes, Tick earliest,
     Tick complete = earliest;
     const Addr first = addr & ~Addr(g.burstBytes - 1);
     const Addr last = (addr + bytes - 1) & ~Addr(g.burstBytes - 1);
+    // Under BlockRank a block sits in one rank, bank and row, so only a
+    // block's first burst is decoded; its other bursts advance the
+    // column. Capacity and rows hold whole blocks, so decode's range
+    // checks on the first burst cover the rest of the block.
+    const Addr block_mask = mapper_.policy() == Interleave::BlockRank
+        ? Addr(mapper_.blockBytes() - 1)
+        : Addr(0);
     // The first burst's coordinates also tag the trace and the recorder.
     const Coordinates head = mapper_.decode(first);
-    complete = std::max(complete, accessBurst(head, earliest, dest, result));
+    const unsigned head_rank = head.globalRank(g);
+    complete = std::max(complete,
+                        accessBurst(head, head_rank, earliest, dest, result));
+    Coordinates c = head;
+    unsigned rank = head_rank;
     for (Addr a = first + g.burstBytes; a <= last; a += g.burstBytes) {
-        complete = std::max(
-            complete, accessBurst(mapper_.decode(a), earliest, dest, result));
+        if ((a & block_mask) != 0) {
+            c.column += g.burstBytes;
+        } else {
+            c = mapper_.decode(a);
+            rank = c.globalRank(g);
+        }
+        complete = std::max(complete,
+                            accessBurst(c, rank, earliest, dest, result));
     }
-    result.complete = injectReadLatency(earliest, complete);
+    result.complete = faults != nullptr
+        ? injectReadLatency(*faults, earliest, complete)
+        : complete;
 
     if (dest == Destination::Host)
         bytesToHost_ += bytes;
@@ -285,7 +293,10 @@ MemorySystem::read(Addr addr, unsigned bytes, Tick earliest,
         bytesToNdp_ += bytes;
     readLatencyNs_.sample(
         static_cast<double>(result.complete - earliest) / kTicksPerNs);
-    traceRead(head, g, bytes, earliest, result, eventq_.currentFlow());
+    if (auto *ts = telemetry::sink()) {
+        traceRead(*ts, head_rank, bytes, earliest, result,
+                  eventq_.currentFlow());
+    }
     // code = rank of the first burst; a = bytes, b = service ticks.
     if (auto *rec = telemetry::flightRecorder()) {
         rec->record(telemetry::Stage::DramService, result.complete,
@@ -299,19 +310,24 @@ MemorySystem::readAt(const Coordinates &coords, unsigned bytes,
                      Tick earliest, Destination dest)
 {
     FAFNIR_ASSERT(bytes > 0, "zero-length read");
-    earliest = injectCommandStall(earliest);
+    fault::FaultPlan *faults = fault::plan();
+    if (faults != nullptr)
+        earliest = injectCommandStall(*faults, earliest);
     const Geometry &g = mapper_.geometry();
 
     AccessResult result;
     ++reads_;
     Tick complete = earliest;
+    const unsigned rank = coords.globalRank(g);
+    const unsigned burst_mask = g.burstBytes - 1;
     Coordinates c = coords;
-    c.column &= ~(g.burstBytes - 1);
-    const unsigned bursts = static_cast<unsigned>(
-        divCeil(bytes + coords.column % g.burstBytes, g.burstBytes));
+    c.column &= ~burst_mask;
+    const auto bursts = static_cast<unsigned>(
+        (std::uint64_t(bytes) + (coords.column & burst_mask) + burst_mask) >>
+        burstShift_);
     for (unsigned i = 0; i < bursts; ++i) {
         complete = std::max(complete,
-                            accessBurst(c, earliest, dest, result));
+                            accessBurst(c, rank, earliest, dest, result));
         c.column += g.burstBytes;
         if (c.column >= g.rowBytes) {
             c.column = 0;
@@ -319,15 +335,17 @@ MemorySystem::readAt(const Coordinates &coords, unsigned bytes,
             FAFNIR_ASSERT(c.row < g.rowsPerBank, "readAt ran off the bank");
         }
     }
-    result.complete = injectReadLatency(earliest, complete);
+    result.complete = faults != nullptr
+        ? injectReadLatency(*faults, earliest, complete)
+        : complete;
     if (dest == Destination::Host)
         bytesToHost_ += bytes;
     else
         bytesToNdp_ += bytes;
     readLatencyNs_.sample(
         static_cast<double>(result.complete - earliest) / kTicksPerNs);
-    traceRead(coords, g, bytes, earliest, result,
-              eventq_.currentFlow());
+    if (auto *ts = telemetry::sink())
+        traceRead(*ts, rank, bytes, earliest, result, eventq_.currentFlow());
     return result;
 }
 

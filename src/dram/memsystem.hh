@@ -23,13 +23,18 @@
  * advances the resources. Requests must be presented in non-decreasing
  * `earliest` order per caller for meaningful contention; the engines in
  * this repository do so by construction.
+ *
+ * Host cost per read: under Interleave::BlockRank, read() decodes the
+ * first burst of each block and advances the column for the block's
+ * other bursts, since a block sits in one rank, bank and row. Each rank
+ * keeps the tFAW expiry of its last four ACTs in a fixed ring.
  */
 
 #ifndef FAFNIR_DRAM_MEMSYSTEM_HH
 #define FAFNIR_DRAM_MEMSYSTEM_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -213,9 +218,15 @@ class MemorySystem
 
     struct RankState
     {
+        /** ACTs per tFAW window. */
+        static constexpr unsigned kFawActs = 4;
+
         std::vector<BankState> banks;
-        /** Sliding window of the last four ACT times (tFAW). */
-        std::deque<Tick> actWindow;
+        /** When each of the last kFawActs ACTs leaves the tFAW window
+         *  (its tick + tFAW); 0 in slots no ACT has filled yet. */
+        std::array<Tick, kFawActs> fawRing{};
+        /** Slot of the oldest ACT, where the next one is written. */
+        unsigned fawOldest = 0;
         /** Earliest next ACT anywhere in the rank (tRRD). */
         Tick nextAct = 0;
         /** Rank-internal data bus. */
@@ -240,17 +251,20 @@ class MemorySystem
         Tick busFreeAt = 0;
     };
 
-    /** One burst; returns delivery-complete tick. */
-    Tick accessBurst(const Coordinates &coords, Tick earliest,
-                     Destination dest, AccessResult &result);
-
-    RankState &rankState(const Coordinates &coords);
+    /** One burst on flat rank @p global_rank (coords.globalRank());
+     *  returns delivery-complete tick. */
+    Tick accessBurst(const Coordinates &coords, unsigned global_rank,
+                     Tick earliest, Destination dest, AccessResult &result);
 
     EventQueue &eventq_;
     Timing timing_;
     AddressMapper mapper_;
+    /** log2 of the burst size (a checked power of two). */
+    unsigned burstShift_;
     CommandLog *commandLog_ = nullptr;
     std::vector<RankState> ranks_;
+    /** Bank group of each bank index within a rank. */
+    std::vector<int> bankGroup_;
     std::vector<ChannelState> channels_;
 
     Counter reads_;

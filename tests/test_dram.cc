@@ -9,6 +9,7 @@
 
 #include "common/random.hh"
 #include "dram/address.hh"
+#include "dram/cmdlog.hh"
 #include "dram/config.hh"
 #include "dram/memsystem.hh"
 #include "dram/timing.hh"
@@ -211,11 +212,11 @@ TEST(MemorySystem, FawLimitsActivationBursts)
 {
     EventQueue eq;
     auto mem = makeSystem(eq);
-    const Geometry &g = mem.geometry();
-    // Five row activations in distinct banks of one rank.
-    Tick complete = 0;
+    CommandLog log;
+    mem.attachCommandLog(&log);
+    // Row activations in distinct banks of one rank.
     std::vector<Tick> completions;
-    for (unsigned bank = 0; bank < 5; ++bank) {
+    for (unsigned bank = 0; bank < 9; ++bank) {
         Coordinates c;
         c.channel = 0;
         c.dimm = 0;
@@ -223,14 +224,74 @@ TEST(MemorySystem, FawLimitsActivationBursts)
         c.bank = bank;
         c.row = 7;
         c.column = 0;
-        const auto r = mem.readAt(c, 64, 0, Destination::Ndp);
-        completions.push_back(r.complete);
-        complete = std::max(complete, r.complete);
+        completions.push_back(
+            mem.readAt(c, 64, 0, Destination::Ndp).complete);
     }
-    (void)g;
     // The fifth activation cannot start before first_act + tFAW.
     const Timing t = mem.timing();
     EXPECT_GE(completions[4], t.tFAW + t.tRCD + t.tCL + t.tBurst);
+
+    // Each ACT waits for tRRD after the previous one and for tFAW after
+    // the one four back: exactly the oldest of the last four, no later.
+    std::vector<Tick> acts;
+    for (const CommandRecord &r : log.records())
+        if (r.command == DramCommand::Act)
+            acts.push_back(r.at);
+    ASSERT_EQ(acts.size(), 9u);
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+        Tick expected = i == 0 ? 0 : acts[i - 1] + t.tRRD;
+        if (i >= 4)
+            expected = std::max(expected, acts[i - 4] + t.tFAW);
+        EXPECT_EQ(acts[i], expected) << "ACT " << i;
+    }
+}
+
+TEST(MemorySystem, MultiBurstReadMatchesItsBurstsOneAtATime)
+{
+    // read() decodes a block's first burst and advances the column for
+    // the rest; its commands must equal those of each burst decoded and
+    // read on its own, across block (and so rank) boundaries.
+    EventQueue eq;
+    auto whole = makeSystem(eq);
+    auto bursts = makeSystem(eq);
+    CommandLog whole_log;
+    CommandLog burst_log;
+    whole.attachCommandLog(&whole_log);
+    bursts.attachCommandLog(&burst_log);
+
+    struct Access
+    {
+        Addr addr;
+        unsigned bytes;
+        Destination dest;
+    };
+    Tick earliest = 0;
+    for (const Access &access :
+         {Access{512 * 77 - 64, 512, Destination::Ndp},
+          Access{512 * 40 + 128, 1024, Destination::Host}}) {
+        const auto result =
+            whole.read(access.addr, access.bytes, earliest, access.dest);
+        const unsigned burst = whole.geometry().burstBytes;
+        const Addr first = access.addr / burst * burst;
+        for (Addr a = first; a < access.addr + access.bytes; a += burst) {
+            bursts.readAt(bursts.mapper().decode(a), burst, earliest,
+                          access.dest);
+        }
+        earliest = result.complete;
+    }
+
+    ASSERT_GT(whole_log.size(), 24u);
+    ASSERT_EQ(whole_log.size(), burst_log.size());
+    for (std::size_t i = 0; i < whole_log.size(); ++i) {
+        const CommandRecord &w = whole_log.records()[i];
+        const CommandRecord &b = burst_log.records()[i];
+        SCOPED_TRACE(i);
+        EXPECT_EQ(w.at, b.at);
+        EXPECT_EQ(w.rank, b.rank);
+        EXPECT_EQ(w.bank, b.bank);
+        EXPECT_EQ(w.row, b.row);
+        EXPECT_EQ(w.command, b.command);
+    }
 }
 
 TEST(MemorySystem, CountersTrackDestinations)

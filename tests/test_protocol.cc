@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/cpu.hh"
+#include "baselines/recnmp.hh"
+#include "baselines/tensordimm.hh"
 #include "common/random.hh"
 #include "dram/cmdlog.hh"
 #include "dram/memsystem.hh"
@@ -30,22 +33,28 @@ firstRule(const std::vector<ProtocolViolation> &violations)
 
 TEST(Protocol, RandomReadStreamIsClean)
 {
-    EventQueue eq;
-    MemorySystem mem(eq, Geometry{}, Timing::ddr4_2400(),
-                     Interleave::BlockRank, 512);
-    CommandLog log;
-    mem.attachCommandLog(&log);
+    // LineChannel decodes every burst of a read; BlockRank only the
+    // first burst of each block.
+    for (const Interleave policy :
+         {Interleave::BlockRank, Interleave::LineChannel}) {
+        SCOPED_TRACE(policy == Interleave::BlockRank ? "BlockRank"
+                                                     : "LineChannel");
+        EventQueue eq;
+        MemorySystem mem(eq, Geometry{}, Timing::ddr4_2400(), policy, 512);
+        CommandLog log;
+        mem.attachCommandLog(&log);
 
-    Rng rng(12);
-    Tick t = 0;
-    for (int i = 0; i < 2000; ++i) {
-        const Addr addr = rng.nextBelow(1u << 28) & ~Addr(511);
-        t = mem.read(addr, 512, t, Destination::Ndp).complete;
+        Rng rng(12);
+        Tick t = 0;
+        for (int i = 0; i < 2000; ++i) {
+            const Addr addr = rng.nextBelow(1u << 28) & ~Addr(511);
+            t = mem.read(addr, 512, t, Destination::Ndp).complete;
+        }
+        ASSERT_GT(log.size(), 2000u);
+        const auto violations =
+            checkProtocol(log, mem.timing(), mem.geometry());
+        EXPECT_TRUE(violations.empty()) << firstRule(violations);
     }
-    ASSERT_GT(log.size(), 2000u);
-    const auto violations =
-        checkProtocol(log, mem.timing(), mem.geometry());
-    EXPECT_TRUE(violations.empty()) << firstRule(violations);
 }
 
 TEST(Protocol, ParallelRankTrafficIsClean)
@@ -69,15 +78,7 @@ TEST(Protocol, ParallelRankTrafficIsClean)
 
 TEST(Protocol, FullLookupEngineIsClean)
 {
-    EventQueue eq;
     embedding::TableConfig tables{32, 1u << 16, 512, 4};
-    MemorySystem mem(eq, Geometry{}, Timing::ddr4_2400(),
-                     Interleave::BlockRank, 512);
-    CommandLog log;
-    mem.attachCommandLog(&log);
-    embedding::VectorLayout layout(tables, mem.mapper());
-    core::FafnirEngine engine(mem, layout, core::EngineConfig{});
-
     embedding::WorkloadConfig wc;
     wc.tables = tables;
     wc.batchSize = 32;
@@ -88,12 +89,34 @@ TEST(Protocol, FullLookupEngineIsClean)
     std::vector<embedding::Batch> batches;
     for (int i = 0; i < 8; ++i)
         batches.push_back(gen.next());
-    engine.lookupMany(batches, 0);
 
-    ASSERT_GT(log.size(), 100u);
-    const auto violations =
-        checkProtocol(log, mem.timing(), mem.geometry());
-    EXPECT_TRUE(violations.empty()) << firstRule(violations);
+    // Every engine's command stream on the same batches; TensorDIMM is
+    // the only one that reads through readAt.
+    for (const char *engine : {"fafnir", "cpu", "recnmp", "tensordimm"}) {
+        SCOPED_TRACE(engine);
+        const std::string name = engine;
+        EventQueue eq;
+        MemorySystem mem(eq, Geometry{}, Timing::ddr4_2400(),
+                         Interleave::BlockRank, 512);
+        CommandLog log;
+        mem.attachCommandLog(&log);
+        embedding::VectorLayout layout(tables, mem.mapper());
+        if (name == "fafnir") {
+            core::FafnirEngine(mem, layout, core::EngineConfig{})
+                .lookupMany(batches, 0);
+        } else if (name == "cpu") {
+            baselines::CpuEngine(mem, layout).lookupMany(batches, 0);
+        } else if (name == "recnmp") {
+            baselines::RecNmpEngine(mem, layout).lookupMany(batches, 0);
+        } else {
+            baselines::TensorDimmEngine(mem, tables).lookupMany(batches, 0);
+        }
+
+        ASSERT_GT(log.size(), 100u);
+        const auto violations =
+            checkProtocol(log, mem.timing(), mem.geometry());
+        EXPECT_TRUE(violations.empty()) << firstRule(violations);
+    }
 }
 
 TEST(Protocol, CheckerCatchesEarlyRead)
