@@ -261,8 +261,10 @@ injectQueryFaults(Batch &batch, std::uint64_t index_limit)
             touched = true;
         }
 
-        if (p->shouldFire(fault::Hook::QueryDupIndex) &&
-            !q.indices.empty()) {
+        // An empty query has no index to duplicate, so the hook is not
+        // drawn for it: a firing always injects a fault.
+        if (!q.indices.empty() &&
+            p->shouldFire(fault::Hook::QueryDupIndex)) {
             Rng &rng = p->rngOf(fault::Hook::QueryDupIndex);
             const std::size_t at = rng.nextBelow(q.indices.size());
             q.indices.insert(q.indices.begin() +

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
+#include "common/faultinject.hh"
 #include "embedding/batcher.hh"
 #include "embedding/generator.hh"
 #include "fafnir/engine.hh"
@@ -219,4 +221,36 @@ TEST(Batcher, SimilarityReducesEngineReads)
 
     EXPECT_LT(total_reads(BatchPolicy::Similarity),
               total_reads(BatchPolicy::Fifo));
+}
+
+TEST(QueryFaults, DupIndexFiresOnlyWhenItDuplicates)
+{
+    // query_malformed empties some queries before query_dup_index sees
+    // them; a fired dup hook must leave its query with a repeated index.
+    fault::FaultPlan plan =
+        fault::FaultPlan::parse("query_malformed:1,query_dup_index:1", 7);
+    fault::ScopedPlanInstall install(&plan);
+
+    WorkloadConfig wc;
+    wc.tables = {32, 1u << 20, 512, 4};
+    wc.batchSize = 16;
+    wc.querySize = 16;
+    BatchGenerator gen(wc, 7);
+    std::size_t empty = 0;
+    std::size_t repeated = 0;
+    for (int b = 0; b < 4; ++b) {
+        Batch batch = gen.next();
+        injectQueryFaults(batch, wc.tables.totalVectors());
+        for (const Query &q : batch.queries) {
+            std::vector<IndexId> sorted(q.indices.begin(), q.indices.end());
+            std::sort(sorted.begin(), sorted.end());
+            empty += sorted.empty();
+            repeated += std::adjacent_find(sorted.begin(), sorted.end()) !=
+                        sorted.end();
+        }
+    }
+    // The plan must have exercised both sides of the rule.
+    EXPECT_GT(empty, 0u);
+    EXPECT_GT(repeated, 0u);
+    EXPECT_EQ(plan.firedCount(fault::Hook::QueryDupIndex), repeated);
 }
