@@ -5,6 +5,7 @@
 
 #include "faultinject.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -63,6 +64,16 @@ inertMagnitude(Hook hook, double magnitude)
       default:
         return nullptr;
     }
+}
+
+/** The shortest text that strtod reads back as exactly @p value. */
+std::string
+shortestText(double value)
+{
+    char buf[32];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+    FAFNIR_ASSERT(ec == std::errc(), "cannot format ", value);
+    return std::string(buf, end);
 }
 
 /** splitmix64 step, used to derive independent per-hook seeds. */
@@ -236,9 +247,9 @@ FaultPlan::describe() const
         if (!first)
             os << ",";
         first = false;
-        os << kHookInfo[i].name << ":" << hooks_[i].rate;
+        os << kHookInfo[i].name << ":" << shortestText(hooks_[i].rate);
         if (hooks_[i].magnitude != kHookInfo[i].defaultMagnitude)
-            os << ":" << hooks_[i].magnitude;
+            os << ":" << shortestText(hooks_[i].magnitude);
     }
     return os.str();
 }

@@ -165,6 +165,9 @@ class FaultPlan
         fireListener_ = std::move(listener);
     }
 
+    /** Firing probability of @p hook (0 when disarmed). */
+    double rate(Hook hook) const { return state(hook).rate; }
+
     /** Configured severity of @p hook (default when not overridden). */
     double magnitude(Hook hook) const { return state(hook).magnitude; }
 
@@ -250,7 +253,9 @@ class FaultPlan
 
     std::uint64_t seed() const { return seed_; }
 
-    /** Canonical spec string of the armed hooks ("" when none). */
+    /** Canonical spec string of the armed hooks ("" when none). Rates
+     *  and magnitudes print as the shortest text that parses back to
+     *  the same double, so parse(describe()) rebuilds this plan. */
     std::string describe() const;
 
     /** Register per-hook checked/fired counters plus totals on @p g. */

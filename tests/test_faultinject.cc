@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -267,6 +268,30 @@ TEST(FaultPlan, DescribeRoundTrips)
     fault::FaultPlan explicit_default =
         fault::FaultPlan::parse("dram_latency:0.5:32", 1);
     EXPECT_EQ(explicit_default.describe(), "dram_latency:0.5");
+}
+
+TEST(FaultPlan, DescribeReparsesToTheSamePlan)
+{
+    // Rates and magnitudes that a 6-digit print would round: the first
+    // to an inert magnitude, the second to another rate.
+    for (const char *spec :
+         {"dram_latency:0.05:1.0000001", "dram_latency:0.123456789:2",
+          "dram_stall:1e-07:123456.789,event_delay:0.333333333333:0.0015",
+          "pe_backpressure:0.999999999:100000,query_oversized:1:2.5",
+          "pool_exhaust:0.1,query_malformed:0.25,query_dup_index:1e-09"}) {
+        SCOPED_TRACE(spec);
+        const fault::FaultPlan plan = fault::FaultPlan::parse(spec, 3);
+        const std::string text = plan.describe();
+        std::string error;
+        const std::optional<fault::FaultPlan> back =
+            fault::FaultPlan::tryParse(text, 3, &error);
+        ASSERT_TRUE(back.has_value()) << text << ": " << error;
+        for (std::size_t i = 0; i < fault::kNumHooks; ++i) {
+            const auto hook = static_cast<fault::Hook>(i);
+            EXPECT_EQ(back->rate(hook), plan.rate(hook)) << text;
+            EXPECT_EQ(back->magnitude(hook), plan.magnitude(hook)) << text;
+        }
+    }
 }
 
 TEST(FaultPlan, SuspensionDoesNotAdvanceStreams)
