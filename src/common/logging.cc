@@ -25,10 +25,6 @@ levelName(LogLevel level)
         return "fatal";
       case LogLevel::Warn:
         return "warn";
-      case LogLevel::Inform:
-        return "info";
-      case LogLevel::Debug:
-        return "debug";
     }
     return "?";
 }

@@ -27,8 +27,6 @@ enum class LogLevel
     Panic,
     Fatal,
     Warn,
-    Inform,
-    Debug,
 };
 
 /** The process-wide sink of every log message (stderr). */
@@ -153,12 +151,6 @@ std::uint64_t warnEverySuppressed(const std::string &site);
 #define FAFNIR_WARN(...)                                                    \
     ::fafnir::Logger::instance().log(                                       \
         ::fafnir::LogLevel::Warn,                                           \
-        ::fafnir::detail::format(__VA_ARGS__), __FILE__, __LINE__)
-
-/** Report normal operating status. */
-#define FAFNIR_INFORM(...)                                                  \
-    ::fafnir::Logger::instance().log(                                       \
-        ::fafnir::LogLevel::Inform,                                         \
         ::fafnir::detail::format(__VA_ARGS__), __FILE__, __LINE__)
 
 /** Panic when @p cond is false. Cheap enough to keep in release builds. */

@@ -3,11 +3,11 @@
  * Physical address decomposition.
  *
  * Decodes a flat physical address into (channel, dimm, rank, bank, row,
- * column) under a configurable interleaving policy. The policy matters a
- * great deal to this paper: Fafnir/RecNMP map whole 512 B embedding
- * vectors to individual ranks (rank bits above the vector offset, the
- * "bits [9-13]" mapping of Figure 4b), whereas TensorDIMM stripes every
- * vector across all ranks.
+ * column). The layout matters a great deal to this paper: Fafnir/RecNMP
+ * map whole 512 B embedding vectors to individual ranks (rank bits above
+ * the vector offset, the "bits [9-13]" mapping of Figure 4b), whereas
+ * TensorDIMM stripes every vector across all ranks and addresses each
+ * rank's local space directly (MemorySystem::readAt).
  */
 
 #ifndef FAFNIR_DRAM_ADDRESS_HH
@@ -50,7 +50,9 @@ struct Coordinates
     operator==(const Coordinates &other) const = default;
 };
 
-/** Interleaving policy. */
+/** Interleaving policy. BlockRank is the only layout; MemorySystem and
+ *  AddressMapper still take it because perfbench/ and the benches pass
+ *  it. */
 enum class Interleave
 {
     /**
@@ -60,15 +62,10 @@ enum class Interleave
      * layout for Fafnir and RecNMP.
      */
     BlockRank,
-    /**
-     * Cache-line (64 B) interleave across channels then ranks — a typical
-     * CPU baseline mapping.
-     */
-    LineChannel,
 };
 
 /**
- * Address decoder for one Geometry and policy.
+ * Address decoder for one Geometry under the BlockRank layout.
  */
 class AddressMapper
 {
@@ -86,27 +83,23 @@ class AddressMapper
     Addr encode(const Coordinates &coords) const;
 
     const Geometry &geometry() const { return geometry_; }
-    Interleave policy() const { return policy_; }
     unsigned blockBytes() const { return blockBytes_; }
 
     /** First bit of the global-rank field (the paper's bit 9 for 512 B). */
-    unsigned rankShift() const;
+    unsigned rankShift() const { return blockShift_; }
 
   private:
     Geometry geometry_;
-    Interleave policy_;
     unsigned blockBytes_;
     /** Field widths in bits, fixed by the geometry and block size. */
     std::uint64_t capacityBytes_ = 0;
     unsigned blockShift_ = 0;     ///< byte offset within a block
     unsigned burstShift_ = 0;     ///< byte offset within a burst
-    unsigned rankBits_ = 0;       ///< global rank (BlockRank)
-    unsigned blockInRowBits_ = 0; ///< block within a row (BlockRank)
-    unsigned columnBits_ = 0;     ///< burst slot within a row (LineChannel)
+    unsigned rankBits_ = 0;       ///< global rank
+    unsigned blockInRowBits_ = 0; ///< block within a row
     unsigned bankBits_ = 0;
     unsigned channelBits_ = 0;
     unsigned dimmBits_ = 0;
-    unsigned rankInDimmBits_ = 0;
 };
 
 /** Human-readable coordinates, for debugging and test failure messages. */

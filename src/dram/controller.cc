@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "common/debug.hh"
 #include "telemetry/attribution.hh"
 #include "telemetry/trace_sink.hh"
 
@@ -134,10 +133,6 @@ Controller::drain(unsigned rank)
     eq.setCurrentFlow(picked.flow);
     const AccessResult result =
         memory_.read(picked.addr, picked.bytes, issue_at, picked.dest);
-    FAFNIR_DPRINTF(Controller, "rank ", rank, " issued 0x", std::hex,
-                   picked.addr, std::dec, " at ", issue_at,
-                   " complete ", result.complete, " (",
-                   result.rowHits ? "hit" : "miss", ")");
     // The next command can go out once this one's data window starts.
     queue.nextIssue = result.firstData;
     ++issued_;

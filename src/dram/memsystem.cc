@@ -259,13 +259,11 @@ MemorySystem::read(Addr addr, unsigned bytes, Tick earliest,
     Tick complete = earliest;
     const Addr first = addr & ~Addr(g.burstBytes - 1);
     const Addr last = (addr + bytes - 1) & ~Addr(g.burstBytes - 1);
-    // Under BlockRank a block sits in one rank, bank and row, so only a
-    // block's first burst is decoded; its other bursts advance the
-    // column. Capacity and rows hold whole blocks, so decode's range
-    // checks on the first burst cover the rest of the block.
-    const Addr block_mask = mapper_.policy() == Interleave::BlockRank
-        ? Addr(mapper_.blockBytes() - 1)
-        : Addr(0);
+    // A block sits in one rank, bank and row, so only a block's first
+    // burst is decoded; its other bursts advance the column. Capacity
+    // and rows hold whole blocks, so decode's range checks on the first
+    // burst cover the rest of the block.
+    const Addr block_mask = mapper_.blockBytes() - 1;
     // The first burst's coordinates also tag the trace and the recorder.
     const Coordinates head = mapper_.decode(first);
     const unsigned head_rank = head.globalRank(g);
@@ -297,10 +295,10 @@ MemorySystem::read(Addr addr, unsigned bytes, Tick earliest,
         traceRead(*ts, head_rank, bytes, earliest, result,
                   eventq_.currentFlow());
     }
-    // code = rank of the first burst; a = bytes, b = service ticks.
+    // code = flat rank of the first burst; a = bytes, b = service ticks.
     if (auto *rec = telemetry::flightRecorder()) {
         rec->record(telemetry::Stage::DramService, result.complete,
-                    head.rank, bytes, result.complete - earliest);
+                    head_rank, bytes, result.complete - earliest);
     }
     return result;
 }
@@ -346,6 +344,11 @@ MemorySystem::readAt(const Coordinates &coords, unsigned bytes,
         static_cast<double>(result.complete - earliest) / kTicksPerNs);
     if (auto *ts = telemetry::sink())
         traceRead(*ts, rank, bytes, earliest, result, eventq_.currentFlow());
+    // code = flat rank; a = bytes, b = service ticks (as in read()).
+    if (auto *rec = telemetry::flightRecorder()) {
+        rec->record(telemetry::Stage::DramService, result.complete, rank,
+                    bytes, result.complete - earliest);
+    }
     return result;
 }
 

@@ -24,10 +24,10 @@
  * `earliest` order per caller for meaningful contention; the engines in
  * this repository do so by construction.
  *
- * Host cost per read: under Interleave::BlockRank, read() decodes the
- * first burst of each block and advances the column for the block's
- * other bursts, since a block sits in one rank, bank and row. Each rank
- * keeps the tFAW expiry of its last four ACTs in a fixed ring.
+ * Host cost per read: read() decodes the first burst of each block and
+ * advances the column for the block's other bursts, since a block sits
+ * in one rank, bank and row. Each rank keeps the tFAW expiry of its
+ * last four ACTs in a fixed ring.
  */
 
 #ifndef FAFNIR_DRAM_MEMSYSTEM_HH
@@ -168,7 +168,6 @@ class MemorySystem
 
     /** @{ Statistics. */
     std::uint64_t readCount() const { return reads_.value(); }
-    std::uint64_t writeCount() const { return writes_.value(); }
     std::uint64_t burstCount() const { return bursts_.value(); }
     std::uint64_t rowHitCount() const { return rowHits_.value(); }
     std::uint64_t rowMissCount() const { return rowMisses_.value(); }

@@ -94,21 +94,7 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
     unsigned attempt = 0;
     bool fault_persisted = false;
 
-    // SLO-driven load shed: while a burn-rate alert is active, serve
-    // with a single attempt so the queue drains instead of compounding
-    // the overload with retries. The decision is taken once, at
-    // admission, so one request sees one consistent policy.
-    unsigned allowed_attempts = config_.maxAttempts;
-    if (config_.sloLoadShed) {
-        telemetry::SloMonitor *monitor = telemetry::sloMonitor();
-        if (monitor != nullptr && monitor->anyActive()) {
-            allowed_attempts = 1;
-            ++shedRequests_;
-            traceGuard("shed", arrival, 1.0);
-        }
-    }
-
-    while (!pending.empty() && attempt < allowed_attempts) {
+    while (!pending.empty() && attempt < config_.maxAttempts) {
         ++attempt;
 
         // The engine contract (Batch::check) wants dense ids, so each
@@ -132,7 +118,7 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
         const bool faulted =
             plan != nullptr && plan->totalFired() > fired_before;
 
-        if (faulted && attempt < allowed_attempts) {
+        if (faulted && attempt < config_.maxAttempts) {
             // Transient faults detected: the whole attempt is suspect.
             // Discard it and retry everything still pending, after an
             // exponentially growing backoff.
@@ -143,8 +129,6 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
             backoff *= 2;
             continue;
         }
-        if (faulted && attempt < config_.maxAttempts)
-            ++shedRetries_; // a retry the active shed suppressed
         fault_persisted = faulted;
 
         // Accept completions, collecting per-query deadline misses.
@@ -179,7 +163,7 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
             pending.clear();
         else
             pending.swap(missed);
-        if (!pending.empty() && attempt < allowed_attempts) {
+        if (!pending.empty() && attempt < config_.maxAttempts) {
             // Deadline misses are retried alone: met queries keep their
             // results, the stragglers get a fresh (smaller) attempt.
             ++retries_;
@@ -187,8 +171,6 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
                        static_cast<double>(attempt));
             at = last_complete + backoff;
             backoff *= 2;
-        } else if (!pending.empty() && attempt < config_.maxAttempts) {
-            ++shedRetries_;
         }
     }
 
@@ -315,11 +297,6 @@ ServiceGuard::registerStats(StatGroup &group) const
                      "queries served to completion");
     group.addCounter("partialRequests", partial_,
                      "requests answered with partial results");
-    group.addCounter("shedRequests", shedRequests_,
-                     "requests served single-attempt under an active "
-                     "SLO alert");
-    group.addCounter("shedRetries", shedRetries_,
-                     "retries suppressed by SLO load shed");
 }
 
 std::size_t

@@ -107,14 +107,6 @@ struct GuardConfig
     /** Admission limits for Batch::validate (0 = unchecked). */
     std::uint64_t indexLimit = 0;
     std::size_t maxQueryWidth = 0;
-    /**
-     * Degrade under SLO pressure: while the installed
-     * telemetry::sloMonitor() has any burn-rate alert active, requests
-     * are served with a single attempt (retries shed), trading
-     * recovery effort for queue drain until the alert clears. No-op
-     * when no monitor is installed.
-     */
-    bool sloLoadShed = false;
 };
 
 /** What one serving attempt reports back to the guard. */
@@ -147,18 +139,11 @@ class ServiceGuard
     const GuardConfig &config() const { return config_; }
 
     /** @{ Recovery-action totals since construction. */
-    std::uint64_t requestCount() const { return requests_.value(); }
     std::uint64_t retryCount() const { return retries_.value(); }
     std::uint64_t timeoutCount() const { return timeouts_.value(); }
     std::uint64_t rejectedQueryCount() const { return rejected_.value(); }
     std::uint64_t expiredQueryCount() const { return expired_.value(); }
     std::uint64_t suspectQueryCount() const { return suspect_.value(); }
-    std::uint64_t servedQueryCount() const { return served_.value(); }
-    std::uint64_t partialRequestCount() const { return partial_.value(); }
-    /** Requests admitted while an SLO alert forced single-attempt
-     *  service, and the retries that shed suppressed. */
-    std::uint64_t shedRequestCount() const { return shedRequests_.value(); }
-    std::uint64_t shedRetryCount() const { return shedRetries_.value(); }
     /** @} */
 
     /** Register the recovery counters into @p group. */
@@ -178,8 +163,6 @@ class ServiceGuard
     Counter suspect_;
     Counter served_;
     Counter partial_;
-    Counter shedRequests_;
-    Counter shedRetries_;
 };
 
 /** Aggregate of a guarded open-loop run. */

@@ -63,7 +63,6 @@ class FafnirEngine
     void registerStats(StatGroup &group) const;
 
     /** @{ Cumulative counters across all lookups on this engine. */
-    std::uint64_t servedBatches() const { return batches_.value(); }
     std::uint64_t servedQueries() const { return queries_.value(); }
     std::uint64_t issuedReads() const { return reads_.value(); }
     /** @} */

@@ -10,7 +10,6 @@
 #include <limits>
 #include <map>
 
-#include "common/debug.hh"
 #include "common/logging.hh"
 
 namespace fafnir::core
@@ -171,11 +170,6 @@ prepareBatch(const embedding::VectorLayout &layout,
     PrepareContext ctx(layout, store, batch, pool, payload);
     if (!dedup) {
         ctx.emitNoDedup(batch);
-        FAFNIR_DPRINTF(Host, "compiled batch of ", batch.size(),
-                       " queries: ", ctx.prepared.accessCount, " reads for ",
-                       ctx.prepared.totalReferences,
-                       " references (dedup=false, imbalance=",
-                       ctx.prepared.loadImbalance(), ")");
         return std::move(ctx.prepared);
     }
 
@@ -239,12 +233,6 @@ prepareBatch(const embedding::VectorLayout &layout,
             users.push_back(links[link].query);
         ctx.emitDedupRead(entry.index, users.data(), users.size());
     }
-
-    FAFNIR_DPRINTF(Host, "compiled batch of ", batch.size(),
-                   " queries: ", ctx.prepared.accessCount, " reads for ",
-                   ctx.prepared.totalReferences,
-                   " references (dedup=true, imbalance=",
-                   ctx.prepared.loadImbalance(), ")");
     return std::move(ctx.prepared);
 }
 

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/debug.hh"
 #include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -88,19 +87,6 @@ ServingPipeline::ServingPipeline(const ServingConfig &config,
         perEngineBatches_.push_back(std::make_unique<Counter>());
         perEngineBusyTicks_.push_back(std::make_unique<Counter>());
     }
-}
-
-unsigned
-ServingPipeline::pickEngine(std::size_t batchOrdinal,
-                            const std::vector<Tick> &engineFree) const
-{
-    if (config_.dispatch == DispatchPolicy::RoundRobin)
-        return static_cast<unsigned>(batchOrdinal % engineFree.size());
-    unsigned best = 0;
-    for (unsigned e = 1; e < engineFree.size(); ++e)
-        if (engineFree[e] < engineFree[best])
-            best = e;
-    return best;
 }
 
 PipelineReport
@@ -221,8 +207,10 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
             preparePool_.prepare(layout, store_, batch, config_.dedup,
                                  &slotArenas_[s], config_.payload);
 
-        // --- Dispatch + execute on the chosen replica. ------------------
-        const unsigned primary = pickEngine(k, engineFree);
+        // --- Dispatch to the replica that frees up earliest. -----------
+        const auto primary = static_cast<unsigned>(
+            std::min_element(engineFree.begin(), engineFree.end()) -
+            engineFree.begin());
         const Tick dispatch_ready = std::max(prepare_done,
                                              engineFree[primary]);
         telemetry::Attribution *attr = telemetry::attribution();
@@ -448,10 +436,6 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
         series->flush(lastDone);
     if (slo)
         slo->flush(lastDone);
-    FAFNIR_DPRINTF(Serving, "served ", batches.size(), " batches on ",
-                   engines, " engines (depth ", depth, "): ",
-                   report.requestsPerSecond(), " req/s, hedges ",
-                   report.hedgesIssued, "/", report.hedgesWon);
     return report;
 }
 

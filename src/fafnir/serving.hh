@@ -16,8 +16,8 @@
  * k+1 overlaps the tree execution of batch k (double-buffered
  * PreparedBatches; each pipeline slot recycles its value buffers
  * through a per-slot VectorPool arena), and a work-conserving
- * dispatcher shards independent batches across N identical engine
- * replicas (least-loaded or round-robin, pluggable).
+ * dispatcher sends each batch to the replica that frees up earliest
+ * (the lowest-numbered one on ties).
  *
  * Everything runs on the calling thread; the stage overlap is
  * simulated tick arithmetic. Host prepare is modelled as
@@ -58,15 +58,6 @@
 namespace fafnir::core
 {
 
-/** How the dispatcher picks an engine for the next prepared batch. */
-enum class DispatchPolicy
-{
-    /** Engine k % N — oblivious, perfectly fair under uniform load. */
-    RoundRobin,
-    /** Engine that frees up earliest — work-conserving under skew. */
-    LeastLoaded,
-};
-
 /** Serving-pipeline shape and modeled host-stage costs. */
 struct ServingConfig
 {
@@ -75,7 +66,6 @@ struct ServingConfig
     /** Prepared batches admitted beyond the one executing (1 = the
      *  serial rhythm, 2 = double-buffered prepare/execute overlap). */
     unsigned pipelineDepth = 2;
-    DispatchPolicy dispatch = DispatchPolicy::LeastLoaded;
     /**
      * Hedge percentile in (0, 100]; 0 disables. A batch still running
      * when its service time passes the running p-th percentile gets a
@@ -258,9 +248,6 @@ class ServingPipeline
     }
 
   private:
-    unsigned pickEngine(std::size_t batchOrdinal,
-                        const std::vector<Tick> &engineFree) const;
-
     ServingConfig config_;
     std::vector<EngineReplica> &replicas_;
     const embedding::EmbeddingStore *store_;

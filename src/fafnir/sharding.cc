@@ -7,8 +7,8 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
 
-#include "common/debug.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "embedding/reduce_kernels.hh"
@@ -33,38 +33,27 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** Max/mean per-shard load (1.0 = balanced, or nothing routed). */
+double
+maxOverMean(std::uint64_t peak, std::uint64_t total, std::size_t shards)
+{
+    if (total == 0 || shards == 0)
+        return 1.0;
+    const double mean =
+        static_cast<double>(total) / static_cast<double>(shards);
+    return static_cast<double>(peak) / mean;
+}
+
 } // namespace
 
-PlacementPolicy
-parsePlacement(const std::string &name)
-{
-    if (name == "hash")
-        return PlacementPolicy::Hash;
-    if (name == "range")
-        return PlacementPolicy::Range;
-    FAFNIR_FATAL("unknown placement '", name,
-                 "' (expected hash or range)");
-}
-
-const char *
-toString(PlacementPolicy policy)
-{
-    return policy == PlacementPolicy::Hash ? "hash" : "range";
-}
-
-ShardRouter::ShardRouter(unsigned shards, PlacementPolicy policy,
+ShardRouter::ShardRouter(unsigned shards,
                          const embedding::TableConfig &tables)
-    : shards_(shards), policy_(policy), tables_(tables)
+    : shards_(shards), tables_(tables)
 {
     FAFNIR_ASSERT(shards_ >= 1, "router needs >= 1 shard");
     placement_.resize(tables_.numTables);
-    for (unsigned t = 0; t < tables_.numTables; ++t) {
-        placement_[t] = policy_ == PlacementPolicy::Hash
-            ? static_cast<unsigned>(mix64(t) % shards_)
-            : static_cast<unsigned>(
-                  static_cast<std::uint64_t>(t) * shards_ /
-                  tables_.numTables);
-    }
+    for (unsigned t = 0; t < tables_.numTables; ++t)
+        placement_[t] = static_cast<unsigned>(mix64(t) % shards_);
 }
 
 ShardRouter::SplitBatch
@@ -97,99 +86,6 @@ ShardRouter::split(const embedding::Batch &batch) const
     return out;
 }
 
-double
-ShardRouter::imbalance(const std::vector<std::uint64_t> &refsPerTable) const
-{
-    std::vector<std::uint64_t> load(shards_, 0);
-    for (std::size_t t = 0;
-         t < refsPerTable.size() && t < placement_.size(); ++t)
-        load[placement_[t]] += refsPerTable[t];
-    std::uint64_t total = 0, peak = 0;
-    for (std::uint64_t l : load) {
-        total += l;
-        peak = std::max(peak, l);
-    }
-    if (total == 0)
-        return 1.0;
-    const double mean =
-        static_cast<double>(total) / static_cast<double>(shards_);
-    return static_cast<double>(peak) / mean;
-}
-
-std::vector<ShardMove>
-ShardRouter::rebalance(const std::vector<std::uint64_t> &refsPerTable,
-                       double threshold, unsigned maxMoves) const
-{
-    std::vector<ShardMove> moves;
-    if (shards_ < 2)
-        return moves;
-    if (maxMoves == 0)
-        maxMoves = shards_;
-
-    std::vector<unsigned> placement = placement_;
-    std::vector<std::uint64_t> load(shards_, 0);
-    std::uint64_t total = 0;
-    for (std::size_t t = 0;
-         t < refsPerTable.size() && t < placement.size(); ++t) {
-        load[placement[t]] += refsPerTable[t];
-        total += refsPerTable[t];
-    }
-    if (total == 0)
-        return moves;
-    const double mean =
-        static_cast<double>(total) / static_cast<double>(shards_);
-
-    while (moves.size() < maxMoves) {
-        unsigned hot = 0, cold = 0;
-        for (unsigned s = 1; s < shards_; ++s) {
-            if (load[s] > load[hot])
-                hot = s;
-            if (load[s] < load[cold])
-                cold = s;
-        }
-        if (static_cast<double>(load[hot]) / mean < threshold)
-            break;
-        // Hottest table on the hot shard; ties by lowest table id.
-        unsigned table = tables_.numTables;
-        std::uint64_t tableRefs = 0;
-        for (unsigned t = 0;
-             t < placement.size() && t < refsPerTable.size(); ++t) {
-            if (placement[t] == hot && refsPerTable[t] > tableRefs) {
-                table = t;
-                tableRefs = refsPerTable[t];
-            }
-        }
-        if (table == tables_.numTables)
-            break; // the hot shard's load is not attributable to a table
-        // Only take strictly improving moves: the max load must drop,
-        // or a skewed table just ping-pongs between shards.
-        const std::uint64_t newHot = load[hot] - tableRefs;
-        const std::uint64_t newCold = load[cold] + tableRefs;
-        if (std::max(newHot, newCold) >= load[hot])
-            break;
-        moves.push_back({table, hot, cold});
-        placement[table] = cold;
-        load[hot] = newHot;
-        load[cold] = newCold;
-    }
-    return moves;
-}
-
-void
-ShardRouter::apply(const std::vector<ShardMove> &moves)
-{
-    for (const ShardMove &m : moves) {
-        FAFNIR_ASSERT(m.table < placement_.size() && m.to < shards_,
-                      "bad shard move: table ", m.table, " -> shard ",
-                      m.to);
-        FAFNIR_ASSERT(placement_[m.table] == m.from,
-                      "stale shard move: table ", m.table,
-                      " lives on shard ", placement_[m.table], ", not ",
-                      m.from);
-        placement_[m.table] = m.to;
-    }
-}
-
 std::vector<std::vector<EngineReplica>>
 makeShardReplicas(unsigned shards, unsigned replicasPerShard,
                   const ReplicaMemoryConfig &mem,
@@ -217,11 +113,7 @@ ShardedReport::loadImbalance() const
         total += r;
         peak = std::max(peak, r);
     }
-    if (total == 0 || refsPerShard.empty())
-        return 1.0;
-    const double mean = static_cast<double>(total) /
-                        static_cast<double>(refsPerShard.size());
-    return static_cast<double>(peak) / mean;
+    return maxOverMean(peak, total, refsPerShard.size());
 }
 
 ShardedServingTier::ShardedServingTier(
@@ -229,7 +121,7 @@ ShardedServingTier::ShardedServingTier(
     std::vector<std::vector<EngineReplica>> &shardReplicas,
     const embedding::EmbeddingStore *store)
     : config_(config),
-      router_(config.shards, config.placement,
+      router_(config.shards,
               shardReplicas.empty() || shardReplicas[0].empty()
                   ? embedding::TableConfig{}
                   : shardReplicas[0][0].layout->tables()),
@@ -240,7 +132,6 @@ ShardedServingTier::ShardedServingTier(
                   "tier configured for ", config_.shards,
                   " shards but only ", shardReplicas_.size(),
                   " replica groups were built");
-    refsPerTable_.assign(router_.tables().numTables, 0);
     pipelines_.reserve(config_.shards);
     perShardSubBatches_.reserve(config_.shards);
     perShardRefs_.reserve(config_.shards);
@@ -274,16 +165,11 @@ ShardedServingTier::serve(const std::vector<embedding::Batch> &batches,
     const unsigned shards = config_.shards;
     const Tick start = arrivals.empty() ? 0 : arrivals.front();
 
-    // --- Scatter: split every batch by the current placement. --------
+    // --- Scatter: split every batch by the placement. ----------------
     std::vector<ShardRouter::SplitBatch> splits;
     splits.reserve(batches.size());
-    for (const embedding::Batch &batch : batches) {
+    for (const embedding::Batch &batch : batches)
         splits.push_back(router_.split(batch));
-        for (const embedding::Query &q : batch.queries)
-            for (IndexId index : q.indices)
-                ++refsPerTable_[router_.tables().tableOf(index) %
-                                router_.tables().numTables];
-    }
 
     // Per-shard sub-batch streams; a shard only sees the batches that
     // touch it, at the global arrival tick.
@@ -477,22 +363,7 @@ ShardedServingTier::serve(const std::vector<embedding::Batch> &batches,
     report.makespan = last > start ? last - start : 0;
     if (series)
         series->flush(last);
-    FAFNIR_DPRINTF(Serving, "sharded tier served ", batches.size(),
-                   " batches on ", shards, " shards (",
-                   toString(config_.placement), " placement): ",
-                   report.requestsPerSecond(), " req/s, ",
-                   report.crossShardQueries, " cross-shard queries");
     return report;
-}
-
-std::vector<ShardMove>
-ShardedServingTier::rebalance()
-{
-    std::vector<ShardMove> moves =
-        router_.rebalance(refsPerTable_, config_.rebalanceThreshold);
-    router_.apply(moves);
-    rebalanceMoves_ += moves.size();
-    return moves;
 }
 
 void
@@ -506,10 +377,16 @@ ShardedServingTier::registerStats(StatGroup &group)
                      "queries whose indices spanned more than one shard");
     group.addCounter("combineTicks", combineTicks_,
                      "serial cross-shard combine port busy time");
-    group.addCounter("rebalanceMoves", rebalanceMoves_,
-                     "table moves applied by the rebalance hook");
     group.addFormula(
-        "imbalance", [this] { return observedImbalance(); },
+        "imbalance",
+        [this] {
+            std::uint64_t total = 0, peak = 0;
+            for (const auto &refs : perShardRefs_) {
+                total += refs->value();
+                peak = std::max(peak, refs->value());
+            }
+            return maxOverMean(peak, total, perShardRefs_.size());
+        },
         "max/mean per-shard load over the accumulated reference "
         "counts (1.0 = balanced)");
     for (unsigned s = 0; s < config_.shards; ++s) {
@@ -532,9 +409,7 @@ ShardedServingTier::printShardScoreboard(std::ostream &os,
         totalRefs += r;
     const double makespan = static_cast<double>(report.makespan);
 
-    TextTable table("sharded serving scoreboard (" +
-                    std::string(toString(config_.placement)) +
-                    " placement)");
+    TextTable table("sharded serving scoreboard");
     table.setHeader({"shard", "subBatches", "refs", "share%", "rps",
                      "notes"});
     for (unsigned s = 0; s < config_.shards; ++s) {

@@ -12,16 +12,16 @@
  *          -> [shard 1: prepare -> replicas]  -> fixed-order combine
  *          -> [shard S-1: ...]               /
  *
- * A ShardRouter places tables onto S shards (hash or range placement)
- * and splits every batch into per-shard sub-batches with dense local
- * query ids. Each shard runs its own ServingPipeline over its own
- * replica group (engines, prepare, dispatch, hedging — everything
- * the single-store tier already has). The tier then scatter-gathers:
- * a query's per-shard partials are combined in fixed shard order
- * 0..S-1 at a serial combine port, and Mean is finalized exactly once
- * with the query's *global* gathered count.
+ * A ShardRouter places tables onto S shards by a splitmix hash of the
+ * table id and splits every batch into per-shard sub-batches with
+ * dense local query ids. Each shard runs its own ServingPipeline over
+ * its own replica group (engines, prepare, dispatch, hedging —
+ * everything the single-store tier already has). The tier then
+ * scatter-gathers: a query's per-shard partials are combined in fixed
+ * shard order 0..S-1 at a serial combine port, and Mean is finalized
+ * exactly once with the query's *global* gathered count.
  *
- * Bit-identity at any shard count and placement is by construction:
+ * Bit-identity at any shard count is by construction:
  *  - Sum/Mean: the store synthesizes values as multiples of 1/16 below
  *    64, so every partial and total sum is exactly representable in
  *    fp32 — addition order cannot change the bits. Shard engines run
@@ -31,14 +31,10 @@
  *  - Min/Max are associative and commutative exactly.
  * The conformance suite (tests/test_sharding.cc) pins served values
  * bit-identical to the single-store reference across shard counts,
- * placements, ops, skews, fault plans, and hedging.
+ * ops, skews, fault plans, and hedging.
  *
- * Hot-shard handling: the tier accumulates per-table reference counts
- * and exposes a deterministic rebalance hook — when the max/mean
- * per-shard load ratio crosses a threshold, the hottest tables move
- * from the hottest to the coldest shard (ties by lowest id, so the
- * move list is a pure function of the observed load). Per-shard load
- * lands in a `serving.shard.*` StatGroup, in windowed
+ * Per-shard load lands in a `serving.shard.*` StatGroup (with the
+ * max/mean imbalance over the routed references), in windowed
  * `serving.shard<s>.*` counters (timeline rows), and in scoreboard
  * rows next to the per-stage health board.
  */
@@ -48,7 +44,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -61,46 +56,27 @@
 namespace fafnir::core
 {
 
-/** How tables map onto shards. */
+/** How tables map onto shards: the one policy is Hash. */
 enum class PlacementPolicy
 {
     /** splitmix-hashed table id modulo S — placement-oblivious, spreads
      *  adjacent (often co-hot) tables across shards. */
     Hash,
-    /** Contiguous table ranges: shard s owns tables with
-     *  table * S / T == s. Covers the id space with no gaps or
-     *  overlaps at any S, T. */
-    Range,
-};
-
-/** "hash" or "range"; fatal on anything else. */
-PlacementPolicy parsePlacement(const std::string &name);
-const char *toString(PlacementPolicy policy);
-
-/** One deterministic rebalance step: move @p table from -> to. */
-struct ShardMove
-{
-    unsigned table = 0;
-    unsigned from = 0;
-    unsigned to = 0;
 };
 
 /**
- * Places tables onto shards and splits batches into per-shard
- * sub-batches. The placement is mutable only through apply() so
- * rebalancing stays an explicit, observable step.
+ * Places tables onto shards (PlacementPolicy::Hash) and splits batches
+ * into per-shard sub-batches. The placement is fixed at construction.
  */
 class ShardRouter
 {
   public:
-    ShardRouter(unsigned shards, PlacementPolicy policy,
-                const embedding::TableConfig &tables);
+    ShardRouter(unsigned shards, const embedding::TableConfig &tables);
 
     unsigned shards() const { return shards_; }
-    PlacementPolicy policy() const { return policy_; }
     const embedding::TableConfig &tables() const { return tables_; }
 
-    /** Current table -> shard placement (size = numTables). */
+    /** Table -> shard placement (size = numTables). */
     const std::vector<unsigned> &placement() const { return placement_; }
 
     unsigned
@@ -148,35 +124,13 @@ class ShardRouter
         }
     };
 
-    /** Split @p batch by the current placement. Pure function of the
+    /** Split @p batch by the placement. Pure function of the
      *  batch and the placement — deterministic and order-preserving
      *  (per-query index order survives within each shard). */
     SplitBatch split(const embedding::Batch &batch) const;
 
-    /**
-     * Max/mean per-shard load for @p refsPerTable (indexed by table;
-     * 1.0 = perfectly balanced, like PreparedBatch::loadImbalance).
-     */
-    double imbalance(const std::vector<std::uint64_t> &refsPerTable) const;
-
-    /**
-     * Deterministic rebalance plan: while the load ratio is at or
-     * above @p threshold, move the hottest table (ties -> lowest id)
-     * off the hottest shard (ties -> lowest id) onto the coldest, up
-     * to @p maxMoves moves (0 = one per shard). Pure function of
-     * (placement, refsPerTable, threshold) — same inputs, same moves.
-     * Does not mutate the placement; pass the plan to apply().
-     */
-    std::vector<ShardMove>
-    rebalance(const std::vector<std::uint64_t> &refsPerTable,
-              double threshold, unsigned maxMoves = 0) const;
-
-    /** Apply a rebalance plan to the placement. */
-    void apply(const std::vector<ShardMove> &moves);
-
   private:
     unsigned shards_;
-    PlacementPolicy policy_;
     embedding::TableConfig tables_;
     std::vector<unsigned> placement_;
 };
@@ -187,6 +141,7 @@ struct ShardTierConfig
     /** Per-shard pipeline (engines = replicas *per shard*). */
     ServingConfig serving;
     unsigned shards = 2;
+    /** Hash is the only placement; perfbench/ still sets this field. */
     PlacementPolicy placement = PlacementPolicy::Hash;
     /** The reduction the tier serves. Shard engines run Mean as Sum;
      *  the combiner applies the single root divide. */
@@ -195,9 +150,6 @@ struct ShardTierConfig
      *  plus one vector-combine term per extra partial. */
     Tick combineFixed = 20 * kTicksPerNs;
     Tick combinePerVector = 8 * kTicksPerNs;
-    /** Hot-shard alarm threshold on max/mean shard load (rebalance()
-     *  moves tables once the observed ratio crosses it). */
-    double rebalanceThreshold = 1.5;
 };
 
 /** One batch's trip through the sharded tier. */
@@ -278,28 +230,7 @@ class ShardedServingTier
                         const std::vector<Tick> &arrivals);
 
     const ShardTierConfig &config() const { return config_; }
-    ShardRouter &router() { return router_; }
     const ShardRouter &router() const { return router_; }
-
-    /** Cumulative per-table reference counts across serve() calls —
-     *  the rebalance hook's load signal. */
-    const std::vector<std::uint64_t> &refsPerTable() const
-    {
-        return refsPerTable_;
-    }
-
-    /** Observed max/mean shard load over the accumulated counts. */
-    double observedImbalance() const
-    {
-        return router_.imbalance(refsPerTable_);
-    }
-
-    /**
-     * The deterministic rebalance hook: plan moves over the
-     * accumulated per-table load at the configured threshold, apply
-     * them to the router, and return the plan (empty when balanced).
-     */
-    std::vector<ShardMove> rebalance();
 
     /** Shard @p shard's pipeline (its counters and health board). */
     ServingPipeline &pipeline(unsigned shard) { return *pipelines_[shard]; }
@@ -320,13 +251,11 @@ class ShardedServingTier
     const embedding::EmbeddingStore *store_;
     /** One pipeline per shard, over shardReplicas_[s]. */
     std::vector<std::unique_ptr<ServingPipeline>> pipelines_;
-    std::vector<std::uint64_t> refsPerTable_;
 
     Counter servedBatches_;
     Counter servedQueries_;
     Counter crossShardQueries_;
     Counter combineTicks_;
-    Counter rebalanceMoves_;
     std::vector<std::unique_ptr<Counter>> perShardSubBatches_;
     std::vector<std::unique_ptr<Counter>> perShardRefs_;
 };

@@ -68,10 +68,6 @@ class WindowRing
     std::size_t retain() const { return retain_; }
 
     std::uint64_t indexOf(Tick tick) const { return tick / windowTicks_; }
-    Tick windowStart(std::uint64_t index) const
-    {
-        return index * windowTicks_;
-    }
 
     bool empty() const { return !any_; }
     /** Absolute index of the newest window touched (0 when empty). */

@@ -1,12 +1,11 @@
 /**
  * @file
- * A strict-enough JSON parser for validating emitted documents in
- * tests. Factored out of test_telemetry.cc so every suite that checks
- * an artifact (telemetry, attribution, run reports) parses it the same
- * way and a serialization regression fails loudly instead of producing
- * files Perfetto or the diff tooling would reject.
- *
- * Test-only: at() and parseJson() report failures through gtest.
+ * parseJson for tests that validate emitted documents: every suite that
+ * checks an artifact (telemetry, attribution, run reports) parses it
+ * with bench_diff's JsonReader, the reader the diff and lint tools use,
+ * so a serialization regression fails loudly instead of producing files
+ * Perfetto or the diff tooling would reject. JsonValue::at() throws on
+ * a missing key, which gtest reports as a test failure.
  */
 
 #ifndef FAFNIR_TESTS_JSON_TEST_UTIL_HH
@@ -14,239 +13,27 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstddef>
+#include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
+
+#include "tools/bench_diff_util.hh"
 
 namespace fafnir::testutil
 {
 
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Boolean,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *
-    find(const std::string &key) const
-    {
-        for (const auto &[k, v] : object)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-
-    const JsonValue &
-    at(const std::string &key) const
-    {
-        const JsonValue *v = find(key);
-        EXPECT_NE(v, nullptr) << "missing key " << key;
-        static const JsonValue null;
-        return v != nullptr ? *v : null;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-    /** Parse the whole document; sets ok to false on any error. */
-    JsonValue
-    parse(bool &ok)
-    {
-        ok = true;
-        const JsonValue v = parseValue(ok);
-        skipSpace();
-        if (pos_ != text_.size())
-            ok = false;
-        return v;
-    }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-                text_[pos_] == '\t' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::string(word).size();
-        if (text_.compare(pos_, n, word) == 0) {
-            pos_ += n;
-            return true;
-        }
-        return false;
-    }
-
-    JsonValue
-    parseValue(bool &ok)
-    {
-        skipSpace();
-        JsonValue v;
-        if (pos_ >= text_.size()) {
-            ok = false;
-            return v;
-        }
-        const char c = text_[pos_];
-        if (c == '{')
-            return parseObject(ok);
-        if (c == '[')
-            return parseArray(ok);
-        if (c == '"') {
-            v.kind = JsonValue::Kind::String;
-            v.text = parseString(ok);
-            return v;
-        }
-        if (literal("null"))
-            return v;
-        if (literal("true")) {
-            v.kind = JsonValue::Kind::Boolean;
-            v.boolean = true;
-            return v;
-        }
-        if (literal("false")) {
-            v.kind = JsonValue::Kind::Boolean;
-            return v;
-        }
-        // Number.
-        std::size_t end = pos_;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '-' || text_[end] == '+' ||
-                text_[end] == '.' || text_[end] == 'e' ||
-                text_[end] == 'E')) {
-            ++end;
-        }
-        if (end == pos_) {
-            ok = false;
-            return v;
-        }
-        v.kind = JsonValue::Kind::Number;
-        try {
-            v.number = std::stod(text_.substr(pos_, end - pos_));
-        } catch (const std::exception &) {
-            ok = false;
-        }
-        pos_ = end;
-        return v;
-    }
-
-    std::string
-    parseString(bool &ok)
-    {
-        std::string out;
-        if (!consume('"')) {
-            ok = false;
-            return out;
-        }
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\' && pos_ < text_.size()) {
-                const char esc = text_[pos_++];
-                switch (esc) {
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  case 'r': c = '\r'; break;
-                  case 'u':
-                    // Keep the raw escape; tests only compare ASCII.
-                    out += "\\u";
-                    continue;
-                  default: c = esc; break;
-                }
-            }
-            out += c;
-        }
-        if (!consume('"'))
-            ok = false;
-        return out;
-    }
-
-    JsonValue
-    parseObject(bool &ok)
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        consume('{');
-        skipSpace();
-        if (consume('}'))
-            return v;
-        do {
-            skipSpace();
-            std::string key = parseString(ok);
-            if (!consume(':')) {
-                ok = false;
-                return v;
-            }
-            v.object.emplace_back(std::move(key), parseValue(ok));
-        } while (ok && consume(','));
-        if (!consume('}'))
-            ok = false;
-        return v;
-    }
-
-    JsonValue
-    parseArray(bool &ok)
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        consume('[');
-        skipSpace();
-        if (consume(']'))
-            return v;
-        do {
-            v.array.push_back(parseValue(ok));
-        } while (ok && consume(','));
-        if (!consume(']'))
-            ok = false;
-        return v;
-    }
-
-    std::string text_;
-    std::size_t pos_ = 0;
-};
+using JsonValue = benchdiff::JsonValue;
 
 /** Parse @p text, expecting success (gtest failure otherwise). */
 inline JsonValue
 parseJson(const std::string &text)
 {
-    bool ok = true;
-    JsonParser parser(text);
-    const JsonValue v = parser.parse(ok);
-    EXPECT_TRUE(ok) << "invalid JSON: " << text.substr(0, 200);
-    return v;
+    try {
+        return benchdiff::JsonReader(text).parse();
+    } catch (const std::runtime_error &e) {
+        ADD_FAILURE() << "invalid JSON (" << e.what()
+                      << "): " << text.substr(0, 200);
+        return {};
+    }
 }
 
 } // namespace fafnir::testutil

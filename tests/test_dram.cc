@@ -81,18 +81,6 @@ TEST(AddressMapper, RoundTripBlockRank)
     }
 }
 
-TEST(AddressMapper, RoundTripLineChannel)
-{
-    const Geometry g;
-    const AddressMapper mapper(g, Interleave::LineChannel, 512);
-    Rng rng(5);
-    for (int i = 0; i < 2000; ++i) {
-        const Addr addr = rng.nextBelow(g.capacityBytes()) & ~Addr(63);
-        const Coordinates c = mapper.decode(addr);
-        EXPECT_EQ(mapper.encode(c), addr);
-    }
-}
-
 TEST(AddressMapper, ConsecutiveBlocksHitConsecutiveRanks)
 {
     // The Figure 4b property: vector i and vector i+1 are on different

@@ -1,7 +1,8 @@
 /**
  * @file
  * Flight-recorder tests: ring wrap/drop accounting, the ambient guard,
- * trigger rate-limiting and the bundle cap, bundle JSON shape
+ * DRAM service records on both read paths, trigger rate-limiting and
+ * the bundle cap, bundle JSON shape
  * (offender telescoping), and the headline determinism claim — two
  * same-seed runs under a fault plan write byte-identical bundles.
  */
@@ -11,11 +12,17 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "baselines/tensordimm.hh"
 #include "common/faultinject.hh"
+#include "dram/memsystem.hh"
+#include "embedding/generator.hh"
+#include "embedding/layout.hh"
+#include "fafnir/event_engine.hh"
 #include "sim/eventq.hh"
 #include "telemetry/attribution.hh"
 #include "telemetry/flightrec.hh"
@@ -126,6 +133,58 @@ TEST(FlightRecorder, AmbientGuardSeesInstalledRecorder)
 #endif
     }
     EXPECT_EQ(flightRecorder(), nullptr);
+}
+
+TEST(FlightRecorder, DramServiceCodesAreFlatRanksOnBothReadPaths)
+{
+    // A DramService record's code is the flat rank of the read's first
+    // burst: below the memory's 32 ranks and spread across them, on
+    // read() (the event engine) and on readAt() (TensorDIMM's only
+    // read path) alike.
+#ifdef FAFNIR_FLIGHTREC_COMPILED_OUT
+    GTEST_SKIP() << "flight recorder compiled out";
+#else
+    const embedding::TableConfig tables{32, 1u << 16, 512, 4};
+    embedding::WorkloadConfig wc;
+    wc.tables = tables;
+    wc.batchSize = 8;
+    wc.querySize = 16;
+    const embedding::Batch batch = embedding::BatchGenerator(wc, 5).next();
+
+    const auto expectFlatRanks = [](const FlightRecorder &rec) {
+        ASSERT_GT(rec.ringSize(Stage::DramService), 0u);
+        std::set<std::uint32_t> codes;
+        for (std::size_t i = 0; i < rec.ringSize(Stage::DramService); ++i)
+            codes.insert(rec.ringRecord(Stage::DramService, i).code);
+        EXPECT_LT(*codes.rbegin(), 32u);
+        EXPECT_GT(codes.size(), 2u);
+    };
+    const dram::Geometry geometry = dram::Geometry::withTotalRanks(32);
+    {
+        SCOPED_TRACE("event engine");
+        EventQueue eq;
+        dram::MemorySystem memory(eq, geometry, dram::Timing::ddr4_2400(),
+                                  dram::Interleave::BlockRank, 512);
+        embedding::VectorLayout layout(tables, memory.mapper());
+        core::EventDrivenEngine engine(memory, layout,
+                                       core::EventEngineConfig{});
+        FlightRecorder rec;
+        ScopedContext install({.recorder = &rec});
+        engine.lookup(batch, 0);
+        expectFlatRanks(rec);
+    }
+    {
+        SCOPED_TRACE("tensordimm");
+        EventQueue eq;
+        dram::MemorySystem memory(eq, geometry, dram::Timing::ddr4_2400(),
+                                  dram::Interleave::BlockRank, 512);
+        baselines::TensorDimmEngine engine(memory, tables);
+        FlightRecorder rec;
+        ScopedContext install({.recorder = &rec});
+        engine.lookup(batch, 0);
+        expectFlatRanks(rec);
+    }
+#endif
 }
 
 TEST(FlightRecorder, TriggerRateLimitPerKindAndBundleCap)

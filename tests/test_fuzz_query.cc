@@ -299,57 +299,52 @@ TEST(FuzzQuery, ShardedRouterNeverCrashesAndCombinesExactly)
     FuzzRig rig;
     QueryFuzzer fuzzer(21, rig.tables.totalVectors());
     for (unsigned shards : {2u, 5u}) {
-        for (core::PlacementPolicy policy :
-             {core::PlacementPolicy::Hash, core::PlacementPolicy::Range}) {
-            core::ShardRouter router(shards, policy, rig.tables);
-            const std::size_t iters = std::max<std::size_t>(
-                fuzzIterations() / 4, 50);
-            for (std::size_t iter = 0; iter < iters; ++iter) {
-                const Batch batch = fuzzer.nextBatch();
-                const core::ShardRouter::SplitBatch split =
-                    router.split(batch);
+        core::ShardRouter router(shards, rig.tables);
+        const std::size_t iters = std::max<std::size_t>(
+            fuzzIterations() / 4, 50);
+        for (std::size_t iter = 0; iter < iters; ++iter) {
+            const Batch batch = fuzzer.nextBatch();
+            const core::ShardRouter::SplitBatch split =
+                router.split(batch);
 
-                std::size_t refs = 0;
-                for (const auto &sub : split.perShard)
-                    for (const Query &q : sub.batch.queries) {
-                        EXPECT_FALSE(q.indices.empty());
-                        refs += q.indices.size();
-                    }
-                EXPECT_EQ(refs, batch.totalIndices());
+            std::size_t refs = 0;
+            for (const auto &sub : split.perShard)
+                for (const Query &q : sub.batch.queries) {
+                    EXPECT_FALSE(q.indices.empty());
+                    refs += q.indices.size();
+                }
+            EXPECT_EQ(refs, batch.totalIndices());
 
-                // Shard 0 seeds, higher shards fold in ascending order
-                // — exactly what ShardedServingTier does with engine
-                // partials.
-                std::vector<Vector> combined(batch.size());
-                for (unsigned s = 0; s < shards; ++s) {
-                    const auto &sub = split.perShard[s];
-                    for (std::size_t l = 0; l < sub.batch.queries.size();
-                         ++l) {
-                        const Vector partial = rig.store.reduce(
-                            sub.batch.queries[l].indices, ReduceOp::Sum);
-                        Vector &acc = combined[sub.globalQuery[l]];
-                        if (acc.empty())
-                            acc = partial;
-                        else
-                            combineSpan(ReduceOp::Sum, acc.data(),
-                                        partial.data(), acc.size());
-                    }
+            // Shard 0 seeds, higher shards fold in ascending order
+            // — exactly what ShardedServingTier does with engine
+            // partials.
+            std::vector<Vector> combined(batch.size());
+            for (unsigned s = 0; s < shards; ++s) {
+                const auto &sub = split.perShard[s];
+                for (std::size_t l = 0; l < sub.batch.queries.size();
+                     ++l) {
+                    const Vector partial = rig.store.reduce(
+                        sub.batch.queries[l].indices, ReduceOp::Sum);
+                    Vector &acc = combined[sub.globalQuery[l]];
+                    if (acc.empty())
+                        acc = partial;
+                    else
+                        combineSpan(ReduceOp::Sum, acc.data(),
+                                    partial.data(), acc.size());
                 }
-                for (std::size_t g = 0; g < batch.size(); ++g) {
-                    if (batch.queries[g].indices.empty()) {
-                        EXPECT_TRUE(combined[g].empty());
-                        continue;
-                    }
-                    const Vector want = rig.store.reduce(
-                        batch.queries[g].indices, ReduceOp::Sum);
-                    ASSERT_EQ(combined[g].size(), want.size());
-                    EXPECT_EQ(std::memcmp(combined[g].data(), want.data(),
-                                          want.size() * sizeof(float)),
-                              0)
-                        << "shards=" << shards
-                        << " policy=" << core::toString(policy)
-                        << " query=" << g;
+            }
+            for (std::size_t g = 0; g < batch.size(); ++g) {
+                if (batch.queries[g].indices.empty()) {
+                    EXPECT_TRUE(combined[g].empty());
+                    continue;
                 }
+                const Vector want = rig.store.reduce(
+                    batch.queries[g].indices, ReduceOp::Sum);
+                ASSERT_EQ(combined[g].size(), want.size());
+                EXPECT_EQ(std::memcmp(combined[g].data(), want.data(),
+                                      want.size() * sizeof(float)),
+                          0)
+                    << "shards=" << shards << " query=" << g;
             }
         }
     }
@@ -362,7 +357,7 @@ TEST(FuzzQuery, ShardedSplitSameSeedSameStructure)
     // same fuzz seed must produce the identical routing decisions.
     auto run_once = [] {
         TableConfig tables{32, 4096, 512, 4};
-        core::ShardRouter router(3, core::PlacementPolicy::Hash, tables);
+        core::ShardRouter router(3, tables);
         QueryFuzzer fuzzer(63, tables.totalVectors());
         std::vector<std::uint64_t> trail;
         for (std::size_t iter = 0; iter < 64; ++iter) {

@@ -33,28 +33,22 @@ firstRule(const std::vector<ProtocolViolation> &violations)
 
 TEST(Protocol, RandomReadStreamIsClean)
 {
-    // LineChannel decodes every burst of a read; BlockRank only the
-    // first burst of each block.
-    for (const Interleave policy :
-         {Interleave::BlockRank, Interleave::LineChannel}) {
-        SCOPED_TRACE(policy == Interleave::BlockRank ? "BlockRank"
-                                                     : "LineChannel");
-        EventQueue eq;
-        MemorySystem mem(eq, Geometry{}, Timing::ddr4_2400(), policy, 512);
-        CommandLog log;
-        mem.attachCommandLog(&log);
+    EventQueue eq;
+    MemorySystem mem(eq, Geometry{}, Timing::ddr4_2400(),
+                     Interleave::BlockRank, 512);
+    CommandLog log;
+    mem.attachCommandLog(&log);
 
-        Rng rng(12);
-        Tick t = 0;
-        for (int i = 0; i < 2000; ++i) {
-            const Addr addr = rng.nextBelow(1u << 28) & ~Addr(511);
-            t = mem.read(addr, 512, t, Destination::Ndp).complete;
-        }
-        ASSERT_GT(log.size(), 2000u);
-        const auto violations =
-            checkProtocol(log, mem.timing(), mem.geometry());
-        EXPECT_TRUE(violations.empty()) << firstRule(violations);
+    Rng rng(12);
+    Tick t = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const Addr addr = rng.nextBelow(1u << 28) & ~Addr(511);
+        t = mem.read(addr, 512, t, Destination::Ndp).complete;
     }
+    ASSERT_GT(log.size(), 2000u);
+    const auto violations =
+        checkProtocol(log, mem.timing(), mem.geometry());
+    EXPECT_TRUE(violations.empty()) << firstRule(violations);
 }
 
 TEST(Protocol, ParallelRankTrafficIsClean)

@@ -167,3 +167,26 @@ TEST(Service, SubNanosecondGrowthStaysBelowTheOffset)
         serveGuardedOpenLoop(stream, 100 * kTicksPerNs - 10, guard);
     EXPECT_FALSE(report.saturated());
 }
+
+TEST(ServiceGuard, UnmeetableDeadlineTakesEveryAttempt)
+{
+    // Every attempt misses a 10-tick deadline: the guard retries until
+    // maxAttempts, then drops the query as expired.
+    GuardConfig config;
+    config.queryDeadline = 10;
+    config.maxAttempts = 3;
+    config.retryBackoff = 5;
+    ServiceGuard guard(config, [](const Batch &b, Tick at) {
+        ServeSample sample;
+        sample.complete = at + 1000;
+        sample.queryComplete.assign(b.queries.size(), at + 1000);
+        return sample;
+    });
+
+    Batch batch;
+    batch.queries.push_back(Query{0, {1, 2, 3}});
+    const GuardedRequest request = guard.serve(batch, 0);
+    EXPECT_EQ(request.attempts, 3u);
+    EXPECT_EQ(guard.retryCount(), 2u);
+    EXPECT_EQ(guard.expiredQueryCount(), 1u);
+}

@@ -3,7 +3,7 @@
  * Serving-pipeline unit tests: the hash-dedup prepare matches the
  * ordered-map reference bit for bit, pipelined multi-engine serving
  * returns the same values as the serial single-engine path, dispatch
- * policies shard work as specified, hedging fires and never changes
+ * is work-conserving, hedging fires and never changes
  * values, slot arenas actually recycle buffers, and the back-annotated
  * attribution split stays exact.
  */
@@ -271,23 +271,6 @@ TEST(ServingPipeline, ParallelPrepareUnderFaultPlanStaysExact)
     }
 }
 
-TEST(ServingPipeline, RoundRobinShardsEvenly)
-{
-    EmbeddingStore store(smallTables());
-    const auto batches = makeBatches(12, 8, 16, 7);
-    auto replicas = makeEventReplicas(4, {}, smallTables(),
-                                      valueConfig(ReduceOp::Sum), &store);
-    ServingConfig cfg;
-    cfg.engines = 4;
-    cfg.dispatch = DispatchPolicy::RoundRobin;
-    ServingPipeline pipeline(cfg, replicas, &store);
-    auto report = pipeline.serve(batches, 0);
-    for (unsigned e = 0; e < 4; ++e)
-        EXPECT_EQ(report.batchesPerEngine[e], 3u) << "engine " << e;
-    for (const auto &b : report.batches)
-        EXPECT_EQ(b.engine, b.batch % 4);
-}
-
 TEST(ServingPipeline, LeastLoadedIsWorkConserving)
 {
     // Under a burst (gap 0) no engine may sit idle while another has
@@ -299,7 +282,6 @@ TEST(ServingPipeline, LeastLoadedIsWorkConserving)
     ServingConfig cfg;
     cfg.engines = 4;
     cfg.pipelineDepth = 4;
-    cfg.dispatch = DispatchPolicy::LeastLoaded;
     ServingPipeline pipeline(cfg, replicas, &store);
     auto report = pipeline.serve(batches, 0);
     std::uint64_t total = 0;

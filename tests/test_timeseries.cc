@@ -24,8 +24,6 @@
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "embedding/query.hh"
-#include "embedding/service.hh"
 #include "telemetry/attribution.hh"
 #include "telemetry/slo.hh"
 #include "telemetry/timeseries.hh"
@@ -775,46 +773,4 @@ TEST(SloMonitor, BudgetConsumedAccountsWholeRun)
     feedWindow(m, 0, 90, 10);     // bad fraction exactly the budget
     m.flush(99);
     EXPECT_NEAR(m.budgetConsumed(0), 1.0, 1e-9);
-}
-
-// --- ServiceGuard load shedding under an active alert -----------------
-
-TEST(SloLoadShed, ActiveAlertForcesSingleAttempt)
-{
-    // Drive the monitor into an active alert, then serve a request
-    // that would normally retry on a deadline miss: with sloLoadShed
-    // the guard takes one attempt and counts the shed retry.
-    SloMonitor monitor = makeMonitor();
-    feedWindow(monitor, 0, 0, 10);
-    monitor.flush(99); // closes window 0 only -> fire, still active
-    ASSERT_TRUE(monitor.anyActive());
-    ScopedContext install({.slo = &monitor});
-
-    embedding::GuardConfig config;
-    config.queryDeadline = 10; // unmeetable: every attempt expires
-    config.maxAttempts = 3;
-    config.retryBackoff = 5;
-    config.sloLoadShed = true;
-    auto serve = [](const embedding::Batch &b, Tick at) {
-        embedding::ServeSample sample;
-        sample.complete = at + 1000;
-        sample.queryComplete.assign(b.queries.size(), at + 1000);
-        return sample;
-    };
-    embedding::ServiceGuard guard(config, serve);
-
-    embedding::Batch batch;
-    batch.queries.push_back(embedding::Query{0, {1, 2, 3}});
-    const embedding::GuardedRequest shed = guard.serve(batch, 0);
-    EXPECT_EQ(shed.attempts, 1u); // retries shed
-    EXPECT_EQ(guard.shedRequestCount(), 1u);
-    EXPECT_GE(guard.shedRetryCount(), 1u);
-
-    // Same request without load shedding retries up to maxAttempts.
-    embedding::GuardConfig plain = config;
-    plain.sloLoadShed = false;
-    embedding::ServiceGuard control(plain, serve);
-    const embedding::GuardedRequest full = control.serve(batch, 0);
-    EXPECT_EQ(full.attempts, 3u);
-    EXPECT_EQ(control.shedRequestCount(), 0u);
 }

@@ -57,6 +57,15 @@ struct JsonValue
                 return &v;
         return nullptr;
     }
+
+    /** The member @p key; throws std::out_of_range when it is absent. */
+    const JsonValue &
+    at(const std::string &key) const
+    {
+        if (const JsonValue *v = find(key))
+            return *v;
+        throw std::out_of_range("missing JSON key " + key);
+    }
 };
 
 class JsonReader

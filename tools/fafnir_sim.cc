@@ -16,7 +16,7 @@
  * Lookup mode serves one workload on one of two shapes. By default one
  * --engine (a Fafnir model or a baseline) runs the stream back to back,
  * behind the hardened ServiceGuard when --faults installs a plan
- * (--deadline-us, --max-attempts, --retry-backoff-ns, --slo-shed).
+ * (--deadline-us, --max-attempts, --retry-backoff-ns).
  * --serve-engines=N or --shards=S serves it through the sharded tier
  * instead: max(1, S) shards of max(1, N) event-engine replicas, so
  * --serve-engines=N alone is the one-shard tier, the pipelined front
@@ -94,16 +94,13 @@ struct Options
     // Serving shape: either count > 0 serves the sharded tier.
     unsigned serveEngines = 0;
     unsigned shards = 0;
-    std::string placement = "hash";
     unsigned pipelineDepth = 2;
     unsigned prepareWorkers = 1;
-    std::string dispatch = "least-loaded";
     double hedgePct = 0.0;
     // Guarded-serving knobs (single-engine runs under --faults).
     double deadlineUs = 0.0;
     unsigned maxAttempts = 3;
     std::uint64_t retryBackoffNs = 200;
-    bool sloShed = false;
     // Transport payload; `payload` is parsed from payloadName in main.
     std::string payloadName = "fp32";
     embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
@@ -549,7 +546,6 @@ serveGuarded(const Options &opt, telemetry::TelemetrySession &session,
     gc.retryBackoff = opt.retryBackoffNs * kTicksPerNs;
     gc.indexLimit = tables.totalVectors();
     gc.maxQueryWidth = static_cast<std::size_t>(opt.querySize) * 4;
-    gc.sloLoadShed = opt.sloShed;
     embedding::ServiceGuard guard(
         gc, [&engine](const embedding::Batch &b, Tick at) {
             auto t = engine.lookup(b, at);
@@ -592,13 +588,6 @@ serveGuarded(const Options &opt, telemetry::TelemetrySession &session,
     std::printf("served: %zu queries, %zu dropped, %zu partial requests\n",
                 served.servedQueries(), served.droppedQueries(),
                 served.partialRequests());
-    if (gc.sloLoadShed)
-        std::printf("load-shed: %llu requests served single-attempt "
-                    "under SLO alert, %llu retries suppressed\n",
-                    static_cast<unsigned long long>(
-                        guard.shedRequestCount()),
-                    static_cast<unsigned long long>(
-                        guard.shedRetryCount()));
 
     StatRegistry &registry = StatRegistry::instance();
     memory.registerStats(registry.group("memory"));
@@ -614,9 +603,6 @@ serveGuarded(const Options &opt, telemetry::TelemetrySession &session,
                      {"servedQueries", served.servedQueries()},
                      {"droppedQueries", served.droppedQueries()},
                      {"partialRequests", served.partialRequests()}});
-    if (gc.sloLoadShed)
-        setMetrics(run, {{"shedRequests", guard.shedRequestCount()},
-                         {"shedRetries", guard.shedRetryCount()}});
     return finishLookup(session);
 }
 
@@ -634,29 +620,20 @@ serveTier(const Options &opt, telemetry::TelemetrySession &session,
 {
     core::ShardTierConfig tc;
     tc.shards = std::max(1u, opt.shards);
-    tc.placement = core::parsePlacement(opt.placement);
     tc.serving.engines = std::max(1u, opt.serveEngines);
     tc.serving.pipelineDepth = opt.pipelineDepth;
     tc.serving.hedgePct = opt.hedgePct;
     tc.serving.dedup = opt.dedup;
     tc.serving.payload = opt.payload;
     tc.serving.prepareWorkers = std::max(1u, opt.prepareWorkers);
-    if (opt.dispatch == "least-loaded")
-        tc.serving.dispatch = core::DispatchPolicy::LeastLoaded;
-    else if (opt.dispatch == "round-robin")
-        tc.serving.dispatch = core::DispatchPolicy::RoundRobin;
-    else
-        FAFNIR_FATAL("unknown --dispatch '", opt.dispatch,
-                     "' (expected least-loaded or round-robin)");
 
     telemetry::RunReport &run = session.report();
     if (opt.shards > 0) {
         run.setConfig("shards", std::uint64_t{tc.shards});
-        run.setConfig("placement", opt.placement);
+        run.setConfig("placement", std::string("hash"));
     }
     run.setConfig("serveEngines", std::uint64_t{tc.serving.engines});
     run.setConfig("pipelineDepth", std::uint64_t{opt.pipelineDepth});
-    run.setConfig("dispatch", opt.dispatch);
     run.setConfig("hedgePct", opt.hedgePct);
     run.setConfig("prepareWorkers", std::uint64_t{tc.serving.prepareWorkers});
 
@@ -687,11 +664,9 @@ serveTier(const Options &opt, telemetry::TelemetrySession &session,
     const double us_total =
         static_cast<double>(served.makespan) / kTicksPerUs;
     const auto queries = static_cast<double>(opt.batches) * opt.batch;
-    std::printf("engine=event serving: %u shard(s) (%s placement) x %u "
-                "replicas, depth %u, %s dispatch, hedge %.0f%%, %u "
-                "prepare workers\n",
-                tc.shards, opt.placement.c_str(), tc.serving.engines,
-                tc.serving.pipelineDepth, opt.dispatch.c_str(),
+    std::printf("engine=event serving: %u shard(s) x %u replicas, depth "
+                "%u, hedge %.0f%%, %u prepare workers\n",
+                tc.shards, tc.serving.engines, tc.serving.pipelineDepth,
                 opt.hedgePct, tc.serving.prepareWorkers);
     std::printf("time: %.2f us makespan, %.1f ns/query, %.0f batches/s\n",
                 us_total, us_total * 1000.0 / queries,
@@ -704,20 +679,6 @@ serveTier(const Options &opt, telemetry::TelemetrySession &session,
                 static_cast<unsigned long long>(served.crossShardQueries),
                 served.loadImbalance(), check.mismatches);
     tier.printShardScoreboard(std::cout, served);
-
-    // The deterministic rebalance hook: plan + apply moves over the
-    // observed per-table load (empty when the placement is balanced).
-    const double imbalance_before = tier.observedImbalance();
-    const std::vector<core::ShardMove> moves = tier.rebalance();
-    for (const core::ShardMove &m : moves)
-        std::printf("rebalance: move table %u from shard %u to shard "
-                    "%u\n",
-                    m.table, m.from, m.to);
-    if (!moves.empty())
-        std::printf("rebalance: imbalance %.2f -> %.2f after %zu "
-                    "moves\n",
-                    imbalance_before, tier.observedImbalance(),
-                    moves.size());
 
     StatRegistry &registry = StatRegistry::instance();
     tier.registerStats(registry.group("serving.shard"));
@@ -736,8 +697,7 @@ serveTier(const Options &opt, telemetry::TelemetrySession &session,
                      {"hedgesWon", hedges_won},
                      {"crossShardQueries", served.crossShardQueries},
                      {"shardImbalance", served.loadImbalance()},
-                     {"valueMismatches", check.mismatches},
-                     {"rebalanceMoves", moves.size()}});
+                     {"valueMismatches", check.mismatches}});
     payload.report(opt, tables, run);
     return finishLookup(session);
 }
@@ -949,16 +909,11 @@ main(int argc, char **argv)
     flags.addUnsigned("shards", opt.shards,
                       "shard tables across this many stores in the "
                       "serving tier (0 = one store)");
-    flags.addString("placement", opt.placement,
-                    "table -> shard placement policy: hash or range");
     flags.addUnsigned("pipeline-depth", opt.pipelineDepth,
                       "prepared batches in flight (1 = serial rhythm)");
     flags.addUnsigned("prepare-workers", opt.prepareWorkers,
                       "modelled host prepare workers (divide the "
                       "modelled prepare cost; prepare runs serially)");
-    flags.addString("dispatch", opt.dispatch,
-                    "replica dispatch policy: least-loaded or "
-                    "round-robin");
     flags.addDouble("hedge-pct", opt.hedgePct,
                     "hedge a straggling batch onto a second engine past "
                     "this running service-time percentile (0 = off)");
@@ -975,9 +930,6 @@ main(int argc, char **argv)
                       "guarded serving: attempts per request");
     flags.addUint64("retry-backoff-ns", opt.retryBackoffNs,
                     "guarded serving: first retry backoff (doubles)");
-    flags.addBool("slo-shed", opt.sloShed,
-                  "guarded serving: shed retries (single attempt) while "
-                  "an --slo burn-rate alert is active");
     telemetry::TelemetrySession session("fafnir_sim");
     session.registerFlags(flags);
     flags.parse(argc, argv);

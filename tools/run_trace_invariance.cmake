@@ -1,15 +1,24 @@
 # ctest helper: simulated results must not depend on telemetry flags.
-# Runs fafnir_sim with ${SIM_ARGS} once plain and once with --trace,
-# then requires bench_diff at zero tolerance to pass in both
-# directions, so every gated metric (totalUs, batchesPerSec) is equal.
+# Runs fafnir_sim with ${SIM_ARGS} once plain and once observed, with
+# the observing flags ${OBSERVE_ARGS} added (default: --trace), then
+# requires bench_diff at zero tolerance to pass in both directions, so
+# every gated metric (totalUs, batchesPerSec) is equal.
+# ${OBSERVER_METRICS} (space-separated) names the metrics the observing
+# flags add to the report themselves (--slo adds sloAlertFires and
+# sloAlertClears): the plain run cannot have them, so the observed ->
+# plain comparison reads a copy of the observed report without them.
 separate_arguments(sim_args UNIX_COMMAND "${SIM_ARGS}")
-foreach(mode plain traced)
-    set(trace_arg "")
-    if(mode STREQUAL "traced")
-        set(trace_arg "--trace=${PREFIX}_trace.json")
+if(NOT DEFINED OBSERVE_ARGS)
+    set(OBSERVE_ARGS "--trace=${PREFIX}_trace.json")
+endif()
+separate_arguments(observe_args UNIX_COMMAND "${OBSERVE_ARGS}")
+foreach(mode plain observed)
+    set(extra_args "")
+    if(mode STREQUAL "observed")
+        set(extra_args ${observe_args})
     endif()
     execute_process(
-        COMMAND "${SIM}" ${sim_args} ${trace_arg}
+        COMMAND "${SIM}" ${sim_args} ${extra_args}
                 "--report=${PREFIX}_${mode}.json"
         OUTPUT_QUIET
         RESULT_VARIABLE rc)
@@ -17,6 +26,13 @@ foreach(mode plain traced)
         message(FATAL_ERROR "fafnir_sim (${mode}) failed (rc=${rc})")
     endif()
 endforeach()
+
+separate_arguments(observer_metrics UNIX_COMMAND "${OBSERVER_METRICS}")
+file(READ "${PREFIX}_observed.json" observed)
+foreach(name IN LISTS observer_metrics)
+    string(JSON observed REMOVE "${observed}" metrics ${name})
+endforeach()
+file(WRITE "${PREFIX}_observed_shared.json" "${observed}")
 
 function(require_equal baseline current)
     execute_process(
@@ -29,5 +45,5 @@ function(require_equal baseline current)
                 "${current} runs (bench_diff rc=${rc})")
     endif()
 endfunction()
-require_equal(plain traced)
-require_equal(traced plain)
+require_equal(plain observed)
+require_equal(observed_shared plain)
