@@ -61,7 +61,7 @@ class EventDrivenEngine::Pipeline
           eq_(engine.memory_.eventq()), start_(start),
           ts_(telemetry::sink()),
           levelOccupancy_(topology_.numLevels(), 0),
-          rootTimes_(run.rootOutputs.size(), MaxTick)
+          rootTimes_(run.rootOutputs, MaxTick)
     {
         const unsigned num_pes = topology_.numPes();
         engine_.pes_.resize(num_pes + 1);

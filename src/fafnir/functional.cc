@@ -23,76 +23,74 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
     if (keep_trace)
         run.trace.resize(num_pes + 1);
 
-    // Assemble the leaf PE input sides from the per-rank read lists.
-    std::vector<std::vector<Item>> side_a(num_pes + 1);
-    std::vector<std::vector<Item>> side_b(num_pes + 1);
+    // All PEs share one header table, sized for about 3 sets per read.
     FAFNIR_ASSERT(prepared.rankReads.size() >= topology_.numRanks(),
                   "prepared batch covers ", prepared.rankReads.size(),
                   " ranks, tree expects ", topology_.numRanks());
+    VectorPool pool;
+    PeBatch batch{prepared.querySets, HeaderTable(3 * prepared.accessCount),
+                  values, op, &pool, prepared.payload, {}};
+
+    // Assemble the leaf PE input sides from the per-rank read lists.
+    std::vector<std::vector<FlitOutput>> side_a(num_pes + 1);
+    std::vector<std::vector<FlitOutput>> side_b(num_pes + 1);
     for (unsigned rank = 0; rank < topology_.numRanks(); ++rank) {
         const unsigned pe = topology_.leafPeOf(rank);
         auto &side = topology_.sideOf(rank) == 0 ? side_a[pe] : side_b[pe];
+        side.reserve(side.size() + prepared.rankReads[rank].size());
         for (const auto &read : prepared.rankReads[rank])
-            side.push_back(read.item);
+            side.push_back({{batch.headers.intern(read.item.indices),
+                             read.item.queries, read.item.value},
+                            PeAction::Forward, {}});
     }
 
     // Children have larger heap ids than parents, so a descending sweep
-    // evaluates each PE after both of its children. The pool recycles
-    // each level's dead value buffers into the next level's outputs.
-    VectorPool pool;
-    std::vector<std::vector<Item>> outputs(num_pes + 1);
+    // evaluates each PE after both of its children, reading their output
+    // lists in place. The pool recycles each level's dead value buffers
+    // into the next level's outputs.
+    std::vector<std::vector<FlitOutput>> outputs(num_pes + 1);
     for (unsigned pe = num_pes; pe >= 1; --pe) {
-        std::vector<Item> *a = &side_a[pe];
-        std::vector<Item> *b = &side_b[pe];
+        std::vector<FlitOutput> *a = &side_a[pe];
+        std::vector<FlitOutput> *b = &side_b[pe];
         if (!topology_.isLeafPe(pe)) {
             a = &outputs[topology_.leftChild(pe)];
             b = &outputs[topology_.rightChild(pe)];
         }
 
         PeActivity activity;
-        std::vector<PeOutput> pe_out = ProcessingElement::process(
-            *a, *b, prepared.querySets, activity, values, op, &pool,
-            prepared.payload);
+        outputs[pe] = ProcessingElement::process(*a, *b, batch, activity);
         run.total += activity;
-        run.maxPeOutputs = std::max(run.maxPeOutputs, pe_out.size());
+        run.maxPeOutputs = std::max(run.maxPeOutputs, outputs[pe].size());
 
         if (keep_trace) {
             PeTrace &trace = run.trace[pe];
             trace.inputs = {a->size(), b->size()};
-            trace.outputs.reserve(pe_out.size());
-            for (const PeOutput &out : pe_out)
+            trace.outputs.reserve(outputs[pe].size());
+            // Only the trace reads sources once the PE is done.
+            for (FlitOutput &out : outputs[pe])
                 trace.outputs.push_back(
-                    {out.action, out.sources, out.item.queries});
+                    {out.action, std::move(out.sources), out.queries});
         }
 
-        if (pe == TreeTopology::rootPe()) {
-            run.rootOutputs = std::move(pe_out);
-        } else {
-            outputs[pe].reserve(pe_out.size());
-            for (auto &out : pe_out)
-                outputs[pe].push_back(std::move(out.item));
-        }
         // The inputs are consumed: recycle their value buffers, then
         // free the item lists eagerly.
-        if (!topology_.isLeafPe(pe)) {
-            pool.releaseValues(outputs[topology_.leftChild(pe)]);
-            pool.releaseValues(outputs[topology_.rightChild(pe)]);
-            outputs[topology_.leftChild(pe)].clear();
-            outputs[topology_.rightChild(pe)].clear();
-        } else {
-            pool.releaseValues(side_a[pe]);
-            pool.releaseValues(side_b[pe]);
-        }
+        pool.releaseValues(*a);
+        pool.releaseValues(*b);
+        a->clear();
+        b->clear();
         if (pe == 1)
             break; // unsigned loop guard
     }
 
     // Root output stage: index the root outputs by query, then sum each
     // query's (disjoint) partial items in root order.
+    const std::vector<FlitOutput> &root = outputs[TreeTopology::rootPe()];
+    const HeaderTable &headers = batch.headers;
+    run.rootOutputs = root.size();
     const std::size_t num_queries = prepared.querySets.size();
     run.rootOutputsOf.resize(num_queries);
-    for (std::uint32_t k = 0; k < run.rootOutputs.size(); ++k)
-        for (QueryId q : run.rootOutputs[k].item.queries)
+    for (std::uint32_t k = 0; k < root.size(); ++k)
+        for (QueryId q : root[k].queries)
             run.rootOutputsOf[q].push_back(k);
     run.results.resize(num_queries);
     for (QueryId q = 0; q < num_queries; ++q) {
@@ -100,15 +98,19 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
         FAFNIR_ASSERT(!items.empty(), "query ", q,
                       " produced no root items");
         run.rootCombines += items.size() - 1;
-        IndexSet covered;
+        SetId covered = root[items[0]].indices;
         embedding::Vector acc;
         for (std::uint32_t k : items) {
-            const Item &item = run.rootOutputs[k].item;
-            FAFNIR_ASSERT(covered.disjointWith(item.indices),
+            const FlitOutput &item = root[k];
+            const auto have = headers[covered];
+            FAFNIR_ASSERT(k == items[0] ||
+                              std::ranges::find_first_of(
+                                  have, headers[item.indices]) == have.end(),
                           "query ", q, ": overlapping root items — ",
-                          covered.toString(), " vs ",
-                          item.indices.toString());
-            covered = covered.disjointUnion(item.indices);
+                          IndexSet(headers[covered]).toString(), " vs ",
+                          IndexSet(headers[item.indices]).toString());
+            if (k != items[0])
+                covered = batch.headers.unite(covered, item.indices);
             if (values && !item.value.empty()) {
                 if (acc.empty()) {
                     acc = item.value;
@@ -118,13 +120,13 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
                 }
             }
         }
-        FAFNIR_ASSERT(covered == prepared.querySets[q],
-                      "query ", q, " incomplete at root: got ",
-                      covered.toString(), ", want ",
-                      prepared.querySets[q].toString());
+        const IndexSet &want = prepared.querySets[q];
+        const auto got = headers[covered];
+        FAFNIR_ASSERT(std::ranges::equal(got, want), "query ", q,
+                      " incomplete at root: got ", IndexSet(got).toString(),
+                      ", want ", want.toString());
         // Mean is a Sum through the tree, scaled at the root output.
-        embedding::finalizeSpan(op, acc.data(), acc.size(),
-                                covered.size());
+        embedding::finalizeSpan(op, acc.data(), acc.size(), got.size());
         run.results[q] = std::move(acc);
     }
 

@@ -58,8 +58,8 @@ struct PeTrace
 /** Result of evaluating one batch. */
 struct TreeRun
 {
-    /** Root output items (post-merge). */
-    std::vector<PeOutput> rootOutputs;
+    /** Number of root output items (post-merge). */
+    std::size_t rootOutputs = 0;
     /** Reduced vector per query id; empty vectors in timing-only runs. */
     std::vector<embedding::Vector> results;
     /** Summed PE activity over the whole tree. */

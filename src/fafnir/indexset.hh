@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,8 +46,8 @@ class IndexSet
         normalize();
     }
 
-    /** Build from an arbitrary vector (sorted + deduplicated). */
-    explicit IndexSet(const std::vector<IndexId> &items)
+    /** Build from arbitrary ids (sorted + deduplicated). */
+    explicit IndexSet(std::span<const IndexId> items)
     {
         items_.reserve(items.size());
         for (IndexId index : items)
@@ -76,12 +77,19 @@ class IndexSet
         return std::binary_search(items_.begin(), items_.end(), index);
     }
 
-    /** True if every element of @p other is in this set. */
+    /**
+     * True if every id of @p other (distinct ids) is in this set, that is
+     * if |other| pairs of ids are equal. Counting all pairs vectorizes and
+     * does not mispredict on nearly every id, as std::includes does.
+     */
     bool
-    containsAll(const IndexSet &other) const
+    containsAll(std::span<const IndexId> other) const
     {
-        return std::includes(items_.begin(), items_.end(),
-                             other.items_.begin(), other.items_.end());
+        std::size_t equal = 0;
+        for (IndexId index : other)
+            for (IndexId have : items_)
+                equal += have == index;
+        return equal == other.size();
     }
 
     bool

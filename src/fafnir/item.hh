@@ -19,7 +19,6 @@
 #ifndef FAFNIR_FAFNIR_ITEM_HH
 #define FAFNIR_FAFNIR_ITEM_HH
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -48,14 +47,6 @@ struct Item
      * model always populates it.
      */
     embedding::Vector value;
-
-    /** True if @p query wants this item. */
-    bool
-    hasQuery(QueryId query) const
-    {
-        return std::find(queries.begin(), queries.end(), query) !=
-               queries.end();
-    }
 
     /** True once some query is fully reduced in this item, given the
      *  batch's full index set per query. */

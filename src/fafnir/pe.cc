@@ -6,8 +6,7 @@
 #include "pe.hh"
 
 #include <algorithm>
-#include <bit>
-#include <tuple>
+#include <array>
 
 #include "common/logging.hh"
 #include "embedding/reduce_kernels.hh"
@@ -42,78 +41,85 @@ addValues(const embedding::Vector &a, const embedding::Vector &b,
     return out;
 }
 
-/** Append to @p raw a forward of @p source carrying only @p query. */
-void
-pushForward(std::vector<PeOutput> &raw, const Item &source, QueryId query,
-            std::uint32_t side, std::uint32_t index, VectorPool *pool)
+/** How the kernel reads its input types (a flit carries its header id;
+ *  an Item's is interned alongside) and fills its output types. */
+struct Fields
 {
-    PeOutput &out = raw.emplace_back();
-    out.item.indices = source.indices;
-    out.item.queries.push_back(query);
-    out.item.value = copyValue(source.value, pool);
-    out.action = PeAction::Forward;
-    out.sources.push_back({side, index});
-}
-
-/** One query of one buffer entry: the unit the compute fabric pairs. */
-struct Entry
-{
-    QueryId query = 0;
-    std::uint8_t side = 0;
-    std::uint32_t pos = 0;
+    static SetId id(const Flit &f, const SetId *, int) { return f.indices; }
+    static SetId id(const Item &, const SetId *ids, int i) { return ids[i]; }
+    static auto &queries(FlitOutput &out) { return out.queries; }
+    static auto &queries(PeOutput &out) { return out.item.queries; }
+    static auto &value(FlitOutput &out) { return out.value; }
+    static auto &value(PeOutput &out) { return out.item.value; }
+    static void indices(FlitOutput &o, SetId id, auto &) { o.indices = id; }
+    static void
+    indices(PeOutput &out, SetId id, const HeaderTable &headers)
+    {
+        out.item.indices = IndexSet(headers[id]);
+    }
 };
 
-/** Hash of an index set for the merge stash. */
-std::size_t
-hashOf(const IndexSet &set)
+constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+/** One raw output: a reduce or a forward for one query. */
+struct RawOutput
 {
-    std::uint64_t h = set.size();
-    for (IndexId id : set)
-        h = (h ^ id) * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-}
+    SetId indices;
+    QueryId query;
+    PeAction action;
+    /** Its input entries: two for a reduce, the first for a forward. */
+    std::array<Provenance, 2> sources;
+    /** The next raw output with the same set, in raw order, or kEmpty. */
+    std::uint32_t next;
+    embedding::Vector value;
+};
+
+/** A merge-unit group: its set's order key and id, its first raw output. */
+struct Group
+{
+    std::uint64_t key;
+    SetId id;
+    std::uint32_t first;
+};
 
 /** Fold raw output @p out into @p head, which has the same indices. */
+template <typename Out>
 void
-mergeInto(PeOutput &head, PeOutput &out, PeActivity &activity,
-          VectorPool *pool)
+mergeInto(Out &head, RawOutput &out, PeActivity &activity, VectorPool *pool)
 {
     // The losing duplicate's value buffer dies here; recycle it.
     if (pool != nullptr)
-        pool->release(std::move(out.item.value));
+        pool->release(std::move(out.value));
     // Equal indices and an equal query mean an equal residual: an exact
     // duplicate.
-    for (QueryId query : out.item.queries) {
-        if (head.item.hasQuery(query)) {
-            ++activity.duplicatesDropped;
-        } else {
-            head.item.queries.push_back(query);
-            ++activity.headersMerged;
-        }
+    auto &queries = Fields::queries(head);
+    if (std::find(queries.begin(), queries.end(), out.query) !=
+        queries.end()) {
+        ++activity.duplicatesDropped;
+    } else {
+        queries.push_back(out.query);
+        ++activity.headersMerged;
     }
-    for (const Provenance &src : out.sources) {
-        bool known = false;
-        for (const Provenance &have : head.sources)
-            known |= have == src;
-        if (!known)
-            head.sources.push_back(src);
-    }
+    const std::size_t count = out.action == PeAction::Reduce ? 2 : 1;
+    for (std::size_t i = 0; i < count; ++i)
+        if (std::ranges::find(head.sources, out.sources[i]) ==
+            head.sources.end())
+            head.sources.push_back(out.sources[i]);
     if (out.action == PeAction::Reduce)
         head.action = PeAction::Reduce;
 }
 
-} // namespace
-
-std::vector<PeOutput>
-ProcessingElement::process(const std::vector<Item> &a,
-                           const std::vector<Item> &b,
-                           const std::vector<IndexSet> &query_sets,
-                           PeActivity &activity, bool values,
-                           embedding::ReduceOp op,
-                           VectorPool *pool,
-                           embedding::PayloadFormat payload)
+/** The one pairing and merge implementation: In is FlitOutput, or Item
+ *  with its interned ids in @p ids by side; Out is FlitOutput or PeOutput. */
+template <typename Out, typename In>
+std::vector<Out>
+kernel(const std::vector<In> &a, const std::vector<In> &b,
+       std::array<const SetId *, 2> ids, PeBatch &batch,
+       PeActivity &activity)
 {
-    const bool quantized = payload != embedding::PayloadFormat::Fp32;
+    HeaderTable &headers = batch.headers;
+    VectorPool *pool = batch.pool;
+    const bool quantized = batch.payload != embedding::PayloadFormat::Fp32;
     constexpr std::size_t kMaxInputs = std::size_t{1} << 31;
     FAFNIR_ASSERT(a.size() < kMaxInputs && b.size() < kMaxInputs,
                   "input lists of ", a.size(), " and ", b.size(),
@@ -122,68 +128,73 @@ ProcessingElement::process(const std::vector<Item> &a,
     // entry of the other (Section IV-B).
     activity.compares += static_cast<std::uint64_t>(a.size()) * b.size();
 
-    // Gather, per query, the buffer positions that carry it: one flat
-    // entry per (item, query), ordered by query, then side (A first),
-    // then buffer position.
-    std::vector<Entry> entries;
-    std::size_t wanted = 0;
-    for (const Item &item : a)
-        wanted += item.queries.size();
-    for (const Item &item : b)
-        wanted += item.queries.size();
-    entries.reserve(wanted);
-    for (std::uint32_t i = 0; i < a.size(); ++i)
-        for (QueryId q : a[i].queries)
-            entries.push_back({q, 0, i});
-    for (std::uint32_t i = 0; i < b.size(); ++i)
-        for (QueryId q : b[i].queries)
-            entries.push_back({q, 1, i});
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &x, const Entry &y) {
-                  return std::tie(x.query, x.side, x.pos) <
-                         std::tie(y.query, y.side, y.pos);
-              });
+    // Gather, per query, the buffer positions that carry it: one entry
+    // per (item, query), grouped by a stable counting sort on the query.
+    // Sides are scanned A then B in buffer order, so each query's entries
+    // come A first, then by position.
+    const std::size_t num_queries = batch.querySets.size();
+    std::vector<std::uint32_t> first(num_queries + 1, 0);
+    for (const auto *side : {&a, &b})
+        for (const In &item : *side)
+            for (QueryId q : item.queries) {
+                FAFNIR_ASSERT(q < num_queries, "query ", q,
+                              " outside the batch's ", num_queries,
+                              " queries");
+                ++first[q + 1];
+            }
+    for (std::size_t q = 0; q < num_queries; ++q)
+        first[q + 1] += first[q];
+    std::vector<Provenance> entries(first[num_queries]);
+    for (std::uint32_t side = 0; side < 2; ++side) {
+        const std::vector<In> &items = side == 0 ? a : b;
+        for (std::uint32_t i = 0; i < items.size(); ++i)
+            for (QueryId q : items[i].queries)
+                entries[first[q]++] = {side, i};
+    }
+    // first[q] now ends query q's entries and starts query q + 1's.
 
     // Every raw output consumes at least one entry, so one reservation
     // holds them all.
-    std::vector<PeOutput> raw;
+    std::vector<RawOutput> raw;
     raw.reserve(entries.size());
-    for (std::size_t first = 0; first < entries.size();) {
-        const QueryId query = entries[first].query;
-        std::size_t split = first; // the query's first B entry
-        while (split < entries.size() && entries[split].query == query &&
-               entries[split].side == 0)
+    auto forward = [&](Provenance at, QueryId query) {
+        const In &source = at.side == 0 ? a[at.index] : b[at.index];
+        raw.push_back({Fields::id(source, ids[at.side], at.index), query,
+                       PeAction::Forward, {at, {}}, kEmpty,
+                       copyValue(source.value, pool)});
+        ++activity.forwards;
+    };
+    std::uint32_t begin = 0;
+    for (QueryId query = 0; query < num_queries; begin = first[query++]) {
+        const std::uint32_t last = first[query];
+        std::uint32_t split = begin; // the query's first B entry
+        while (split < last && entries[split].side == 0)
             ++split;
-        std::size_t last = split;
-        while (last < entries.size() && entries[last].query == query)
-            ++last;
-        const std::size_t in_a = split - first;
-        const std::size_t in_b = last - split;
-        const std::size_t paired = std::min(in_a, in_b);
+        const std::uint32_t paired = std::min(split - begin, last - split);
 
-        for (std::size_t i = 0; i < paired; ++i) {
-            const std::uint32_t pa = entries[first + i].pos;
-            const std::uint32_t pb = entries[split + i].pos;
-            const Item &left = a[pa];
-            const Item &right = b[pb];
-            // Both operands must lie inside Q(query); disjointUnion
-            // checks that they do not overlap.
-            FAFNIR_ASSERT(query < query_sets.size(), "query ", query,
-                          " outside the batch's ", query_sets.size(),
-                          " queries");
-            const IndexSet &full = query_sets[query];
-            FAFNIR_ASSERT(full.containsAll(left.indices) &&
-                              full.containsAll(right.indices),
+        for (std::uint32_t i = 0; i < paired; ++i) {
+            const Provenance pa = entries[begin + i];
+            const Provenance pb = entries[split + i];
+            const In &left = a[pa.index];
+            const In &right = b[pb.index];
+            // The operands must be disjoint (unite checks) and both lie
+            // inside Q(query), which holds exactly when their union does.
+            const SetId left_id = Fields::id(left, ids[0], pa.index);
+            const SetId right_id = Fields::id(right, ids[1], pb.index);
+            const SetId united = headers.unite(left_id, right_id);
+            const IndexSet &full = batch.querySets[query];
+            FAFNIR_ASSERT(full.containsAll(headers[united]),
                           "query ", query, ": operands ",
-                          left.indices.toString(), " and ",
-                          right.indices.toString(), " not wanted by ",
-                          full.toString());
+                          IndexSet(headers[left_id]).toString(), " and ",
+                          IndexSet(headers[right_id]).toString(),
+                          " not wanted by ", full.toString());
 
-            PeOutput &out = raw.emplace_back();
-            out.item.indices = left.indices.disjointUnion(right.indices);
-            out.item.queries.push_back(query);
-            if (values && !left.value.empty())
-                out.item.value = addValues(left.value, right.value, op, pool);
+            embedding::Vector value;
+            if (batch.values && !left.value.empty())
+                value = addValues(left.value, right.value, batch.op, pool);
+            raw.push_back({united, query, PeAction::Reduce, {pa, pb}, kEmpty,
+                           std::move(value)});
+            ++activity.reduces;
             // Meeting-logic codec work under a compressed payload:
             // dequantize both operands, accumulate in fp32, and
             // requantize the partial for the uplink. Counted per
@@ -196,60 +207,88 @@ ProcessingElement::process(const std::vector<Item> &a,
                 activity.dequants += 2;
                 activity.requants += 1;
             }
-            out.action = PeAction::Reduce;
-            out.sources.push_back({0, pa});
-            out.sources.push_back({1, pb});
-            ++activity.reduces;
         }
-        for (std::size_t i = first + paired; i < split; ++i) {
-            pushForward(raw, a[entries[i].pos], query, 0, entries[i].pos,
-                        pool);
-            ++activity.forwards;
-        }
-        for (std::size_t i = split + paired; i < last; ++i) {
-            pushForward(raw, b[entries[i].pos], query, 1, entries[i].pos,
-                        pool);
-            ++activity.forwards;
-        }
-        first = last;
+        for (std::uint32_t i = begin + paired; i < split; ++i)
+            forward(entries[i], query);
+        for (std::uint32_t i = split + paired; i < last; ++i)
+            forward(entries[i], query);
     }
 
     // Merge unit: group by indices set. Equal indices imply the same value
     // (a value is a pure function of the vectors it sums), so duplicates
-    // are dropped and distinct query lists are concatenated. The stash
-    // is a linear-probe table from an indices set to the first raw output
-    // carrying it (the group's head); later outputs fold into their head
-    // in raw order. At least twice as many slots as raw outputs keeps
-    // probes short and the table never full.
-    constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
-    const std::size_t mask = std::bit_ceil(2 * raw.size()) - 1;
-    std::vector<std::uint32_t> stash(mask + 1, kEmpty);
-    std::vector<std::uint32_t> heads;
-    heads.reserve(raw.size());
-    for (std::uint32_t k = 0; k < raw.size(); ++k) {
-        const IndexSet &key = raw[k].item.indices;
-        std::size_t slot = hashOf(key) & mask;
-        while (stash[slot] != kEmpty && raw[stash[slot]].item.indices != key)
-            slot = (slot + 1) & mask;
-        if (stash[slot] == kEmpty) {
-            stash[slot] = k;
-            heads.push_back(k);
+    // are dropped and distinct query lists are concatenated. Equal sets
+    // have equal ids, so the stash maps a set id to its group; the group's
+    // first raw output heads it and later ones fold into it in raw order.
+    // A backward scan links each group's raw outputs in that order.
+    std::vector<std::uint32_t> &stash = batch.stash;
+    stash.resize(headers.size(), kEmpty);
+    std::vector<Group> groups;
+    for (auto k = static_cast<std::uint32_t>(raw.size()); k-- > 0;) {
+        const SetId id = raw[k].indices;
+        if (stash[id] == kEmpty) {
+            stash[id] = static_cast<std::uint32_t>(groups.size());
+            groups.push_back({headers.orderKey(id), id, k});
         } else {
-            mergeInto(raw[stash[slot]], raw[k], activity, pool);
+            raw[k].next = groups[stash[id]].first;
+            groups[stash[id]].first = k;
         }
     }
 
     // Heads leave in ascending indices order: the output-order contract
-    // (pe.hh) that fixes every output's issue slot.
-    std::sort(heads.begin(), heads.end(),
-              [&raw](std::uint32_t x, std::uint32_t y) {
-                  return raw[x].item.indices < raw[y].item.indices;
+    // (pe.hh) that fixes every output's issue slot. Their sets are
+    // distinct, so the contents decide whenever the keys tie.
+    std::sort(groups.begin(), groups.end(),
+              [&headers](const Group &x, const Group &y) {
+                  return x.key != y.key ? x.key < y.key
+                                        : headers.less(x.id, y.id);
               });
-    std::vector<PeOutput> outputs;
-    outputs.reserve(heads.size());
-    for (std::uint32_t k : heads)
-        outputs.push_back(std::move(raw[k]));
+    std::vector<Out> outputs(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        stash[groups[g].id] = kEmpty;
+        RawOutput &lead = raw[groups[g].first];
+        Out &out = outputs[g];
+        Fields::indices(out, lead.indices, headers);
+        Fields::queries(out).push_back(lead.query);
+        Fields::value(out) = std::move(lead.value);
+        out.action = lead.action;
+        out.sources.push_back(lead.sources[0]);
+        if (lead.action == PeAction::Reduce)
+            out.sources.push_back(lead.sources[1]);
+        for (std::uint32_t k = lead.next; k != kEmpty; k = raw[k].next)
+            mergeInto(out, raw[k], activity, pool);
+    }
     return outputs;
+}
+
+} // namespace
+
+std::vector<FlitOutput>
+ProcessingElement::process(const std::vector<FlitOutput> &a,
+                           const std::vector<FlitOutput> &b, PeBatch &batch,
+                           PeActivity &activity)
+{
+    return kernel<FlitOutput>(a, b, {}, batch, activity);
+}
+
+std::vector<PeOutput>
+ProcessingElement::process(const std::vector<Item> &a,
+                           const std::vector<Item> &b,
+                           const std::vector<IndexSet> &query_sets,
+                           PeActivity &activity, bool values,
+                           embedding::ReduceOp op,
+                           VectorPool *pool,
+                           embedding::PayloadFormat payload)
+{
+    // Sets: at most one per input and one per reduce.
+    PeBatch batch{query_sets, HeaderTable(2 * (a.size() + b.size())),
+                  values, op, pool, payload, {}};
+    std::vector<SetId> ids;
+    ids.reserve(a.size() + b.size());
+    for (const auto *side : {&a, &b})
+        for (const Item &item : *side)
+            ids.push_back(batch.headers.intern(item.indices));
+    return kernel<PeOutput>(a, b, {ids.data(), ids.data() + a.size()}, batch,
+                            activity);
 }
 
 } // namespace fafnir::core

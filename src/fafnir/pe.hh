@@ -25,6 +25,9 @@
  * ascending). The analytic engine gives output k the k-th issue slot and
  * the event engine scans outputs in index order, so this order sets the
  * emission ticks.
+ *
+ * One kernel does this work on headers interned in a HeaderTable
+ * (headers.hh), for the tree's flits and for Items alike.
  */
 
 #ifndef FAFNIR_FAFNIR_PE_HH
@@ -36,6 +39,7 @@
 #include "common/smallvec.hh"
 #include "common/types.hh"
 #include "embedding/quantize.hh"
+#include "fafnir/headers.hh"
 #include "fafnir/item.hh"
 
 namespace fafnir::core
@@ -135,6 +139,36 @@ struct PeOutput
     SmallVec<Provenance, 4> sources;
 };
 
+/** A buffer entry with an interned header: the lean form of Item. */
+struct Flit
+{
+    /** The HeaderTable id of the header's indices field. */
+    SetId indices = 0;
+    SmallVec<QueryId, 2> queries;
+    embedding::Vector value;
+};
+
+/** A PE output over interned headers: the lean form of PeOutput. */
+struct FlitOutput : Flit
+{
+    PeAction action = PeAction::Forward;
+    SmallVec<Provenance, 4> sources;
+};
+
+/** What the PEs of one evaluation share: query sets, interned headers,
+ *  the options of ProcessingElement::process and the merge stash. */
+struct PeBatch
+{
+    const std::vector<IndexSet> &querySets;
+    HeaderTable headers;
+    bool values = true;
+    embedding::ReduceOp op = embedding::ReduceOp::Sum;
+    VectorPool *pool = nullptr;
+    embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
+    /** Merge-unit scratch by set id, all ~0 between PEs. */
+    std::vector<std::uint32_t> stash;
+};
+
 /**
  * Functional model of one PE processing the complete input sets of one
  * batch. Stateless; the tree evaluators own buffering and timing.
@@ -142,8 +176,15 @@ struct PeOutput
 class ProcessingElement
 {
   public:
+    /** Process inputs A and B, whose headers @p batch interned. */
+    static std::vector<FlitOutput>
+    process(const std::vector<FlitOutput> &a,
+            const std::vector<FlitOutput> &b, PeBatch &batch,
+            PeActivity &activity);
+
     /**
-     * Process inputs A and B.
+     * Process inputs A and B: intern their headers into a table of
+     * their own and run the same kernel as above.
      * @param query_sets the batch's full index set per query id
      *        (PreparedBatch::querySets): Q(q), against which pairing
      *        checks that both operands are wanted by q.
@@ -174,6 +215,7 @@ class ProcessingElement
     {
         return std::min(n * m + n + m, batch);
     }
+
 };
 
 } // namespace fafnir::core

@@ -93,7 +93,7 @@ TreeReplay::queryReady(const TreeRun &run,
                        const std::vector<Tick> &root_times,
                        Tick start) const
 {
-    FAFNIR_ASSERT(root_times.size() == run.rootOutputs.size(),
+    FAFNIR_ASSERT(root_times.size() == run.rootOutputs,
                   "root trace size mismatch");
     std::vector<Tick> ready(run.rootOutputsOf.size(), start);
     for (QueryId q = 0; q < ready.size(); ++q) {

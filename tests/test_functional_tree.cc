@@ -419,6 +419,30 @@ TEST(FunctionalTree, Figure6ExactPlacement)
     EXPECT_TRUE(saw_reduced);
 }
 
+TEST(FunctionalTree, ForwardedQueryOutsideBatchAborts)
+{
+    // A two-rank tree is one PE. Query 0 = {1} arrives on A; B carries a
+    // read for query 40, which the one-query batch does not have. It
+    // only forwards, so no pairing check sees it: the PE must reject it
+    // before the root stage indexes its results by query.
+    const TreeTopology topology(2);
+    const FunctionalTree tree(topology);
+    PreparedBatch prepared;
+    prepared.querySets = {IndexSet({1})};
+    prepared.rankReads.resize(2);
+    RankRead wanted;
+    wanted.index = 1;
+    wanted.item.indices = IndexSet::single(1);
+    wanted.item.queries.push_back(0);
+    prepared.rankReads[0].push_back(wanted);
+    RankRead stray;
+    stray.index = 2;
+    stray.item.indices = IndexSet::single(2);
+    stray.item.queries.push_back(40);
+    prepared.rankReads[1].push_back(stray);
+    EXPECT_DEATH(tree.run(prepared, false), "query 40 outside the batch");
+}
+
 TEST(FunctionalTree, TraceIsObservationOnly)
 {
     // Keeping the per-PE trace must not perturb the evaluation, and the

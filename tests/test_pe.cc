@@ -360,6 +360,18 @@ TEST_F(Pe, PairingChecksAbortOnUnwantedOperands)
     EXPECT_DEATH(run({unknown_left}, {unknown_right}), "outside the batch");
 }
 
+TEST_F(Pe, ForwardedQueryOutsideBatchAborts)
+{
+    // Query 0 = {1, 2}. An item carrying query 7, which the batch does
+    // not have, must abort even when it only forwards.
+    const Item known = makeItem({1}, {{0, {2}}});
+    Item lone;
+    lone.indices = IndexSet({2});
+    lone.queries.push_back(7);
+    EXPECT_DEATH(run({lone}, {}), "query 7 outside the batch");
+    EXPECT_DEATH(run({known}, {lone}), "query 7 outside the batch");
+}
+
 TEST_F(Pe, ProvenanceIndexDoesNotWrap)
 {
     // 65,537 single-query items on side A: every one forwards, and each
