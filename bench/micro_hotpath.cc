@@ -117,16 +117,13 @@ benchEventChain(std::uint64_t chain_length)
  * Two PE input sides for @p pairs queries: query q holds {2q, 2q+1},
  * side A delivers the even vector, side B the odd one — every entry
  * reduces exactly once, like a balanced leaf level. @p query_sets gets
- * each query's full index set.
+ * each query's full index set and @p headers the flits' headers.
  */
 void
 makePeSides(std::size_t pairs, std::size_t dim, bool values,
-            std::vector<Item> &a, std::vector<Item> &b,
-            std::vector<IndexSet> &query_sets)
+            std::vector<Flit> &a, std::vector<Flit> &b,
+            std::vector<IndexSet> &query_sets, HeaderTable &headers)
 {
-    a.clear();
-    b.clear();
-    query_sets.clear();
     a.reserve(pairs);
     b.reserve(pairs);
     query_sets.reserve(pairs);
@@ -134,11 +131,11 @@ makePeSides(std::size_t pairs, std::size_t dim, bool values,
         const IndexId even = static_cast<IndexId>(2 * q);
         const IndexId odd = even + 1;
         query_sets.push_back({even, odd});
-        Item left;
-        left.indices = IndexSet::single(even);
+        Flit left;
+        left.indices = headers.intern({&even, 1});
         left.queries = {static_cast<QueryId>(q)};
-        Item right;
-        right.indices = IndexSet::single(odd);
+        Flit right;
+        right.indices = headers.intern({&odd, 1});
         right.queries = {static_cast<QueryId>(q)};
         if (values) {
             left.value.assign(dim, static_cast<float>(q) * 0.5f);
@@ -165,24 +162,27 @@ PeRates
 benchPe(std::size_t pairs, std::size_t dim, bool values,
         std::uint64_t iterations)
 {
-    std::vector<Item> a;
-    std::vector<Item> b;
+    std::vector<Flit> a;
+    std::vector<Flit> b;
     std::vector<IndexSet> query_sets;
-    makePeSides(pairs, dim, values, a, b, query_sets);
+    VectorPool pool;
+    // One evaluation's shared state, as FunctionalTree::run builds it.
+    PeBatch batch{.querySets = query_sets,
+                  .headers = HeaderTable(3 * pairs),
+                  .values = values,
+                  .pool = &pool,
+                  .stash = {}};
+    makePeSides(pairs, dim, values, a, b, query_sets, batch.headers);
 
     PeActivity activity;
-    VectorPool pool;
     std::size_t outputs = 0;
     const auto begin = Clock::now();
     for (std::uint64_t it = 0; it < iterations; ++it) {
-        auto out = ProcessingElement::process(a, b, query_sets, activity,
-                                              values,
-                                              embedding::ReduceOp::Sum, &pool);
+        auto out = ProcessingElement::process(a, b, batch, activity);
         outputs += out.size();
         // Steady state: a parent consumes these outputs and their value
         // buffers come back, exactly as FunctionalTree::run recycles.
-        for (auto &o : out)
-            pool.release(std::move(o.item.value));
+        pool.releaseValues(out);
     }
     const auto end = Clock::now();
     FAFNIR_ASSERT(outputs == pairs * iterations, "unexpected PE outputs");

@@ -28,25 +28,11 @@ floorLog2(std::uint64_t n)
     return n == 0 ? 0 : static_cast<unsigned>(std::bit_width(n)) - 1;
 }
 
-/** Ceiling of log2(@p n); @p n must be nonzero. */
-constexpr unsigned
-ceilLog2(std::uint64_t n)
-{
-    return isPowerOf2(n) ? floorLog2(n) : floorLog2(n) + 1;
-}
-
 /** Ceiling of @p a / @p b for positive integers. */
 constexpr std::uint64_t
 divCeil(std::uint64_t a, std::uint64_t b)
 {
     return (a + b - 1) / b;
-}
-
-/** Round @p n up to the next multiple of @p align (a power of two). */
-constexpr std::uint64_t
-roundUp(std::uint64_t n, std::uint64_t align)
-{
-    return (n + align - 1) & ~(align - 1);
 }
 
 /** Extract bits [first, last] (inclusive, last >= first) of @p value. */

@@ -32,26 +32,25 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
                   values, op, &pool, prepared.payload, {}};
 
     // Assemble the leaf PE input sides from the per-rank read lists.
-    std::vector<std::vector<FlitOutput>> side_a(num_pes + 1);
-    std::vector<std::vector<FlitOutput>> side_b(num_pes + 1);
+    std::vector<std::vector<Flit>> side_a(num_pes + 1);
+    std::vector<std::vector<Flit>> side_b(num_pes + 1);
     for (unsigned rank = 0; rank < topology_.numRanks(); ++rank) {
         const unsigned pe = topology_.leafPeOf(rank);
         auto &side = topology_.sideOf(rank) == 0 ? side_a[pe] : side_b[pe];
         side.reserve(side.size() + prepared.rankReads[rank].size());
         for (const auto &read : prepared.rankReads[rank])
-            side.push_back({{batch.headers.intern(read.item.indices),
-                             read.item.queries, read.item.value},
-                            PeAction::Forward, {}});
+            side.push_back({batch.headers.intern({&read.index, 1}),
+                            read.queries, read.value, PeAction::Forward, {}});
     }
 
     // Children have larger heap ids than parents, so a descending sweep
     // evaluates each PE after both of its children, reading their output
     // lists in place. The pool recycles each level's dead value buffers
     // into the next level's outputs.
-    std::vector<std::vector<FlitOutput>> outputs(num_pes + 1);
+    std::vector<std::vector<Flit>> outputs(num_pes + 1);
     for (unsigned pe = num_pes; pe >= 1; --pe) {
-        std::vector<FlitOutput> *a = &side_a[pe];
-        std::vector<FlitOutput> *b = &side_b[pe];
+        std::vector<Flit> *a = &side_a[pe];
+        std::vector<Flit> *b = &side_b[pe];
         if (!topology_.isLeafPe(pe)) {
             a = &outputs[topology_.leftChild(pe)];
             b = &outputs[topology_.rightChild(pe)];
@@ -67,7 +66,7 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
             trace.inputs = {a->size(), b->size()};
             trace.outputs.reserve(outputs[pe].size());
             // Only the trace reads sources once the PE is done.
-            for (FlitOutput &out : outputs[pe])
+            for (Flit &out : outputs[pe])
                 trace.outputs.push_back(
                     {out.action, std::move(out.sources), out.queries});
         }
@@ -84,7 +83,7 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
 
     // Root output stage: index the root outputs by query, then sum each
     // query's (disjoint) partial items in root order.
-    const std::vector<FlitOutput> &root = outputs[TreeTopology::rootPe()];
+    const std::vector<Flit> &root = outputs[TreeTopology::rootPe()];
     const HeaderTable &headers = batch.headers;
     run.rootOutputs = root.size();
     const std::size_t num_queries = prepared.querySets.size();
@@ -101,7 +100,7 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
         SetId covered = root[items[0]].indices;
         embedding::Vector acc;
         for (std::uint32_t k : items) {
-            const FlitOutput &item = root[k];
+            const Flit &item = root[k];
             const auto have = headers[covered];
             FAFNIR_ASSERT(k == items[0] ||
                               std::ranges::find_first_of(

@@ -37,7 +37,7 @@ namespace fafnir::core
 struct TracedOutput
 {
     PeAction action = PeAction::Forward;
-    /** Input entries the output depends on (PeOutput::sources). */
+    /** Input entries the output depends on (Flit::sources). */
     SmallVec<Provenance, 4> sources;
     /** Ids of the queries the output carries (attribution tags). */
     SmallVec<QueryId, 2> queries;

@@ -14,12 +14,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
-#include "fafnir/indexset.hh"
 
 namespace fafnir::core
 {
@@ -40,10 +40,14 @@ class HeaderTable
         ids_.reserve(4 * expected);
     }
 
-    /** The id of @p set's contents, added if new. */
+    /** The id of the set holding @p set, whose ids must ascend without
+     *  repeats; added if new. */
     SetId
-    intern(const IndexSet &set)
+    intern(std::span<const IndexId> set)
     {
+        FAFNIR_ASSERT(std::ranges::adjacent_find(set, std::greater_equal{}) ==
+                          set.end(),
+                      "interned ids not ascending and distinct");
         const std::size_t offset = ids_.size();
         std::uint64_t h = 0;
         for (IndexId index : set)
@@ -52,9 +56,9 @@ class HeaderTable
         return commit(offset, h);
     }
 
-    /** The id of @p a ∪ @p b; faults if they overlap, as disjointUnion
-     *  does. A set hashes to the sum of its ids' mixes, so a union's hash
-     *  is its operands' sum. */
+    /** The id of @p a ∪ @p b; faults if they overlap (a reduction must
+     *  not double-count a vector). A set hashes to the sum of its ids'
+     *  mixes, so a union's hash is its operands' sum. */
     SetId
     unite(SetId a, SetId b)
     {
@@ -63,7 +67,7 @@ class HeaderTable
         const auto out = ids_.begin() + offset;
         std::ranges::merge((*this)[a], (*this)[b], out);
         FAFNIR_ASSERT(std::adjacent_find(out, ids_.end()) == ids_.end(),
-                      "disjointUnion on overlapping sets");
+                      "unite on overlapping sets");
         return commit(offset, sets_[a].hash + sets_[b].hash);
     }
 
@@ -83,7 +87,7 @@ class HeaderTable
      *  a < b, and a < b implies key(a) <= key(b). */
     std::uint64_t orderKey(SetId id) const { return sets_[id].key; }
 
-    /** IndexSet::operator<'s lexicographic order on the contents. */
+    /** Lexicographic order on the contents. */
     bool
     less(SetId a, SetId b) const
     {

@@ -66,24 +66,22 @@ struct PrepareContext
         RankRead read;
         read.index = index;
         read.address = layout.addressOf(index);
-        read.item.indices = IndexSet::single(index);
-        read.item.queries = std::move(queries);
+        read.queries = std::move(queries);
         if (store) {
             if (pool) {
                 const unsigned dim = store->config().dim();
-                read.item.value = pool->acquire(dim);
+                read.value = pool->acquire(dim);
                 for (unsigned e = 0; e < dim; ++e)
-                    read.item.value[e] = store->element(index, e);
+                    read.value[e] = store->element(index, e);
             } else {
-                read.item.value = store->vector(index);
+                read.value = store->vector(index);
             }
             // Quantize once at the leaf: the value entering the tree is
             // the dequantized payload, so partials upward stay exact fp32
             // over the round-tripped leaves (a pure function of store +
             // format).
-            embedding::payloadRoundTrip(prepared.payload,
-                                        read.item.value.data(),
-                                        read.item.value.size());
+            embedding::payloadRoundTrip(prepared.payload, read.value.data(),
+                                        read.value.size());
         }
         const unsigned rank = layout.rankOf(index);
         prepared.rankReads[rank].push_back(std::move(read));
@@ -266,7 +264,7 @@ releasePrepared(PreparedBatch &prepared, VectorPool &pool)
 {
     for (auto &reads : prepared.rankReads)
         for (auto &read : reads)
-            pool.release(std::move(read.item.value));
+            pool.release(std::move(read.value));
     prepared.rankReads.clear();
 }
 

@@ -18,23 +18,31 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/smallvec.hh"
 #include "embedding/layout.hh"
 #include "embedding/query.hh"
 #include "embedding/quantize.hh"
 #include "embedding/table.hh"
-#include "fafnir/item.hh"
+#include "fafnir/indexset.hh"
 #include "fafnir/pool.hh"
 
 namespace fafnir::core
 {
 
-/** One scheduled memory access feeding a leaf. */
+/**
+ * One scheduled memory access feeding a leaf. When the data returns,
+ * the tree injects it as a flit whose header is [indices: index |
+ * queries].
+ */
 struct RankRead
 {
     IndexId index = 0;
     Addr address = 0;
-    /** The flit injected into the tree when the data returns. */
-    Item item;
+    /** The header's queries field: every query that wants this vector. */
+    SmallVec<QueryId, 2> queries;
+    /** The vector, round-tripped through the payload format; empty
+     *  without a store. */
+    embedding::Vector value;
 };
 
 /** A batch compiled into per-rank access lists. */
@@ -50,12 +58,12 @@ struct PreparedBatch
     std::size_t accessCount = 0;
     /**
      * Full index set Q(q) per query id. The root combiner checks
-     * coverage against it, the PEs check pairings against it, and
-     * Item::headerBits derives each residual, Q(q) \ indices, from it.
+     * coverage against it, the PEs check pairings against it, and each
+     * header's residual on the wire is Q(q) \ indices.
      */
     std::vector<IndexSet> querySets;
     /**
-     * Payload encoding the batch was compiled for. Item values are
+     * Payload encoding the batch was compiled for. Read values are
      * round-tripped through this format at the leaf (quantize once,
      * dequantize immediately — exact fp32 partials up the tree), and
      * the engines charge this format's byte width on every DRAM read

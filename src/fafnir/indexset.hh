@@ -1,12 +1,13 @@
 /**
  * @file
- * Sorted small index sets — the value domain of Fafnir headers.
+ * Sorted small index sets: each query's full index set Q(q).
  *
- * The `indices` field of a flit header (Section IV-B of the paper) and
- * each query's full index set are sets of embedding-vector indices. They
- * are small (a set never holds more ids than its query has indices), so a
- * sorted vector beats any node-based set: subset/disjointness tests are
- * linear merges and unions are linear too.
+ * PreparedBatch::querySets holds one per query. The PEs check pairings
+ * against it and the root combiner checks coverage; the residual a flit
+ * header carries for query q on the wire is Q(q) minus the header's
+ * `indices` field. The `indices` fields themselves are interned in a
+ * HeaderTable (headers.hh). A set never holds more ids than its query has
+ * indices, so a sorted vector beats any node-based set.
  */
 
 #ifndef FAFNIR_FAFNIR_INDEXSET_HH
@@ -14,12 +15,9 @@
 
 #include <algorithm>
 #include <initializer_list>
-#include <iterator>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "common/logging.hh"
 #include "common/smallvec.hh"
 #include "common/types.hh"
 
@@ -31,10 +29,8 @@ class IndexSet
 {
   public:
     /**
-     * Inline storage: sets of up to eight ids (every leaf `indices`
-     * field and the partial sums of the lower levels) never touch the
-     * heap. Only partials of more than eight vectors near the root, and
-     * the batch's full query sets, spill.
+     * Inline storage: sets of up to eight ids never touch the heap; the
+     * full sets of longer queries spill.
      */
     using Storage = SmallVec<IndexId, 8>;
 
@@ -55,27 +51,11 @@ class IndexSet
         normalize();
     }
 
-    /** A singleton set. */
-    static IndexSet
-    single(IndexId index)
-    {
-        IndexSet s;
-        s.items_.push_back(index);
-        return s;
-    }
-
     bool empty() const { return items_.empty(); }
     std::size_t size() const { return items_.size(); }
 
     auto begin() const { return items_.begin(); }
     auto end() const { return items_.end(); }
-    const Storage &items() const { return items_; }
-
-    bool
-    contains(IndexId index) const
-    {
-        return std::binary_search(items_.begin(), items_.end(), index);
-    }
 
     /**
      * True if every id of @p other (distinct ids) is in this set, that is
@@ -92,56 +72,7 @@ class IndexSet
         return equal == other.size();
     }
 
-    bool
-    disjointWith(const IndexSet &other) const
-    {
-        auto a = items_.begin();
-        auto b = other.items_.begin();
-        while (a != items_.end() && b != other.items_.end()) {
-            if (*a < *b)
-                ++a;
-            else if (*b < *a)
-                ++b;
-            else
-                return false;
-        }
-        return true;
-    }
-
-    /** Set union; faults if the operands overlap (reduction must not
-     *  double-count a vector). */
-    IndexSet
-    disjointUnion(const IndexSet &other) const
-    {
-        FAFNIR_ASSERT(disjointWith(other),
-                      "disjointUnion on overlapping sets");
-        IndexSet result;
-        result.items_.resize(items_.size() + other.items_.size());
-        std::merge(items_.begin(), items_.end(), other.items_.begin(),
-                   other.items_.end(), result.items_.begin());
-        return result;
-    }
-
-    /** Elements of this set not in @p other. */
-    IndexSet
-    minus(const IndexSet &other) const
-    {
-        IndexSet result;
-        result.items_.reserve(items_.size());
-        std::set_difference(items_.begin(), items_.end(),
-                            other.items_.begin(), other.items_.end(),
-                            std::back_inserter(result.items_));
-        return result;
-    }
-
     bool operator==(const IndexSet &other) const = default;
-
-    /** Lexicographic order, usable as a map key. */
-    bool
-    operator<(const IndexSet &other) const
-    {
-        return items_ < other.items_;
-    }
 
     std::string
     toString() const

@@ -41,24 +41,6 @@ addValues(const embedding::Vector &a, const embedding::Vector &b,
     return out;
 }
 
-/** How the kernel reads its input types (a flit carries its header id;
- *  an Item's is interned alongside) and fills its output types. */
-struct Fields
-{
-    static SetId id(const Flit &f, const SetId *, int) { return f.indices; }
-    static SetId id(const Item &, const SetId *ids, int i) { return ids[i]; }
-    static auto &queries(FlitOutput &out) { return out.queries; }
-    static auto &queries(PeOutput &out) { return out.item.queries; }
-    static auto &value(FlitOutput &out) { return out.value; }
-    static auto &value(PeOutput &out) { return out.item.value; }
-    static void indices(FlitOutput &o, SetId id, auto &) { o.indices = id; }
-    static void
-    indices(PeOutput &out, SetId id, const HeaderTable &headers)
-    {
-        out.item.indices = IndexSet(headers[id]);
-    }
-};
-
 constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
 
 /** One raw output: a reduce or a forward for one query. */
@@ -83,21 +65,18 @@ struct Group
 };
 
 /** Fold raw output @p out into @p head, which has the same indices. */
-template <typename Out>
 void
-mergeInto(Out &head, RawOutput &out, PeActivity &activity, VectorPool *pool)
+mergeInto(Flit &head, RawOutput &out, PeActivity &activity, VectorPool *pool)
 {
     // The losing duplicate's value buffer dies here; recycle it.
     if (pool != nullptr)
         pool->release(std::move(out.value));
     // Equal indices and an equal query mean an equal residual: an exact
     // duplicate.
-    auto &queries = Fields::queries(head);
-    if (std::find(queries.begin(), queries.end(), out.query) !=
-        queries.end()) {
+    if (std::ranges::find(head.queries, out.query) != head.queries.end()) {
         ++activity.duplicatesDropped;
     } else {
-        queries.push_back(out.query);
+        head.queries.push_back(out.query);
         ++activity.headersMerged;
     }
     const std::size_t count = out.action == PeAction::Reduce ? 2 : 1;
@@ -109,13 +88,12 @@ mergeInto(Out &head, RawOutput &out, PeActivity &activity, VectorPool *pool)
         head.action = PeAction::Reduce;
 }
 
-/** The one pairing and merge implementation: In is FlitOutput, or Item
- *  with its interned ids in @p ids by side; Out is FlitOutput or PeOutput. */
-template <typename Out, typename In>
-std::vector<Out>
-kernel(const std::vector<In> &a, const std::vector<In> &b,
-       std::array<const SetId *, 2> ids, PeBatch &batch,
-       PeActivity &activity)
+} // namespace
+
+std::vector<Flit>
+ProcessingElement::process(const std::vector<Flit> &a,
+                           const std::vector<Flit> &b, PeBatch &batch,
+                           PeActivity &activity)
 {
     HeaderTable &headers = batch.headers;
     VectorPool *pool = batch.pool;
@@ -135,7 +113,7 @@ kernel(const std::vector<In> &a, const std::vector<In> &b,
     const std::size_t num_queries = batch.querySets.size();
     std::vector<std::uint32_t> first(num_queries + 1, 0);
     for (const auto *side : {&a, &b})
-        for (const In &item : *side)
+        for (const Flit &item : *side)
             for (QueryId q : item.queries) {
                 FAFNIR_ASSERT(q < num_queries, "query ", q,
                               " outside the batch's ", num_queries,
@@ -146,7 +124,7 @@ kernel(const std::vector<In> &a, const std::vector<In> &b,
         first[q + 1] += first[q];
     std::vector<Provenance> entries(first[num_queries]);
     for (std::uint32_t side = 0; side < 2; ++side) {
-        const std::vector<In> &items = side == 0 ? a : b;
+        const std::vector<Flit> &items = side == 0 ? a : b;
         for (std::uint32_t i = 0; i < items.size(); ++i)
             for (QueryId q : items[i].queries)
                 entries[first[q]++] = {side, i};
@@ -158,10 +136,9 @@ kernel(const std::vector<In> &a, const std::vector<In> &b,
     std::vector<RawOutput> raw;
     raw.reserve(entries.size());
     auto forward = [&](Provenance at, QueryId query) {
-        const In &source = at.side == 0 ? a[at.index] : b[at.index];
-        raw.push_back({Fields::id(source, ids[at.side], at.index), query,
-                       PeAction::Forward, {at, {}}, kEmpty,
-                       copyValue(source.value, pool)});
+        const Flit &source = at.side == 0 ? a[at.index] : b[at.index];
+        raw.push_back({source.indices, query, PeAction::Forward, {at, {}},
+                       kEmpty, copyValue(source.value, pool)});
         ++activity.forwards;
     };
     std::uint32_t begin = 0;
@@ -175,18 +152,16 @@ kernel(const std::vector<In> &a, const std::vector<In> &b,
         for (std::uint32_t i = 0; i < paired; ++i) {
             const Provenance pa = entries[begin + i];
             const Provenance pb = entries[split + i];
-            const In &left = a[pa.index];
-            const In &right = b[pb.index];
+            const Flit &left = a[pa.index];
+            const Flit &right = b[pb.index];
             // The operands must be disjoint (unite checks) and both lie
             // inside Q(query), which holds exactly when their union does.
-            const SetId left_id = Fields::id(left, ids[0], pa.index);
-            const SetId right_id = Fields::id(right, ids[1], pb.index);
-            const SetId united = headers.unite(left_id, right_id);
+            const SetId united = headers.unite(left.indices, right.indices);
             const IndexSet &full = batch.querySets[query];
             FAFNIR_ASSERT(full.containsAll(headers[united]),
                           "query ", query, ": operands ",
-                          IndexSet(headers[left_id]).toString(), " and ",
-                          IndexSet(headers[right_id]).toString(),
+                          IndexSet(headers[left.indices]).toString(), " and ",
+                          IndexSet(headers[right.indices]).toString(),
                           " not wanted by ", full.toString());
 
             embedding::Vector value;
@@ -242,14 +217,14 @@ kernel(const std::vector<In> &a, const std::vector<In> &b,
                   return x.key != y.key ? x.key < y.key
                                         : headers.less(x.id, y.id);
               });
-    std::vector<Out> outputs(groups.size());
+    std::vector<Flit> outputs(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
         stash[groups[g].id] = kEmpty;
         RawOutput &lead = raw[groups[g].first];
-        Out &out = outputs[g];
-        Fields::indices(out, lead.indices, headers);
-        Fields::queries(out).push_back(lead.query);
-        Fields::value(out) = std::move(lead.value);
+        Flit &out = outputs[g];
+        out.indices = lead.indices;
+        out.queries.push_back(lead.query);
+        out.value = std::move(lead.value);
         out.action = lead.action;
         out.sources.push_back(lead.sources[0]);
         if (lead.action == PeAction::Reduce)
@@ -258,37 +233,6 @@ kernel(const std::vector<In> &a, const std::vector<In> &b,
             mergeInto(out, raw[k], activity, pool);
     }
     return outputs;
-}
-
-} // namespace
-
-std::vector<FlitOutput>
-ProcessingElement::process(const std::vector<FlitOutput> &a,
-                           const std::vector<FlitOutput> &b, PeBatch &batch,
-                           PeActivity &activity)
-{
-    return kernel<FlitOutput>(a, b, {}, batch, activity);
-}
-
-std::vector<PeOutput>
-ProcessingElement::process(const std::vector<Item> &a,
-                           const std::vector<Item> &b,
-                           const std::vector<IndexSet> &query_sets,
-                           PeActivity &activity, bool values,
-                           embedding::ReduceOp op,
-                           VectorPool *pool,
-                           embedding::PayloadFormat payload)
-{
-    // Sets: at most one per input and one per reduce.
-    PeBatch batch{query_sets, HeaderTable(2 * (a.size() + b.size())),
-                  values, op, pool, payload, {}};
-    std::vector<SetId> ids;
-    ids.reserve(a.size() + b.size());
-    for (const auto *side : {&a, &b})
-        for (const Item &item : *side)
-            ids.push_back(batch.headers.intern(item.indices));
-    return kernel<PeOutput>(a, b, {ids.data(), ids.data() + a.size()}, batch,
-                            activity);
 }
 
 } // namespace fafnir::core

@@ -26,8 +26,9 @@
  * the event engine scans outputs in index order, so this order sets the
  * emission ticks.
  *
- * One kernel does this work on headers interned in a HeaderTable
- * (headers.hh), for the tree's flits and for Items alike.
+ * Headers are interned in a HeaderTable (headers.hh) that all PEs of
+ * one evaluation share, so the PE compares, unites and orders `indices`
+ * fields by id.
  */
 
 #ifndef FAFNIR_FAFNIR_PE_HH
@@ -39,8 +40,9 @@
 #include "common/smallvec.hh"
 #include "common/types.hh"
 #include "embedding/quantize.hh"
+#include "embedding/table.hh"
 #include "fafnir/headers.hh"
-#include "fafnir/item.hh"
+#include "fafnir/indexset.hh"
 
 namespace fafnir::core
 {
@@ -126,44 +128,63 @@ struct Provenance
 };
 static_assert(sizeof(Provenance) == 4, "Provenance packs into one word");
 
-/** An output item tagged with the action that produced it. */
-struct PeOutput
-{
-    Item item;
-    PeAction action = PeAction::Forward;
-    /**
-     * Input entries this output depends on (post-merge union). Four
-     * inline slots: a reduce has two, a forward one, and only merged
-     * outputs carry more.
-     */
-    SmallVec<Provenance, 4> sources;
-};
-
-/** A buffer entry with an interned header: the lean form of Item. */
+/**
+ * One entry of a PE input or output buffer: a value (the partial
+ * reduction) plus its header. The header's `indices` field records which
+ * embedding vectors the value already sums; the `queries` field lists the
+ * queries that still want this value. On the wire each query's entry is
+ * its residual, the indices of the query NOT folded in yet (the paper's
+ * example header [indices:50,11 | queries:94,26]). That residual is
+ * derived data, Q(q) \ indices, so the simulator carries only the query
+ * ids and reads Q(q) from the batch's query sets (PreparedBatch::
+ * querySets) wherever a residual's contents matter.
+ *
+ * Invariant (checked where the PE pairs flits): for every query q of a
+ * flit, indices is a subset of Q(q).
+ */
 struct Flit
 {
     /** The HeaderTable id of the header's indices field. */
     SetId indices = 0;
+    /**
+     * Ids of the queries that still want this value. Two inline slots:
+     * most flits carry one query and pick up more only when the merge
+     * unit folds headers together.
+     */
     SmallVec<QueryId, 2> queries;
+    /** The partial reduction; empty in timing-only runs. */
     embedding::Vector value;
-};
-
-/** A PE output over interned headers: the lean form of PeOutput. */
-struct FlitOutput : Flit
-{
+    /** What produced this flit at the PE that emitted it; a leaf read
+     *  enters the tree as a Forward. */
     PeAction action = PeAction::Forward;
+    /**
+     * The emitting PE's input entries this flit depends on (post-merge
+     * union); none for a leaf read. Four inline slots: a reduce has two,
+     * a forward one, and only merged outputs carry more.
+     */
     SmallVec<Provenance, 4> sources;
 };
 
 /** What the PEs of one evaluation share: query sets, interned headers,
- *  the options of ProcessingElement::process and the merge stash. */
+ *  the evaluation's options and the merge stash. */
 struct PeBatch
 {
+    /** The batch's full index set per query id (PreparedBatch::
+     *  querySets): Q(q), against which pairing checks that both
+     *  operands are wanted by q. */
     const std::vector<IndexSet> &querySets;
     HeaderTable headers;
+    /** When false, values are not combined (timing-only runs on large
+     *  batches skip the arithmetic). */
     bool values = true;
+    /** Element-wise operator of the reduce path. */
     embedding::ReduceOp op = embedding::ReduceOp::Sum;
+    /** Optional recycler for output value buffers; results are
+     *  bit-identical with or without one. */
     VectorPool *pool = nullptr;
+    /** Transport encoding of the link payloads: non-fp32 formats count
+     *  dequant/requant codec work per meeting in PeActivity (values are
+     *  unchanged — the leaf round-trip already fixed them). */
     embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
     /** Merge-unit scratch by set id, all ~0 between PEs. */
     std::vector<std::uint32_t> stash;
@@ -177,45 +198,9 @@ class ProcessingElement
 {
   public:
     /** Process inputs A and B, whose headers @p batch interned. */
-    static std::vector<FlitOutput>
-    process(const std::vector<FlitOutput> &a,
-            const std::vector<FlitOutput> &b, PeBatch &batch,
-            PeActivity &activity);
-
-    /**
-     * Process inputs A and B: intern their headers into a table of
-     * their own and run the same kernel as above.
-     * @param query_sets the batch's full index set per query id
-     *        (PreparedBatch::querySets): Q(q), against which pairing
-     *        checks that both operands are wanted by q.
-     * @param values when false, item values are not combined (timing-only
-     *        runs on large batches skip the arithmetic).
-     * @param op element-wise operator of the reduce path.
-     * @param pool optional buffer recycler for output values; results
-     *        are bit-identical with or without one.
-     * @param payload transport encoding of the link payloads; non-fp32
-     *        formats count dequant/requant codec work per meeting in
-     *        @p activity (values are unchanged — the leaf round-trip
-     *        already fixed them).
-     */
-    static std::vector<PeOutput>
-    process(const std::vector<Item> &a, const std::vector<Item> &b,
-            const std::vector<IndexSet> &query_sets, PeActivity &activity,
-            bool values = true,
-            embedding::ReduceOp op = embedding::ReduceOp::Sum,
-            VectorPool *pool = nullptr,
-            embedding::PayloadFormat payload =
-                embedding::PayloadFormat::Fp32);
-
-    /**
-     * Upper bound on outputs: min(nm + n + m, batch) — Section IV-B.
-     */
-    static std::size_t
-    outputBound(std::size_t n, std::size_t m, std::size_t batch)
-    {
-        return std::min(n * m + n + m, batch);
-    }
-
+    static std::vector<Flit>
+    process(const std::vector<Flit> &a, const std::vector<Flit> &b,
+            PeBatch &batch, PeActivity &activity);
 };
 
 } // namespace fafnir::core

@@ -93,7 +93,6 @@ class VectorPool
     }
 
     const Stats &stats() const { return stats_; }
-    std::size_t idleBuffers() const { return free_.size(); }
 
   private:
     std::vector<embedding::Vector> free_;

@@ -131,38 +131,6 @@ class TreeTopology
     std::uint64_t numLeafPes_;
 };
 
-/**
- * Grouping of PEs into fabricated nodes (Figure 4a): per channel, one
- * DIMM/rank node spans the subtree over that channel's ranks; one channel
- * node spans the top of the tree across channels.
- */
-struct NodeGrouping
-{
-    unsigned channels = 4;
-    unsigned ranksPerChannel = 8;
-    unsigned ranksPerLeafPe = 2;
-
-    /** PEs in one DIMM/rank node (7 for 8 ranks at 1PE:2R). */
-    unsigned
-    pesPerDimmRankNode() const
-    {
-        return 2 * (ranksPerChannel / ranksPerLeafPe) - 1;
-    }
-
-    /** PEs in the channel node (channels - 1). */
-    unsigned
-    pesPerChannelNode() const
-    {
-        return channels - 1;
-    }
-
-    unsigned
-    totalPes() const
-    {
-        return channels * pesPerDimmRankNode() + pesPerChannelNode();
-    }
-};
-
 } // namespace fafnir::core
 
 #endif // FAFNIR_FAFNIR_TREE_HH

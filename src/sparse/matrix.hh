@@ -103,32 +103,6 @@ class LilMatrix
     /** Append an entry; columns must arrive in increasing order per row. */
     void push(std::uint32_t row, std::uint32_t col, float value);
 
-    /**
-     * Non-zeros with columns in [col_begin, col_end) — one streaming round
-     * of the Figure 8 schedule. Entries are visited row-major; returns the
-     * count visited.
-     */
-    template <typename Fn>
-    std::size_t
-    forEachInColumnRange(std::uint32_t col_begin, std::uint32_t col_end,
-                         Fn &&fn) const
-    {
-        std::size_t count = 0;
-        for (std::uint32_t r = 0; r < rows_; ++r) {
-            const auto &list = lists_[r];
-            // Row lists are column-sorted; binary-search the range.
-            auto first = std::lower_bound(
-                list.begin(), list.end(), col_begin,
-                [](const Entry &e, std::uint32_t c) { return e.first < c; });
-            for (auto it = first; it != list.end() && it->first < col_end;
-                 ++it) {
-                fn(r, it->first, it->second);
-                ++count;
-            }
-        }
-        return count;
-    }
-
   private:
     std::uint32_t rows_;
     std::uint32_t cols_;

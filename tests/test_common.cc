@@ -35,18 +35,14 @@ TEST(IntMath, Logs)
     EXPECT_EQ(floorLog2(2), 1u);
     EXPECT_EQ(floorLog2(3), 1u);
     EXPECT_EQ(floorLog2(1024), 10u);
-    EXPECT_EQ(ceilLog2(1024), 10u);
-    EXPECT_EQ(ceilLog2(1025), 11u);
 }
 
-TEST(IntMath, DivCeilAndRoundUp)
+TEST(IntMath, DivCeil)
 {
     EXPECT_EQ(divCeil(0, 4), 0u);
     EXPECT_EQ(divCeil(1, 4), 1u);
     EXPECT_EQ(divCeil(4, 4), 1u);
     EXPECT_EQ(divCeil(5, 4), 2u);
-    EXPECT_EQ(roundUp(5, 4), 8u);
-    EXPECT_EQ(roundUp(8, 4), 8u);
 }
 
 TEST(IntMath, BitExtraction)

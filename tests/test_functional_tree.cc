@@ -357,10 +357,9 @@ TEST(FunctionalTree, Figure6ExactPlacement)
     for (const auto &[index, qids] : users) {
         RankRead read;
         read.index = index;
-        read.item.indices = IndexSet::single(index);
         for (QueryId qid : qids)
-            read.item.queries.push_back(qid);
-        read.item.value = store.vector(index);
+            read.queries.push_back(qid);
+        read.value = store.vector(index);
         prepared.rankReads[index % 10].push_back(std::move(read));
         ++prepared.accessCount;
     }
@@ -402,19 +401,27 @@ TEST(FunctionalTree, Figure6ExactPlacement)
 
     // The trace keeps no items: run the leaf on its two rank-read lists
     // to see which header the reduce built.
-    std::vector<Item> side_a, side_b;
+    PeBatch batch{.querySets = prepared.querySets,
+                  .headers = HeaderTable(),
+                  .values = false,
+                  .stash = {}};
+    std::vector<Flit> side_a, side_b;
     for (unsigned rank = 0; rank < topology.numRanks(); ++rank) {
         if (topology.leafPeOf(rank) != pe01)
             continue;
         auto &side = topology.sideOf(rank) == 0 ? side_a : side_b;
-        for (const auto &read : prepared.rankReads[rank])
-            side.push_back(read.item);
+        for (const auto &read : prepared.rankReads[rank]) {
+            Flit flit;
+            flit.indices = batch.headers.intern({&read.index, 1});
+            flit.queries = read.queries;
+            side.push_back(std::move(flit));
+        }
     }
     PeActivity activity;
     bool saw_reduced = false;
-    for (const auto &out : ProcessingElement::process(
-             side_a, side_b, prepared.querySets, activity, false))
-        if (out.item.indices == IndexSet({50, 11}))
+    for (const auto &out :
+         ProcessingElement::process(side_a, side_b, batch, activity))
+        if (IndexSet(batch.headers[out.indices]) == IndexSet({50, 11}))
             saw_reduced = out.action == PeAction::Reduce;
     EXPECT_TRUE(saw_reduced);
 }
@@ -432,13 +439,11 @@ TEST(FunctionalTree, ForwardedQueryOutsideBatchAborts)
     prepared.rankReads.resize(2);
     RankRead wanted;
     wanted.index = 1;
-    wanted.item.indices = IndexSet::single(1);
-    wanted.item.queries.push_back(0);
+    wanted.queries.push_back(0);
     prepared.rankReads[0].push_back(wanted);
     RankRead stray;
     stray.index = 2;
-    stray.item.indices = IndexSet::single(2);
-    stray.item.queries.push_back(40);
+    stray.queries.push_back(40);
     prepared.rankReads[1].push_back(stray);
     EXPECT_DEATH(tree.run(prepared, false), "query 40 outside the batch");
 }

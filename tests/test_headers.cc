@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit and property tests of the HeaderTable: interned ids are equal
- * exactly when contents are, however a set was built, unions keep the
- * disjointness check, the table's order is IndexSet's order, and growth
- * keeps every id.
+ * exactly when contents are, however a set was built, interning checks
+ * its input is a set, unions keep the disjointness check, the table's
+ * order is the lexicographic order on contents, and growth keeps every
+ * id.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "fafnir/headers.hh"
+#include "fafnir/indexset.hh"
 
 using namespace fafnir;
 using namespace fafnir::core;
@@ -56,9 +58,10 @@ TEST(HeaderTable, DuplicateSingletonsShareOneId)
     // No-dedup leaves read one vector once per query: every copy of
     // its singleton header is one set.
     HeaderTable table;
-    const SetId first = table.intern(IndexSet::single(42));
+    const IndexId index = 42;
+    const SetId first = table.intern({&index, 1});
     for (int copy = 0; copy < 5; ++copy)
-        EXPECT_EQ(table.intern(IndexSet::single(42)), first);
+        EXPECT_EQ(table.intern({&index, 1}), first);
     EXPECT_EQ(table.size(), 1u);
     EXPECT_EQ(table.sizeOf(first), 1u);
 
@@ -75,11 +78,20 @@ TEST(HeaderTable, UniteOfOverlappingSetsDies)
     const SetId b = table.intern(IndexSet{2, 3});
     EXPECT_EQ(table.unite(a, table.intern(IndexSet{3, 4})),
               table.intern(IndexSet{1, 2, 3, 4}));
-    EXPECT_DEATH(table.unite(a, b), "disjointUnion on overlapping sets");
-    EXPECT_DEATH(table.unite(a, a), "disjointUnion on overlapping sets");
+    EXPECT_DEATH(table.unite(a, b), "unite on overlapping sets");
+    EXPECT_DEATH(table.unite(a, a), "unite on overlapping sets");
 }
 
-TEST(HeaderTable, OrderMatchesIndexSetOrder)
+TEST(HeaderTable, InternOfUnsortedOrRepeatedIdsDies)
+{
+    HeaderTable table;
+    const std::vector<IndexId> descending = {2, 1};
+    const std::vector<IndexId> repeated = {1, 1};
+    EXPECT_DEATH(table.intern(descending), "not ascending and distinct");
+    EXPECT_DEATH(table.intern(repeated), "not ascending and distinct");
+}
+
+TEST(HeaderTable, OrderIsLexicographicOnContents)
 {
     // Random sets plus the edges of the two-id key: the empty set,
     // prefixes, and the smallest and largest ids.
@@ -117,7 +129,8 @@ TEST(HeaderTable, OrderMatchesIndexSetOrder)
         ids.push_back(table.intern(set));
     for (std::size_t i = 0; i < sets.size(); ++i) {
         for (std::size_t j = 0; j < sets.size(); ++j) {
-            const bool want = sets[i] < sets[j];
+            const bool want =
+                std::ranges::lexicographical_compare(sets[i], sets[j]);
             ASSERT_EQ(table.less(ids[i], ids[j]), want)
                 << sets[i].toString() << " vs " << sets[j].toString();
             if (want) {
@@ -132,7 +145,8 @@ TEST(HeaderTable, OrderMatchesIndexSetOrder)
         return table.less(x, y);
     });
     for (std::size_t k = 1; k < ids.size(); ++k)
-        EXPECT_FALSE(IndexSet(table[ids[k]]) < IndexSet(table[ids[k - 1]]))
+        EXPECT_FALSE(std::ranges::lexicographical_compare(table[ids[k]],
+                                                          table[ids[k - 1]]))
             << "position " << k;
 }
 

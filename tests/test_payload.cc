@@ -107,14 +107,14 @@ TEST(Payload, LeafValuesAreQuantizedOnce)
     bool any_difference = false;
     for (std::size_t r = 0; r < quant.rankReads.size(); ++r) {
         for (std::size_t i = 0; i < quant.rankReads[r].size(); ++i) {
-            const Vector &value = quant.rankReads[r][i].item.value;
+            const Vector &value = quant.rankReads[r][i].value;
             if (value.empty())
                 continue;
             Vector again = value;
             payloadRoundTrip(PayloadFormat::Int8, again.data(),
                              again.size());
             ASSERT_TRUE(bitEqual(value, again));
-            if (!bitEqual(value, exact.rankReads[r][i].item.value))
+            if (!bitEqual(value, exact.rankReads[r][i].value))
                 any_difference = true;
         }
     }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <random>
 
 #include "fafnir/pe.hh"
@@ -19,67 +20,93 @@ using namespace fafnir::core;
 namespace
 {
 
-/** One test's batch: each query's full index set, Q(q), by query id. */
+/** One test's batch: each query's full index set, Q(q), by query id, and
+ *  the PeBatch whose table interns the test's headers. */
 struct TestBatch
 {
     std::vector<IndexSet> querySets;
+    PeBatch batch{.querySets = querySets, .headers = HeaderTable(),
+                  .values = false, .stash = {}};
+
+    /** A flit summing `indices` for `queries`; records no query set. */
+    Flit
+    makeFlit(std::initializer_list<IndexId> indices,
+             std::initializer_list<QueryId> queries)
+    {
+        Flit flit;
+        flit.indices = batch.headers.intern(IndexSet(indices));
+        flit.queries = queries;
+        return flit;
+    }
 
     /**
-     * An item summing `indices`, wanted by residuals {query -> remaining}.
-     * Records Q(query) = indices ∪ remaining, on which every item of the
+     * A flit summing `indices`, wanted by residuals {query -> remaining}.
+     * Records Q(query) = indices ∪ remaining, on which every flit of the
      * query must agree.
      */
-    Item
+    Flit
     makeItem(std::initializer_list<IndexId> indices,
              std::initializer_list<
                  std::pair<QueryId, std::initializer_list<IndexId>>>
                  residuals)
     {
-        Item item;
-        item.indices = IndexSet(std::vector<IndexId>(indices));
+        Flit flit = makeFlit(indices, {});
         for (const auto &[q, rem] : residuals) {
-            const IndexSet full = item.indices.disjointUnion(
-                IndexSet(std::vector<IndexId>(rem)));
+            std::vector<IndexId> ids(indices);
+            ids.insert(ids.end(), rem.begin(), rem.end());
+            const IndexSet full(ids);
+            EXPECT_EQ(full.size(), indices.size() + rem.size())
+                << "query " << q << ": indices and residual overlap";
             if (querySets.size() <= q)
                 querySets.resize(q + 1);
             EXPECT_TRUE(querySets[q].empty() || querySets[q] == full)
                 << "query " << q;
             querySets[q] = full;
-            item.queries.push_back(q);
+            flit.queries.push_back(q);
         }
-        return item;
+        return flit;
     }
 
-    std::vector<PeOutput>
-    run(const std::vector<Item> &a, const std::vector<Item> &b) const
+    std::vector<Flit>
+    run(const std::vector<Flit> &a, const std::vector<Flit> &b)
     {
         PeActivity activity;
-        return ProcessingElement::process(a, b, querySets, activity,
-                                          /*values=*/false);
+        return ProcessingElement::process(a, b, batch, activity);
     }
 
-    /** Query @p q's residual in @p item's header: Q(q) \ indices. */
+    /** @p flit's indices field. */
     IndexSet
-    remaining(const Item &item, QueryId q) const
+    indicesOf(const Flit &flit) const
     {
-        return querySets[q].minus(item.indices);
+        return IndexSet(batch.headers[flit.indices]);
+    }
+
+    /** Query @p q's residual in @p flit's header: Q(q) \ indices. */
+    IndexSet
+    remaining(const Flit &flit, QueryId q) const
+    {
+        std::vector<IndexId> rest;
+        std::ranges::set_difference(querySets[q],
+                                    batch.headers[flit.indices],
+                                    std::back_inserter(rest));
+        return IndexSet(rest);
+    }
+
+    const Flit *
+    findByIndices(const std::vector<Flit> &outputs,
+                  std::initializer_list<IndexId> indices) const
+    {
+        const IndexSet key(indices);
+        for (const auto &out : outputs)
+            if (indicesOf(out) == key)
+                return &out;
+        return nullptr;
     }
 };
 
 /** Each Pe test runs one batch. */
 class Pe : public ::testing::Test, public TestBatch
 {};
-
-const Item *
-findByIndices(const std::vector<PeOutput> &outputs,
-              std::initializer_list<IndexId> indices)
-{
-    const IndexSet key{std::vector<IndexId>(indices)};
-    for (const auto &out : outputs)
-        if (out.item.indices == key)
-            return &out.item;
-    return nullptr;
-}
 
 } // namespace
 
@@ -90,9 +117,9 @@ TEST_F(Pe, ReducesMatchingPair)
                          {makeItem({2}, {{0, {1}}})});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].action, PeAction::Reduce);
-    EXPECT_EQ(out[0].item.indices, IndexSet({1, 2}));
-    ASSERT_EQ(out[0].item.queries.size(), 1u);
-    EXPECT_TRUE(remaining(out[0].item, out[0].item.queries[0]).empty());
+    EXPECT_EQ(indicesOf(out[0]), IndexSet({1, 2}));
+    ASSERT_EQ(out[0].queries.size(), 1u);
+    EXPECT_TRUE(remaining(out[0], out[0].queries[0]).empty());
 }
 
 TEST_F(Pe, ForwardsWhenNoMatch)
@@ -125,12 +152,12 @@ TEST_F(Pe, SharedItemReducesAndForwards)
     const auto out = run({makeItem({50}, {{2, {11}}})},
                          {makeItem({11}, {{0, {44}}, {2, {50}}})});
     // Expect: reduced {50,11} for query c; forwarded {11} for query a.
-    const Item *reduced = findByIndices(out, {50, 11});
+    const Flit *reduced = findByIndices(out, {50, 11});
     ASSERT_NE(reduced, nullptr);
     EXPECT_EQ(reduced->queries.size(), 1u);
     EXPECT_EQ(reduced->queries[0], 2u);
 
-    const Item *forwarded = findByIndices(out, {11});
+    const Flit *forwarded = findByIndices(out, {11});
     ASSERT_NE(forwarded, nullptr);
     ASSERT_EQ(forwarded->queries.size(), 1u);
     EXPECT_EQ(forwarded->queries[0], 0u);
@@ -142,10 +169,9 @@ TEST_F(Pe, MergeUnitDropsDuplicateOutputs)
     // The symmetric scan produces the reduced item from both sides; the
     // merge unit must emit it once.
     PeActivity activity;
-    const std::vector<Item> a = {makeItem({1}, {{0, {2}}})};
-    const std::vector<Item> b = {makeItem({2}, {{0, {1}}})};
-    const auto out =
-        ProcessingElement::process(a, b, querySets, activity, false);
+    const std::vector<Flit> a = {makeItem({1}, {{0, {2}}})};
+    const std::vector<Flit> b = {makeItem({2}, {{0, {1}}})};
+    const auto out = ProcessingElement::process(a, b, batch, activity);
     EXPECT_EQ(out.size(), 1u);
     EXPECT_EQ(activity.reduces, 1u);
 }
@@ -158,7 +184,7 @@ TEST_F(Pe, MergeUnitConcatenatesHeaders)
     // q0 = {1,2,7}, q1 = {1,2,9}.
     const auto out = run({makeItem({1}, {{0, {2, 7}}, {1, {2, 9}}})},
                          {makeItem({2}, {{0, {1, 7}}, {1, {1, 9}}})});
-    const Item *merged = findByIndices(out, {1, 2});
+    const Flit *merged = findByIndices(out, {1, 2});
     ASSERT_NE(merged, nullptr);
     ASSERT_EQ(merged->queries.size(), 2u);
     EXPECT_EQ(remaining(*merged, merged->queries[0]), IndexSet({7}));
@@ -174,52 +200,47 @@ TEST_F(Pe, SameSideMultiplicityPairsOnce)
                          {makeItem({3}, {{0, {1, 2}}})});
     unsigned reduces = 0;
     unsigned forwards = 0;
-    IndexSet covered;
+    std::vector<IndexId> covered;
     for (const auto &o : out) {
         if (o.action == PeAction::Reduce)
             ++reduces;
         else
             ++forwards;
         // Items of one query stay pairwise disjoint.
-        EXPECT_TRUE(covered.disjointWith(o.item.indices));
-        covered = covered.disjointUnion(o.item.indices);
+        const auto ids = batch.headers[o.indices];
+        EXPECT_EQ(std::ranges::find_first_of(covered, ids), covered.end());
+        covered.insert(covered.end(), ids.begin(), ids.end());
     }
     EXPECT_EQ(reduces, 1u);
     EXPECT_EQ(forwards, 1u);
-    EXPECT_EQ(covered, IndexSet({1, 2, 3}));
+    EXPECT_EQ(covered.size(), 3u);
+    EXPECT_EQ(IndexSet(covered), IndexSet({1, 2, 3}));
 }
 
 TEST_F(Pe, ValuesAreSummedWhenPresent)
 {
-    Item a = makeItem({1}, {{0, {2}}});
-    Item b = makeItem({2}, {{0, {1}}});
+    Flit a = makeItem({1}, {{0, {2}}});
+    Flit b = makeItem({2}, {{0, {1}}});
     a.value = {1.0f, 2.0f};
     b.value = {10.0f, 20.0f};
-    PeActivity activity;
-    const auto out = ProcessingElement::process({a}, {b}, querySets,
-                                                activity, /*values=*/true);
+    batch.values = true;
+    const auto out = run({a}, {b});
     ASSERT_EQ(out.size(), 1u);
-    ASSERT_EQ(out[0].item.value.size(), 2u);
-    EXPECT_FLOAT_EQ(out[0].item.value[0], 11.0f);
-    EXPECT_FLOAT_EQ(out[0].item.value[1], 22.0f);
+    ASSERT_EQ(out[0].value.size(), 2u);
+    EXPECT_FLOAT_EQ(out[0].value[0], 11.0f);
+    EXPECT_FLOAT_EQ(out[0].value[1], 22.0f);
 }
 
 TEST_F(Pe, ActivityCountsCompares)
 {
     PeActivity activity;
-    const std::vector<Item> a = {makeItem({1}, {{0, {9}}}),
+    const std::vector<Flit> a = {makeItem({1}, {{0, {9}}}),
                                  makeItem({2}, {{1, {9}}})};
-    const std::vector<Item> b = {makeItem({3}, {{2, {9}}}),
+    const std::vector<Flit> b = {makeItem({3}, {{2, {9}}}),
                                  makeItem({4}, {{3, {9}}}),
                                  makeItem({5}, {{4, {9}}})};
-    ProcessingElement::process(a, b, querySets, activity, false);
+    ProcessingElement::process(a, b, batch, activity);
     EXPECT_EQ(activity.compares, 6u); // 2 x 3 fabric comparisons
-}
-
-TEST_F(Pe, OutputBoundFormula)
-{
-    EXPECT_EQ(ProcessingElement::outputBound(3, 4, 100), 19u); // nm+n+m
-    EXPECT_EQ(ProcessingElement::outputBound(8, 8, 32), 32u);  // capped at B
 }
 
 TEST_F(Pe, PartialChainOverTwoLevels)
@@ -228,13 +249,14 @@ TEST_F(Pe, PartialChainOverTwoLevels)
     const auto l1 = run({makeItem({1}, {{0, {2, 3}}})},
                         {makeItem({2}, {{0, {1, 3}}})});
     ASSERT_EQ(l1.size(), 1u);
-    EXPECT_EQ(remaining(l1[0].item, l1[0].item.queries[0]), IndexSet({3}));
+    EXPECT_EQ(remaining(l1[0], l1[0].queries[0]), IndexSet({3}));
 
-    const auto l2 = run({l1[0].item}, {makeItem({3}, {{0, {1, 2}}})});
+    const auto l2 = run({l1[0]}, {makeItem({3}, {{0, {1, 2}}})});
     ASSERT_EQ(l2.size(), 1u);
-    EXPECT_EQ(l2[0].item.indices, IndexSet({1, 2, 3}));
-    EXPECT_TRUE(remaining(l2[0].item, l2[0].item.queries[0]).empty());
-    EXPECT_TRUE(l2[0].item.completesAnyQuery(querySets));
+    EXPECT_EQ(indicesOf(l2[0]), IndexSet({1, 2, 3}));
+    EXPECT_TRUE(remaining(l2[0], l2[0].queries[0]).empty());
+    EXPECT_EQ(batch.headers.sizeOf(l2[0].indices),
+              querySets[l2[0].queries[0]].size());
 }
 
 TEST_F(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
@@ -266,18 +288,22 @@ TEST_F(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
             query_sets.emplace_back(ids);
         }
 
-        std::vector<Item> sides[2];
+        PeBatch round_batch{.querySets = query_sets,
+                            .headers = HeaderTable(),
+                            .values = false,
+                            .stash = {}};
+        std::vector<Flit> sides[2];
         for (unsigned c = 0; c < num_chunks; ++c) {
-            const IndexSet indices(chunks[c]);
+            const SetId indices = round_batch.headers.intern(chunks[c]);
             std::vector<QueryId> wanting;
             for (QueryId q = 0; q < num_queries; ++q)
                 if (std::find(members[q].begin(), members[q].end(), c) !=
                     members[q].end())
                     wanting.push_back(q);
             std::shuffle(wanting.begin(), wanting.end(), rng);
-            std::vector<Item> items;
+            std::vector<Flit> items;
             if (rng() % 2 == 0) {
-                Item shared;
+                Flit shared;
                 shared.indices = indices;
                 for (QueryId r : wanting)
                     shared.queries.push_back(r);
@@ -285,14 +311,14 @@ TEST_F(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
                     items.push_back(shared);
             } else {
                 for (QueryId r : wanting) {
-                    Item own;
+                    Flit own;
                     own.indices = indices;
                     own.queries.push_back(r);
                     items.push_back(own);
                 }
             }
             auto &side = sides[rng() % 2];
-            for (const Item &item : items) {
+            for (const Flit &item : items) {
                 side.push_back(item);
                 if (rng() % 4 == 0)
                     side.push_back(item); // same-side duplicate
@@ -303,14 +329,16 @@ TEST_F(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
 
         PeActivity activity;
         const auto outputs = ProcessingElement::process(
-            sides[0], sides[1], query_sets, activity, /*values=*/false);
+            sides[0], sides[1], round_batch, activity);
         seen += activity;
 
         std::size_t carried = 0;
         for (std::size_t k = 0; k < outputs.size(); ++k) {
-            const PeOutput &out = outputs[k];
+            const Flit &out = outputs[k];
             if (k > 0) {
-                EXPECT_TRUE(outputs[k - 1].item.indices < out.item.indices)
+                EXPECT_TRUE(std::ranges::lexicographical_compare(
+                    round_batch.headers[outputs[k - 1].indices],
+                    round_batch.headers[out.indices]))
                     << "round " << round << " output " << k;
             }
             for (std::size_t i = 0; i < out.sources.size(); ++i)
@@ -319,10 +347,10 @@ TEST_F(Pe, OutputsAscendByIndicesAndMergeInArrivalOrder)
                         << "round " << round << " output " << k;
             // Query ids fold in the order the merge unit meets them:
             // raw outputs are produced query by query.
-            for (std::size_t i = 1; i < out.item.queries.size(); ++i)
-                EXPECT_LT(out.item.queries[i - 1], out.item.queries[i])
+            for (std::size_t i = 1; i < out.queries.size(); ++i)
+                EXPECT_LT(out.queries[i - 1], out.queries[i])
                     << "round " << round << " output " << k;
-            carried += out.item.queries.size();
+            carried += out.queries.size();
         }
         const std::uint64_t raw = activity.reduces + activity.forwards;
         EXPECT_EQ(carried, raw - activity.duplicatesDropped)
@@ -342,19 +370,15 @@ TEST_F(Pe, PairingChecksAbortOnUnwantedOperands)
     // Query 0 = {1, 2}. A pairing whose operand lies outside Q(0), whose
     // operands overlap, or whose query is not in the batch must abort
     // rather than reduce.
-    const Item left = makeItem({1}, {{0, {2}}});
-    Item stray;
-    stray.indices = IndexSet({3});
-    stray.queries.push_back(0);
+    const Flit left = makeItem({1}, {{0, {2}}});
+    const Flit stray = makeFlit({3}, {0});
     EXPECT_DEATH(run({left}, {stray}), "not wanted");
 
-    Item overlap;
-    overlap.indices = IndexSet({1, 2});
-    overlap.queries.push_back(0);
+    const Flit overlap = makeFlit({1, 2}, {0});
     EXPECT_DEATH(run({left}, {overlap}), "overlapping");
 
-    Item unknown_left = left;
-    Item unknown_right = stray;
+    Flit unknown_left = left;
+    Flit unknown_right = stray;
     unknown_left.queries = {7};
     unknown_right.queries = {7};
     EXPECT_DEATH(run({unknown_left}, {unknown_right}), "outside the batch");
@@ -364,10 +388,8 @@ TEST_F(Pe, ForwardedQueryOutsideBatchAborts)
 {
     // Query 0 = {1, 2}. An item carrying query 7, which the batch does
     // not have, must abort even when it only forwards.
-    const Item known = makeItem({1}, {{0, {2}}});
-    Item lone;
-    lone.indices = IndexSet({2});
-    lone.queries.push_back(7);
+    const Flit known = makeItem({1}, {{0, {2}}});
+    const Flit lone = makeFlit({2}, {7});
     EXPECT_DEATH(run({lone}, {}), "query 7 outside the batch");
     EXPECT_DEATH(run({known}, {lone}), "query 7 outside the batch");
 }
@@ -378,7 +400,7 @@ TEST_F(Pe, ProvenanceIndexDoesNotWrap)
     // output's provenance must name its own buffer position, past the
     // 16-bit range too (the event engine counts FIFO uses by it).
     constexpr IndexId kItems = 65537;
-    std::vector<Item> a;
+    std::vector<Flit> a;
     a.reserve(kItems);
     for (IndexId i = 0; i < kItems; ++i)
         a.push_back(makeItem({i}, {{i, {}}}));
@@ -389,21 +411,4 @@ TEST_F(Pe, ProvenanceIndexDoesNotWrap)
         EXPECT_EQ(out[k].sources[0].side, 0u);
         ASSERT_EQ(out[k].sources[0].index, k);
     }
-}
-
-TEST(Item, HeaderBitsAccounting)
-{
-    TestBatch batch;
-    const Item item = batch.makeItem({1, 2}, {{0, {3, 4, 5}}, {1, {9}}});
-    // 2 indices + 4 residual indices at 5 bits each.
-    EXPECT_EQ(item.headerBits(batch.querySets, 5), 30u);
-}
-
-TEST(Item, ToStringReadable)
-{
-    TestBatch batch;
-    const Item item = batch.makeItem({50, 11}, {{2, {94, 26}}});
-    const std::string s = item.toString();
-    EXPECT_NE(s.find("{11,50}"), std::string::npos);
-    EXPECT_NE(s.find("q2"), std::string::npos);
 }

@@ -27,83 +27,88 @@ TEST(VectorPool, RecyclesReleasedCapacity)
 
     const float *data = a.data();
     pool.release(std::move(a));
-    EXPECT_EQ(pool.idleBuffers(), 1u);
+    EXPECT_EQ(pool.stats().releases, 1u);
 
     Vector b = pool.acquire(8);
     EXPECT_EQ(b.size(), 8u);
     EXPECT_EQ(b.data(), data); // same buffer came back
     EXPECT_EQ(pool.stats().reuses, 1u);
-    EXPECT_EQ(pool.idleBuffers(), 0u);
+    // Every released buffer went back out: none is left idle.
+    EXPECT_EQ(pool.stats().reuses, pool.stats().releases);
 }
 
 TEST(VectorPool, IgnoresEmptyBuffers)
 {
     VectorPool pool;
     pool.release(Vector{});
-    EXPECT_EQ(pool.idleBuffers(), 0u);
     EXPECT_EQ(pool.stats().releases, 0u);
 }
 
 namespace
 {
 
+/** A leaf flit reading vector @p index for query @p q, its value filled
+ *  with @p fill; @p headers interns its header. */
+Flit
+leafFlit(HeaderTable &headers, IndexId index, QueryId q, std::size_t dim,
+         float fill)
+{
+    Flit flit;
+    flit.indices = headers.intern({&index, 1});
+    flit.queries = {q};
+    flit.value.assign(dim, fill);
+    return flit;
+}
+
 /** Two reducible input sides plus an unpaired forward; @p query_sets
  *  gets each query's full index set. */
 void
-makeInputs(std::vector<Item> &a, std::vector<Item> &b,
-           std::vector<IndexSet> &query_sets, std::size_t dim)
+makeInputs(std::vector<Flit> &a, std::vector<Flit> &b,
+           std::vector<IndexSet> &query_sets, HeaderTable &headers,
+           std::size_t dim)
 {
     for (IndexId i = 0; i < 6; i += 2) {
         const QueryId q = i / 2;
         query_sets.push_back({i, i + 1});
-        Item left;
-        left.indices = IndexSet::single(i);
-        left.queries = {q};
-        left.value.assign(dim, 1.0f + static_cast<float>(i));
-        Item right;
-        right.indices = IndexSet::single(i + 1);
-        right.queries = {q};
-        right.value.assign(dim, 0.5f + static_cast<float>(i));
-        a.push_back(std::move(left));
-        b.push_back(std::move(right));
+        const auto base = static_cast<float>(i);
+        a.push_back(leafFlit(headers, i, q, dim, 1.0f + base));
+        b.push_back(leafFlit(headers, i + 1, q, dim, 0.5f + base));
     }
     // Query 3 has both vectors on side A: one reduceless forward each.
     query_sets.push_back({40, 41});
-    Item lone;
-    lone.indices = IndexSet::single(40);
-    lone.queries = {3};
-    lone.value.assign(dim, 7.0f);
-    a.push_back(std::move(lone));
+    a.push_back(leafFlit(headers, 40, 3, dim, 7.0f));
 }
 
 } // namespace
 
 TEST(VectorPool, PooledPeOutputsBitIdentical)
 {
-    std::vector<Item> a;
-    std::vector<Item> b;
+    std::vector<Flit> a;
+    std::vector<Flit> b;
     std::vector<IndexSet> query_sets;
-    makeInputs(a, b, query_sets, 33); // odd length: no convenient width
+    PeBatch batch{.querySets = query_sets, .headers = HeaderTable(),
+                  .stash = {}};
+    // Odd length: no convenient width.
+    makeInputs(a, b, query_sets, batch.headers, 33);
 
     PeActivity plain_activity;
-    const auto plain = ProcessingElement::process(
-        a, b, query_sets, plain_activity, true, ReduceOp::Sum, nullptr);
+    const auto plain = ProcessingElement::process(a, b, batch, plain_activity);
 
     VectorPool pool;
+    batch.pool = &pool;
     PeActivity pooled_activity;
     // Two rounds so round two actually reuses round one's buffers.
     for (int round = 0; round < 2; ++round) {
-        auto pooled = ProcessingElement::process(
-            a, b, query_sets, pooled_activity, true, ReduceOp::Sum, &pool);
+        auto pooled = ProcessingElement::process(a, b, batch, pooled_activity);
         ASSERT_EQ(pooled.size(), plain.size());
         for (std::size_t i = 0; i < plain.size(); ++i) {
-            EXPECT_EQ(pooled[i].item.indices, plain[i].item.indices);
-            EXPECT_EQ(pooled[i].item.queries, plain[i].item.queries);
-            EXPECT_EQ(pooled[i].item.value, plain[i].item.value);
+            EXPECT_EQ(pooled[i].indices, plain[i].indices);
+            EXPECT_EQ(pooled[i].queries, plain[i].queries);
+            EXPECT_EQ(pooled[i].value, plain[i].value);
             EXPECT_EQ(pooled[i].action, plain[i].action);
         }
         for (auto &out : pooled)
-            pool.release(std::move(out.item.value));
+            pool.release(std::move(out.value));
     }
     EXPECT_GT(pool.stats().reuses, 0u);
 }

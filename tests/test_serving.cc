@@ -108,12 +108,12 @@ expectPreparedIdentical(const PreparedBatch &a, const PreparedBatch &b)
             const RankRead &rb = b.rankReads[r][i];
             EXPECT_EQ(ra.index, rb.index) << "rank " << r << " read " << i;
             EXPECT_EQ(ra.address, rb.address);
-            ASSERT_EQ(ra.item.queries.size(), rb.item.queries.size());
-            for (std::size_t q = 0; q < ra.item.queries.size(); ++q) {
-                EXPECT_EQ(ra.item.queries[q], rb.item.queries[q])
+            ASSERT_EQ(ra.queries.size(), rb.queries.size());
+            for (std::size_t q = 0; q < ra.queries.size(); ++q) {
+                EXPECT_EQ(ra.queries[q], rb.queries[q])
                     << "rank " << r << " read " << i << " user " << q;
             }
-            EXPECT_TRUE(bitIdentical(ra.item.value, rb.item.value));
+            EXPECT_TRUE(bitIdentical(ra.value, rb.value));
         }
     }
 }

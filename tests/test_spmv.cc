@@ -74,23 +74,6 @@ TEST(Matrix, TransposeMultiplyIdentity)
     EXPECT_FLOAT_EQ(y[2], 40.0f);
 }
 
-TEST(Matrix, ColumnRangeVisitsExactly)
-{
-    Rng rng(9);
-    const LilMatrix lil =
-        LilMatrix::fromCsr(makeUniformRandom(32, 100, 8.0, rng));
-    std::size_t total = 0;
-    for (std::uint32_t lo = 0; lo < 100; lo += 25) {
-        total += lil.forEachInColumnRange(
-            lo, lo + 25,
-            [&](std::uint32_t, std::uint32_t c, float) {
-                EXPECT_GE(c, lo);
-                EXPECT_LT(c, lo + 25);
-            });
-    }
-    EXPECT_EQ(total, lil.nnz());
-}
-
 TEST(Planner, SingleRoundNeedsNoMerge)
 {
     const SpmvPlan plan = planSpmv(2048, 2048);

@@ -1,10 +1,13 @@
 /**
  * @file
- * Tests of the tree topology, node grouping, host batch compilation, and
+ * Tests of the tree topology, host batch compilation, and
  * the buffer-sizing model (Table I).
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
 
 #include "dram/memsystem.hh"
 #include "embedding/layout.hh"
@@ -93,14 +96,6 @@ TEST(TreeTopology, ConnectionCounts)
               TreeTopology::allToAllConnections(cores, 16));
 }
 
-TEST(NodeGrouping, PaperNodes)
-{
-    const NodeGrouping grouping{4, 8, 2};
-    EXPECT_EQ(grouping.pesPerDimmRankNode(), 7u);
-    EXPECT_EQ(grouping.pesPerChannelNode(), 3u);
-    EXPECT_EQ(grouping.totalPes(), 31u);
-}
-
 namespace
 {
 
@@ -167,12 +162,15 @@ TEST(Host, HeadersCarryResidualsOfAllUsers)
             if (r.index == 2)
                 read2 = &r;
     ASSERT_NE(read2, nullptr);
-    ASSERT_EQ(read2->item.queries.size(), 2u);
-    EXPECT_EQ(read2->item.queries[0], 0u);
-    EXPECT_EQ(read2->item.queries[1], 1u);
+    ASSERT_EQ(read2->queries.size(), 2u);
+    EXPECT_EQ(read2->queries[0], 0u);
+    EXPECT_EQ(read2->queries[1], 1u);
     // Each user's residual on the wire, Q(q) \ indices.
     const auto remaining = [&](std::size_t k) {
-        return p.querySets[read2->item.queries[k]].minus(read2->item.indices);
+        std::vector<IndexId> rest;
+        std::ranges::remove_copy(p.querySets[read2->queries[k]],
+                                 std::back_inserter(rest), read2->index);
+        return IndexSet(rest);
     };
     EXPECT_EQ(remaining(0), IndexSet({1, 5}));
     EXPECT_EQ(remaining(1), IndexSet({5, 9}));
@@ -200,7 +198,7 @@ TEST(Host, AttachesValuesWhenStoreGiven)
     unsigned seen = 0;
     for (const auto &rank : p.rankReads)
         for (const auto &r : rank) {
-            EXPECT_EQ(r.item.value, store.vector(r.index));
+            EXPECT_EQ(r.value, store.vector(r.index));
             ++seen;
         }
     EXPECT_EQ(seen, 2u);
