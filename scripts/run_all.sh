@@ -100,6 +100,13 @@ if ! "$sim" "${golden_event[@]}" \
         > "$results_dir/fafnir_sim_event_faults.txt"; then
     failed+=("fafnir_sim_event_faults")
 fi
+if ! "$sim" --mode=lookup --engine=event --batches=8 --batch=32 \
+        --query-size=24 --skew=0 \
+        --stats-json="$results_dir/fafnir_sim_event_uniform.stats.json" \
+        --attrib="$results_dir/fafnir_sim_event_uniform.attrib.json" \
+        > "$results_dir/fafnir_sim_event_uniform.txt"; then
+    failed+=("fafnir_sim_event_uniform")
+fi
 echo
 
 echo "== harness wall time (jobs=$jobs) =="

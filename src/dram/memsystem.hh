@@ -35,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -85,28 +84,6 @@ class MemorySystem
      */
     AccessResult read(Addr addr, unsigned bytes, Tick earliest,
                       Destination dest);
-
-    /**
-     * Like read(), but invokes @p on_complete(complete, result) from the
-     * event queue at the completion tick, at DramPriority, exactly once
-     * under any fault plan (EventQueue::schedule). The callable is
-     * stored with the result in the queue's inline node storage, so
-     * keep its captures small (a pointer and a few indices).
-     */
-    template <typename OnComplete>
-    AccessResult
-    readAsync(Addr addr, unsigned bytes, Tick earliest, Destination dest,
-              OnComplete &&on_complete)
-    {
-        const AccessResult result = read(addr, bytes, earliest, dest);
-        eventq_.schedule(
-            result.complete,
-            [result, cb = std::forward<OnComplete>(on_complete)] {
-                cb(result.complete, result);
-            },
-            DramPriority);
-        return result;
-    }
 
     /**
      * Read @p bytes starting at explicit coordinates — used by engines

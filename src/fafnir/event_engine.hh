@@ -3,10 +3,10 @@
  * Event-driven timing engine for Fafnir embedding lookup.
  *
  * Where FafnirEngine replays traces with a per-PE barrier (a PE's
- * outputs start after its last input arrives), this engine runs the tree
- * as a discrete-event pipeline on the simulation kernel:
+ * outputs start after its last input arrives), this engine times the
+ * tree as a pipeline in which every output leaves on its own inputs:
  *
- *  - DRAM completions are events; each delivers one flit to a leaf FIFO.
+ *  - Each DRAM completion delivers one flit to a leaf FIFO.
  *  - A PE emits its k-th output as soon as that output's provenance
  *    items have arrived, one output per issue cycle through the
  *    pipeline. A FORWARD also waits for the side opposite each of its
@@ -24,6 +24,15 @@
  *    capacity is charged an overflow penalty and counted, modelling the
  *    spill/double-buffer pressure of oversubscribed batches without
  *    deadlocking the pipeline.
+ *
+ * The tree is feed-forward: a PE's state changes only in its own
+ * deliveries, it emits only inside them, and no PE stalls its child. So
+ * the pipeline runs as one leaves-to-root sweep and schedules no event.
+ * Each tree level's deliveries run in the order a discrete-event queue
+ * would dispatch them: by tick, then in the order they would have been
+ * scheduled, which is the order their triggers ran at the level below
+ * and then emission order. Afterwards the engine moves the event queue's
+ * clock to the last delivery tick, as if each delivery had been an event.
  *
  * This realizes the paper's "simultaneously activates distinct routes of
  * the tree from arbitrary leaves to the root": queries whose operands
@@ -129,18 +138,18 @@ class EventDrivenEngine
 
     /**
      * Run one pre-compiled batch as one hardware batch from @p start,
-     * raised to the event clock (the tick of the last event), delivering
-     * no vector before @p min_complete — the serving pipeline's entry,
-     * where host prepare happened upstream. Takes the batch by
-     * reference: read scheduling reorders per-rank lists in place
-     * (idempotently), and the caller keeps ownership of the value
+     * raised to the event clock (the previous batch's last delivery
+     * tick), delivering no vector before @p min_complete — the serving
+     * pipeline's entry, where host prepare happened upstream. Takes the
+     * batch by reference: read scheduling reorders per-rank lists in
+     * place (idempotently), and the caller keeps ownership of the value
      * buffers (the pipeline's per-slot arenas).
      */
     EventLookupTiming lookupPrepared(PreparedBatch &prepared, Tick start,
                                      Tick min_complete = 0);
 
     /** Run batches back to back (TreeReplay::lookupMany). Each starts at
-     *  the event clock, so after the previous batch's last event, and
+     *  the event clock, so after the previous batch's last delivery, and
      *  leaves the root after the previous batch's complete. */
     std::vector<EventLookupTiming>
     lookupMany(const std::vector<embedding::Batch> &batches, Tick start)
@@ -184,6 +193,20 @@ class EventDrivenEngine
         std::size_t emittedCount = 0;
         /** Output-port availability (one emission per issue interval). */
         Tick pipeFree = 0;
+        /** Tick of the latest delivery processed. */
+        Tick lastDelivery = 0;
+    };
+    /** One flit on its way into a PE input: a DRAM completion at a leaf,
+     *  or a child's emission. */
+    struct Delivery
+    {
+        /** Dispatch tick, event_delay included. */
+        Tick tick;
+        /** Causal flow of the read that started its chain. */
+        std::uint64_t flow;
+        unsigned pe;
+        unsigned side;
+        std::uint32_t index;
     };
     /** One batch's deliveries and emissions (event_engine.cc). */
     class Pipeline;
@@ -193,6 +216,10 @@ class EventDrivenEngine
     EventEngineConfig config_;
     /** Indexed by PE id (entry 0 unused); reused across batches. */
     std::vector<PeState> pes_;
+    /** Deliveries into the tree level being swept and into the level
+     *  above it; reused across batches. */
+    std::vector<Delivery> level_;
+    std::vector<Delivery> above_;
     /** Indexed by PE id (entry 0 unused); never resized after build. */
     std::vector<PeTelemetry> peStats_;
     /** Simulated ticks covered by lookups (for occupancy formulas). */

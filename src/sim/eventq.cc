@@ -5,6 +5,8 @@
  * Structure invariants (established in the header comment):
  *  - windowBase_ <= now_ except transiently inside advance(), between a
  *    window re-base and the execution of the migrated heap minimum.
+ *    now_ may lie past the window's end after advanceTo(); the window is
+ *    then empty and the next schedule goes to the heap.
  *  - Bucket entries sit in bucket[when - windowBase_]; ticks below
  *    now_ have already been drained, so their buckets are empty.
  *  - Heap entries satisfy when - windowBase_ >= kWindow: inserts target
@@ -254,11 +256,12 @@ bool
 EventQueue::advance(Tick limit)
 {
     while (true) {
-        const std::size_t from =
-            now_ > windowBase_
-                ? static_cast<std::size_t>(now_ - windowBase_)
-                : 0;
-        const std::size_t bucket = scanBuckets(from);
+        const Tick from = now_ > windowBase_ ? now_ - windowBase_ : 0;
+        // A clock moved past the window's end (advanceTo) has drained
+        // every bucket, so the window holds nothing.
+        const std::size_t bucket =
+            from < kWindow ? scanBuckets(static_cast<std::size_t>(from))
+                           : kWindow;
         if (bucket == kWindow) {
             // Nothing in the window; the heap minimum is next.
             if (heap_.empty() || heap_[0].when > limit)
@@ -323,6 +326,15 @@ EventQueue::step()
         return false; // idle
     fireNext();
     return true;
+}
+
+void
+EventQueue::advanceTo(Tick when)
+{
+    FAFNIR_ASSERT(when >= now_, "moving the clock back: ", when, " < ",
+                  now_);
+    run(when);
+    now_ = when;
 }
 
 Tick

@@ -4,9 +4,10 @@
  *
  * A minimal gem5-style event queue: events are callbacks scheduled at
  * absolute ticks (picoseconds); the queue pops them in (tick, priority,
- * insertion-order) order. All timing models in the repository — DRAM
- * banks, Fafnir PEs, channel buses, baseline NDP units — are driven from
- * one EventQueue per simulated system.
+ * insertion-order) order. Each simulated system owns one EventQueue as
+ * its clock. The queued DRAM controller runs on it; the event-driven
+ * Fafnir engine replays its tree without scheduling and moves the clock
+ * past each batch (advanceTo).
  *
  * One way to schedule: schedule() files a one-shot callback that fires
  * exactly once. There are no handles and no cancellation, so no entry
@@ -161,15 +162,30 @@ class EventQueue
     /** Execute exactly one event if any is pending. @return false if idle. */
     bool step();
 
+    /**
+     * Run every event pending at or before @p when (>= now()), then move
+     * the clock to @p when — for components that time work without
+     * scheduling it and must leave the clock where their last event
+     * would have left it.
+     */
+    void advanceTo(Tick when);
+
+    /**
+     * The fault plan installed when this queue was built, or nullptr.
+     * schedule() draws event_delay from it; a component that times a
+     * delivery without scheduling it draws under the same rule.
+     */
+    fault::FaultPlan *faultPlan() const { return faultPlan_; }
+
     /** Total events executed since construction. */
     std::uint64_t executedCount() const { return executed_; }
 
   private:
     /**
      * Inline storage of a pooled callback. Sized so a Node is exactly
-     * two cache lines, which fits the largest hot-path capture in the
-     * repo: a DRAM completion, the AccessResult by value plus the event
-     * engine's continuation (a pointer and three indices), 56 bytes.
+     * two cache lines, which fits the largest capture in the repo: the
+     * queued DRAM controller's completion, its std::function callback
+     * plus the AccessResult by value, 64 bytes.
      */
     static constexpr std::size_t kInlineCallbackBytes = 80;
     /** Near-future window: one bucket per tick. */

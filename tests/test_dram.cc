@@ -296,22 +296,6 @@ TEST(MemorySystem, CountersTrackDestinations)
     EXPECT_EQ(mem.bytesToNdp(), 0u);
 }
 
-TEST(MemorySystem, ReadAsyncFiresCallbackAtCompletion)
-{
-    EventQueue eq;
-    auto mem = makeSystem(eq);
-    Tick fired_at = 0;
-    const auto result = mem.readAsync(
-        0, 512, 0, Destination::Ndp,
-        [&](Tick when, const AccessResult &r) {
-            fired_at = when;
-            EXPECT_EQ(r.complete, when);
-        });
-    eq.run();
-    EXPECT_EQ(fired_at, result.complete);
-    EXPECT_GT(fired_at, 0u);
-}
-
 TEST(MemorySystem, StreamScalesWithBytes)
 {
     EventQueue eq;

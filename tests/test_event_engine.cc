@@ -310,7 +310,9 @@ TEST(EventEngine, ReadinessRulesHold)
     // The pipeline's readiness rules, checked from outside: the recorded
     // timeline against the functional trace of the same prepared batch,
     // on shapes that overflow the FIFOs and under injected backpressure
-    // (both delay arrivals past the delivery event's tick).
+    // (both delay arrivals past the delivery event's tick), and under
+    // delivery jitter, which brings a child's flits to its parent out of
+    // emission order.
     struct Case
     {
         const char *name;
@@ -324,6 +326,9 @@ TEST(EventEngine, ReadinessRulesHold)
         {"B=48", 48, 32, 0.9, ""},
         {"hwBatch=2", 32, 2, 1.1, ""},
         {"pe_backpressure", 32, 32, 0.9, "pe_backpressure:0.05"},
+        {"event_delay", 32, 32, 0.9, "event_delay:0.05"},
+        {"event_delay+pe_backpressure", 48, 2, 1.1,
+         "event_delay:0.2,pe_backpressure:0.05"},
     };
     for (const Case &c : cases) {
         std::size_t early_emits = 0;

@@ -209,6 +209,35 @@ TEST(EventQueue, CrossWindowChain)
     EXPECT_EQ(eq.now(), 1u + 49u * 20000u);
 }
 
+// advanceTo runs what is due, then moves the clock. Moved more than one
+// window ahead of an idle queue, the clock leaves the near-future window
+// behind; events scheduled afterwards must still fire in order at their
+// ticks.
+TEST(EventQueue, AdvanceToPastTheWindow)
+{
+    EventQueue eq;
+    std::vector<Tick> fired;
+    const auto record = [&] { fired.push_back(eq.now()); };
+    eq.schedule(5, record);
+    eq.schedule(50, record);
+    eq.advanceTo(20);
+    EXPECT_EQ(fired, (std::vector<Tick>{5}));
+    EXPECT_EQ(eq.now(), 20u);
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{5, 50}));
+
+    fired.clear();
+    const Tick far = 50 + 100000; // past the 16,384-tick window
+    eq.advanceTo(far);
+    EXPECT_EQ(eq.now(), far);
+    for (const Tick delta : {7u, 0u, 3u, 40000u, 3u})
+        eq.schedule(far + delta, record);
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{far, far + 3, far + 3, far + 7,
+                                        far + 40000}));
+    EXPECT_TRUE(eq.empty());
+}
+
 // Callables larger than the node's inline storage take the heap
 // fallback; the payload must arrive intact.
 TEST(EventQueue, OversizedCallableFallsBackToHeap)

@@ -13,6 +13,8 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "json_test_util.hh"
@@ -331,6 +333,51 @@ TEST(TraceSink, EndToEndTraceOfALookupParses)
     }
     EXPECT_TRUE(tree_span);
     EXPECT_TRUE(named_process);
+}
+
+TEST(TraceSink, LevelOccupancyTracksRunForwardInTime)
+{
+    // Each tree level's occupancy counter is one track: a viewer sorts
+    // it by time, so it must already run forward in time, step by one
+    // item, never go negative and drain to zero by the batch's end.
+    telemetry::TraceSink sink;
+    {
+        telemetry::ScopedContext install({.sink = &sink});
+        runOneLookup();
+    }
+    std::ostringstream os;
+    sink.write(os);
+    const JsonValue root = parseJson(os.str());
+
+    // (ts, value) per track, in file order.
+    std::map<std::string, std::vector<std::pair<double, double>>> tracks;
+    for (const JsonValue &e : root.at("traceEvents").array) {
+        if (e.at("ph").text != "C" ||
+            e.at("name").text.rfind("tree.occupancy.h", 0) != 0) {
+            continue;
+        }
+        tracks[e.at("name").text].emplace_back(
+            e.at("ts").number, e.at("args").at("value").number);
+    }
+    ASSERT_FALSE(tracks.empty());
+    for (const auto &[name, samples] : tracks) {
+        std::size_t backwards = 0;
+        std::size_t jumps = 0;
+        std::size_t negative = 0;
+        double last_ts = 0.0;
+        double last = 0.0;
+        for (const auto &[ts, value] : samples) {
+            backwards += ts < last_ts;
+            jumps += std::abs(value - last) != 1.0;
+            negative += value < 0.0;
+            last_ts = ts;
+            last = value;
+        }
+        EXPECT_EQ(backwards, 0u) << name << " of " << samples.size();
+        EXPECT_EQ(jumps, 0u) << name;
+        EXPECT_EQ(negative, 0u) << name;
+        EXPECT_EQ(last, 0.0) << name;
+    }
 }
 
 // --- Flow events (Perfetto arrows). -----------------------------------
