@@ -5,9 +5,9 @@
  * Measures, in isolation, the primitives every timing model spends its
  * cycles in — event-queue throughput (one-shot bursts and
  * self-scheduling chains), items/s through a functional PE
- * (header-only and value-carrying), and element-wise reduction
- * throughput — plus one composite: batches/s through the event
- * engine's replay. Emits the numbers as a run report
+ * (header-only and value-carrying), element-wise reduction and
+ * embedding-row generation throughput — plus one composite: batches/s
+ * through the event engine's replay. Emits the numbers as a run report
  * (BENCH_hotpath.json by default) so successive performance PRs leave
  * a recorded trajectory; pass --baseline=<earlier report> to get
  * speedup columns against it.
@@ -29,12 +29,14 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "common/table.hh"
 #include "common/types.hh"
 #include "dram/memsystem.hh"
 #include "embedding/generator.hh"
 #include "embedding/layout.hh"
 #include "embedding/quantize.hh"
+#include "embedding/table.hh"
 #include "fafnir/event_engine.hh"
 #include "fafnir/host.hh"
 #include "fafnir/pe.hh"
@@ -273,6 +275,36 @@ benchQuant(std::size_t dim, std::size_t vectors, std::uint64_t iterations)
     return rates;
 }
 
+/**
+ * Row generation: EmbeddingStore::fill of the default store (32 tables
+ * x 1M rows x 512 B) at @p rows seeded random ids, @p iterations times
+ * over, the host's per-read value materialisation.
+ * @return bytes of fp32 rows written per second.
+ */
+double
+benchStoreFill(std::size_t rows, std::uint64_t iterations)
+{
+    const embedding::TableConfig tables;
+    const embedding::EmbeddingStore store(tables);
+    Rng rng(1);
+    std::vector<IndexId> ids(rows);
+    for (IndexId &id : ids)
+        id = static_cast<IndexId>(rng.nextBelow(tables.totalVectors()));
+    std::vector<float> row(tables.dim());
+    float sink = 0.0f;
+    const auto begin = Clock::now();
+    for (std::uint64_t it = 0; it < iterations; ++it) {
+        for (const IndexId id : ids) {
+            store.fill(id, row);
+            sink += row.back();
+        }
+    }
+    const auto end = Clock::now();
+    FAFNIR_ASSERT(sink > 0.0f, "fill bench produced nothing");
+    return static_cast<double>(rows) * static_cast<double>(iterations) *
+           tables.vectorBytes / seconds(begin, end);
+}
+
 /** Memory shape of the event-replay bench: 32 ranks of DDR4-2400. */
 dram::MemorySystem
 replayMemory(EventQueue &eq)
@@ -403,6 +435,8 @@ main(int argc, char **argv)
     session.report().setConfig("quantBackend",
                                std::string(
                                    embedding::quantizeKernelBackend()));
+    // Row generation alone: one row buffer, which stays in L1.
+    const double fill = bestOf(3, [&] { return benchStoreFill(4096, 64); });
 
     // Event replay on a fixed set of batches, prepared once (about a
     // tenth of a second per run, so the smoke run keeps it).
@@ -453,6 +487,7 @@ main(int argc, char **argv)
         {"pe_value_items_per_sec", value.itemsPerSec},
         {"reduced_elements_per_sec", value.reducedElementsPerSec},
         {"fp32_copy_bytes_per_sec", quant.copyBytesPerSec},
+        {"store_fill_bytes_per_sec", fill},
         {"int8_quant_bytes_per_sec", quant.quantBytesPerSec},
         {"int8_dequant_bytes_per_sec", quant.dequantBytesPerSec},
         {"event_replay_batches_per_sec", replay},

@@ -19,10 +19,15 @@ TensorDimmEngine::TensorDimmEngine(dram::MemorySystem &memory,
     : memory_(memory), tables_(tables), config_(config),
       ndpPeriod_(periodFromMhz(config.ndpClockMhz))
 {
+    // Every rank's adder works on whole elements of its slice.
     const unsigned ranks = memory_.geometry().totalRanks();
-    FAFNIR_ASSERT(tables_.vectorBytes % ranks == 0,
-                  "vector size must divide across ranks");
     sliceBytes_ = tables_.vectorBytes / ranks;
+    FAFNIR_ASSERT(sliceBytes_ > 0 &&
+                      tables_.vectorBytes %
+                              (ranks * tables_.elementBytes) == 0,
+                  "a ", tables_.vectorBytes,
+                  " B vector does not split into whole-element slices on ",
+                  ranks, " ranks");
 }
 
 dram::Coordinates
@@ -141,29 +146,22 @@ TensorDimmEngine::reduceBatch(const embedding::EmbeddingStore &store,
                               embedding::ReduceOp op) const
 {
     batch.check();
-    const unsigned num_ranks = memory_.geometry().totalRanks();
     const unsigned dim = tables_.dim();
-    const unsigned slice_elems = sliceBytes_ / tables_.elementBytes;
 
     std::vector<embedding::Vector> results;
     results.reserve(batch.size());
+    embedding::Vector row(dim);
     for (const auto &query : batch.queries) {
-        embedding::Vector out(dim);
         // Each rank's adder owns one slice of the output and folds the
-        // query's vectors in index order — element-serial, the way the
-        // pipelined slice adders consume their 16 B stream.
-        for (unsigned rank = 0; rank < num_ranks; ++rank) {
-            const unsigned lo = rank * slice_elems;
-            const unsigned hi = std::min(dim, lo + slice_elems);
-            for (unsigned e = lo; e < hi; ++e)
-                out[e] = store.element(query.indices.front(), e);
-            for (std::size_t i = 1; i < query.indices.size(); ++i) {
-                for (unsigned e = lo; e < hi; ++e) {
-                    out[e] = embedding::combine(
-                        op, out[e],
-                        store.element(query.indices[i], e));
-                }
-            }
+        // query's vectors in index order, element-serial, the way the
+        // pipelined slice adders consume their 16 B stream. The slices
+        // tile the vector, so every element is folded in index order,
+        // which is what folding whole rows does.
+        embedding::Vector out(dim);
+        store.fill(query.indices.front(), out);
+        for (std::size_t i = 1; i < query.indices.size(); ++i) {
+            store.fill(query.indices[i], row);
+            embedding::combineSpan(op, out.data(), row.data(), dim);
         }
         embedding::finalizeSpan(op, out.data(), out.size(),
                                 query.indices.size());

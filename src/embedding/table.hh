@@ -7,12 +7,19 @@
  * so EmbeddingStore synthesizes them deterministically from (index,
  * element) — no gigabytes of backing memory, no randomness, and any
  * engine can recompute the same value for the same index.
+ *
+ * EmbeddingStore::element() defines the values; EmbeddingStore::fill()
+ * is the one generator every value path uses (the host's leaf reads,
+ * vector(), the reference reduce and the baselines). It writes a whole
+ * row bit-identical to element(), eight elements per vector step.
  */
 
 #ifndef FAFNIR_EMBEDDING_TABLE_HH
 #define FAFNIR_EMBEDDING_TABLE_HH
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/logging.hh"
@@ -81,7 +88,12 @@ using Vector = std::vector<float>;
 class EmbeddingStore
 {
   public:
-    explicit EmbeddingStore(const TableConfig &config) : config_(config) {}
+    explicit EmbeddingStore(const TableConfig &config) : config_(config)
+    {
+        // element() packs the element below bit 20 of its hash input.
+        FAFNIR_ASSERT(config_.dim() < (1u << 20), "dim ", config_.dim(),
+                      " does not fit the element hash");
+    }
 
     const TableConfig &config() const { return config_; }
 
@@ -93,10 +105,16 @@ class EmbeddingStore
         // elements so summation bugs cannot cancel out.
         std::uint64_t h = (std::uint64_t(index) << 20) | elem;
         h ^= h >> 33;
-        h *= 0xff51afd7ed558ccdULL;
+        h *= kHashMultiplier;
         h ^= h >> 33;
         return static_cast<float>(h % 1024) / 16.0f;
     }
+
+    /**
+     * Write vector @p index into @p row (dim() elements), bit-identical
+     * to element(index, e) for every e.
+     */
+    void fill(IndexId index, std::span<float> row) const;
 
     /** Materialize vector @p index. */
     Vector vector(IndexId index) const;
@@ -111,6 +129,13 @@ class EmbeddingStore
                                     ReduceOp op = ReduceOp::Sum) const;
 
   private:
+    // fill()'s closed form reads the hash input's high word as the
+    // index alone, which holds for 32-bit ids.
+    static_assert(std::numeric_limits<IndexId>::digits == 32,
+                  "fill() assumes 32-bit embedding ids");
+
+    static constexpr std::uint64_t kHashMultiplier = 0xff51afd7ed558ccdULL;
+
     TableConfig config_;
 };
 

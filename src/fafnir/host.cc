@@ -68,14 +68,9 @@ struct PrepareContext
         read.address = layout.addressOf(index);
         read.queries = std::move(queries);
         if (store) {
-            if (pool) {
-                const unsigned dim = store->config().dim();
-                read.value = pool->acquire(dim);
-                for (unsigned e = 0; e < dim; ++e)
-                    read.value[e] = store->element(index, e);
-            } else {
-                read.value = store->vector(index);
-            }
+            const unsigned dim = store->config().dim();
+            read.value = pool ? pool->acquire(dim) : embedding::Vector(dim);
+            store->fill(index, read.value);
             // Quantize once at the leaf: the value entering the tree is
             // the dequantized payload, so partials upward stay exact fp32
             // over the round-tripped leaves (a pure function of store +

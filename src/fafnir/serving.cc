@@ -218,8 +218,13 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
             replicas_[primary].engine->lookupPrepared(prepared,
                                                       dispatch_ready);
         const std::uint64_t ordinal = attr ? attr->currentBatch() : 0;
-        engineFree[primary] = timing.complete;
-        const Tick service = timing.complete - timing.issued;
+        // Past the hedge only these two ticks of the primary run are
+        // read, so its timing (per-query results included) is moved
+        // into win_timing, not copied.
+        const Tick issued = timing.issued;
+        const Tick primary_complete = timing.complete;
+        engineFree[primary] = primary_complete;
+        const Tick service = primary_complete - issued;
         report.busyTicksPerEngine[primary] += service;
         *perEngineBusyTicks_[primary] += service;
 
@@ -227,7 +232,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
         unsigned winner = primary;
         bool hedged = false;
         bool hedge_won = false;
-        EventLookupTiming win_timing = timing;
+        EventLookupTiming win_timing = std::move(timing);
         if (config_.hedgePct > 0.0 && engines >= 2 &&
             serviceHistory_.count() > 0 &&
             serviceHistory_.count() >= config_.hedgeWarmup) {
@@ -245,7 +250,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                     if (e != primary && engineFree[e] < engineFree[backup])
                         backup = e;
                 const Tick backup_start =
-                    std::max(timing.issued + p, engineFree[backup]);
+                    std::max(issued + p, engineFree[backup]);
                 EventLookupTiming backup_timing;
                 {
                     // The backup replays the same prepared batch; keep
@@ -264,7 +269,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                 *perEngineBusyTicks_[backup] += backup_service;
                 if (winHedges)
                     winHedges->record(backup_start);
-                if (backup_timing.complete < timing.complete) {
+                if (backup_timing.complete < primary_complete) {
                     hedge_won = true;
                     ++report.hedgesWon;
                     ++hedgesWon_;
@@ -287,14 +292,14 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
         lastDone = std::max(lastDone, wb_done);
 
         // --- Telemetry: stage spans + latency-split back-annotation. ----
-        const Tick dispatch_wait = timing.issued - prepare_done;
+        const Tick dispatch_wait = issued - prepare_done;
         dispatchWaitTicks_ += dispatch_wait;
         report.dispatchWait += dispatch_wait;
         report.writebackBusy += wb_done - wb_start;
         if (rec) {
             // Dispatch: code = engine replica; a = batch, b = queue wait.
-            rec->record(telemetry::Stage::Dispatch, timing.issued,
-                        primary, k, dispatch_wait);
+            rec->record(telemetry::Stage::Dispatch, issued, primary, k,
+                        dispatch_wait);
             // Writeback: code = winning replica; a = batch, b = drain.
             rec->record(telemetry::Stage::Writeback, wb_done, winner, k,
                         wb_done - wb_start);
@@ -348,7 +353,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
             constexpr double us = static_cast<double>(kTicksPerUs);
             winBatches->record(wb_done);
             winQueries->record(wb_done, batch.size());
-            winQueueWait->record(timing.issued,
+            winQueueWait->record(issued,
                                  static_cast<double>(dispatch_wait) / us);
             winEngineBatches[winner]->record(complete);
             winEngineService[winner]->record(

@@ -102,6 +102,21 @@ TEST(TensorDimmModel, SliceSizeDividesVector)
     EXPECT_EQ(engine.sliceBytes(), 512u / 32);
 }
 
+TEST(TensorDimmModel, RejectsSlicesOfPartialElements)
+{
+    // 512 B vectors on 256 ranks would be 2 B slices of 4 B elements,
+    // and on 1024 ranks half a byte.
+    for (const unsigned ranks : {256u, 1024u}) {
+        EventQueue eq;
+        dram::MemorySystem memory(eq, dram::Geometry::withTotalRanks(ranks),
+                                  dram::Timing::ddr4_2400(),
+                                  dram::Interleave::BlockRank, 512);
+        const embedding::TableConfig tables{32, 1u << 16, 512, 4};
+        EXPECT_DEATH(TensorDimmEngine(memory, tables),
+                     "does not split into whole-element slices");
+    }
+}
+
 TEST(TensorDimmModel, EveryRankWorksOnEveryQuery)
 {
     BaselineRig rig;

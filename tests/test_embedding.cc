@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
+#include "common/random.hh"
 #include "dram/memsystem.hh"
 #include "embedding/generator.hh"
 #include "embedding/layout.hh"
@@ -46,6 +52,44 @@ TEST(EmbeddingStore, ReduceIsElementwiseSum)
         EXPECT_FLOAT_EQ(sum[e], store.element(3, e) + store.element(9, e) +
                                     store.element(100, e));
     }
+}
+
+TEST(EmbeddingStore, FillMatchesElement)
+{
+    // Ids around 2^13, where the index's high bits start to fold into
+    // the hash's low word, and at the top of the 32-bit id space.
+    std::vector<IndexId> ids{0,          1,           8191,      8192,
+                             1u << 31, 0xfffffffeu, 0xffffffffu};
+    Rng rng(29);
+    for (int k = 0; k < 3000; ++k)
+        ids.push_back(static_cast<IndexId>(rng.next()));
+    // Dims below, at and around the eight-element vector step.
+    for (const unsigned dim : {1u, 7u, 8u, 9u, 64u, 128u, 129u, 1000u}) {
+        const EmbeddingStore store({1, 1024, 4 * dim, 4});
+        std::vector<float> row(dim);
+        std::size_t mismatches = 0;
+        for (const IndexId id : ids) {
+            std::fill(row.begin(), row.end(),
+                      std::numeric_limits<float>::quiet_NaN());
+            store.fill(id, row);
+            for (unsigned e = 0; e < dim; ++e) {
+                mismatches += std::bit_cast<std::uint32_t>(row[e]) !=
+                              std::bit_cast<std::uint32_t>(
+                                  store.element(id, e));
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "dim " << dim;
+    }
+}
+
+TEST(EmbeddingStore, FillRejectsWrongShapes)
+{
+    const EmbeddingStore store({4, 1024, 64, 4});
+    std::vector<float> short_row(store.config().dim() - 1);
+    EXPECT_DEATH(store.fill(3, short_row), "filling 15 elements");
+    // element() keeps the element below bit 20 of its hash input.
+    EXPECT_DEATH(EmbeddingStore({1, 1, 4u << 20, 4}),
+                 "does not fit the element hash");
 }
 
 TEST(EmbeddingStore, VectorsEqualTolerance)

@@ -11,6 +11,7 @@
 
 #include "dram/memsystem.hh"
 #include "embedding/layout.hh"
+#include "embedding/quantize.hh"
 #include "fafnir/host.hh"
 #include "fafnir/sizing.hh"
 #include "fafnir/tree.hh"
@@ -192,16 +193,37 @@ TEST(Host, AttachesValuesWhenStoreGiven)
 {
     HostRig rig;
     const embedding::EmbeddingStore store(rig.tables);
-    const Host host_with_values(rig.layout, &store);
-    const auto batch = rig.batch({{7, 8}});
-    const PreparedBatch p = host_with_values.prepare(batch, true);
-    unsigned seen = 0;
-    for (const auto &rank : p.rankReads)
-        for (const auto &r : rank) {
-            EXPECT_EQ(r.value, store.vector(r.index));
-            ++seen;
+    const auto batch = rig.batch({{7, 8}, {8, 70001}});
+    // The element() row of @p index after the payload's round trip.
+    const auto expected = [&](IndexId index,
+                              embedding::PayloadFormat payload) {
+        embedding::Vector v(rig.tables.dim());
+        for (unsigned e = 0; e < v.size(); ++e)
+            v[e] = store.element(index, e);
+        embedding::payloadRoundTrip(payload, v.data(), v.size());
+        return v;
+    };
+    // The pooled runs after the first draw the buffers the one before
+    // released, so stale contents would show.
+    VectorPool pool;
+    for (const auto payload : {embedding::PayloadFormat::Fp32,
+                               embedding::PayloadFormat::Int8}) {
+        for (VectorPool *const pl : {static_cast<VectorPool *>(nullptr),
+                                     &pool}) {
+            PreparedBatch p = prepareBatch(rig.layout, &store, batch, true,
+                                           pl, payload);
+            unsigned seen = 0;
+            for (const auto &rank : p.rankReads)
+                for (const auto &r : rank) {
+                    EXPECT_EQ(r.value, expected(r.index, payload));
+                    ++seen;
+                }
+            EXPECT_EQ(seen, 3u);
+            if (pl)
+                releasePrepared(p, pool);
         }
-    EXPECT_EQ(seen, 2u);
+    }
+    EXPECT_GT(pool.stats().reuses, 0u);
 }
 
 TEST(Host, DedupFlattensRankLoad)

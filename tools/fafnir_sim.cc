@@ -147,7 +147,8 @@ flagRangeError(const Options &opt)
 {
     // Lookup runs on HBM take their geometry from --hbm alone.
     const bool ranked = opt.mode != "lookup" || !opt.hbm;
-    const std::uint64_t table_bytes = tableConfig().totalBytes();
+    const embedding::TableConfig tables = tableConfig();
+    const std::uint64_t table_bytes = tables.totalBytes();
     std::ostringstream why;
     if (ranked && !isPowerOf2(opt.ranks))
         why << "--ranks=" << opt.ranks << " is not a power of two";
@@ -155,6 +156,12 @@ flagRangeError(const Options &opt)
              table_bytes > memoryShape(opt).geometry.capacityBytes())
         why << "--ranks=" << opt.ranks << " cannot hold the "
             << (table_bytes >> 30) << " GiB of embedding tables";
+    else if (opt.mode == "lookup" && opt.engine == "tensordimm" &&
+             tables.vectorBytes % (memoryShape(opt).geometry.totalRanks() *
+                                   tables.elementBytes) != 0)
+        why << "--ranks=" << opt.ranks << " cannot split a "
+            << tables.vectorBytes << " B vector into whole "
+            << tables.elementBytes << " B elements per TensorDIMM rank";
     else if (opt.batches == 0)
         why << "--batches must be at least 1";
     else if (opt.batch == 0)
