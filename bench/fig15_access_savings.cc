@@ -26,7 +26,6 @@ main(int argc, char **argv)
                                         argv);
     const unsigned rounds = 100;
     LookupRig rig(32);
-    const core::Host host(rig.layout);
 
     TextTable table("Figure 15 — accesses after dedup (q=16, Zipfian "
                     "trace, mean of 100 batches)");
@@ -43,7 +42,8 @@ main(int argc, char **argv)
                         99);
         Distribution refs, reads, saved, per_leaf;
         for (const auto &batch : batches) {
-            const auto prepared = host.prepare(batch, true);
+            const auto prepared =
+                core::prepareBatch(rig.layout, nullptr, batch, true);
             refs.sample(static_cast<double>(prepared.totalReferences));
             reads.sample(static_cast<double>(prepared.accessCount));
             saved.sample(prepared.accessSavings() * 100.0);

@@ -452,9 +452,9 @@ main(int argc, char **argv)
         wc.querySize = 24;
         wc.popularity = embedding::Popularity::Uniform;
         embedding::BatchGenerator gen(wc, 1);
-        const Host host(layout);
         for (int b = 0; b < 64; ++b)
-            replay_batches.push_back(host.prepare(gen.next(), true));
+            replay_batches.push_back(
+                prepareBatch(layout, nullptr, gen.next(), true));
     }
     const double replay = bestOf(
         3, [&] { return benchEventReplay(tables, replay_batches); });

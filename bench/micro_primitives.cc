@@ -59,9 +59,8 @@ BM_HostPrepare(benchmark::State &state)
                            dram::Interleave::BlockRank, 512);
     embedding::TableConfig tables{32, 1u << 20, 512, 4};
     embedding::VectorLayout layout(tables, mem.mapper());
-    const Host host(layout);
     for (auto _ : state)
-        benchmark::DoNotOptimize(host.prepare(batch, true));
+        benchmark::DoNotOptimize(prepareBatch(layout, nullptr, batch, true));
 }
 BENCHMARK(BM_HostPrepare)->Arg(8)->Arg(32);
 
@@ -74,8 +73,7 @@ BM_FunctionalTree(benchmark::State &state)
                            dram::Interleave::BlockRank, 512);
     embedding::TableConfig tables{32, 1u << 20, 512, 4};
     embedding::VectorLayout layout(tables, mem.mapper());
-    const Host host(layout);
-    const auto prepared = host.prepare(batch, true);
+    const auto prepared = prepareBatch(layout, nullptr, batch, true);
     const TreeTopology topo(32);
     const FunctionalTree tree(topo);
     for (auto _ : state)

@@ -5,11 +5,13 @@
  *
  * Two measurements back the pipelined-serving PR:
  *
- *  - Wall-clock batch-prepare throughput (references/sec) for the flat
- *    open-addressing hash dedup against the ordered-map reference it
- *    replaced. Best of ten runs, so a noisy neighbour on a shared box
- *    cannot masquerade as a regression. `prepare_hash_speedup` is the
- *    gated ratio (floor: 1.3x).
+ *  - Wall-clock batch-prepare throughput (references/sec) for
+ *    prepareBatch's sorted dedup against the ordered-map reference.
+ *    Best of ten runs, so a noisy neighbour on a shared box cannot
+ *    masquerade as a regression. `prepare_hash_speedup` is the gated
+ *    ratio (floor: 1.3x). "hash" in the `prepare_hash_*` keys names
+ *    prepareBatch's path; the keys keep that name so the recorded
+ *    baseline (results/BENCH_serving_baseline.json) still gates them.
  *
  *  - Modeled per-batch prepare rates at 1/2/4/8 workers
  *    (`prepare_modeled_wN_refs_per_sec`), pure functions of
@@ -115,9 +117,9 @@ makeBatches(unsigned count, unsigned batch_size, unsigned query_size,
 
 /**
  * References prepared per wall-clock second with @p usingHash selecting
- * the flat-hash fast path or the ordered-map reference. Headers only
- * (pool == nullptr, values synthesized lazily elsewhere): prepare cost
- * is dominated by the dedup structure, which is what we compare.
+ * prepareBatch or the ordered-map reference. Headers only (pool ==
+ * nullptr, values synthesized lazily elsewhere): prepare cost is
+ * dominated by the dedup structure, which is what we compare.
  */
 double
 benchPrepare(const embedding::VectorLayout &layout,

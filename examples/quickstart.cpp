@@ -48,10 +48,10 @@ main()
 
     // 4a. Functional check: tree output == reference gather-reduce.
     const embedding::EmbeddingStore store(tables);
-    const core::Host host(layout, &store);
     const core::TreeTopology topology(memory.geometry().totalRanks());
     const core::FunctionalTree tree(topology);
-    const core::TreeRun run = tree.run(host.prepare(batch, true));
+    const core::TreeRun run =
+        tree.run(core::prepareBatch(layout, &store, batch, true));
     const auto reference = store.reduceBatch(batch);
     for (std::size_t q = 0; q < reference.size(); ++q) {
         if (!embedding::vectorsEqual(run.results[q], reference[q])) {

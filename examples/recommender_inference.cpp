@@ -182,12 +182,12 @@ main()
                                   dram::Interleave::BlockRank, 512);
         embedding::VectorLayout layout(tables, memory.mapper());
         const embedding::EmbeddingStore store(tables);
-        const core::Host host(layout, &store);
         const core::TreeTopology topology(32);
         const core::FunctionalTree tree(topology);
 
         const auto &request = stream.front();
-        const core::TreeRun run = tree.run(host.prepare(request, true));
+        const core::TreeRun run =
+            tree.run(core::prepareBatch(layout, &store, request, true));
 
         embedding::Vector features;
         features.reserve(128u * kBatchSize);

@@ -20,17 +20,10 @@ BatchGenerator::BatchGenerator(const WorkloadConfig &config,
     FAFNIR_ASSERT(config_.querySize > 0, "empty queries");
     FAFNIR_ASSERT(config_.hotFraction > 0.0 && config_.hotFraction <= 1.0,
                   "hotFraction must be in (0,1]");
-    effectiveRows_ = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(config_.tables.rowsPerTable) *
-               config_.hotFraction));
+    effectiveRows_ = config_.hotRows();
     if (config_.popularity == Popularity::Zipfian)
         zipf_.emplace(effectiveRows_, config_.zipfSkew);
-
-    const std::uint64_t distinct =
-        static_cast<std::uint64_t>(config_.tables.numTables) *
-        effectiveRows_;
-    FAFNIR_ASSERT(distinct >= config_.querySize,
+    FAFNIR_ASSERT(config_.population() >= config_.querySize,
                   "population too small for query size");
 }
 

@@ -18,6 +18,7 @@
 #ifndef FAFNIR_EMBEDDING_GENERATOR_HH
 #define FAFNIR_EMBEDDING_GENERATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -52,6 +53,20 @@ struct WorkloadConfig
      * working set of a trace slice. 1.0 = whole table.
      */
     double hotFraction = 1.0;
+
+    /** Distinct indices a query draws from: the hottest hotFraction of
+     *  every table's rows, at least one row per table. */
+    std::uint64_t population() const
+    {
+        return std::uint64_t{tables.numTables} * hotRows();
+    }
+    /** Rows per table the draw is restricted to (hotFraction, >= 1). */
+    std::uint64_t hotRows() const
+    {
+        return std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(
+                   static_cast<double>(tables.rowsPerTable) * hotFraction));
+    }
 };
 
 /** Draws batches under a WorkloadConfig. */

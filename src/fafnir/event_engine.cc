@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
-#include <ostream>
 #include <string>
 
 #include "common/faultinject.hh"
@@ -282,8 +281,6 @@ EventDrivenEngine::Pipeline::deliver(const Delivery &delivery)
     state.arrival[input] = at;
     state.lastArrival[side] = std::max(state.lastArrival[side], at);
     ++state.arrived[side];
-    if (engine_.config_.recordTimeline)
-        timing_.timeline.push_back({at, pe, "deliver", input});
 
     // A forward also waits for the side opposite each of its sources:
     // the first such side still incomplete, or -1.
@@ -384,9 +381,6 @@ EventDrivenEngine::Pipeline::emit(unsigned pe, std::uint32_t k)
              {"q0", qids.empty() ? -1.0 : static_cast<double>(qids[0])},
              {"flow", static_cast<double>(flow_)}});
     }
-    if (engine_.config_.recordTimeline)
-        timing_.timeline.push_back({at, pe, "emit", k});
-
     if (pe == TreeTopology::rootPe()) {
         rootTimes_[k] = at;
     } else {
@@ -646,8 +640,6 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start,
     activeTicks_ += timing.complete - start;
     if (config_.computeValues)
         timing.results = std::move(run.results);
-
-    std::sort(timing.timeline.begin(), timing.timeline.end());
     return timing;
 }
 
@@ -657,23 +649,9 @@ EventLookupTiming::appendSubBatch(EventLookupTiming &&next)
     LookupTiming::appendSubBatch(next);
     fifoOverflows += next.fifoOverflows;
     forwardWaits += next.forwardWaits;
-    const auto mid = timeline.insert(timeline.end(), next.timeline.begin(),
-                                     next.timeline.end());
-    std::inplace_merge(timeline.begin(), mid, timeline.end());
     results.insert(results.end(),
                    std::make_move_iterator(next.results.begin()),
                    std::make_move_iterator(next.results.end()));
-}
-
-void
-writeTimeline(std::ostream &os,
-              const std::vector<TimelineEvent> &timeline)
-{
-    os << "tick\tpe\tkind\tindex\n";
-    for (const auto &event : timeline) {
-        os << event.tick << '\t' << event.pe << '\t' << event.kind
-           << '\t' << event.index << '\n';
-    }
 }
 
 } // namespace fafnir::core

@@ -46,7 +46,7 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "common/stats.hh"
@@ -61,27 +61,11 @@ struct EventEngineConfig
     EngineConfig base;
     /** Extra cycles charged to an arrival that overflows a PE FIFO. */
     Cycles overflowPenalty = 4;
-    /** Record a per-PE timeline of deliveries and emissions. */
-    bool recordTimeline = false;
     /** Compute the reduced query vectors and return them in
      *  EventLookupTiming::results (differential conformance checks). */
     bool computeValues = false;
     /** Reduce operator applied when computing values. */
     embedding::ReduceOp reduceOp = embedding::ReduceOp::Sum;
-};
-
-/** One observable pipeline event (for timelines/debugging). */
-struct TimelineEvent
-{
-    Tick tick = 0;
-    unsigned pe = 0;
-    /** "deliver" or "emit". */
-    const char *kind = "";
-    /** Input position (deliver) or output position (emit). */
-    std::size_t index = 0;
-
-    /** Timeline order. */
-    bool operator<(const TimelineEvent &o) const { return tick < o.tick; }
 };
 
 /** Timing plus pipeline-pressure observability. */
@@ -91,19 +75,13 @@ struct EventLookupTiming : LookupTiming
     std::uint64_t fifoOverflows = 0;
     /** Outputs whose emission waited on the opposite side (forwards). */
     std::uint64_t forwardWaits = 0;
-    /** Chronological pipeline events (when recordTimeline is set). */
-    std::vector<TimelineEvent> timeline;
     /** Reduced query vectors (when computeValues is set). */
     std::vector<embedding::Vector> results;
 
-    /** LookupTiming::appendSubBatch, plus the pressure counters, the
-     *  timeline and the values. */
+    /** LookupTiming::appendSubBatch, plus the pressure counters and
+     *  the values. */
     void appendSubBatch(EventLookupTiming &&next);
 };
-
-/** Render a timeline as tab-separated text (tick, pe, kind, index). */
-void writeTimeline(std::ostream &os,
-                   const std::vector<TimelineEvent> &timeline);
 
 /** Lifetime activity counters of one PE, accumulated across lookups. */
 struct PeTelemetry
@@ -159,6 +137,19 @@ class EventDrivenEngine
 
     const TreeTopology &topology() const { return replay_.topology(); }
     const EventEngineConfig &config() const { return config_; }
+
+    /** Arrival tick of each of @p pe's inputs in the last hardware
+     *  batch, side-major (entry i of side B is input inputs[0] + i). */
+    std::span<const Tick> arrivals(unsigned pe) const
+    {
+        return pes_[pe].arrival;
+    }
+    /** Emission tick of each of @p pe's outputs in the last hardware
+     *  batch, in trace order. */
+    std::span<const Tick> emissions(unsigned pe) const
+    {
+        return pes_[pe].emitTick;
+    }
 
     /** Register per-PE counters and occupancy formulas into @p group. */
     void registerStats(StatGroup &group) const;

@@ -10,6 +10,10 @@
  * that query, which PreparedBatch::querySets gives). In no-dedup mode
  * (the Figure 13 ablation) every (query, index) reference issues its own
  * read.
+ *
+ * prepareBatch is the one prepare entry point: the engines (through
+ * TreeReplay), the serving pipeline (through PreparePool's slot arenas),
+ * the benches and the examples all call it.
  */
 
 #ifndef FAFNIR_FAFNIR_HOST_HH
@@ -90,23 +94,20 @@ struct PreparedBatch
 
     /** Largest per-rank access list (Figure 15's per-leaf-input metric). */
     std::size_t maxReadsPerRank() const;
-
-    /**
-     * Rank-load imbalance: max per-rank reads over the mean (1.0 =
-     * perfectly balanced). Hot Zipfian batches without dedup hammer the
-     * hot vectors' ranks; dedup flattens the load.
-     */
-    double loadImbalance() const;
 };
 
 /**
  * Compile @p batch into per-rank read lists.
  *
- * The hot-path entry: dedup uses a flat open-addressing hash sized from
- * the batch's reference count, then sorts the unique indices so the read
- * issue order (index-ascending, per-index query order = encounter order)
- * is bit-identical to the ordered-map reference below.
+ * One sort of the batch's (index, query) references finds the distinct
+ * indices. In dedup mode each run of one index is one read whose users
+ * are in encounter order, and reads issue in ascending index order,
+ * bit-identical to the ordered-map reference below.
  *
+ * @param store when non-null, reads carry their vector values so the
+ *        functional tree can validate end-to-end arithmetic.
+ * @param dedup read each unique index once (Section IV-C) or issue one
+ *        read per reference (the Figure 13 ablation).
  * @param pool when non-null, item value buffers are drawn from this
  *        arena instead of fresh allocations (the serving pipeline keeps
  *        one pool per pipeline slot and recycles the previous
@@ -184,35 +185,6 @@ class PreparePool
     {
         releasePrepared(prepared, arenas.pool);
     }
-};
-
-/** Compiles batches for the tree. */
-class Host
-{
-  public:
-    /**
-     * @param layout vector placement (defines the rank of each index).
-     * @param store when non-null, read items carry real vector values so
-     *        the functional tree can validate end-to-end arithmetic.
-     */
-    Host(const embedding::VectorLayout &layout,
-         const embedding::EmbeddingStore *store = nullptr)
-        : layout_(layout), store_(store)
-    {}
-
-    /**
-     * Compile @p batch.
-     * @param dedup read each unique index once (Section IV-C) or issue
-     *        one read per reference (the Figure 13 ablation).
-     * @param payload transport encoding (leaf values round-tripped).
-     */
-    PreparedBatch prepare(const embedding::Batch &batch, bool dedup,
-                          embedding::PayloadFormat payload =
-                              embedding::PayloadFormat::Fp32) const;
-
-  private:
-    const embedding::VectorLayout &layout_;
-    const embedding::EmbeddingStore *store_;
 };
 
 } // namespace fafnir::core

@@ -19,7 +19,7 @@ TreeReplay::TreeReplay(const dram::MemorySystem &memory,
                        const embedding::EmbeddingStore *store)
     : layout_(layout), config_(config),
       topology_(memory.geometry().totalRanks(), config.ranksPerLeafPe),
-      host_(layout, store), tree_(topology_),
+      store_(store), tree_(topology_),
       pePeriod_(periodFromMhz(config.peClockMhz))
 {
     if (config_.interactive)

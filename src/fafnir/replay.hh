@@ -7,7 +7,9 @@
  * links (Section IV-A). TreeReplay tells that story once and is the only
  * reader of EngineConfig's latency and link fields; the engines differ
  * only in PE readiness (FafnirEngine: a per-PE barrier; EventDrivenEngine:
- * each output once its own sources have arrived).
+ * each output once its own sources have arrived). It also prepares each
+ * hardware batch, calling prepareBatch with the configured dedup and
+ * payload.
  */
 
 #ifndef FAFNIR_FAFNIR_REPLAY_HH
@@ -190,7 +192,8 @@ class TreeReplay
     PreparedBatch
     prepare(const embedding::Batch &batch) const
     {
-        return host_.prepare(batch, config_.dedup, config_.payload);
+        return prepareBatch(layout_, store_, batch, config_.dedup, nullptr,
+                            config_.payload);
     }
 
     /** Transport bytes of one vector under the batch's payload format. */
@@ -267,7 +270,8 @@ class TreeReplay
     const embedding::VectorLayout &layout_;
     EngineConfig config_;
     TreeTopology topology_;
-    Host host_;
+    /** When non-null, prepared reads carry their vector values. */
+    const embedding::EmbeddingStore *store_;
     FunctionalTree tree_;
     Tick pePeriod_;
 };

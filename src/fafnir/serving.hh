@@ -86,10 +86,10 @@ struct ServingConfig
     embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
     /**
      * Model inputs for the host prepare cost (see prepareCost), not
-     * measurements. The flat open-addressing dedup is one probe + one
-     * link append per reference, modelled as perfectly divisible
-     * across W workers; the shard overhead term charges a merge + sort
-     * per extra worker. A 1-worker prepare of a 384-reference batch
+     * measurements. The dedup's per-reference work (one key and its
+     * share of the sort) is modelled as perfectly divisible across W
+     * workers; the shard overhead term charges a merge + sort per
+     * extra worker. A 1-worker prepare of a 384-reference batch
      * costs ~292 ns, and 4 workers model ~3x.
      */
     Tick prepareFixed = 40 * kTicksPerNs;

@@ -153,8 +153,8 @@ class SloMonitor
     const BurnConfig &burn() const { return burn_; }
 
     bool active(std::size_t objective) const;
-    /** True when any objective's alert is currently raised — the
-     *  ServiceGuard load-shed trigger. */
+    /** True when any objective's alert is currently raised; the
+     *  serving health scoreboard marks its slo row [ACTIVE] then. */
     bool anyActive() const;
 
     std::uint64_t fires(std::size_t objective) const;

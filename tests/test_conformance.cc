@@ -99,12 +99,11 @@ struct ConformanceRig
     std::vector<Vector>
     functionalTree(const Batch &batch, ReduceOp op, bool dedup)
     {
-        const core::Host host(layout, &store);
         const core::TreeTopology topology(32);
         const core::FunctionalTree tree(topology);
         return tree
-            .run(host.prepare(batch, dedup), /*values=*/true,
-                 /*keep_trace=*/false, op)
+            .run(core::prepareBatch(layout, &store, batch, dedup),
+                 /*values=*/true, /*keep_trace=*/false, op)
             .results;
     }
 

@@ -12,8 +12,7 @@
 #include <array>
 #include <optional>
 #include <random>
-#include <sstream>
-#include <string>
+#include <span>
 
 #include "common/faultinject.hh"
 #include "embedding/generator.hh"
@@ -221,60 +220,15 @@ TEST(EventEngine, SmallSystems)
     }
 }
 
-TEST(EventEngine, TimelineRecordsPipelineActivity)
-{
-    EventRig rig;
-    EventEngineConfig cfg;
-    cfg.recordTimeline = true;
-    EventDrivenEngine engine(rig.memory, rig.layout, cfg);
-    const Batch batch = rig.makeBatch(8, 8, 15);
-    const EventLookupTiming t = engine.lookup(batch, 0);
-
-    ASSERT_FALSE(t.timeline.empty());
-    // Chronological and within the run window.
-    for (std::size_t i = 1; i < t.timeline.size(); ++i)
-        EXPECT_GE(t.timeline[i].tick, t.timeline[i - 1].tick);
-    std::size_t deliveries = 0;
-    std::size_t emissions = 0;
-    for (const auto &event : t.timeline) {
-        EXPECT_LE(event.tick, t.complete);
-        EXPECT_GE(event.pe, 1u);
-        EXPECT_LE(event.pe, engine.topology().numPes());
-        if (std::string(event.kind) == "deliver")
-            ++deliveries;
-        else if (std::string(event.kind) == "emit")
-            ++emissions;
-    }
-    // Every DRAM read produces a leaf delivery; internal edges add more.
-    EXPECT_GE(deliveries, t.memAccesses);
-    EXPECT_GT(emissions, 0u);
-
-    std::ostringstream os;
-    writeTimeline(os, t.timeline);
-    EXPECT_NE(os.str().find("tick\tpe\tkind\tindex"), std::string::npos);
-    EXPECT_NE(os.str().find("emit"), std::string::npos);
-}
-
-TEST(EventEngine, TimelineOffByDefault)
-{
-    EventRig rig;
-    EventDrivenEngine engine(rig.memory, rig.layout, EventEngineConfig{});
-    const Batch batch = rig.makeBatch(4, 8, 16);
-    EXPECT_TRUE(engine.lookup(batch, 0).timeline.empty());
-}
-
-TEST(EventEngine, SubBatchesMergeValuesAndTimeline)
+TEST(EventEngine, SubBatchesMergeValues)
 {
     // A batch above hwBatch runs as hardware sub-batches; the merged
-    // timing carries every query's value in batch order and one
-    // chronological timeline. (On this shape a sub-batch's timeline ends
-    // after the next sub-batch's begins.)
+    // timing carries every query's value in batch order.
     EventRig rig;
     const EmbeddingStore store(rig.tables);
     EventEngineConfig cfg;
     cfg.base.hwBatch = 16;
     cfg.computeValues = true;
-    cfg.recordTimeline = true;
     EventDrivenEngine engine(rig.memory, rig.layout, cfg, &store);
     const Batch batch = rig.makeBatch(47, 8, 1); // 3 sub-batches
     const EventLookupTiming t = engine.lookup(batch, 0);
@@ -284,11 +238,6 @@ TEST(EventEngine, SubBatchesMergeValuesAndTimeline)
         EXPECT_EQ(t.results[q], store.reduce(batch.queries[q].indices))
             << "query " << q;
     }
-    EXPECT_TRUE(std::is_sorted(t.timeline.begin(), t.timeline.end()));
-    std::size_t deliveries = 0;
-    for (const TimelineEvent &ev : t.timeline)
-        deliveries += std::string(ev.kind) == "deliver";
-    EXPECT_GE(deliveries, t.memAccesses);
 }
 
 TEST(EventEngine, SequentialBatchesAdvanceTime)
@@ -307,8 +256,9 @@ TEST(EventEngine, SequentialBatchesAdvanceTime)
 
 TEST(EventEngine, ReadinessRulesHold)
 {
-    // The pipeline's readiness rules, checked from outside: the recorded
-    // timeline against the functional trace of the same prepared batch,
+    // The pipeline's readiness rules, checked from outside: the engine's
+    // arrival and emission ticks against the functional trace of the
+    // same prepared batch,
     // on shapes that overflow the FIFOs and under injected backpressure
     // (both delay arrivals past the delivery event's tick), and under
     // delivery jitter, which brings a child's flits to its parent out of
@@ -346,12 +296,12 @@ TEST(EventEngine, ReadinessRulesHold)
             EventRig rig;
             EventEngineConfig cfg;
             cfg.base.hwBatch = c.hwBatch;
-            cfg.recordTimeline = true;
             EventDrivenEngine engine(rig.memory, rig.layout, cfg);
-            PreparedBatch prepared = Host(rig.layout).prepare(
+            PreparedBatch prepared = prepareBatch(
+                rig.layout, nullptr,
                 rig.makeBatch(c.batchSize, 16, seed, c.skew),
                 cfg.base.dedup);
-            const EventLookupTiming t = engine.lookupPrepared(prepared, 0);
+            engine.lookupPrepared(prepared, 0);
             const TreeRun run = FunctionalTree(engine.topology())
                                     .run(prepared, false, true);
             const TreeReplay replay(rig.memory, rig.layout, cfg.base);
@@ -359,39 +309,25 @@ TEST(EventEngine, ReadinessRulesHold)
             // Per PE: arrival tick per side-major input, emission tick
             // per output.
             const unsigned num_pes = engine.topology().numPes();
-            std::vector<std::vector<Tick>> arrival(num_pes + 1);
-            std::vector<std::vector<Tick>> emitted(num_pes + 1);
             for (unsigned pe = 1; pe <= num_pes; ++pe) {
                 const PeTrace &trace = run.trace[pe];
-                arrival[pe].assign(trace.inputs[0] + trace.inputs[1],
-                                   MaxTick);
-                emitted[pe].assign(trace.outputs.size(), MaxTick);
-            }
-            for (const TimelineEvent &ev : t.timeline) {
-                const bool deliver = std::string(ev.kind) == "deliver";
-                std::vector<Tick> &ticks =
-                    deliver ? arrival[ev.pe] : emitted[ev.pe];
-                ASSERT_LT(ev.index, ticks.size()) << ev.kind;
-                EXPECT_EQ(ticks[ev.index], MaxTick)
-                    << ev.kind << " twice: pe " << ev.pe << " #"
-                    << ev.index;
-                ticks[ev.index] = ev.tick;
-            }
-
-            for (unsigned pe = 1; pe <= num_pes; ++pe) {
-                const PeTrace &trace = run.trace[pe];
+                const std::span<const Tick> arrival = engine.arrivals(pe);
+                const std::span<const Tick> emitted = engine.emissions(pe);
+                ASSERT_EQ(arrival.size(), trace.inputs[0] + trace.inputs[1])
+                    << "pe " << pe;
+                ASSERT_EQ(emitted.size(), trace.outputs.size())
+                    << "pe " << pe;
                 std::array<Tick, 2> side_last{0, 0};
-                for (std::size_t i = 0; i < arrival[pe].size(); ++i) {
-                    ASSERT_NE(arrival[pe][i], MaxTick)
+                for (std::size_t i = 0; i < arrival.size(); ++i) {
+                    ASSERT_NE(arrival[i], MaxTick)
                         << "pe " << pe << " input " << i << " never "
                         << "delivered";
                     const unsigned side = i < trace.inputs[0] ? 0 : 1;
-                    side_last[side] =
-                        std::max(side_last[side], arrival[pe][i]);
+                    side_last[side] = std::max(side_last[side], arrival[i]);
                 }
                 for (std::size_t k = 0; k < trace.outputs.size(); ++k) {
                     const TracedOutput &out = trace.outputs[k];
-                    const Tick emit = emitted[pe][k];
+                    const Tick emit = emitted[k];
                     ASSERT_NE(emit, MaxTick)
                         << "pe " << pe << " output " << k
                         << " never emitted";
@@ -399,7 +335,7 @@ TEST(EventEngine, ReadinessRulesHold)
                     for (const Provenance &src : out.sources) {
                         const std::size_t input =
                             src.side * trace.inputs[0] + src.index;
-                        latest = std::max(latest, arrival[pe][input]);
+                        latest = std::max(latest, arrival[input]);
                     }
                     early_emits += emit < replay.align(latest) +
                                               replay.pathTicks(pe,
@@ -412,7 +348,7 @@ TEST(EventEngine, ReadinessRulesHold)
                         early |= emit < side_last[1 - src.side];
                     early_forwards += early;
                 }
-                std::vector<Tick> ticks = emitted[pe];
+                std::vector<Tick> ticks(emitted.begin(), emitted.end());
                 std::sort(ticks.begin(), ticks.end());
                 for (std::size_t i = 1; i < ticks.size(); ++i)
                     crowded_emits +=

@@ -34,7 +34,6 @@ struct TreeHarness
     dram::AddressMapper mapper;
     EmbeddingStore store;
     VectorLayout layout;
-    Host host;
     TreeTopology topology;
     FunctionalTree tree;
 
@@ -44,7 +43,7 @@ struct TreeHarness
         : tables{32, rows_per_table, vector_bytes, 4},
           geometry(dram::Geometry::withTotalRanks(total_ranks)),
           mapper(geometry, dram::Interleave::BlockRank, vector_bytes),
-          store(tables), layout(tables, mapper), host(layout, &store),
+          store(tables), layout(tables, mapper),
           topology(total_ranks), tree(topology)
     {
     }
@@ -53,7 +52,8 @@ struct TreeHarness
     void
     checkBatch(const Batch &batch, bool dedup)
     {
-        const PreparedBatch prepared = host.prepare(batch, dedup);
+        const PreparedBatch prepared =
+            prepareBatch(layout, &store, batch, dedup);
         const TreeRun run = tree.run(prepared, /*values=*/true,
                                      /*keep_trace=*/false);
         const auto reference = store.reduceBatch(batch);
@@ -111,12 +111,12 @@ TEST(FunctionalTree, PaperRunningExample)
     h.checkBatch(batch, false);
 
     // The dedup mechanism reads each of the 7 unique indices once.
-    const PreparedBatch dedup = h.host.prepare(batch, true);
+    const PreparedBatch dedup = prepareBatch(h.layout, &h.store, batch, true);
     EXPECT_EQ(dedup.uniqueCount, 8u); // 50,11,44,32,83,94,26,77
     EXPECT_EQ(dedup.accessCount, dedup.uniqueCount);
     EXPECT_EQ(dedup.totalReferences, 16u);
 
-    const PreparedBatch raw = h.host.prepare(batch, false);
+    const PreparedBatch raw = prepareBatch(h.layout, &h.store, batch, false);
     EXPECT_EQ(raw.accessCount, 16u);
 }
 
@@ -133,7 +133,8 @@ TEST(FunctionalTree, SameRankCollision)
     // Indices 0 and 32 land on the same rank (32 ranks, block interleave),
     // forcing same-side flow and a root combine.
     const Batch batch = makeBatch({{0, 32}});
-    const PreparedBatch prepared = h.host.prepare(batch, true);
+    const PreparedBatch prepared =
+        prepareBatch(h.layout, &h.store, batch, true);
     EXPECT_EQ(h.layout.rankOf(0), h.layout.rankOf(32));
     const TreeRun run = h.tree.run(prepared, true, false);
     EXPECT_TRUE(vectorsEqual(run.results[0],
@@ -185,7 +186,8 @@ TEST(FunctionalTree, MergeBoundsOutputsByConstruction)
     wc.hotFraction = 0.02;
     BatchGenerator gen(wc, 42);
     const Batch batch = gen.next();
-    const PreparedBatch prepared = h.host.prepare(batch, true);
+    const PreparedBatch prepared =
+        prepareBatch(h.layout, &h.store, batch, true);
     const TreeRun run = h.tree.run(prepared, false, false);
     // Section IV-B: merged output counts stay bounded near the batch size.
     // Occupancy can exceed B transiently when many vectors of distinct
@@ -271,7 +273,8 @@ TEST(FunctionalTree, RerunIsIdempotent)
     wc.zipfSkew = 1.0;
     wc.hotFraction = 0.01;
     const Batch batch = BatchGenerator(wc, 31).next();
-    const PreparedBatch prepared = h.host.prepare(batch, true);
+    const PreparedBatch prepared =
+        prepareBatch(h.layout, &h.store, batch, true);
     const TreeRun a = h.tree.run(prepared, true, false);
     const TreeRun b = h.tree.run(prepared, true, false);
     ASSERT_EQ(a.results.size(), b.results.size());
@@ -301,8 +304,10 @@ TEST(FunctionalTree, QueryOrderPermutationPermutesResults)
         reversed.queries.push_back(std::move(q));
     }
 
-    const TreeRun fwd = h.tree.run(h.host.prepare(batch, true));
-    const TreeRun rev = h.tree.run(h.host.prepare(reversed, true));
+    const TreeRun fwd =
+        h.tree.run(prepareBatch(h.layout, &h.store, batch, true));
+    const TreeRun rev =
+        h.tree.run(prepareBatch(h.layout, &h.store, reversed, true));
     for (std::size_t q = 0; q < batch.size(); ++q) {
         EXPECT_TRUE(vectorsEqual(fwd.results[q],
                                  rev.results[batch.size() - 1 - q]))
@@ -318,8 +323,9 @@ TEST(FunctionalTree, SupersetBatchPreservesSubsetResults)
     const Batch small = makeBatch({{1, 2, 5, 6}, {2, 5, 9}});
     const Batch big =
         makeBatch({{1, 2, 5, 6}, {2, 5, 9}, {5, 100, 333}, {6, 9}});
-    const TreeRun a = h.tree.run(h.host.prepare(small, true));
-    const TreeRun b = h.tree.run(h.host.prepare(big, true));
+    const TreeRun a =
+        h.tree.run(prepareBatch(h.layout, &h.store, small, true));
+    const TreeRun b = h.tree.run(prepareBatch(h.layout, &h.store, big, true));
     for (std::size_t q = 0; q < small.size(); ++q)
         EXPECT_TRUE(vectorsEqual(a.results[q], b.results[q]));
 }
@@ -463,7 +469,8 @@ TEST(FunctionalTree, TraceIsObservationOnly)
     BatchGenerator gen(wc, 4242);
     const TreeTopology &topo = h.topology;
     for (int round = 0; round < 4; ++round) {
-        const PreparedBatch prepared = h.host.prepare(gen.next(), true);
+        const PreparedBatch prepared =
+            prepareBatch(h.layout, &h.store, gen.next(), true);
         const TreeRun plain = h.tree.run(prepared, true, false);
         const TreeRun traced = h.tree.run(prepared, true, true);
 

@@ -98,7 +98,6 @@ TEST(Integration, FunctionalScoresFeedTheMlp)
     // end with real values.
     FullRig rig;
     const EmbeddingStore store(rig.tables);
-    const core::Host host(rig.layout, &store);
     const core::TreeTopology topology(32);
     const core::FunctionalTree tree(topology);
 
@@ -107,7 +106,8 @@ TEST(Integration, FunctionalScoresFeedTheMlp)
     wc.batchSize = 4;
     wc.querySize = 8;
     const Batch batch = BatchGenerator(wc, 10).next();
-    const core::TreeRun run = tree.run(host.prepare(batch, true));
+    const core::TreeRun run =
+        tree.run(core::prepareBatch(rig.layout, &store, batch, true));
 
     Vector features;
     for (const auto &pooled : run.results)

@@ -124,7 +124,6 @@ TEST(VectorPool, FunctionalTreeReusesBuffers)
                                      tables.vectorBytes);
     EmbeddingStore store(tables);
     const VectorLayout layout(tables, mapper);
-    const Host host(layout, &store);
     const TreeTopology topology(32);
     const FunctionalTree tree(topology);
 
@@ -135,7 +134,8 @@ TEST(VectorPool, FunctionalTreeReusesBuffers)
     BatchGenerator gen(wc, 7);
     const Batch batch = gen.next();
 
-    const PreparedBatch prepared = host.prepare(batch, /*dedup=*/true);
+    const PreparedBatch prepared =
+        prepareBatch(layout, &store, batch, /*dedup=*/true);
     const TreeRun run = tree.run(prepared, /*values=*/true);
 
     EXPECT_GT(run.poolStats.acquires, 0u);

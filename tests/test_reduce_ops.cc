@@ -33,22 +33,20 @@ struct OpRig
     dram::MemorySystem memory;
     EmbeddingStore store;
     VectorLayout layout;
-    Host host;
     TreeTopology topology{32};
     FunctionalTree tree{topology};
 
     OpRig()
         : memory(eq, dram::Geometry{}, dram::Timing::ddr4_2400(),
                  dram::Interleave::BlockRank, 512),
-          store(tables), layout(tables, memory.mapper()),
-          host(layout, &store)
+          store(tables), layout(tables, memory.mapper())
     {}
 
     void
     check(const Batch &batch, ReduceOp op, bool dedup)
     {
-        const TreeRun run =
-            tree.run(host.prepare(batch, dedup), true, false, op);
+        const TreeRun run = tree.run(
+            prepareBatch(layout, &store, batch, dedup), true, false, op);
         const auto reference = store.reduceBatch(batch, op);
         for (std::size_t q = 0; q < reference.size(); ++q) {
             EXPECT_TRUE(vectorsEqual(run.results[q], reference[q]))

@@ -28,13 +28,11 @@ struct SchedulerRig
     dram::MemorySystem memory;
     EmbeddingStore store;
     VectorLayout layout;
-    Host host;
 
     SchedulerRig()
         : memory(eq, dram::Geometry{}, dram::Timing::ddr4_2400(),
                  dram::Interleave::BlockRank, 512),
-          store(tables), layout(tables, memory.mapper()),
-          host(layout, &store)
+          store(tables), layout(tables, memory.mapper())
     {}
 };
 
@@ -49,8 +47,8 @@ TEST(Scheduler, InOrderIsIdentity)
     wc.querySize = 16;
     const Batch batch = BatchGenerator(wc, 3).next();
 
-    PreparedBatch a = rig.host.prepare(batch, true);
-    PreparedBatch b = rig.host.prepare(batch, true);
+    PreparedBatch a = prepareBatch(rig.layout, &rig.store, batch, true);
+    PreparedBatch b = prepareBatch(rig.layout, &rig.store, batch, true);
     scheduleReads(b, ReadOrder::InOrder, rig.memory.mapper());
     for (std::size_t r = 0; r < a.rankReads.size(); ++r) {
         ASSERT_EQ(a.rankReads[r].size(), b.rankReads[r].size());
@@ -70,8 +68,8 @@ TEST(Scheduler, RowHitFirstPreservesReadMultiset)
     wc.hotFraction = 0.01;
     const Batch batch = BatchGenerator(wc, 4).next();
 
-    PreparedBatch before = rig.host.prepare(batch, false);
-    PreparedBatch after = rig.host.prepare(batch, false);
+    PreparedBatch before = prepareBatch(rig.layout, &rig.store, batch, false);
+    PreparedBatch after = prepareBatch(rig.layout, &rig.store, batch, false);
     scheduleReads(after, ReadOrder::RowHitFirst, rig.memory.mapper());
 
     for (std::size_t r = 0; r < before.rankReads.size(); ++r) {
@@ -88,23 +86,21 @@ TEST(Scheduler, RowHitFirstPreservesReadMultiset)
 TEST(Scheduler, RowHitFirstGroupsRows)
 {
     SchedulerRig rig;
-    PreparedBatch prepared = rig.host.prepare(
-        [] {
-            Batch batch;
-            Query q;
-            q.id = 0;
-            // Vectors on one rank spanning two rows, interleaved.
-            for (IndexId k : {0u, 512u * 32u / 512u * 32u, 32u,
-                              16u * 32u, 2u * 32u, 17u * 32u})
-                q.indices.push_back(k);
-            std::sort(q.indices.begin(), q.indices.end());
-            q.indices.erase(
-                std::unique(q.indices.begin(), q.indices.end()),
-                q.indices.end());
-            batch.queries.push_back(std::move(q));
-            return batch;
-        }(),
-        true);
+    const Batch batch = [] {
+        Batch batch;
+        Query q;
+        q.id = 0;
+        // Vectors on one rank spanning two rows, interleaved.
+        for (IndexId k : {0u, 512u * 32u / 512u * 32u, 32u, 16u * 32u,
+                          2u * 32u, 17u * 32u})
+            q.indices.push_back(k);
+        std::sort(q.indices.begin(), q.indices.end());
+        q.indices.erase(std::unique(q.indices.begin(), q.indices.end()),
+                        q.indices.end());
+        batch.queries.push_back(std::move(q));
+        return batch;
+    }();
+    PreparedBatch prepared = prepareBatch(rig.layout, &rig.store, batch, true);
     scheduleReads(prepared, ReadOrder::RowHitFirst, rig.memory.mapper());
 
     // After scheduling, every rank's list must be non-decreasing in
@@ -136,7 +132,8 @@ TEST(Scheduler, FunctionalResultsUnchangedByReordering)
 
     for (int round = 0; round < 3; ++round) {
         const Batch batch = gen.next();
-        PreparedBatch prepared = rig.host.prepare(batch, true);
+        PreparedBatch prepared =
+            prepareBatch(rig.layout, &rig.store, batch, true);
         scheduleReads(prepared, ReadOrder::RowHitFirst,
                       rig.memory.mapper());
         const TreeRun run = tree.run(prepared, true, false);

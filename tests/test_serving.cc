@@ -1,6 +1,6 @@
 /**
  * @file
- * Serving-pipeline unit tests: the hash-dedup prepare matches the
+ * Serving-pipeline unit tests: the sorted-dedup prepare matches the
  * ordered-map reference bit for bit, pipelined multi-engine serving
  * returns the same values as the serial single-engine path, dispatch
  * is work-conserving, hedging fires and never changes
@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "common/faultinject.hh"
 #include "dram/memsystem.hh"
@@ -120,68 +122,122 @@ expectPreparedIdentical(const PreparedBatch &a, const PreparedBatch &b)
 
 } // namespace
 
-TEST(PrepareBatch, HashDedupMatchesOrderedMapReference)
+TEST(PrepareBatch, SortedDedupMatchesOrderedMapReference)
 {
+    // Every input in both modes: reads, their order, users and values.
+    const auto check = [](const VectorLayout &layout,
+                          const EmbeddingStore &store, const Batch &batch) {
+        for (bool dedup : {true, false}) {
+            SCOPED_TRACE("dedup=" + std::to_string(dedup));
+            expectPreparedIdentical(
+                prepareBatch(layout, &store, batch, dedup),
+                prepareBatchReference(layout, &store, batch, dedup));
+        }
+    };
     EmbeddingStore store(smallTables());
     auto replicas = makeEventReplicas(1, {}, smallTables(),
                                       valueConfig(ReduceOp::Sum), &store);
     const VectorLayout &layout = *replicas[0].layout;
     for (std::uint64_t seed : {11u, 12u, 13u}) {
-        for (const Batch &batch : makeBatches(3, 24, 20, seed)) {
-            for (bool dedup : {true, false}) {
-                PreparedBatch fast =
-                    prepareBatch(layout, &store, batch, dedup);
-                PreparedBatch ref =
-                    prepareBatchReference(layout, &store, batch, dedup);
-                expectPreparedIdentical(fast, ref);
-            }
+        for (const Batch &batch : makeBatches(3, 24, 20, seed))
+            check(layout, store, batch);
+    }
+    for (const Batch &batch : makeBatches(4, 1, 20, 17)) {
+        SCOPED_TRACE("one query");
+        check(layout, store, batch);
+    }
+    {
+        SCOPED_TRACE("256 queries");
+        check(layout, store, makeBatches(1, 256, 20, 19).front());
+    }
+    {
+        // Strided ids: each query takes 12 ids 64 apart, offset by 8 per
+        // query, in one of four tables.
+        SCOPED_TRACE("strided");
+        Batch batch;
+        for (QueryId q = 0; q < 8; ++q) {
+            Query query;
+            query.id = q;
+            for (unsigned i = 0; i < 12; ++i)
+                query.indices.push_back(((i * 64 + q * 8) % 4096) +
+                                        (q % 4) * 4096);
+            batch.queries.push_back(std::move(query));
         }
+        check(layout, store, batch);
+    }
+    {
+        // Hot batches on full-size tables (2^20 rows each): at hot
+        // fraction 0.0001 about 0.7 of the references are unique.
+        SCOPED_TRACE("hot");
+        const TableConfig tables{32, 1u << 20, 512, 4};
+        const dram::AddressMapper mapper(
+            dram::Geometry{}, dram::Interleave::BlockRank, 512);
+        const VectorLayout hot_layout(tables, mapper);
+        const EmbeddingStore hot_store(tables);
+        WorkloadConfig wc;
+        wc.tables = tables;
+        wc.batchSize = 32;
+        wc.querySize = 24;
+        wc.hotFraction = 0.0001;
+        BatchGenerator gen(wc, 23);
+        std::size_t unique = 0;
+        std::size_t references = 0;
+        for (int b = 0; b < 4; ++b) {
+            const Batch batch = gen.next();
+            check(hot_layout, hot_store, batch);
+            const PreparedBatch p =
+                prepareBatch(hot_layout, nullptr, batch, true);
+            unique += p.uniqueCount;
+            references += p.totalReferences;
+        }
+        EXPECT_LT(unique * 10, references * 8)
+            << unique << " unique of " << references << " references";
+    }
+    {
+        // The top of the key's index half: ids 0, 1, 2^31, 2^32 - 2 and
+        // 2^32 - 1, shared across queries. One table of 2^32 64 B
+        // vectors fills the 32-rank system's 256 GiB.
+        SCOPED_TRACE("extreme ids");
+        const TableConfig tables{1, std::uint64_t{1} << 32, 64, 4};
+        const dram::AddressMapper mapper(
+            dram::Geometry{}, dram::Interleave::BlockRank, 64);
+        const VectorLayout wide_layout(tables, mapper);
+        const EmbeddingStore wide_store(tables);
+        const IndexId top = std::numeric_limits<IndexId>::max();
+        const IndexId half = IndexId{1} << 31;
+        Batch batch;
+        batch.queries = {{0, {0, 1, half, top}},
+                         {1, {1, top - 1, top}},
+                         {2, {0, half, top - 1}},
+                         {3, {top}}};
+        check(wide_layout, wide_store, batch);
     }
 
     // Through a recycled slot arena, as the serving pipeline prepares:
-    // buffers cycle through one VectorPool across batches, and the
-    // contents must never depend on buffer provenance.
+    // buffers cycle through one VectorPool across batches and payload
+    // formats, and the contents must never depend on buffer provenance.
     PreparePool pool;
     PreparePool::SlotArenas arenas = pool.makeSlotArenas();
-    for (double skew : {0.9, 0.0}) {
-        for (const Batch &batch : makeBatches(6, 16, 24, 29, skew)) {
-            for (bool dedup : {true, false}) {
-                PreparedBatch got =
-                    pool.prepare(layout, &store, batch, dedup, &arenas);
-                PreparedBatch ref =
-                    prepareBatchReference(layout, &store, batch, dedup);
-                SCOPED_TRACE("skew=" + std::to_string(skew) +
-                             " dedup=" + std::to_string(dedup));
-                expectPreparedIdentical(got, ref);
-                pool.recycleAsync(std::move(got), arenas);
+    for (const PayloadFormat payload :
+         {PayloadFormat::Fp32, PayloadFormat::Int8}) {
+        for (double skew : {0.9, 0.0}) {
+            for (const Batch &batch : makeBatches(6, 16, 24, 29, skew)) {
+                for (bool dedup : {true, false}) {
+                    PreparedBatch got = pool.prepare(
+                        layout, &store, batch, dedup, &arenas, payload);
+                    PreparedBatch ref = prepareBatchReference(
+                        layout, &store, batch, dedup, nullptr, payload);
+                    SCOPED_TRACE(std::string(payloadFormatName(payload)) +
+                                 " skew=" + std::to_string(skew) +
+                                 " dedup=" + std::to_string(dedup));
+                    expectPreparedIdentical(got, ref);
+                    pool.recycleAsync(std::move(got), arenas);
+                }
             }
         }
     }
     EXPECT_GT(arenas.pool.stats().reuses, 0u)
         << "the slot arena never recycled a buffer";
-}
-
-TEST(PrepareBatch, HashDedupHandlesAdversarialCollisions)
-{
-    // Indices congruent modulo the table capacity all land in one probe
-    // chain; order and users must still match the reference.
-    EmbeddingStore store(smallTables());
-    auto replicas = makeEventReplicas(1, {}, smallTables(),
-                                      valueConfig(ReduceOp::Sum), &store);
-    Batch batch;
-    for (QueryId q = 0; q < 8; ++q) {
-        Query query;
-        query.id = q;
-        for (unsigned i = 0; i < 12; ++i)
-            query.indices.push_back(((i * 64 + q * 8) % 4096) +
-                                    (q % 4) * 4096);
-        batch.queries.push_back(std::move(query));
-    }
-    PreparedBatch fast =
-        prepareBatch(*replicas[0].layout, &store, batch, true);
-    PreparedBatch ref =
-        prepareBatchReference(*replicas[0].layout, &store, batch, true);
-    expectPreparedIdentical(fast, ref);
 }
 
 TEST(ServingPipeline, ValuesBitIdenticalToSerialAllShapes)

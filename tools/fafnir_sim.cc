@@ -138,6 +138,21 @@ memoryShape(const Options &opt)
     return mem;
 }
 
+/** The lookup workload's generator knobs. */
+embedding::WorkloadConfig
+workloadConfig(const Options &opt, const embedding::TableConfig &tables)
+{
+    embedding::WorkloadConfig wc;
+    wc.tables = tables;
+    wc.batchSize = opt.batch;
+    wc.querySize = opt.querySize;
+    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
+                                 : embedding::Popularity::Uniform;
+    wc.zipfSkew = opt.skew;
+    wc.hotFraction = opt.hotFraction;
+    return wc;
+}
+
 /**
  * Why a numeric flag of @p opt is out of range, or "" when none is.
  * Such values would otherwise reach library assertions or print NaN.
@@ -170,13 +185,26 @@ flagRangeError(const Options &opt)
         why << "--query-size must be at least 1";
     else if (!(opt.hotFraction > 0.0 && opt.hotFraction <= 1.0))
         why << "--hot-fraction=" << opt.hotFraction << " is not in (0, 1]";
-    else if (!(opt.skew >= 0.0))
+    else if (const std::uint64_t population =
+                 workloadConfig(opt, tables).population();
+             opt.mode == "lookup" && opt.querySize > population)
+        why << "--query-size=" << opt.querySize << " exceeds the "
+            << population << " distinct indices at --hot-fraction="
+            << opt.hotFraction;
+    else if (std::isnan(opt.skew))
+        why << "--skew is not a number";
+    else if (opt.skew < 0.0)
         why << "--skew=" << opt.skew << " is negative";
     else if (!(opt.hedgePct >= 0.0 && opt.hedgePct <= 100.0))
         why << "--hedge-pct=" << opt.hedgePct
             << " is not a percentile in [0, 100]";
     else if (opt.nodes == 0)
         why << "--nodes must be at least 1";
+    else if (opt.mode == "spmv" &&
+             (opt.matrix == "web" || opt.matrix == "uniform") &&
+             !(opt.nnzPerRow >= 0.0 && opt.nnzPerRow <= opt.nodes))
+        why << "--nnz-per-row=" << opt.nnzPerRow << " is not in [0, --nodes="
+            << opt.nodes << "]";
     else if (opt.reach == 0)
         why << "--reach must be at least 1";
     return why.str();
@@ -185,15 +213,7 @@ flagRangeError(const Options &opt)
 std::vector<embedding::Batch>
 makeWorkload(const Options &opt, const embedding::TableConfig &tables)
 {
-    embedding::WorkloadConfig wc;
-    wc.tables = tables;
-    wc.batchSize = opt.batch;
-    wc.querySize = opt.querySize;
-    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
-                                 : embedding::Popularity::Uniform;
-    wc.zipfSkew = opt.skew;
-    wc.hotFraction = opt.hotFraction;
-    embedding::BatchGenerator gen(wc, opt.seed);
+    embedding::BatchGenerator gen(workloadConfig(opt, tables), opt.seed);
     std::vector<embedding::Batch> batches;
     for (unsigned i = 0; i < opt.batches; ++i)
         batches.push_back(gen.next());
@@ -787,6 +807,14 @@ runSpmv(const Options &opt, telemetry::TelemetrySession &session)
     telemetry::RunReport &run = session.report();
     Rng rng(opt.seed);
     const sparse::CsrMatrix csr = makeMatrix(opt, rng);
+    if (csr.nnz() == 0) {
+        // Nothing to multiply: both timings would be zero.
+        std::fprintf(stderr,
+                     "error: --matrix=%s --nodes=%u generated no "
+                     "nonzeros\n",
+                     opt.matrix.c_str(), opt.nodes);
+        return 2;
+    }
     const sparse::LilMatrix lil = sparse::LilMatrix::fromCsr(csr);
     const sparse::DenseVector x = sparse::makeOperand(csr.cols());
     const sparse::DenseVector expect = csr.multiply(x);
